@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .circuits import RotationSpec, as_bits, bits_to_str, build_parity_unitary, rx
+from .circuits import StepBlock, as_bits, bits_to_str, build_parity_unitary, rx
 from .dqc1 import (
     Dqc1Config,
     EstimateRecord,
@@ -30,12 +30,12 @@ from .lpn import (
     make_oracle,
     query_budget,
 )
-from .noise import NoiseSpec, midcircuit_noise_experiment, phase_flip_parity_experiment
+from .noise import midcircuit_noise_experiment, phase_flip_parity_experiment
 from .qstate import DensityMatrix, KrausSet, OperatorMatrix, partial_trace, tensor
 
 __all__ = [
     "__version__",
-    "RotationSpec",
+    "StepBlock",
     "as_bits",
     "bits_to_str",
     "build_parity_unitary",
@@ -61,7 +61,6 @@ __all__ = [
     "learn",
     "make_oracle",
     "query_budget",
-    "NoiseSpec",
     "midcircuit_noise_experiment",
     "phase_flip_parity_experiment",
     "DensityMatrix",

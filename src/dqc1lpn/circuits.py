@@ -14,7 +14,7 @@ sx by ``cos(phi) sx + sin(phi) sy``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -87,38 +87,87 @@ def cnot(control: int, target: int, total: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RotationSpec:
-    """Shape of a data-register x rotation.
+class StepBlock:
+    """One probe-step block on the data register, qubit by qubit.
 
-    Exactly one shape applies: uniform (both selectors None), `excluded`
-    (identity on that one data qubit, rotation on the rest), or
-    `tail_from` (identity on data qubits 1..j, rotation on j+1..n).
+    The block is the tensor product over data qubits k = 1..n of
+    ``R(theta, phi)^rotated[k] . sx^flips[k]``: a rotation or the identity,
+    times sx where a parity coupling is left after the decoupling
+    corrections.  ``dense`` builds the matrix and ``tau`` its normalized
+    trace, so both evaluators read the same description.
     """
 
     theta: float
+    rotated: tuple[bool, ...]
+    flips: tuple[bool, ...]
     phi: float = 0.0
-    excluded: int | None = None
-    tail_from: int | None = None
 
-    def __post_init__(self):
-        if self.excluded is not None and self.tail_from is not None:
-            raise ValueError("excluded and tail_from are mutually exclusive")
-        for name in ("excluded", "tail_from"):
-            val = getattr(self, name)
-            if val is not None and val < 1:
-                raise ValueError(f"{name} must be a 1-based data-qubit index")
+    @classmethod
+    def from_bits(
+        cls,
+        bits: Sequence[int],
+        theta: float,
+        j: int | None = None,
+        decoupled: Iterable[int] = (),
+        corrections: Iterable[int] = (),
+        phi: float = 0.0,
+    ) -> "StepBlock":
+        """Block for probing bit j of the coupling pattern `bits`.
 
-    def rotated(self, n: int) -> list[int]:
-        """Data-qubit indices the rotation actually touches."""
-        if self.excluded is not None:
-            if self.excluded > n:
-                raise ValueError(f"excluded qubit {self.excluded} exceeds n={n}")
-            return [k for k in range(1, n + 1) if k != self.excluded]
-        if self.tail_from is not None:
-            if self.tail_from > n:
-                raise ValueError(f"tail_from qubit {self.tail_from} exceeds n={n}")
-            return list(range(self.tail_from + 1, n + 1))
-        return list(range(1, n + 1))
+        Qubit j and the decoupled qubits are left unrotated (``j=None``
+        rotates every qubit that is not decoupled); qubit k is flipped
+        when s_k xor (k in corrections) is 1, so a correction cancels the
+        coupling of a learned 1 and a stray one leaves a bare sx.
+        """
+        n = len(bits)
+        dec = frozenset(decoupled)
+        corr = frozenset(corrections)
+        if j is not None and not 1 <= j <= n:
+            raise ValueError(f"probe index {j} outside 1..{n}")
+        if dec and (min(dec) < 1 or max(dec) > n):
+            raise ValueError("decoupled set outside data register")
+        if not corr <= dec:
+            raise ValueError("corrections must target decoupled qubits")
+        if j in dec:
+            raise ValueError(f"probe index {j} cannot be decoupled")
+        # set by index rather than testing every qubit: the learner's oracle
+        # rebuilds the block on every query
+        rotated = [True] * n
+        for k in dec:
+            rotated[k - 1] = False
+        if j is not None:
+            rotated[j - 1] = False
+        flips = list(map(bool, bits))
+        for k in corr:
+            flips[k - 1] = not flips[k - 1]
+        return cls(theta=theta, rotated=tuple(rotated), flips=tuple(flips), phi=phi)
+
+    def dense(self) -> np.ndarray:
+        """The 2^n x 2^n block; a factor times sx is that factor with its
+        columns swapped."""
+        gate = rx(self.theta, self.phi)
+        factors = []
+        for rotated, flipped in zip(self.rotated, self.flips):
+            factor = gate if rotated else ID2
+            factors.append(factor[:, ::-1] if flipped else factor)
+        return kron_all(factors)
+
+    def tau(self) -> complex:
+        """Normalized trace tr(block)/2^n as a product of per-qubit traces.
+
+        A rotated qubit gives cos(theta/2), or i sin(theta/2) cos(phi) when
+        flipped; an unrotated one gives 1, or 0 when flipped, which ends
+        the product.
+        """
+        c = complex(np.cos(self.theta / 2.0))
+        s = 1j * complex(np.sin(self.theta / 2.0) * np.cos(self.phi))
+        tau = 1.0 + 0.0j
+        for rotated, flipped in zip(self.rotated, self.flips):
+            if rotated:
+                tau *= s if flipped else c
+            elif flipped:
+                return 0.0j
+        return tau
 
 
 def build_parity_unitary(s) -> OperatorMatrix:
@@ -127,22 +176,9 @@ def build_parity_unitary(s) -> OperatorMatrix:
     Self-inverse, and traceless unless s is all zeros.
     """
     bits = as_bits(s)
-    mat = kron_all([PAULI_X if b else ID2 for b in bits])
-    return OperatorMatrix(mat, unitary=True, validate=False)
-
-
-def build_rotation(spec: RotationSpec, n: int) -> OperatorMatrix:
-    """Data-register rotation for the given shape over n data qubits.
-
-    The excluded-j shape is the composition of the uniform rotation with
-    the inverse rotation on qubit j, which nets to the identity there.
-    """
-    if n < 1:
-        raise ValueError("need at least one data qubit")
-    gate = rx(spec.theta, spec.phi)
-    rotated = set(spec.rotated(n))
-    mat = kron_all([gate if k in rotated else ID2 for k in range(1, n + 1)])
-    return OperatorMatrix(mat, unitary=True, validate=False)
+    # every qubit decoupled and none corrected: no rotation, bare couplings
+    block = StepBlock.from_bits(bits, 0.0, decoupled=range(1, bits.size + 1))
+    return OperatorMatrix(block.dense(), unitary=True, validate=False)
 
 
 def controlled(u: OperatorMatrix) -> OperatorMatrix:
@@ -184,12 +220,8 @@ def parity_step_block(s, theta: float, *, j: int | None = None, phi: float = 0.0
     With `j` given the rotation skips data qubit j (the discrimination
     step); with ``j=None`` the rotation is uniform.
     """
-    bits = as_bits(s)
-    n = bits.size
-    spec = RotationSpec(theta=theta, phi=phi, excluded=j)
-    rot = build_rotation(spec, n)
-    par = build_parity_unitary(bits)
-    return OperatorMatrix(rot.entries @ par.entries, unitary=True, validate=False)
+    block = StepBlock.from_bits(as_bits(s), theta, j, phi=phi)
+    return OperatorMatrix(block.dense(), unitary=True, validate=False)
 
 
 def error_identity_check() -> float:

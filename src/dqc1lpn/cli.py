@@ -133,7 +133,7 @@ def cmd_learn(args) -> RunRecord:
         backend=args.backend, seed=args.seed,
     )
     budget = BudgetParams(
-        delta=args.delta, epsilon=0.1, alpha=args.alpha, p=args.p,
+        delta=args.delta, alpha=args.alpha, p=args.p,
         L=args.L, per_bit_delta=args.per_bit_delta,
     )
     oracle = lpn.make_oracle(bits, cfg, kind=args.backend)

@@ -16,13 +16,13 @@ Oracles close over s; the learner only ever sees the query callable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import circuits, dqc1
-from .circuits import ID2, PAULI_X, as_bits, kron_all, rx
+from . import dqc1
+from .circuits import StepBlock, as_bits
 from .dqc1 import Dqc1Config, EstimateRecord
 
 #: Hoeffding-style constant in the query budget.
@@ -51,13 +51,10 @@ class BudgetParams:
 
     delta is the failure probability; by default it is split globally
     (delta/n per bit), set per_bit_delta to spend delta on every bit.
-    epsilon is the generic additive-accuracy knob for standalone trace
-    estimation; the per-bit budget derives its own accuracy from the
-    discrimination gap instead.
+    The per-bit accuracy comes from the discrimination gap.
     """
 
     delta: float
-    epsilon: float
     alpha: float
     p: float
     L: int
@@ -66,25 +63,12 @@ class BudgetParams:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
         if not 0.0 <= self.p < 1.0:
             raise ValueError("p must lie in [0, 1)")
         if self.L < 1:
             raise ValueError("L must be positive")
-
-
-@dataclass
-class LearnerState:
-    """Mutable bookkeeping carried across the bit-by-bit loop."""
-
-    j: int = 1
-    decided: dict[int, int] = field(default_factory=dict)
-    decoupled: set[int] = field(default_factory=set)
-    phase_known: bool = False
-    quadrature: str | None = None
 
 
 @dataclass(frozen=True)
@@ -128,37 +112,6 @@ def draw_classical_samples(
     return xs, (clean ^ flips).astype(np.uint8)
 
 
-def _tau_factors(
-    bits: np.ndarray,
-    theta: float,
-    j: int | None,
-    decoupled: frozenset[int] | set[int],
-    corrections: frozenset[int] | set[int],
-) -> complex:
-    """Per-qubit product for the normalized trace of one probe step.
-
-    Decoupled qubits contribute 1 only while their recorded correction
-    matches the true bit; a stale coupling or stray correction leaves a
-    bare sx whose trace kills the whole product.
-    """
-    c = complex(np.cos(theta / 2.0))
-    s = 1j * complex(np.sin(theta / 2.0))
-    tau = 1.0 + 0.0j
-    for k in range(1, bits.size + 1):
-        bit = int(bits[k - 1])
-        if k in decoupled:
-            residual = bit ^ (1 if k in corrections else 0)
-            if residual:
-                return 0.0j
-            continue
-        if j is not None and k == j:
-            if bit:
-                return 0.0j
-            continue
-        tau *= s if bit else c
-    return tau
-
-
 def closed_form_tau(s, theta: float, j: int, decoupled: Iterable[int] = ()) -> complex:
     """Normalized trace for probing bit j with the given qubits decoupled.
 
@@ -166,17 +119,10 @@ def closed_form_tau(s, theta: float, j: int, decoupled: Iterable[int] = ()) -> c
     otherwise, every remaining qubit gives cos(theta/2) for a 0 bit and
     i sin(theta/2) for a 1 bit.
     """
-    bits = as_bits(s)
-    n = bits.size
-    if not 1 <= j <= n:
-        raise ValueError(f"probe index {j} outside 1..{n}")
+    bits = as_bits(s).tolist()
     dec = frozenset(int(k) for k in decoupled)
-    if dec - set(range(1, n + 1)):
-        raise ValueError("decoupled set outside data register")
-    if j in dec:
-        raise ValueError(f"probe index {j} cannot be decoupled")
-    corr = frozenset(k for k in dec if bits[k - 1])
-    return _tau_factors(bits, theta, j, dec, corr)
+    corr = {k for k, bit in enumerate(bits, 1) if bit and k in dec}
+    return StepBlock.from_bits(bits, theta, j, dec, corr).tau()
 
 
 def delta_tau(
@@ -226,10 +172,7 @@ def query_budget(budget: BudgetParams, n: int, j: int) -> int:
     try:
         raw = log_term * 4.0 * float(2 ** (n - j)) / scale
     except OverflowError:
-        exponent = (
-            math.log2(log_term) + 2.0 - math.log2(scale) + (n - j)
-        )
-        return 1 << math.ceil(exponent)
+        raw = math.inf
     if not math.isfinite(raw):
         exponent = math.log2(log_term) + 2.0 - math.log2(scale) + (n - j)
         return 1 << math.ceil(exponent)
@@ -243,28 +186,17 @@ def make_oracle(s, cfg: Dqc1Config, kind: str | None = None) -> Oracle:
     trace, "sampled" adds shot noise to the closed-form values with one
     RNG stream per probed bit (derived from cfg.seed).
     """
-    bits = as_bits(s, n=cfg.n)
+    # plain ints, normalized once: the block is rebuilt on every query
+    bits = as_bits(s, n=cfg.n).tolist()
     kind = kind or cfg.backend
     if kind not in ("dense", "closed", "sampled"):
         raise ValueError(f"unknown oracle kind {kind!r}")
 
     def true_tau(j, decoupled, corrections):
-        dec = frozenset(decoupled)
-        corr = frozenset(corrections)
-        if not corr <= dec:
-            raise ValueError("corrections must target decoupled qubits")
+        block = StepBlock.from_bits(bits, cfg.theta, j, decoupled, corrections)
         if kind == "dense":
-            gate = rx(cfg.theta)
-            skip = dec | ({j} if j is not None else set())
-            rot = kron_all(
-                [ID2 if k in skip else gate for k in range(1, cfg.n + 1)]
-            )
-            fix = kron_all(
-                [PAULI_X if k in corr else ID2 for k in range(1, cfg.n + 1)]
-            )
-            par = circuits.build_parity_unitary(bits).entries
-            return (rot @ fix @ par).trace() / 2**cfg.n
-        return _tau_factors(bits, cfg.theta, j, dec, corr)
+            return block.dense().trace() / 2**cfg.n
+        return block.tau()
 
     def oracle(
         j: int,
@@ -322,7 +254,8 @@ def learn(
         raise ValueError("nothing to learn for n = 0")
     if min(abs(math.sin(cfg.theta / 2.0)), abs(math.cos(cfg.theta / 2.0))) < 1e-9:
         raise ValueError("rotation angle must avoid integer multiples of pi")
-    state = LearnerState()
+    # the quadrature that carries the signal, once a nonzero reading fixed it
+    quadrature: str | None = None
     corrections: set[int] = set()
     steps: list[LearnStep] = []
     for j in range(1, n + 1):
@@ -333,9 +266,7 @@ def learn(
         )
         if queries > max_queries:
             raise BudgetExhaustedError(j, queries, max_queries)
-        observables = (
-            (state.quadrature,) if state.phase_known else ("x", "y")
-        )
+        observables = (quadrature,) if quadrature is not None else ("x", "y")
         record = oracle(
             j,
             frozenset(range(1, j)),
@@ -347,18 +278,14 @@ def learn(
         bit = decide_bit(record, threshold)
         if bit:
             corrections.add(j)
-            if state.phase_known:
-                state.quadrature = "y" if state.quadrature == "x" else "x"
-        elif not state.phase_known:
-            state.phase_known = True
-            state.quadrature = "x" if abs(record.ex) >= abs(record.ey) else "y"
-        state.decided[j] = bit
-        state.decoupled.add(j)
-        state.j = j + 1
+            if quadrature is not None:
+                quadrature = "y" if quadrature == "x" else "x"
+        elif quadrature is None:
+            quadrature = "x" if abs(record.ex) >= abs(record.ey) else "y"
         steps.append(
             LearnStep(j=j, record=record, queries=queries, threshold=threshold, bit=bit)
         )
-    s_hat = np.array([state.decided[j] for j in range(1, n + 1)], dtype=np.uint8)
+    s_hat = np.array([step.bit for step in steps], dtype=np.uint8)
     return LearnResult(s_hat=s_hat, steps=tuple(steps))
 
 

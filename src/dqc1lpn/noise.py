@@ -11,36 +11,15 @@ the probe signal by (1-q) per coupled qubit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import circuits, dqc1, lpn, qstate
+from . import circuits, dqc1, qstate
 from .circuits import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, as_bits, embed, weight
 from .dqc1 import Dqc1Config, EstimateRecord
 from .qstate import DensityMatrix, KrausSet, OperatorMatrix
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Bundle of error rates for the sweep commands.
-
-    p_readout: probe readout depolarization, q_mid: mid-circuit data
-    depolarization, phi: rotation-axis tilt (radians), theta_error:
-    additive rotation-angle offset (radians).
-    """
-
-    p_readout: float = 0.0
-    q_mid: float = 0.0
-    phi: float = 0.0
-    theta_error: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_readout < 1.0:
-            raise ValueError("p_readout outside [0, 1)")
-        if not 0.0 <= self.q_mid <= 1.0:
-            raise ValueError("q_mid outside [0, 1]")
 
 
 def depolarizing_kraus(rate: float) -> KrausSet:
@@ -85,9 +64,14 @@ def _final_state(
     between: "callable | None" = None,
 ) -> DensityMatrix:
     """Dense run of one probe step, with an optional corruption applied
-    between the parity couplings and the controlled rotation."""
+    between the parity couplings and the controlled rotation.
+
+    The two halves are step blocks of their own: the couplings of s with
+    nothing rotated, then the rotation of an all-zero pattern.
+    """
     bits = as_bits(s, n=cfg.n)
     total = cfg.n + 1
+    rotation = circuits.parity_step_block([0] * cfg.n, cfg.theta, j=j, phi=phi)
     rho = dqc1.initial_state(cfg)
     had = OperatorMatrix(embed(HADAMARD, 0, total), unitary=True, validate=False)
     rho = qstate.apply_unitary(rho, had)
@@ -96,10 +80,7 @@ def _final_state(
     )
     if between is not None:
         rho = between(rho)
-    rot = circuits.build_rotation(
-        circuits.RotationSpec(theta=cfg.theta, phi=phi, excluded=j), cfg.n
-    )
-    return qstate.apply_unitary(rho, circuits.controlled(rot))
+    return qstate.apply_unitary(rho, circuits.controlled(rotation))
 
 
 def midcircuit_noise_experiment(
@@ -199,12 +180,9 @@ def systematic_error_sweep(
     rows = []
     for phi in phi_grid:
         for theta in theta_grid:
-            block = circuits.parity_step_block(bits, theta, j=j, phi=phi)
-            tau_dense = complex(block.entries.trace() / block.dim)
-            untilted = lpn._tau_factors(
-                bits, theta, j, frozenset(), frozenset()
-            )
-            predicted = untilted * np.cos(phi) ** m
+            block = circuits.StepBlock.from_bits(bits, theta, j, phi=phi)
+            tau_dense = complex(block.dense().trace() / 2**cfg.n)
+            predicted = replace(block, phi=0.0).tau() * np.cos(phi) ** m
             rows.append(
                 SystematicErrorRow(
                     phi=float(phi),

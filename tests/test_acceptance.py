@@ -118,7 +118,7 @@ def test_criterion_04_end_to_end_learning():
     analytic_fails = 0
     for n in range(1, 6):
         cfg = Dqc1Config(n=n, alpha=1.0, p=0.0, theta=HALF_PI)
-        budget = BudgetParams(delta=0.01, epsilon=0.1, alpha=1.0, p=0.0, L=1000)
+        budget = BudgetParams(delta=0.01, alpha=1.0, p=0.0, L=1000)
         for bits in all_bitstrings(n):
             res = lpn.learn(
                 lpn.make_oracle(bits, cfg, kind="dense"), cfg, budget, fixed_queries=1
@@ -134,7 +134,7 @@ def test_criterion_04_end_to_end_learning():
             n=3, alpha=1.0, p=0.0, theta=HALF_PI,
             backend="sampled", seed=int(gen.integers(2**32)),
         )
-        budget = BudgetParams(delta=0.01, epsilon=0.1, alpha=1.0, p=0.0, L=1000)
+        budget = BudgetParams(delta=0.01, alpha=1.0, p=0.0, L=1000)
         res = lpn.learn(
             lpn.make_oracle(bits, cfg, kind="sampled"), cfg, budget, fixed_queries=100
         )
@@ -288,7 +288,7 @@ def test_criterion_08_information_measures():
 
 
 def test_criterion_09_budget_frontier():
-    base = dict(delta=0.01, epsilon=0.1, alpha=1.0, L=100)
+    base = dict(delta=0.01, alpha=1.0, L=100)
     noisier = [
         lpn.query_budget(BudgetParams(p=p, **base), 4, 1)
         for p in (0.0, 0.5, 0.9, 0.99)
@@ -297,13 +297,13 @@ def test_criterion_09_budget_frontier():
 
     tighter = [
         lpn.query_budget(
-            BudgetParams(delta=0.01, epsilon=0.1, alpha=1.0, p=0.0, L=1), n, 1
+            BudgetParams(delta=0.01, alpha=1.0, p=0.0, L=1), n, 1
         )
         for n in (2, 6, 10, 14)
     ]
     diverges_eps = all(a < b for a, b in zip(tighter, tighter[1:]))
 
-    huge = BudgetParams(delta=0.01, epsilon=0.1, alpha=1.0, p=0.0, L=10**22)
+    huge = BudgetParams(delta=0.01, alpha=1.0, p=0.0, L=10**22)
     feasible = max(lpn.query_budget(huge, 66, j) for j in (1, 22, 44, 66))
     infeasible = lpn.query_budget(huge, 120, 1)
 

@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 
 from dqc1lpn import circuits
 from dqc1lpn.circuits import (
-    RotationSpec,
+    StepBlock,
     as_bits,
     bits_to_str,
     build_parity_unitary,
-    build_rotation,
     cnot,
     controlled,
     embed,
@@ -75,14 +74,24 @@ def test_embed_places_gate():
     np.testing.assert_allclose(z_on_1, np.kron(np.eye(2), circuits.PAULI_Z))
 
 
-def test_rotation_spec_validation():
+def test_step_block_validation():
+    bits = [0, 1, 1]
+    for j in (0, 4, -1):
+        with pytest.raises(ValueError):
+            StepBlock.from_bits(bits, 1.0, j)
     with pytest.raises(ValueError):
-        RotationSpec(theta=1.0, excluded=1, tail_from=2)
+        StepBlock.from_bits(bits, 1.0, 1, decoupled=(4,))
     with pytest.raises(ValueError):
-        RotationSpec(theta=1.0, excluded=0)
-    assert RotationSpec(theta=1.0).rotated(3) == [1, 2, 3]
-    assert RotationSpec(theta=1.0, excluded=2).rotated(3) == [1, 3]
-    assert RotationSpec(theta=1.0, tail_from=1).rotated(3) == [2, 3]
+        StepBlock.from_bits(bits, 1.0, 3, decoupled=(0,))
+    with pytest.raises(ValueError):
+        StepBlock.from_bits(bits, 1.0, 3, decoupled=(1,), corrections=(2,))
+    with pytest.raises(ValueError):
+        StepBlock.from_bits(bits, 1.0, 2, decoupled=(2,))
+    assert StepBlock.from_bits(bits, 1.0).rotated == (True, True, True)
+    assert StepBlock.from_bits(bits, 1.0, 2).rotated == (True, False, True)
+    block = StepBlock.from_bits(bits, 1.0, 3, decoupled=(1, 2), corrections=(1, 2))
+    assert block.rotated == (False, False, False)
+    assert block.flips == (True, False, True)
 
 
 def test_build_parity_unitary_small():
@@ -90,9 +99,8 @@ def test_build_parity_unitary_small():
     np.testing.assert_allclose(par.entries, np.kron(circuits.PAULI_X, np.eye(2)))
 
 
-def test_build_rotation_excluded_leaves_identity():
-    spec = RotationSpec(theta=0.7, excluded=1)
-    got = build_rotation(spec, 2).entries
+def test_step_block_unrotated_qubit_is_identity():
+    got = StepBlock.from_bits([0, 0], 0.7, 1).dense()
     np.testing.assert_allclose(got, np.kron(np.eye(2), rx(0.7)), atol=1e-14)
 
 
@@ -116,8 +124,9 @@ def test_lpn_pure_output_amplitudes():
 def test_parity_step_block_composition():
     bits = as_bits("011")
     theta = 1.2
-    block = parity_step_block(bits, theta, j=2)
-    rot = build_rotation(RotationSpec(theta=theta, excluded=2), 3)
+    # a tilted axis, so that the rotation and sx do not commute
+    block = parity_step_block(bits, theta, j=2, phi=0.3)
+    rot = parity_step_block("000", theta, j=2, phi=0.3)
     par = build_parity_unitary(bits)
     np.testing.assert_allclose(block.entries, rot.entries @ par.entries, atol=1e-14)
 
@@ -131,6 +140,31 @@ def test_uniform_block_trace_matches_reference(theta):
             dense = complex(np.trace(block.entries)) / 2**n
             ref = reference_tau(bits, theta, rotated=set(range(1, n + 1)))
             assert abs(dense - ref) < 1e-12
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.3])
+def test_step_block_tau_matches_dense_trace(phi):
+    """The per-qubit trace product agrees with the trace of the dense block,
+    for every probe index and decoupled prefix, with the learner's
+    corrections and with stray ones on decoupled 0 bits."""
+    theta = 1.1
+    for n in (1, 2, 3, 4):
+        for bits in all_bitstrings(n):
+            bits = bits.tolist()
+            for j in range(1, n + 1):
+                decoupled = range(1, j)
+                correct = {k for k in decoupled if bits[k - 1]}
+                stray = set(decoupled) - correct
+                for corrections in (correct, set(), set(decoupled), stray):
+                    block = StepBlock.from_bits(
+                        bits, theta, j, decoupled, corrections, phi=phi
+                    )
+                    dense = complex(np.trace(block.dense())) / 2**n
+                    assert abs(block.tau() - dense) < 1e-12
+                    if phi == 0.0 and not corrections:
+                        rotated = set(range(j + 1, n + 1))
+                        ref = reference_tau(bits, theta, rotated=rotated)
+                        assert abs(block.tau() - ref) < 1e-12
 
 
 def test_error_identity_holds():

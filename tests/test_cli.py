@@ -88,6 +88,14 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "learn")[0] == 2
     assert run_cli(capsys, "learn", "--s", "012")[0] == 2
     assert run_cli(capsys, "no-such-command")[0] == 2
+    # probe indices outside 1..n
+    for argv in (
+        ("--mode", "midq", "--s", "0110", "--j", "9"),
+        ("--mode", "midq", "--s", "0110", "--j", "0"),
+        ("--mode", "parity", "--s", "0110", "--flips", "2", "--j", "7"),
+        ("--mode", "systematic", "--s", "0110", "--j", "-1"),
+    ):
+        assert run_cli(capsys, "noise-sweep", *argv)[0] == 2
 
 
 def test_budget_exhaustion_exits_three(capsys):

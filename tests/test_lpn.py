@@ -27,7 +27,7 @@ HALF_PI = math.pi / 2
 
 
 def _budget(alpha=1.0, p=0.0, L=1000):
-    return BudgetParams(delta=0.01, epsilon=0.1, alpha=alpha, p=p, L=L)
+    return BudgetParams(delta=0.01, alpha=alpha, p=p, L=L)
 
 
 def test_closed_form_tau_known_value():
@@ -138,17 +138,26 @@ def test_query_budget_efficiency_frontier():
     assert query_budget(big_l, 120, 1) > 10**6
 
 
-def test_query_budget_log_space_fallback():
-    # exponent overflows float arithmetic; result must still be a usable int
-    q = query_budget(_budget(L=1), 2200, 1)
+@pytest.mark.parametrize(
+    "n,j,alpha,L",
+    [
+        # 2^(n-j) does not fit in a float
+        pytest.param(2200, 1, 1.0, 1, id="overflow"),
+        # 2^(n-j) fits, the quotient by a tiny scale does not
+        pytest.param(1022, 1, 1e-3, 1, id="nonfinite"),
+    ],
+)
+def test_query_budget_log_space_fallback(n, j, alpha, L):
+    # the float quotient is unusable; result must still be a usable int
+    q = query_budget(_budget(alpha=alpha, L=L), n, j)
     assert isinstance(q, int)
     assert q > 10**300
 
 
 def test_query_budget_per_bit_delta_needs_less():
-    shared = BudgetParams(delta=0.01, epsilon=0.1, alpha=1.0, p=0.0, L=1)
+    shared = BudgetParams(delta=0.01, alpha=1.0, p=0.0, L=1)
     per_bit = BudgetParams(
-        delta=0.01, epsilon=0.1, alpha=1.0, p=0.0, L=1, per_bit_delta=True
+        delta=0.01, alpha=1.0, p=0.0, L=1, per_bit_delta=True
     )
     assert query_budget(per_bit, 10, 1) <= query_budget(shared, 10, 1)
 
@@ -250,7 +259,7 @@ def test_learn_thresholds_grow_with_decoupling():
 
 def test_learn_budget_exhaustion():
     cfg = Dqc1Config(n=40, alpha=0.2, p=0.5, theta=HALF_PI)
-    budget = BudgetParams(delta=0.01, epsilon=0.1, alpha=0.2, p=0.5, L=10)
+    budget = BudgetParams(delta=0.01, alpha=0.2, p=0.5, L=10)
     with pytest.raises(BudgetExhaustedError) as info:
         learn(make_oracle(as_bits("0" * 40), cfg), cfg, budget, max_queries=1000)
     assert info.value.j == 1

@@ -6,7 +6,6 @@ import pytest
 from dqc1lpn.circuits import as_bits
 from dqc1lpn.dqc1 import Dqc1Config
 from dqc1lpn.noise import (
-    NoiseSpec,
     default_probe_bit,
     depolarize,
     depolarizing_kraus,
@@ -21,15 +20,6 @@ HALF_PI = math.pi / 2
 
 def _cfg(n, theta=HALF_PI, alpha=1.0, p=0.0):
     return Dqc1Config(n=n, alpha=alpha, p=p, theta=theta)
-
-
-def test_noise_spec_validation():
-    NoiseSpec()
-    NoiseSpec(p_readout=0.5, q_mid=0.1, phi=0.3, theta_error=-0.1)
-    with pytest.raises(ValueError):
-        NoiseSpec(p_readout=1.5)
-    with pytest.raises(ValueError):
-        NoiseSpec(q_mid=-0.1)
 
 
 def test_depolarizing_kraus_is_complete():
