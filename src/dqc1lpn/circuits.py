@@ -195,25 +195,6 @@ def controlled(u: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(out, unitary=True, validate=False)
 
 
-def lpn_pure_output(x, s, sign: int = 1) -> np.ndarray:
-    """State vector (|0>|x> + sign |1>|x xor s>)/sqrt(2) over n+1 qubits.
-
-    These are the two branches a pure-state parity query can end in; the
-    plus branch at x = 0..0 reveals s exactly when the probe reads 1.
-    """
-    xb = as_bits(x)
-    sb = as_bits(s, n=xb.size)
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    n = xb.size
-    vec = np.zeros(2 ** (n + 1), dtype=complex)
-    ix = int("".join(str(int(b)) for b in xb), 2)
-    ixs = int("".join(str(int(b)) for b in xb ^ sb), 2)
-    vec[ix] = 1.0 / np.sqrt(2.0)
-    vec[2**n + ixs] += sign / np.sqrt(2.0)
-    return vec
-
-
 def parity_step_block(s, theta: float, *, j: int | None = None, phi: float = 0.0) -> OperatorMatrix:
     """Data-register block rotation . parity pattern for one probe step.
 

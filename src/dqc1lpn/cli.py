@@ -52,14 +52,18 @@ class RunRecord:
 
 
 def parse_angle(text: str) -> float:
-    """Parse "0.7", "0.5pi", "pi", "-0.25pi" into radians."""
+    """Parse "0.7", "0.5pi", "pi", "-0.25pi" into radians; reject nan and inf."""
     raw = str(text).strip().lower()
     if raw.endswith("pi"):
         head = raw[:-2]
         if head in ("", "+", "-"):
             head += "1"
-        return float(head) * math.pi
-    return float(raw)
+        value = float(head) * math.pi
+    else:
+        value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"angle {text!r} is not finite")
+    return value
 
 
 def parse_grid(text: str, *, angle: bool = False) -> list[float]:
@@ -460,7 +464,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, RuntimeError) as exc:
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     record.wall_time_ms = (time.perf_counter() - start) * 1000.0

@@ -135,16 +135,12 @@ def _sample_one_observable(
 ) -> tuple[float, float]:
     """Mean of Q queries, each the average of L two-outcome shots.
 
-    Every query draws from its own child stream, so shot generation can
-    be parallelized without changing the result.
+    The Q per-query up-counts are one binomial draw from ``stream``.  The
+    estimate averages them in floating point, because an integer total of
+    L*Q shots can leave int64.
     """
-    prob_up = (1.0 + truth) / 2.0
-    means = np.empty(Q)
-    for i, child in enumerate(stream.spawn(Q)):
-        rng = np.random.Generator(np.random.PCG64(child))
-        ups = rng.binomial(L, prob_up)
-        means[i] = (2.0 * ups - L) / L
-    est = float(means.mean())
+    ups = np.random.default_rng(stream).binomial(L, (1.0 + truth) / 2.0, size=Q)
+    est = (2.0 * float(ups.mean()) - L) / L
     # plug-in standard error of the pooled mean of L*Q shots
     se = math.sqrt(max(0.0, 1.0 - est * est) / (L * Q))
     return est, se
@@ -162,15 +158,18 @@ def sample_expectations(
 ) -> EstimateRecord:
     """Simulate shot-noise estimation of the probe expectations.
 
-    Seeding is hierarchical: one child stream per observable, one
-    grandchild per query, derived from ``stream`` (default: the config
-    seed).  Identical inputs therefore reproduce the record bit for bit.
-    Observables left out of `observables` are reported as 0 with se 0.
+    Each observable draws from its own child of ``stream`` (default: the
+    config seed), so reading only y gives the same ey as reading both, and
+    identical inputs reproduce the record bit for bit.  Observables left
+    out of `observables` are reported as 0 with se 0.  L must fit in int64,
+    the range of numpy's binomial sampler.
     """
     if abs(true_ex) > 1.0 or abs(true_ey) > 1.0:
         raise ValueError("true expectations must lie in [-1, 1]")
     if L < 1 or Q < 1:
         raise ValueError("L and Q must be positive")
+    if L > np.iinfo(np.int64).max:
+        raise ValueError(f"L={L} exceeds the int64 range of the shot sampler")
     unknown = set(observables) - {"x", "y"}
     if unknown:
         raise ValueError(f"unknown observables {sorted(unknown)}")

@@ -88,22 +88,13 @@ class LearnResult:
     steps: tuple[LearnStep, ...]
 
 
-def classical_oracle(s, p: float, rng) -> tuple[np.ndarray, int]:
-    """One noisy parity query: uniform x and y = <s, x> xor e, P(e=1) = p/2."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError("noise rate p must lie in [0, 1)")
-    bits = as_bits(s)
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    x = gen.integers(0, 2, size=bits.size, dtype=np.uint8)
-    e = int(gen.random() < p / 2.0)
-    y = (int(np.bitwise_and(x, bits).sum()) & 1) ^ e
-    return x, y
-
-
 def draw_classical_samples(
     s, p: float, count: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized batch of classical_oracle draws."""
+    """`count` noisy parity samples: uniform x and y = <s, x> xor e with
+    P(e=1) = p/2."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError("noise rate p must lie in [0, 1)")
     bits = as_bits(s)
     gen = np.random.default_rng(seed)
     xs = gen.integers(0, 2, size=(count, bits.size), dtype=np.uint8)

@@ -60,10 +60,9 @@ def default_probe_bit(s) -> int | None:
 
 
 def _final_state(
-    s, cfg: Dqc1Config, *, j: int | None, phi: float = 0.0,
-    between: "callable | None" = None,
+    s, cfg: Dqc1Config, *, j: int | None, between: "callable", phi: float = 0.0,
 ) -> DensityMatrix:
-    """Dense run of one probe step, with an optional corruption applied
+    """Dense run of one probe step, with a corruption `between` applied
     between the parity couplings and the controlled rotation.
 
     The two halves are step blocks of their own: the couplings of s with
@@ -78,8 +77,7 @@ def _final_state(
     rho = qstate.apply_unitary(
         rho, circuits.controlled(circuits.build_parity_unitary(bits))
     )
-    if between is not None:
-        rho = between(rho)
+    rho = between(rho)
     return qstate.apply_unitary(rho, circuits.controlled(rotation))
 
 
@@ -90,8 +88,8 @@ def midcircuit_noise_experiment(
 
     Runs the probe-step circuit densely with every data qubit depolarized
     at rate q in the middle, and returns |<sx> + i <sy>| divided by the
-    noiseless value.  For a string of weight m the exact ratio is
-    (1-q)^m.
+    noiseless value, which the step block's closed-form trace gives.  For
+    a string of weight m the exact ratio is (1-q)^m.
     """
     bits = as_bits(s, n=cfg.n)
     if not 0.0 <= q <= 0.2:
@@ -104,9 +102,9 @@ def midcircuit_noise_experiment(
     noisy = _final_state(
         bits, cfg, j=j, between=lambda r: depolarize(r, q, data)
     )
-    clean = _final_state(bits, cfg, j=j)
+    tau = circuits.StepBlock.from_bits(bits, cfg.theta, j).tau()
     num = complex(*dqc1.probe_expectations(noisy, cfg.p))
-    den = complex(*dqc1.probe_expectations(clean, cfg.p))
+    den = complex(*dqc1.expectations_from_tau(cfg.alpha, cfg.p, tau))
     if abs(den) < 1e-15:
         raise ValueError("noiseless signal vanishes; pick a probe bit with s_j = 0")
     return abs(num) / abs(den)

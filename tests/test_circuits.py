@@ -14,7 +14,6 @@ from dqc1lpn.circuits import (
     controlled,
     embed,
     error_identity_check,
-    lpn_pure_output,
     parity_step_block,
     rx,
     weight,
@@ -110,15 +109,6 @@ def test_controlled_block_structure(rng):
     np.testing.assert_allclose(cu[:4, :4], np.eye(4), atol=1e-14)
     np.testing.assert_allclose(cu[4:, 4:], w, atol=1e-14)
     np.testing.assert_allclose(cu[:4, 4:], 0, atol=1e-14)
-
-
-def test_lpn_pure_output_amplitudes():
-    # x=01, s=11, minus branch: (|0,01> - |1,10>)/sqrt(2)
-    vec = lpn_pure_output(as_bits("01"), as_bits("11"), sign=-1)
-    expected = np.zeros(8, dtype=complex)
-    expected[1] = 1 / np.sqrt(2)
-    expected[6] = -1 / np.sqrt(2)
-    np.testing.assert_allclose(vec, expected, atol=1e-15)
 
 
 def test_parity_step_block_composition():

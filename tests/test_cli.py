@@ -96,6 +96,17 @@ def test_usage_errors_exit_two(capsys):
         ("--mode", "systematic", "--s", "0110", "--j", "-1"),
     ):
         assert run_cli(capsys, "noise-sweep", *argv)[0] == 2
+    # non-finite angles and shot counts beyond the sampler's int64 range
+    for argv in (
+        ("learn", "--s", "0110", "--theta", "nanpi"),
+        ("noise-sweep", "--mode", "systematic", "--s", "0110", "--phi-grid", "nan"),
+        ("learn", "--s", "01", "--backend", "sampled",
+         "--L", "100000000000000000000000", "--queries", "1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
 
 
 def test_budget_exhaustion_exits_three(capsys):
@@ -222,3 +233,14 @@ def test_out_files_are_reproducible(tmp_path, capsys):
         )
         assert code == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_unexpected_error_exits_four(capsys, monkeypatch):
+    def broken(args):
+        raise TypeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_coherence", broken)
+    code, out, err = run_cli(capsys, "coherence")
+    assert code == 4
+    assert out == ""
+    assert "internal error: boom" in err

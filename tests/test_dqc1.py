@@ -139,3 +139,30 @@ def test_sampling_error_shrinks_with_budget():
     small = sample_expectations(cfg, 0.2, 0.0, 100, 1)
     large = sample_expectations(cfg, 0.2, 0.0, 10000, 10)
     assert large.se_x < small.se_x
+
+
+def test_sampling_y_only_matches_two_quadrature_read():
+    """Each quadrature has its own stream: leaving x out does not move ey."""
+    cfg = Dqc1Config(n=1, alpha=1.0, p=0.0, theta=1.0, seed=5)
+    both = sample_expectations(cfg, 0.4, -0.7, 300, 7,
+                               stream=np.random.SeedSequence(21))
+    y_only = sample_expectations(cfg, 0.4, -0.7, 300, 7,
+                                 stream=np.random.SeedSequence(21),
+                                 observables=("y",))
+    assert y_only.ey == both.ey
+    assert y_only.se_y == both.se_y
+    assert y_only.ex == 0.0
+
+
+def test_sampling_variance_matches_binomial():
+    """Over fixed seeds the estimate is unbiased with variance (1-t^2)/(L Q)."""
+    cfg = Dqc1Config(n=1, alpha=1.0, p=0.0, theta=1.0)
+    L, Q, truth = 50, 20, 0.3
+    ex = np.array([
+        sample_expectations(cfg, truth, 0.0, L, Q, stream=np.random.SeedSequence(k),
+                            observables=("x",)).ex
+        for k in range(300)
+    ])
+    var = (1.0 - truth**2) / (L * Q)
+    assert 0.7 <= ex.var(ddof=1) / var <= 1.3
+    assert abs(ex.mean() - truth) < 4.0 * np.sqrt(var / ex.size)

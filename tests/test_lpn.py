@@ -11,7 +11,6 @@ from dqc1lpn.lpn import (
     BudgetExhaustedError,
     BudgetParams,
     brute_force_baseline,
-    classical_oracle,
     closed_form_tau,
     decide_bit,
     delta_tau,
@@ -164,10 +163,10 @@ def test_query_budget_per_bit_delta_needs_less():
 
 def test_classical_oracle_clean_parity():
     bits = as_bits("1011")
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        x, y = classical_oracle(bits, 0.0, rng)
-        assert y == int(np.dot(x, bits) % 2)
+    xs, ys = draw_classical_samples(bits, 0.0, 50, seed=0)
+    assert np.array_equal(ys, (xs @ bits) % 2)
+    with pytest.raises(ValueError):
+        draw_classical_samples(bits, 1.0, 50, seed=0)
 
 
 def test_classical_oracle_noise_rate():
