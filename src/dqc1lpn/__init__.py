@@ -18,6 +18,7 @@ from .infomeasures import (
     binary_entropy,
     coherence_consumption,
     mutual_information,
+    protocol_discord,
     quantum_discord,
 )
 from .lpn import (
@@ -52,6 +53,7 @@ __all__ = [
     "binary_entropy",
     "coherence_consumption",
     "mutual_information",
+    "protocol_discord",
     "quantum_discord",
     "BudgetExhaustedError",
     "BudgetParams",

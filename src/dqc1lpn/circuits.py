@@ -13,6 +13,8 @@ sx by ``cos(phi) sx + sin(phi) sy``.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -93,8 +95,9 @@ class StepBlock:
     The block is the tensor product over data qubits k = 1..n of
     ``R(theta, phi)^rotated[k] . sx^flips[k]``: a rotation or the identity,
     times sx where a parity coupling is left after the decoupling
-    corrections.  ``dense`` builds the matrix and ``tau`` its normalized
-    trace, so both evaluators read the same description.
+    corrections.  ``dense`` builds the matrix, ``tau`` its normalized
+    trace and ``eigenphases`` its spectrum, so every evaluator reads the
+    same description.
     """
 
     theta: float
@@ -168,6 +171,44 @@ class StepBlock:
             elif flipped:
                 return 0.0j
         return tau
+
+    def eigenphases(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct eigenphases of the block in [0, 2 pi), with weights.
+
+        A weight is the fraction of the 2^n eigenvalues that carry the
+        phase.  Each factor has an eigenphase pair (a, b): identity (0, 0),
+        sx (0, pi), R (theta/2, -theta/2) and R . sx (mu, pi - mu) with
+        sin mu = sin(theta/2) cos(phi).  A block phase takes one member
+        per qubit, so only how many qubits of each kind take b matters:
+        m of `count` do with weight comb(count, m) / 2^count, and the
+        spectrum is a convolution over the (at most four) kinds.
+        """
+        half = self.theta / 2.0
+        a = math.sin(half) * math.cos(self.phi)
+        root = math.sqrt(max(0.0, 1.0 - a * a))
+        pairs = {
+            (False, False): (0.0, 0.0),
+            (False, True): (0.0, math.pi),
+            (True, False): (half, -half),
+            (True, True): (math.atan2(a, root), math.atan2(a, -root)),
+        }
+        phases = np.zeros(1)
+        weights = np.ones(1)
+        for kind, count in Counter(zip(self.rotated, self.flips)).items():
+            first, second = pairs[kind]
+            taken = np.arange(count + 1)
+            kind_phases = (count - taken) * first + taken * second
+            kind_weights = np.array(
+                [math.comb(count, m) / 2**count for m in range(count + 1)]
+            )
+            summed = np.mod(np.add.outer(phases, kind_phases).ravel(), 2.0 * math.pi)
+            # a tiny negative sum wraps to exactly 2 pi; wrap that to 0
+            summed[summed == 2.0 * math.pi] = 0.0
+            phases, slot = np.unique(summed, return_inverse=True)
+            weights = np.bincount(
+                slot, weights=np.multiply.outer(weights, kind_weights).ravel()
+            )
+        return phases, weights
 
 
 def build_parity_unitary(s) -> OperatorMatrix:

@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from . import __version__, circuits, dqc1, infomeasures, lpn, noise
+from . import __version__, circuits, infomeasures, lpn, noise
 from .circuits import as_bits, bits_to_str
 from .dqc1 import Dqc1Config
 from .lpn import BudgetParams
@@ -82,22 +82,36 @@ def parse_grid(text: str, *, angle: bool = False) -> list[float]:
     return [conv(item) for item in raw.split(",") if item != ""]
 
 
+class NonFiniteOutputError(Exception):
+    """A result holds NaN or an infinity, which neither JSON nor the CSV
+    output may carry; the command computed something it should not have."""
+
+
 def _fmt(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise NonFiniteOutputError(f"non-finite value {value!r} in the output")
         return format(value, ".12g")
     return str(value)
 
 
+def _dumps(obj: Any, **kwargs) -> str:
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise NonFiniteOutputError(str(exc)) from exc
+
+
 def _serialize(record: RunRecord, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(record.payload(), indent=2) + "\n"
+        return _dumps(record.payload(), indent=2) + "\n"
     rows = record.results.get("rows", [])
     scalars = {k: v for k, v in record.results.items() if k != "rows"}
     head = (
         f"# dqc1lpn v{record.version} command={record.command} "
-        f"seed={record.seed} config={json.dumps(record.config, separators=(',', ':'))}"
+        f"seed={record.seed} config={_dumps(record.config, separators=(',', ':'))}"
     )
     if scalars:
         head += " " + " ".join(f"{k}={_fmt(v)}" for k, v in scalars.items())
@@ -233,10 +247,11 @@ def cmd_discord_sweep(args) -> RunRecord:
     rows = []
     if args.alpha_grid is not None:
         theta = parse_angle(args.theta)
-        block = circuits.parity_step_block(bits, theta, j=args.j)
+        block = circuits.StepBlock.from_bits(bits, theta, args.j)
         for alpha in parse_grid(args.alpha_grid):
-            cfg = Dqc1Config(n=n, alpha=alpha, p=0.0, theta=theta, seed=args.seed)
-            res = infomeasures.quantum_discord(dqc1.run_protocol(cfg, block))
+            # the config is not run; it checks alpha and the seed as elsewhere
+            Dqc1Config(n=n, alpha=alpha, p=0.0, theta=theta, seed=args.seed)
+            res = infomeasures.protocol_discord(block, alpha)
             rows.append(
                 {
                     "alpha": alpha,
@@ -257,12 +272,12 @@ def cmd_discord_sweep(args) -> RunRecord:
         zero = bits.copy()
         zero[args.j - 1] = 0
         for theta in parse_grid(args.theta_grid, angle=True):
-            cfg = Dqc1Config(n=n, alpha=args.alpha, p=0.0, theta=theta, seed=args.seed)
+            # the config is not run; it checks alpha and the seed as elsewhere
+            Dqc1Config(n=n, alpha=args.alpha, p=0.0, theta=theta, seed=args.seed)
             vals = {}
             for tag, pattern in (("one", one), ("zero", zero)):
-                block = circuits.parity_step_block(pattern, theta, j=args.j)
-                res = infomeasures.quantum_discord(dqc1.run_protocol(cfg, block))
-                vals[tag] = res.discord
+                block = circuits.StepBlock.from_bits(pattern, theta, args.j)
+                vals[tag] = infomeasures.protocol_discord(block, args.alpha).discord
             rows.append(
                 {
                     "theta": theta,
@@ -458,6 +473,8 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         record = args.func(args)
+        record.wall_time_ms = (time.perf_counter() - start) * 1000.0
+        text = _serialize(record, args.format)
     except lpn.BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -467,8 +484,6 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    record.wall_time_ms = (time.perf_counter() - start) * 1000.0
-    text = _serialize(record, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

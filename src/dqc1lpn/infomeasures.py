@@ -5,9 +5,12 @@ Quantum discord is computed with the measurement on the probe qubit:
     D = S(rho_probe) - S(rho) + min over projective probe measurements
         of sum_k p_k S(rho_data | k).
 
-The minimization runs a coarse Bloch-sphere grid (vectorized through the
-probe-block decomposition of the state) followed by coordinate descent
-with golden-section line searches.
+For an arbitrary state, ``quantum_discord`` runs a coarse Bloch-sphere
+grid (vectorized through the probe-block decomposition of the state)
+followed by coordinate descent with golden-section line searches.  For
+the protocol's own output state, ``protocol_discord`` needs only alpha
+and the step block's eigenphases (``StepBlock.eigenphases``): no dense
+state is built, and the cost is polynomial in n.
 """
 
 from __future__ import annotations
@@ -18,9 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qstate
+from .circuits import StepBlock
 from .qstate import DensityMatrix
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: measurement angles phi in [0, pi) that protocol_discord scans first
+_PHI_GRID = 64
 
 
 def binary_entropy(x: float) -> float:
@@ -206,6 +212,71 @@ def quantum_discord(
     return DiscordResult(
         discord=max(0.0, discord),
         measurement_theta=t_best,
+        measurement_phi=p_best,
+        iterations=evals,
+    )
+
+
+def _binary_entropy_array(x: np.ndarray) -> np.ndarray:
+    """Elementwise H2, with x clipped into [0, 1]: arguments such as
+    (1 - alpha cos)/2 at alpha = 1 can round a hair outside it."""
+    x = np.clip(x, 0.0, 1.0)
+    out = np.zeros_like(x)
+    for t in (x, 1.0 - x):
+        pos = t > 0.0
+        out[pos] -= t[pos] * np.log2(t[pos])
+    return out
+
+
+def protocol_discord(block: StepBlock, alpha: float) -> DiscordResult:
+    """Probe-side discord of the one-clean-qubit output state for `block`.
+
+    In the eigenbasis of the block the state is a direct sum of probe
+    blocks with Bloch vectors alpha (cos l_k, sin l_k), so with weights
+    w_k on the eigenphases l_k and tau = tr(block)/2^n
+
+        D = H2((1 - alpha|tau|)/2) - H2((1 - alpha)/2)
+            + min_phi [sum_k w_k H2((1 - alpha cos(l_k - phi))/2)
+                       - H2((1 - alpha Re(tau e^{-i phi}))/2)].
+
+    An equatorial measurement is optimal (a tilted one is a garbling of
+    it), and the bracket has period pi in phi.  The minimum is a
+    _PHI_GRID-point grid over [0, pi) refined by a golden-section search
+    on the best cell down to 1e-6 rad; ``iterations`` counts the
+    refinement evaluations.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha {alpha} outside [0, 1]")
+    phases, weights = block.eigenphases()
+    tau = block.tau()
+
+    def objective(phi: np.ndarray) -> np.ndarray:
+        spread = _binary_entropy_array(
+            (1.0 - alpha * np.cos(np.subtract.outer(phi, phases))) / 2.0
+        )
+        readout = (tau.real * np.cos(phi) + tau.imag * np.sin(phi)) * alpha
+        return spread @ weights - _binary_entropy_array((1.0 - readout) / 2.0)
+
+    step = math.pi / _PHI_GRID
+    grid = np.arange(_PHI_GRID) * step
+    values = objective(grid)
+    best = int(values.argmin())
+    p_best, f_best = float(grid[best]), float(values[best])
+    p_new, f_new, evals = _golden_min(
+        lambda q: float(objective(np.array([q]))[0]),
+        p_best - step, p_best + step, 1e-6,
+    )
+    if f_new < f_best:
+        p_best, f_best = p_new % math.pi, f_new
+    s_probe, s_block = _binary_entropy_array(
+        np.array([(1.0 - alpha * abs(tau)) / 2.0, (1.0 - alpha) / 2.0])
+    )
+    discord = float(s_probe - s_block) + f_best
+    if discord < -1e-9:
+        raise RuntimeError(f"discord came out {discord:.3e}; optimizer failed")
+    return DiscordResult(
+        discord=max(0.0, discord),
+        measurement_theta=math.pi / 2.0,
         measurement_phi=p_best,
         iterations=evals,
     )

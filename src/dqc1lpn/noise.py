@@ -60,7 +60,7 @@ def default_probe_bit(s) -> int | None:
 
 
 def _final_state(
-    s, cfg: Dqc1Config, *, j: int | None, between: "callable", phi: float = 0.0,
+    s, cfg: Dqc1Config, *, j: int | None, between: "callable"
 ) -> DensityMatrix:
     """Dense run of one probe step, with a corruption `between` applied
     between the parity couplings and the controlled rotation.
@@ -70,7 +70,7 @@ def _final_state(
     """
     bits = as_bits(s, n=cfg.n)
     total = cfg.n + 1
-    rotation = circuits.parity_step_block([0] * cfg.n, cfg.theta, j=j, phi=phi)
+    rotation = circuits.parity_step_block([0] * cfg.n, cfg.theta, j=j)
     rho = dqc1.initial_state(cfg)
     had = OperatorMatrix(embed(HADAMARD, 0, total), unitary=True, validate=False)
     rho = qstate.apply_unitary(rho, had)

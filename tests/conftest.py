@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from dqc1lpn.circuits import StepBlock
+
 
 def random_unitary(rng, dim):
     """Haar-ish unitary from the QR decomposition of a complex Gaussian."""
@@ -46,3 +48,26 @@ def all_bitstrings(n):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def step_blocks(theta, phi):
+    """Every distinct StepBlock for n <= 4: all strings, every probe index,
+    decoupled prefixes with the learner's corrections, none, all of them
+    and the stray ones alone, plus the bare coupling pattern that
+    build_parity_unitary builds (every qubit decoupled, none rotated)."""
+    seen = set()
+    for n in (1, 2, 3, 4):
+        for bits in all_bitstrings(n):
+            bits = bits.tolist()
+            yield StepBlock.from_bits(bits, 0.0, decoupled=range(1, n + 1))
+            for j in range(1, n + 1):
+                decoupled = range(1, j)
+                correct = {k for k in decoupled if bits[k - 1]}
+                stray = set(decoupled) - correct
+                for corrections in (correct, set(), set(decoupled), stray):
+                    block = StepBlock.from_bits(
+                        bits, theta, j, decoupled, corrections, phi=phi
+                    )
+                    if block not in seen:
+                        seen.add(block)
+                        yield block

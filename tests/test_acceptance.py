@@ -223,21 +223,21 @@ def test_criterion_08_information_measures():
         block = circuits.parity_step_block(bits, theta, j=j)
         return dqc1.run_protocol(cfg, block)
 
+    def discord(bits, theta, alpha, j=1):
+        block = circuits.StepBlock.from_bits(bits, theta, j)
+        return infomeasures.protocol_discord(block, alpha).discord
+
     # degenerate angles and the bare controlled-flip circuit stay classical
     worst_zero = 0.0
     for s in ("01", "011"):
         bits = as_bits(s)
-        cfg = Dqc1Config(n=bits.size, alpha=0.7, p=0.0, theta=1.0)
-        bare = dqc1.run_protocol(cfg, circuits.build_parity_unitary(bits))
-        worst_zero = max(worst_zero, infomeasures.quantum_discord(bare).discord)
+        bare = circuits.StepBlock.from_bits(bits, 0.0, decoupled=range(1, bits.size + 1))
+        worst_zero = max(worst_zero, infomeasures.protocol_discord(bare, 0.7).discord)
         for theta in (0.0, math.pi):
-            rho = protocol_state(bits, theta, 0.7)
-            worst_zero = max(worst_zero, infomeasures.quantum_discord(rho).discord)
+            worst_zero = max(worst_zero, discord(bits, theta, 0.7))
 
     coupled = [
-        infomeasures.quantum_discord(
-            protocol_state(as_bits("1" + "".join(tail)), HALF_PI, 0.6)
-        ).discord
+        discord(as_bits("1" + "".join(tail)), HALF_PI, 0.6)
         for tail in itertools.product("01", repeat=2)
     ]
     spread = max(coupled) - min(coupled)
@@ -262,7 +262,7 @@ def test_criterion_08_information_measures():
                         partial_trace(rho, [0])
                     )
                     worst_dc = max(worst_dc, abs((before - after) - dc))
-                    disc = infomeasures.quantum_discord(rho).discord
+                    disc = discord(bits, theta, alpha)
                     worst_slack = max(worst_slack, disc - dc)
 
     worst_ppt = math.inf

@@ -19,7 +19,7 @@ from dqc1lpn.circuits import (
     weight,
 )
 
-from conftest import all_bitstrings, random_unitary, reference_tau
+from conftest import all_bitstrings, random_unitary, reference_tau, step_blocks
 
 CNOT_01 = np.array(
     [
@@ -155,6 +155,39 @@ def test_step_block_tau_matches_dense_trace(phi):
                         rotated = set(range(j + 1, n + 1))
                         ref = reference_tau(bits, theta, rotated=rotated)
                         assert abs(block.tau() - ref) < 1e-12
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.3])
+def test_step_block_eigenphases_match_dense_spectrum(phi):
+    """The convolved eigenphases, each repeated weight * 2^n times, are the
+    eigenvalues of the dense block as a multiset."""
+    for block in step_blocks(1.1, phi):
+        n = len(block.flips)
+        phases, weights = block.eigenphases()
+        assert np.all((phases >= 0.0) & (phases < 2 * np.pi))
+        assert np.unique(phases).size == phases.size
+        counts = weights * 2**n
+        assert np.allclose(counts, np.round(counts), atol=1e-9)
+        expected = np.repeat(np.exp(1j * phases), np.round(counts).astype(int))
+        remaining = list(np.linalg.eigvals(block.dense()))
+        assert expected.size == len(remaining)
+        for value in expected:
+            nearest = int(np.argmin(np.abs(np.array(remaining) - value)))
+            assert abs(remaining.pop(nearest) - value) < 1e-9
+
+
+def test_step_block_eigenphases_at_scale():
+    """Polynomial in n: 300 qubits of three kinds (3 unrotated, 295
+    rotated, 2 rotated and flipped) give at most 296 * 3 phases, whose
+    weighted mean is the normalized trace."""
+    bits = [0] * 300
+    bits[9] = bits[19] = 1
+    block = StepBlock.from_bits(bits, 0.2, 3, decoupled=(1, 2))
+    phases, weights = block.eigenphases()
+    assert phases.size <= 296 * 3
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+    tau = np.sum(weights * np.exp(1j * phases))
+    assert abs(tau - block.tau()) < 1e-12 * abs(block.tau())
 
 
 def test_error_identity_holds():

@@ -244,3 +244,37 @@ def test_unexpected_error_exits_four(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert "internal error: boom" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_result_exits_four(capsys, monkeypatch, fmt, bad):
+    def nan_row(args):
+        return cli.RunRecord(
+            command="coherence", config={}, results={"rows": [{"x": bad}]}, seed=0
+        )
+
+    monkeypatch.setattr(cli, "cmd_coherence", nan_row)
+    code, out, err = run_cli(capsys, "coherence", "--format", fmt)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error:")
+    assert "Traceback" not in err
+
+
+def test_discord_sweep_at_64_qubits(capsys):
+    """Far past any dense state: the eigenphase path stays finite."""
+    s = "0110100110010110" * 4
+    code, out, _ = run_cli(
+        capsys, "discord-sweep", "--s", s, "--j", "3",
+        "--theta", "0.5pi", "--alpha-grid", "0.1:1:4",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == "alpha,discord,meas_theta,meas_phi"
+    assert len(lines) == 6
+    for line in lines[2:]:
+        values = [float(v) for v in line.split(",")]
+        assert all(math.isfinite(v) for v in values)
+        assert values[1] >= 0.0
+        assert values[2] == pytest.approx(math.pi / 2, abs=1e-11)

@@ -12,10 +12,14 @@ from dqc1lpn.infomeasures import (
     coherence_consumption,
     mutual_information,
     ppt_min_eigenvalue,
+    protocol_discord,
     quantum_discord,
     rel_entropy_coherence,
 )
-from dqc1lpn.qstate import DensityMatrix, partial_trace
+from dqc1lpn.circuits import StepBlock
+from dqc1lpn.qstate import DensityMatrix, OperatorMatrix, partial_trace
+
+from conftest import step_blocks
 
 HALF_PI = math.pi / 2
 
@@ -163,3 +167,38 @@ def test_discord_measurement_angles_in_range():
     res = quantum_discord(_protocol_state("01", 1.0, 0.8))
     assert 0.0 <= res.measurement_theta <= math.pi
     assert 0.0 <= res.measurement_phi < 2 * math.pi
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.3])
+def test_protocol_discord_matches_dense(phi):
+    """Eigenphase discord against the dense grid-and-descent optimizer on
+    the protocol state, for every step block with n <= 4.  The dense grid
+    is coarse to keep the run short; its descent still refines it."""
+    for block in step_blocks(1.1, phi):
+        n = len(block.flips)
+        w = OperatorMatrix(block.dense(), unitary=True, validate=False)
+        for alpha in (0.0, 0.3, 0.7, 1.0):
+            cfg = dqc1.Dqc1Config(n=n, alpha=alpha, p=0.0, theta=block.theta)
+            dense = quantum_discord(dqc1.run_protocol(cfg, w), grid_shape=(5, 8))
+            fast = protocol_discord(block, alpha)
+            assert abs(fast.discord - dense.discord) < 1e-9
+            assert fast.measurement_theta == HALF_PI
+            assert 0.0 <= fast.measurement_phi < math.pi
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi])
+def test_protocol_discord_exactly_zero_at_full_polarization(theta):
+    """At alpha = 1 the entropy arguments sit on 0 and 1, where rounding
+    could push them outside [0, 1]; the degenerate angles leave no discord."""
+    for s in ("0", "1", "01", "011", "0110", "1111", "10101"):
+        bits = circuits.as_bits(s)
+        for j in range(1, bits.size + 1):
+            block = StepBlock.from_bits(bits, theta, j)
+            assert protocol_discord(block, 1.0).discord == 0.0
+
+
+def test_protocol_discord_rejects_alpha_outside_unit_interval():
+    block = StepBlock.from_bits([0, 1], HALF_PI, 1)
+    for alpha in (-0.1, 1.1, math.nan):
+        with pytest.raises(ValueError):
+            protocol_discord(block, alpha)
