@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qstate import OperatorMatrix
+from .qstate import MAX_QUBITS, OperatorMatrix
 
 ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -147,7 +147,14 @@ class StepBlock:
 
     def dense(self) -> np.ndarray:
         """The 2^n x 2^n block; a factor times sx is that factor with its
-        columns swapped."""
+        columns swapped.  Refuses n above ``qstate.MAX_QUBITS`` before
+        allocating anything."""
+        n = len(self.rotated)
+        if n > MAX_QUBITS:
+            raise ValueError(
+                f"a dense block on {n} qubits exceeds the {MAX_QUBITS}-qubit "
+                "limit; use the closed-form trace (--backend closed)"
+            )
         gate = rx(self.theta, self.phi)
         factors = []
         for rotated, flipped in zip(self.rotated, self.flips):

@@ -475,6 +475,15 @@ def main(argv=None) -> int:
         record = args.func(args)
         record.wall_time_ms = (time.perf_counter() - start) * 1000.0
         text = _serialize(record, args.format)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                reason = exc.strerror or exc
+                raise ValueError(f"cannot write {args.out}: {reason}") from exc
+        else:
+            sys.stdout.write(text)
     except lpn.BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -484,11 +493,6 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
     print(
         f"{record.command}: finished in {record.wall_time_ms:.1f} ms",
         file=sys.stderr,

@@ -6,6 +6,11 @@ rotation (the readout only touches the probe).  Errors in between do
 matter: a phase flip on a coupled data qubit propagates to a bit flip on
 the probe input, and depolarization at rate q on each data qubit damps
 the probe signal by (1-q) per coupled qubit.
+
+Both mid-circuit experiments apply that corruption to the closed-form
+trace of the probe-step block (``circuits.StepBlock.tau``), so they build
+no density matrix and run at any n.  The tilted-axis sweep compares the
+dense block's trace with its prediction.
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import circuits, dqc1, qstate
-from .circuits import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, as_bits, embed, weight
+from .circuits import PAULI_X, PAULI_Y, PAULI_Z, as_bits, embed, weight
 from .dqc1 import Dqc1Config, EstimateRecord
-from .qstate import DensityMatrix, KrausSet, OperatorMatrix
+from .qstate import DensityMatrix, KrausSet
 
 
 def depolarizing_kraus(rate: float) -> KrausSet:
@@ -59,37 +64,16 @@ def default_probe_bit(s) -> int | None:
     return int(zeros[0]) + 1 if zeros.size else None
 
 
-def _final_state(
-    s, cfg: Dqc1Config, *, j: int | None, between: "callable"
-) -> DensityMatrix:
-    """Dense run of one probe step, with a corruption `between` applied
-    between the parity couplings and the controlled rotation.
-
-    The two halves are step blocks of their own: the couplings of s with
-    nothing rotated, then the rotation of an all-zero pattern.
-    """
-    bits = as_bits(s, n=cfg.n)
-    total = cfg.n + 1
-    rotation = circuits.parity_step_block([0] * cfg.n, cfg.theta, j=j)
-    rho = dqc1.initial_state(cfg)
-    had = OperatorMatrix(embed(HADAMARD, 0, total), unitary=True, validate=False)
-    rho = qstate.apply_unitary(rho, had)
-    rho = qstate.apply_unitary(
-        rho, circuits.controlled(circuits.build_parity_unitary(bits))
-    )
-    rho = between(rho)
-    return qstate.apply_unitary(rho, circuits.controlled(rotation))
-
-
 def midcircuit_noise_experiment(
     s, cfg: Dqc1Config, q: float, *, j: int | None = None
 ) -> float:
     """Signal ratio under data depolarization between couplings and rotation.
 
-    Runs the probe-step circuit densely with every data qubit depolarized
-    at rate q in the middle, and returns |<sx> + i <sy>| divided by the
-    noiseless value, which the step block's closed-form trace gives.  For
-    a string of weight m the exact ratio is (1-q)^m.
+    Depolarization at rate q is unital and maps each coupling sx to
+    (1-q) sx, so every data qubit depolarized in the middle of the probe
+    step damps the step block's trace by (1-q) per coupled qubit.  Returns
+    |<sx> + i <sy>| of the damped trace divided by the noiseless value;
+    for a string of weight m that is (1-q)^m.
     """
     bits = as_bits(s, n=cfg.n)
     if not 0.0 <= q <= 0.2:
@@ -98,12 +82,10 @@ def midcircuit_noise_experiment(
         raise ValueError("all-zero string carries no coupling to damp")
     if j is None:
         j = default_probe_bit(bits)
-    data = range(1, cfg.n + 1)
-    noisy = _final_state(
-        bits, cfg, j=j, between=lambda r: depolarize(r, q, data)
-    )
-    tau = circuits.StepBlock.from_bits(bits, cfg.theta, j).tau()
-    num = complex(*dqc1.probe_expectations(noisy, cfg.p))
+    block = circuits.StepBlock.from_bits(bits, cfg.theta, j)
+    tau = block.tau()
+    noisy = tau * (1.0 - q) ** sum(block.flips)
+    num = complex(*dqc1.expectations_from_tau(cfg.alpha, cfg.p, noisy))
     den = complex(*dqc1.expectations_from_tau(cfg.alpha, cfg.p, tau))
     if abs(den) < 1e-15:
         raise ValueError("noiseless signal vanishes; pick a probe bit with s_j = 0")
@@ -116,10 +98,11 @@ def phase_flip_parity_experiment(
     """Deterministic sz insertions on data qubits between couplings and
     rotation; returns the analytic expectations of the corrupted circuit.
 
-    Flips on coupled (s_k = 1) qubits each propagate a bit flip to the
-    probe input: an even number cancels, an odd number flips the sign of
-    the probe polarization.  Flips on uncoupled qubits do nothing and are
-    flagged with a warning.
+    A sz on data qubit k conjugates its coupling sx^{s_k} into
+    (-1)^{s_k} sx^{s_k}, so each flip on a coupled (s_k = 1) qubit
+    propagates a bit flip to the probe input: an even number cancels, an
+    odd number flips the sign of the step block's trace.  Flips on
+    uncoupled qubits do nothing and are flagged with a warning.
     """
     bits = as_bits(s, n=cfg.n)
     flips = sorted(set(int(k) for k in flip_set))
@@ -133,17 +116,14 @@ def phase_flip_parity_experiment(
         )
     if j is None:
         j = default_probe_bit(bits)
-    total = cfg.n + 1
-
-    def insert(rho):
-        for k in flips:
-            zk = OperatorMatrix(embed(PAULI_Z, k, total), unitary=True, validate=False)
-            rho = qstate.apply_unitary(rho, zk)
-        return rho
-
-    final = _final_state(bits, cfg, j=j, between=insert)
-    ex, ey = dqc1.probe_expectations(final, cfg.p)
-    return EstimateRecord(ex=ex, ey=ey, se_x=0.0, se_y=0.0, ensemble_L=1, queries_Q=1)
+    tau = circuits.StepBlock.from_bits(bits, cfg.theta, j).tau()
+    if (len(flips) - len(idle)) % 2:
+        tau = -tau
+    ex, ey = dqc1.expectations_from_tau(cfg.alpha, cfg.p, tau)
+    # + 0.0 turns the negative zero of a vanishing component into 0.0
+    return EstimateRecord(
+        ex=ex + 0.0, ey=ey + 0.0, se_x=0.0, se_y=0.0, ensemble_L=1, queries_Q=1
+    )
 
 
 @dataclass(frozen=True)

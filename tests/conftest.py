@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from dqc1lpn.circuits import StepBlock
+from dqc1lpn import circuits, dqc1, qstate
+from dqc1lpn.circuits import HADAMARD, StepBlock, as_bits, embed
+from dqc1lpn.dqc1 import Dqc1Config
+from dqc1lpn.qstate import DensityMatrix, OperatorMatrix
 
 
 def random_unitary(rng, dim):
@@ -71,3 +74,25 @@ def step_blocks(theta, phi):
                     if block not in seen:
                         seen.add(block)
                         yield block
+
+
+def dense_final_state(
+    s, cfg: Dqc1Config, *, j: int | None, between: "callable"
+) -> DensityMatrix:
+    """Dense run of one probe step, with a corruption `between` applied
+    between the parity couplings and the controlled rotation.
+
+    The two halves are step blocks of their own: the couplings of s with
+    nothing rotated, then the rotation of an all-zero pattern.
+    """
+    bits = as_bits(s, n=cfg.n)
+    total = cfg.n + 1
+    rotation = circuits.parity_step_block([0] * cfg.n, cfg.theta, j=j)
+    rho = dqc1.initial_state(cfg)
+    had = OperatorMatrix(embed(HADAMARD, 0, total), unitary=True, validate=False)
+    rho = qstate.apply_unitary(rho, had)
+    rho = qstate.apply_unitary(
+        rho, circuits.controlled(circuits.build_parity_unitary(bits))
+    )
+    rho = between(rho)
+    return qstate.apply_unitary(rho, circuits.controlled(rotation))

@@ -91,6 +91,9 @@ def test_step_block_validation():
     block = StepBlock.from_bits(bits, 1.0, 3, decoupled=(1, 2), corrections=(1, 2))
     assert block.rotated == (False, False, False)
     assert block.flips == (True, False, True)
+    # past qstate.MAX_QUBITS the dense matrix is refused before allocation
+    with pytest.raises(ValueError, match="closed"):
+        StepBlock.from_bits([0] * 13, 1.0, 1).dense()
 
 
 def test_build_parity_unitary_small():

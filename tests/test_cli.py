@@ -102,6 +102,9 @@ def test_usage_errors_exit_two(capsys):
         ("noise-sweep", "--mode", "systematic", "--s", "0110", "--phi-grid", "nan"),
         ("learn", "--s", "01", "--backend", "sampled",
          "--L", "100000000000000000000000", "--queries", "1"),
+        # an unwritable --out path, and a dense block past qstate.MAX_QUBITS
+        ("coherence", "--out", "/nonexistent/dir/x.csv"),
+        ("learn", "--backend", "dense", "--n", "13", "--random-s"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -278,3 +281,34 @@ def test_discord_sweep_at_64_qubits(capsys):
         assert all(math.isfinite(v) for v in values)
         assert values[1] >= 0.0
         assert values[2] == pytest.approx(math.pi / 2, abs=1e-11)
+
+
+def test_noise_sweep_midq_and_parity_at_64_qubits(capsys):
+    """The mid-circuit experiments read the step block's closed-form trace,
+    so they run far past any dense state."""
+    s = "0110100110010110" * 4
+    m = s.count("1")
+    code, out, _ = run_cli(
+        capsys, "noise-sweep", "--mode", "midq", "--s", s, "--j", "1",
+        "--q-grid", "0:0.05:4",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == "q,signal_ratio"
+    assert len(lines) == 6
+    # the printed q carries 12 digits; compare against the grid's own values
+    for line, q in zip(lines[2:], cli.parse_grid("0:0.05:4")):
+        ratio = float(line.split(",")[1])
+        assert ratio == pytest.approx((1 - q) ** m, abs=1e-12)
+    code, out, _ = run_cli(
+        capsys, "noise-sweep", "--mode", "parity", "--s", s, "--flips", "2,3,5",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 3
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    assert row["flips"] == "2;3;5"
+    values = [float(v) for key, v in row.items() if key != "flips"]
+    assert all(math.isfinite(v) for v in values)
+    # three flips on coupled qubits: an odd count reverses the readout
+    assert float(row["ex"]) == -float(row["ex_clean"]) != 0.0

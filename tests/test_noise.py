@@ -1,10 +1,15 @@
+import functools
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from conftest import all_bitstrings, dense_final_state
 
-from dqc1lpn.circuits import as_bits
-from dqc1lpn.dqc1 import Dqc1Config
+from dqc1lpn import qstate
+from dqc1lpn.circuits import PAULI_Z, as_bits, bits_to_str, embed
+from dqc1lpn.dqc1 import Dqc1Config, probe_expectations
 from dqc1lpn.noise import (
     default_probe_bit,
     depolarize,
@@ -13,13 +18,85 @@ from dqc1lpn.noise import (
     phase_flip_parity_experiment,
     systematic_error_sweep,
 )
-from dqc1lpn.qstate import DensityMatrix
+from dqc1lpn.qstate import DensityMatrix, OperatorMatrix
 
 HALF_PI = math.pi / 2
 
 
 def _cfg(n, theta=HALF_PI, alpha=1.0, p=0.0):
     return Dqc1Config(n=n, alpha=alpha, p=p, theta=theta)
+
+
+def _dense_cases():
+    """(s, j, cfg) for every string of weight >= 1 with n <= 4 and every
+    probe bit (j=None, the uniform rotation, for all ones), at three
+    angles, or one where s_j = 1 makes the trace 0 at any angle; the two
+    (alpha, p) pairs alternate from case to case, so every string and
+    every angle meets both."""
+    pairs = itertools.cycle(((1.0, 0.0), (0.6, 0.3)))
+    for n in (1, 2, 3, 4):
+        for bits in all_bitstrings(n):
+            if not bits.any():
+                continue
+            for j in list(range(1, n + 1)) + ([None] if bits.all() else []):
+                coupled = j is not None and bits[j - 1]
+                for theta in (2.2,) if coupled else (0.3, HALF_PI, 2.2):
+                    alpha, p = next(pairs)
+                    yield bits_to_str(bits), j, _cfg(n, theta, alpha, p)
+
+
+def test_midcircuit_matches_dense_reference():
+    """The damped closed-form trace agrees with the dense channel run; a
+    probe bit with s_j = 1 has no signal to damp and is refused."""
+    worst = 0.0
+    for s, j, cfg in _dense_cases():
+        if j is not None and s[j - 1] == "1":
+            with pytest.raises(ValueError, match="vanishes"):
+                midcircuit_noise_experiment(s, cfg, 0.05, j=j)
+            continue
+        clean = dense_final_state(s, cfg, j=j, between=lambda r: r)
+        den = abs(complex(*probe_expectations(clean, cfg.p)))
+        assert midcircuit_noise_experiment(s, cfg, 0.0, j=j) == 1.0
+        data = range(1, cfg.n + 1)
+        for q in (0.05, 0.2):
+            rho = dense_final_state(
+                s, cfg, j=j, between=lambda r: depolarize(r, q, data)
+            )
+            num = abs(complex(*probe_expectations(rho, cfg.p)))
+            ratio = midcircuit_noise_experiment(s, cfg, q, j=j)
+            worst = max(worst, abs(ratio - num / den))
+    assert worst < 1e-12
+
+
+@functools.cache
+def _dense_sz(k, total):
+    return OperatorMatrix(embed(PAULI_Z, k, total), unitary=True, validate=False)
+
+
+def test_phase_flip_parity_matches_dense_reference():
+    """Sign-flipped closed-form expectations agree with sz inserted into
+    the dense circuit, for every flip set of size 0 to 2, and a vanishing
+    component is never a negative zero."""
+    worst = 0.0
+    for s, j, cfg in _dense_cases():
+        total = cfg.n + 1
+        for size in (0, 1, 2):
+            for flips in itertools.combinations(range(1, cfg.n + 1), size):
+
+                def insert(rho):
+                    for k in flips:
+                        rho = qstate.apply_unitary(rho, _dense_sz(k, total))
+                    return rho
+
+                rho = dense_final_state(s, cfg, j=j, between=insert)
+                ex, ey = probe_expectations(rho, cfg.p)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    rec = phase_flip_parity_experiment(s, cfg, flips, j=j)
+                worst = max(worst, abs(rec.ex - ex), abs(rec.ey - ey))
+                for value in (rec.ex, rec.ey):
+                    assert value != 0.0 or math.copysign(1.0, value) > 0
+    assert worst < 1e-12
 
 
 def test_depolarizing_kraus_is_complete():
