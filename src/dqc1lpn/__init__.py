@@ -26,7 +26,6 @@ from .lpn import (
     BudgetParams,
     LearnResult,
     closed_form_tau,
-    delta_tau,
     learn,
     make_oracle,
     query_budget,
@@ -59,7 +58,6 @@ __all__ = [
     "BudgetParams",
     "LearnResult",
     "closed_form_tau",
-    "delta_tau",
     "learn",
     "make_oracle",
     "query_budget",

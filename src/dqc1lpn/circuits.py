@@ -14,8 +14,10 @@ sx by ``cos(phi) sx + sin(phi) sy``.
 from __future__ import annotations
 
 import math
-from collections import Counter
+import sys
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,6 +56,15 @@ def bits_to_str(bits) -> str:
 def weight(bits) -> int:
     """Hamming weight."""
     return int(as_bits(bits).sum())
+
+
+def require_normal(value: complex, what: str) -> complex:
+    """Return `value`, nonzero in exact arithmetic, unless its magnitude came
+    out below 2^-1022, the smallest normal float: subnormal or 0, it lost
+    its digits."""
+    if abs(value) < sys.float_info.min:
+        raise ValueError(f"{what} is below 2^-1022, the smallest normal float")
+    return value
 
 
 def rx(theta: float, phi: float = 0.0) -> np.ndarray:
@@ -95,9 +106,11 @@ class StepBlock:
     The block is the tensor product over data qubits k = 1..n of
     ``R(theta, phi)^rotated[k] . sx^flips[k]``: a rotation or the identity,
     times sx where a parity coupling is left after the decoupling
-    corrections.  ``dense`` builds the matrix, ``tau`` its normalized
-    trace and ``eigenphases`` its spectrum, so every evaluator reads the
-    same description.
+    corrections.  ``dense`` builds the matrix from the qubits in order.
+    The normalized trace (``tau``), whether it is exactly zero
+    (``vanishes``) and the spectrum (``eigenphases``) depend only on
+    ``kinds``, how many qubits fall into each of the four kinds, so they
+    do not depend on the order of the qubits.
     """
 
     theta: float
@@ -162,22 +175,37 @@ class StepBlock:
             factors.append(factor[:, ::-1] if flipped else factor)
         return kron_all(factors)
 
-    def tau(self) -> complex:
-        """Normalized trace tr(block)/2^n as a product of per-qubit traces.
+    @cached_property
+    def kinds(self) -> tuple[int, int, int, int]:
+        """Qubit counts of the four kinds, indexed by 2 rotated + flipped:
+        identity, bare sx, R and R . sx."""
+        n = len(self.rotated)
+        rotated = sum(self.rotated)
+        flipped = sum(self.flips)
+        both = sum(compress(self.flips, self.rotated))
+        return (n - rotated - flipped + both, flipped - both, rotated - both, both)
 
-        A rotated qubit gives cos(theta/2), or i sin(theta/2) cos(phi) when
-        flipped; an unrotated one gives 1, or 0 when flipped, which ends
-        the product.
-        """
-        c = complex(np.cos(self.theta / 2.0))
-        s = 1j * complex(np.sin(self.theta / 2.0) * np.cos(self.phi))
-        tau = 1.0 + 0.0j
-        for rotated, flipped in zip(self.rotated, self.flips):
-            if rotated:
-                tau *= s if flipped else c
-            elif flipped:
-                return 0.0j
-        return tau
+    def _traces(self) -> tuple[float, float]:
+        """tr(R)/2 = cos(theta/2) and tr(R . sx)/2i = sin(theta/2) cos(phi)."""
+        half = self.theta / 2.0
+        return math.cos(half), math.sin(half) * math.cos(self.phi)
+
+    def vanishes(self) -> bool:
+        """Whether some factor of the trace is exactly 0.0: a bare sx, or a
+        rotated kind whose trace is 0.0.  An underflow does not vanish."""
+        _, bare, rotated, both = self.kinds
+        c, a = self._traces()
+        return bare > 0 or (rotated > 0 and c == 0.0) or (both > 0 and a == 0.0)
+
+    def tau(self) -> complex:
+        """tr(block)/2^n = c^r (i a)^m for r qubits R and m qubits R . sx,
+        with c and a from ``_traces``: real powers times i^(m mod 4)."""
+        if self.vanishes():
+            return 0j
+        _, _, rotated, both = self.kinds
+        c, a = self._traces()
+        mag = c**rotated * a**both
+        return complex(*((mag, 0.0), (0.0, mag), (-mag, 0.0), (0.0, -mag))[both % 4])
 
     def eigenphases(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct eigenphases of the block in [0, 2 pi), with weights.
@@ -188,21 +216,18 @@ class StepBlock:
         sin mu = sin(theta/2) cos(phi).  A block phase takes one member
         per qubit, so only how many qubits of each kind take b matters:
         m of `count` do with weight comb(count, m) / 2^count, and the
-        spectrum is a convolution over the (at most four) kinds.
+        spectrum is a convolution over the four kinds in ``kinds`` order.
         """
         half = self.theta / 2.0
-        a = math.sin(half) * math.cos(self.phi)
+        _, a = self._traces()
         root = math.sqrt(max(0.0, 1.0 - a * a))
-        pairs = {
-            (False, False): (0.0, 0.0),
-            (False, True): (0.0, math.pi),
-            (True, False): (half, -half),
-            (True, True): (math.atan2(a, root), math.atan2(a, -root)),
-        }
+        pairs = (
+            (0.0, 0.0), (0.0, math.pi), (half, -half),
+            (math.atan2(a, root), math.atan2(a, -root)),
+        )
         phases = np.zeros(1)
         weights = np.ones(1)
-        for kind, count in Counter(zip(self.rotated, self.flips)).items():
-            first, second = pairs[kind]
+        for (first, second), count in zip(pairs, self.kinds):
             taken = np.arange(count + 1)
             kind_phases = (count - taken) * first + taken * second
             kind_weights = np.array(

@@ -218,8 +218,9 @@ def cmd_trace_table(args) -> RunRecord:
     for bits in strings:
         for j in range(1, n + 1):
             tau = lpn.closed_form_tau(bits, theta, j, decoupled=range(1, j))
-            m_after = int(bits[j:].sum())
-            gap = lpn.delta_tau(n, m_after, theta, j, decoupled_count=j - 1)
+            cleared = bits.copy()
+            cleared[j - 1] = 0
+            gap = lpn.closed_form_tau(cleared, theta, j, decoupled=range(1, j))
             rows.append(
                 {
                     "s": bits_to_str(bits),

@@ -4,9 +4,10 @@ The hidden string s enters the register as a pattern of controlled-x
 couplings.  Probing bit j applies a controlled rotation to the data
 qubits after j and reads the probe: the normalized trace factorizes per
 qubit, so the reading is zero exactly when s_j = 1 and has magnitude
-|Delta tau_j| otherwise.  Bits already processed are decoupled (a
-controlled-x correction cancels the coupling of every learned 1), which
-grows the discrimination gap by sqrt(2) per step at theta = pi/2:
+|Delta tau_j|, the trace with s_j cleared, otherwise.  Bits already
+processed are decoupled (a controlled-x correction cancels the coupling
+of every learned 1), which grows the discrimination gap by sqrt(2) per
+step at theta = pi/2:
 
     |Delta tau_j| = (1/sqrt(2))^(n-j).
 
@@ -22,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import dqc1
-from .circuits import StepBlock, as_bits
+from .circuits import StepBlock, as_bits, require_normal
 from .dqc1 import Dqc1Config, EstimateRecord
 
 #: Hoeffding-style constant in the query budget.
@@ -104,38 +105,14 @@ def draw_classical_samples(
 
 
 def closed_form_tau(s, theta: float, j: int, decoupled: Iterable[int] = ()) -> complex:
-    """Normalized trace for probing bit j with the given qubits decoupled.
-
-    Factors: decoupled qubits give 1, qubit j gives 1 if s_j = 0 and 0
-    otherwise, every remaining qubit gives cos(theta/2) for a 0 bit and
-    i sin(theta/2) for a 1 bit.
-    """
+    """Normalized trace for probing bit j with the given qubits decoupled
+    and their 1s corrected (``StepBlock.tau``); a trace that is not exactly
+    zero but falls below 2^-1022 raises ValueError."""
     bits = as_bits(s).tolist()
     dec = frozenset(int(k) for k in decoupled)
     corr = {k for k, bit in enumerate(bits, 1) if bit and k in dec}
-    return StepBlock.from_bits(bits, theta, j, dec, corr).tau()
-
-
-def delta_tau(
-    n: int, m: int, theta: float, j: int, decoupled_count: int = 0
-) -> complex:
-    """Discrimination gap for probing bit j.
-
-    The s_j = 1 reading is exactly zero, so the gap equals the s_j = 0
-    trace: (i sin(theta/2))^m (cos(theta/2))^(n - 1 - d - m) for m ones
-    among the rotated qubits and d decoupled qubits.  At theta = pi/2 the
-    magnitude is (1/sqrt(2))^(n - 1 - d) regardless of m.
-    """
-    if not 1 <= j <= n:
-        raise ValueError(f"probe index {j} outside 1..{n}")
-    if not 0 <= decoupled_count <= n - 1:
-        raise ValueError("decoupled_count outside 0..n-1")
-    rotated = n - 1 - decoupled_count
-    if not 0 <= m <= rotated:
-        raise ValueError(f"m={m} impossible with {rotated} rotated qubits")
-    c = complex(np.cos(theta / 2.0))
-    s = 1j * complex(np.sin(theta / 2.0))
-    return s**m * c ** (rotated - m)
+    block = StepBlock.from_bits(bits, theta, j, dec, corr)
+    return block.tau() if block.vanishes() else require_normal(block.tau(), "the trace")
 
 
 def decide_bit(est: EstimateRecord, threshold: float) -> int:
@@ -257,6 +234,8 @@ def learn(
         )
         if queries > max_queries:
             raise BudgetExhaustedError(j, queries, max_queries)
+        # a normal threshold keeps every s_j = 0 reading normal too
+        require_normal(threshold, f"the threshold of bit {j}")
         observables = (quadrature,) if quadrature is not None else ("x", "y")
         record = oracle(
             j,

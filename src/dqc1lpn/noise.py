@@ -71,9 +71,10 @@ def midcircuit_noise_experiment(
 
     Depolarization at rate q is unital and maps each coupling sx to
     (1-q) sx, so every data qubit depolarized in the middle of the probe
-    step damps the step block's trace by (1-q) per coupled qubit.  Returns
-    |<sx> + i <sy>| of the damped trace divided by the noiseless value;
-    for a string of weight m that is (1-q)^m.
+    step damps the step block's trace by (1-q) per coupled qubit: the
+    ratio of |<sx> + i <sy>| with and without noise is (1-q)^m for m
+    coupled qubits.  Refused when the noiseless signal is exactly zero
+    (the block vanishes, or alpha = 0) or the ratio is below 2^-1022.
     """
     bits = as_bits(s, n=cfg.n)
     if not 0.0 <= q <= 0.2:
@@ -83,13 +84,12 @@ def midcircuit_noise_experiment(
     if j is None:
         j = default_probe_bit(bits)
     block = circuits.StepBlock.from_bits(bits, cfg.theta, j)
-    tau = block.tau()
-    noisy = tau * (1.0 - q) ** sum(block.flips)
-    num = complex(*dqc1.expectations_from_tau(cfg.alpha, cfg.p, noisy))
-    den = complex(*dqc1.expectations_from_tau(cfg.alpha, cfg.p, tau))
-    if abs(den) < 1e-15:
-        raise ValueError("noiseless signal vanishes; pick a probe bit with s_j = 0")
-    return abs(num) / abs(den)
+    if block.vanishes() or cfg.alpha == 0.0:
+        raise ValueError(
+            "noiseless signal vanishes; pick a probe bit with s_j = 0, "
+            "alpha > 0 and an angle with nonzero rotation traces"
+        )
+    return circuits.require_normal((1.0 - q) ** sum(block.flips), "the signal ratio")
 
 
 def phase_flip_parity_experiment(
@@ -102,7 +102,8 @@ def phase_flip_parity_experiment(
     (-1)^{s_k} sx^{s_k}, so each flip on a coupled (s_k = 1) qubit
     propagates a bit flip to the probe input: an even number cancels, an
     odd number flips the sign of the step block's trace.  Flips on
-    uncoupled qubits do nothing and are flagged with a warning.
+    uncoupled qubits do nothing and are flagged with a warning.  A readout
+    that is not exactly zero but falls below 2^-1022 raises ValueError.
     """
     bits = as_bits(s, n=cfg.n)
     flips = sorted(set(int(k) for k in flip_set))
@@ -116,10 +117,13 @@ def phase_flip_parity_experiment(
         )
     if j is None:
         j = default_probe_bit(bits)
-    tau = circuits.StepBlock.from_bits(bits, cfg.theta, j).tau()
+    block = circuits.StepBlock.from_bits(bits, cfg.theta, j)
+    tau = block.tau()
     if (len(flips) - len(idle)) % 2:
         tau = -tau
     ex, ey = dqc1.expectations_from_tau(cfg.alpha, cfg.p, tau)
+    if cfg.alpha and not block.vanishes():
+        circuits.require_normal(complex(ex, ey), "the probe readout")
     # + 0.0 turns the negative zero of a vanishing component into 0.0
     return EstimateRecord(
         ex=ex + 0.0, ey=ey + 0.0, se_x=0.0, se_y=0.0, ensemble_L=1, queries_Q=1

@@ -1,10 +1,14 @@
+import itertools
+import math
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dqc1lpn import circuits
+from dqc1lpn import circuits, lpn
 from dqc1lpn.circuits import (
     StepBlock,
     as_bits,
@@ -15,6 +19,7 @@ from dqc1lpn.circuits import (
     embed,
     error_identity_check,
     parity_step_block,
+    require_normal,
     rx,
     weight,
 )
@@ -169,6 +174,7 @@ def test_step_block_eigenphases_match_dense_spectrum(phi):
         phases, weights = block.eigenphases()
         assert np.all((phases >= 0.0) & (phases < 2 * np.pi))
         assert np.unique(phases).size == phases.size
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         counts = weights * 2**n
         assert np.allclose(counts, np.round(counts), atol=1e-9)
         expected = np.repeat(np.exp(1j * phases), np.round(counts).astype(int))
@@ -191,6 +197,76 @@ def test_step_block_eigenphases_at_scale():
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     tau = np.sum(weights * np.exp(1j * phases))
     assert abs(tau - block.tau()) < 1e-12 * abs(block.tau())
+
+
+@pytest.mark.parametrize(
+    "theta, phi", [(1.1, 0.0), (1.1, 0.3), (0.0, 0.0), (2.2, np.pi / 2)]
+)
+def test_step_block_kinds_and_vanishes(theta, phi):
+    """The four kind counts are the per-qubit (rotated, flipped) tally, and
+    the trace is exactly zero when and only when the block vanishes: a
+    bare sx, or at theta = 0 a rotated and flipped qubit."""
+    for block in step_blocks(theta, phi):
+        pairs = list(zip(block.rotated, block.flips))
+        kinds = itertools.product((False, True), repeat=2)
+        tally = tuple(pairs.count(kind) for kind in kinds)
+        assert block.kinds == tally
+        assert sum(block.kinds) == len(block.flips)
+        assert block.vanishes() == (block.tau() == 0)
+
+
+def _per_qubit_tau(block):
+    """tr(block)/2^n as the product of the per-qubit traces, in qubit order."""
+    c = math.cos(block.theta / 2.0)
+    a = 1j * math.sin(block.theta / 2.0) * math.cos(block.phi)
+    tau = 1.0 + 0.0j
+    for rotated, flipped in zip(block.rotated, block.flips):
+        tau *= (a if flipped else c) if rotated else (0.0 if flipped else 1.0)
+    return tau
+
+
+def test_step_block_tau_matches_per_qubit_product(rng):
+    """At n=300 the power form agrees with the per-qubit product to 1e-12
+    relative, with every phase i^m mod 4 and with exact zeros."""
+    phases = set()
+    for _ in range(200):
+        theta = float(rng.uniform(-6.0, 6.0))
+        rotated = tuple(bool(b) for b in rng.random(300) < rng.uniform(0.05, 0.95))
+        flips = tuple(bool(b) for b in rng.random(300) < 0.2)
+        if rng.random() < 0.8:
+            # no bare sx, so the trace does not vanish
+            flips = tuple(f and r for f, r in zip(flips, rotated))
+        block = StepBlock(theta, rotated, flips, phi=float(rng.uniform(0.0, 1.5)))
+        want = _per_qubit_tau(block)
+        got = block.tau()
+        if want == 0:
+            assert block.vanishes() and got == 0
+            continue
+        assert abs(got - want) <= 1e-12 * abs(want)
+        phases.add(block.kinds[3] % 4)
+    assert phases == {0, 1, 2, 3}
+
+
+def test_step_block_underflow_is_not_a_zero():
+    """2200 rotated qubits at pi/2: the trace 2^-1100 underflows to 0.0,
+    but the block does not vanish, and the closed form refuses it."""
+    block = StepBlock.from_bits([0] * 2201, np.pi / 2, 1)
+    assert block.tau() == 0 and not block.vanishes()
+    with pytest.raises(ValueError, match="2\\^-1022"):
+        lpn.closed_form_tau([0] * 2201, np.pi / 2, 1)
+    with pytest.raises(ValueError, match="2\\^-1022"):
+        require_normal(sys.float_info.min / 2, "x")
+    assert require_normal(-sys.float_info.min, "x") == -sys.float_info.min
+
+
+def test_step_block_spectrum_ignores_qubit_order():
+    """Blocks with the same kind counts in another qubit order have the
+    same eigenphases and weights, bit for bit."""
+    for bits, other in (("0101", "0011"), ("010110", "001101")):
+        first = StepBlock.from_bits([int(b) for b in bits], 1.3, 1).eigenphases()
+        second = StepBlock.from_bits([int(b) for b in other], 1.3, 1).eigenphases()
+        for x, y in zip(first, second):
+            np.testing.assert_array_equal(x, y)
 
 
 def test_error_identity_holds():

@@ -105,6 +105,9 @@ def test_usage_errors_exit_two(capsys):
         # an unwritable --out path, and a dense block past qstate.MAX_QUBITS
         ("coherence", "--out", "/nonexistent/dir/x.csv"),
         ("learn", "--backend", "dense", "--n", "13", "--random-s"),
+        # midq signals that are exactly zero: no rotation, no polarization
+        ("noise-sweep", "--mode", "midq", "--s", "0110", "--theta", "0", "--j", "1"),
+        ("noise-sweep", "--mode", "midq", "--s", "0110", "--alpha", "0"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -300,6 +303,14 @@ def test_noise_sweep_midq_and_parity_at_64_qubits(capsys):
     for line, q in zip(lines[2:], cli.parse_grid("0:0.05:4")):
         ratio = float(line.split(",")[1])
         assert ratio == pytest.approx((1 - q) ** m, abs=1e-12)
+    # 128 qubits: |tau| = 2^-63.5, far below any absolute cut-off
+    code, out, _ = run_cli(
+        capsys, "noise-sweep", "--mode", "midq", "--s", "01" * 64, "--j", "1",
+        "--q-grid", "0:0.05:4",
+    )
+    assert code == 0
+    for line, q in zip(out.splitlines()[2:], cli.parse_grid("0:0.05:4")):
+        assert float(line.split(",")[1]) == pytest.approx((1 - q) ** 64, rel=1e-11)
     code, out, _ = run_cli(
         capsys, "noise-sweep", "--mode", "parity", "--s", s, "--flips", "2,3,5",
     )
@@ -312,3 +323,39 @@ def test_noise_sweep_midq_and_parity_at_64_qubits(capsys):
     assert all(math.isfinite(v) for v in values)
     # three flips on coupled qubits: an odd count reverses the readout
     assert float(row["ex"]) == -float(row["ex_clean"]) != 0.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the decision threshold of bit 1 is 2^-1050.5 and 2^-1100.5
+        ("learn", "--s", "0" * 2100, "--queries", "1"),
+        ("learn", "--s", "0" * 2200, "--queries", "1"),
+        ("trace-table", "--s", "0" * 2200),
+        ("noise-sweep", "--mode", "parity", "--s", "0" * 2199 + "1", "--flips", "2200"),
+        # 0.8^3200 is about 2^-1030
+        ("noise-sweep", "--mode", "midq", "--s", "0" + "1" * 3200, "--q-grid", "0.2"),
+    ],
+    ids=["learn-2100", "learn-2200", "trace-table", "parity", "midq"],
+)
+def test_readout_below_smallest_normal_exits_two(capsys, argv):
+    """A printed value that is nonzero but below 2^-1022 would be subnormal
+    or 0; the command exits 2 and names the limit instead."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "2^-1022" in err
+
+
+def test_discord_rows_ignore_qubit_order(capsys):
+    """Strings with the same kinds of qubits give the same spectrum, so the
+    rows, measurement angle included, are the same bytes."""
+    rows = []
+    for s in ("0101", "0011"):
+        code, out, _ = run_cli(
+            capsys, "discord-sweep", "--s", s, "--j", "1", "--theta", "1.3",
+            "--alpha-grid", "1:1:1",
+        )
+        assert code == 0
+        rows.append(out.splitlines()[1:])
+    assert rows[0] == rows[1]

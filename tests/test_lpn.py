@@ -13,7 +13,6 @@ from dqc1lpn.lpn import (
     brute_force_baseline,
     closed_form_tau,
     decide_bit,
-    delta_tau,
     draw_classical_samples,
     learn,
     make_oracle,
@@ -74,31 +73,6 @@ def test_closed_form_tau_validation():
         closed_form_tau(bits, 1.0, 2, decoupled=(2,))
     with pytest.raises(ValueError):
         closed_form_tau(bits, 1.0, 1, decoupled=(5,))
-
-
-def test_delta_tau_values():
-    assert delta_tau(3, 2, HALF_PI, 1) == pytest.approx(-0.5, abs=1e-15)
-    # i^m (1/sqrt2)^{n-1} law at theta=pi/2
-    for n in range(1, 7):
-        for m in range(n):
-            val = delta_tau(n, m, HALF_PI, 1)
-            assert abs(val) == pytest.approx(math.sqrt(0.5) ** (n - 1), abs=1e-13)
-            assert val == pytest.approx(1j**m * math.sqrt(0.5) ** (n - 1), abs=1e-13)
-
-
-def test_delta_tau_with_decoupling_grows():
-    n = 6
-    mags = [abs(delta_tau(n, 0, HALF_PI, j, decoupled_count=j - 1)) for j in range(1, n + 1)]
-    for j, mag in enumerate(mags, start=1):
-        assert mag == pytest.approx(math.sqrt(0.5) ** (n - j), abs=1e-13)
-    assert mags == sorted(mags)
-
-
-def test_delta_tau_rejects_bad_weight():
-    with pytest.raises(ValueError):
-        delta_tau(3, 3, 1.0, 1)
-    with pytest.raises(ValueError):
-        delta_tau(3, -1, 1.0, 1)
 
 
 def test_decide_bit_threshold():

@@ -99,6 +99,20 @@ def test_phase_flip_parity_matches_dense_reference():
     assert worst < 1e-12
 
 
+def test_midcircuit_refuses_exact_zeros_only():
+    """s_j = 1, theta = 0 and alpha = 0 zero the signal and are refused;
+    at 128 qubits the tiny but nonzero signal gives (1-q)^64, and a ratio
+    below 2^-1022 is refused."""
+    s = "01" * 64
+    refused = ((2, _cfg(128)), (1, _cfg(128, theta=0.0)), (1, _cfg(128, alpha=0.0)))
+    for j, cfg in refused:
+        with pytest.raises(ValueError, match="vanishes"):
+            midcircuit_noise_experiment(s, cfg, 0.1, j=j)
+    assert midcircuit_noise_experiment(s, _cfg(128), 0.1, j=1) == 0.9**64
+    with pytest.raises(ValueError, match="2\\^-1022"):
+        midcircuit_noise_experiment("0" + "1" * 3200, _cfg(3201), 0.2)
+
+
 def test_depolarizing_kraus_is_complete():
     for rate in (0.0, 0.3, 1.0):
         ops = depolarizing_kraus(rate)
