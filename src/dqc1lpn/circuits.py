@@ -146,17 +146,9 @@ class StepBlock:
             raise ValueError("corrections must target decoupled qubits")
         if j in dec:
             raise ValueError(f"probe index {j} cannot be decoupled")
-        # set by index rather than testing every qubit: the learner's oracle
-        # rebuilds the block on every query
-        rotated = [True] * n
-        for k in dec:
-            rotated[k - 1] = False
-        if j is not None:
-            rotated[j - 1] = False
-        flips = list(map(bool, bits))
-        for k in corr:
-            flips[k - 1] = not flips[k - 1]
-        return cls(theta=theta, rotated=tuple(rotated), flips=tuple(flips), phi=phi)
+        rotated = tuple(k != j and k not in dec for k in range(1, n + 1))
+        flips = tuple(bool(b) ^ (k in corr) for k, b in enumerate(bits, 1))
+        return cls(theta=theta, rotated=rotated, flips=flips, phi=phi)
 
     def dense(self) -> np.ndarray:
         """The 2^n x 2^n block; a factor times sx is that factor with its
@@ -185,27 +177,13 @@ class StepBlock:
         both = sum(compress(self.flips, self.rotated))
         return (n - rotated - flipped + both, flipped - both, rotated - both, both)
 
-    def _traces(self) -> tuple[float, float]:
-        """tr(R)/2 = cos(theta/2) and tr(R . sx)/2i = sin(theta/2) cos(phi)."""
-        half = self.theta / 2.0
-        return math.cos(half), math.sin(half) * math.cos(self.phi)
-
     def vanishes(self) -> bool:
-        """Whether some factor of the trace is exactly 0.0: a bare sx, or a
-        rotated kind whose trace is 0.0.  An underflow does not vanish."""
-        _, bare, rotated, both = self.kinds
-        c, a = self._traces()
-        return bare > 0 or (rotated > 0 and c == 0.0) or (both > 0 and a == 0.0)
+        """Whether the trace is exactly zero (``kinds_vanish``)."""
+        return kinds_vanish(self.theta, self.phi, self.kinds)
 
     def tau(self) -> complex:
-        """tr(block)/2^n = c^r (i a)^m for r qubits R and m qubits R . sx,
-        with c and a from ``_traces``: real powers times i^(m mod 4)."""
-        if self.vanishes():
-            return 0j
-        _, _, rotated, both = self.kinds
-        c, a = self._traces()
-        mag = c**rotated * a**both
-        return complex(*((mag, 0.0), (0.0, mag), (-mag, 0.0), (0.0, -mag))[both % 4])
+        """tr(block)/2^n from the kind counts (``kinds_tau``)."""
+        return kinds_tau(self.theta, self.phi, self.kinds)
 
     def eigenphases(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct eigenphases of the block in [0, 2 pi), with weights.
@@ -219,7 +197,7 @@ class StepBlock:
         spectrum is a convolution over the four kinds in ``kinds`` order.
         """
         half = self.theta / 2.0
-        _, a = self._traces()
+        _, a = _traces(self.theta, self.phi)
         root = math.sqrt(max(0.0, 1.0 - a * a))
         pairs = (
             (0.0, 0.0), (0.0, math.pi), (half, -half),
@@ -241,6 +219,33 @@ class StepBlock:
                 slot, weights=np.multiply.outer(weights, kind_weights).ravel()
             )
         return phases, weights
+
+
+def _traces(theta: float, phi: float) -> tuple[float, float]:
+    """tr(R)/2 = cos(theta/2) and tr(R . sx)/2i = sin(theta/2) cos(phi)."""
+    half = theta / 2.0
+    return math.cos(half), math.sin(half) * math.cos(phi)
+
+
+def kinds_vanish(theta: float, phi: float, kinds: Sequence[int]) -> bool:
+    """Whether some factor of a block's trace is exactly 0.0, for the
+    kind counts of ``StepBlock.kinds``: a bare sx, or a rotated kind whose
+    trace is 0.0.  An underflow does not vanish."""
+    _, bare, rotated, both = kinds
+    c, a = _traces(theta, phi)
+    return bare > 0 or (rotated > 0 and c == 0.0) or (both > 0 and a == 0.0)
+
+
+def kinds_tau(theta: float, phi: float, kinds: Sequence[int]) -> complex:
+    """tr(block)/2^n = c^r (i a)^m for the kind counts of ``StepBlock.kinds``,
+    with r qubits R, m qubits R . sx and c, a from ``_traces``: real powers
+    times i^(m mod 4)."""
+    if kinds_vanish(theta, phi, kinds):
+        return 0j
+    _, _, rotated, both = kinds
+    c, a = _traces(theta, phi)
+    mag = c**rotated * a**both
+    return complex(*((mag, 0.0), (0.0, mag), (-mag, 0.0), (0.0, -mag))[both % 4])
 
 
 def build_parity_unitary(s) -> OperatorMatrix:

@@ -11,26 +11,34 @@ step at theta = pi/2:
 
     |Delta tau_j| = (1/sqrt(2))^(n-j).
 
-Oracles close over s; the learner only ever sees the query callable.
+Probing bit j always decouples data qubits 1..j-1, so a query names only
+j and the corrections.  The block then has j unrotated qubits, of which
+the stray flips left in the prefix plus s_j are bare sx, and n - j
+rotated ones, of which the 1s after j carry a coupling.  The closed and
+sampled oracles read these four kind counts (``prefix_kinds``) from
+prefix sums of s, so a query runs no per-qubit Python loop.  Oracles close
+over s; the learner only ever sees the query callable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, compress
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import dqc1
-from .circuits import StepBlock, as_bits, require_normal
+from .circuits import StepBlock, as_bits, kinds_tau, require_normal
 from .dqc1 import Dqc1Config, EstimateRecord
 
 #: Hoeffding-style constant in the query budget.
 HOEFFDING_C = 2.0
 
-#: Type of a protocol query: (j, decoupled, corrections, ensemble, queries,
-#: observables) -> EstimateRecord.
+#: Type of a protocol query: (j, corrections, ensemble, queries, observables)
+#: -> EstimateRecord, with data qubits 1..j-1 decoupled and the corrections
+#: a subset of them.
 Oracle = Callable[..., EstimateRecord]
 
 
@@ -39,11 +47,21 @@ class BudgetExhaustedError(RuntimeError):
 
     def __init__(self, j: int, required: int, allowed: int):
         super().__init__(
-            f"bit {j} needs {required} queries, budget allows {allowed}"
+            f"bit {j} needs {_count_text(required)} queries, "
+            f"budget allows {_count_text(allowed)}"
         )
         self.j = j
         self.required = required
         self.allowed = allowed
+
+
+def _count_text(count: int) -> str:
+    """A query count, written as a power of two once it passes 10^12."""
+    if count <= 10**12:
+        return str(count)
+    if count & (count - 1) == 0:
+        return f"2^{count.bit_length() - 1}"
+    return f"about 2^{math.log2(count):.1f}"
 
 
 @dataclass(frozen=True)
@@ -147,34 +165,66 @@ def query_budget(budget: BudgetParams, n: int, j: int) -> int:
     return max(1, math.ceil(raw))
 
 
+def prefix_kinds(
+    bits: Sequence[int],
+) -> Callable[[int, Iterable[int]], tuple[int, int, int, int]]:
+    """Kind counts (``StepBlock.kinds``) of the learner's block for probing
+    bit j with qubits 1..j-1 decoupled and the given corrections, read
+    from prefix sums of the plain-int pattern `bits`.
+
+    A decoupled qubit is flipped where s_k xor (k in corrections) is 1,
+    so the prefix keeps ones(1..j-1) + |corr| - 2 |corr & ones| stray
+    flips; qubit j adds s_j to them, and the rotated qubits after j carry
+    ones(j+1..n) couplings.  Raises ValueError for j outside 1..n or a
+    correction outside 1..j-1.
+    """
+    n = len(bits)
+    prefix = [0, *accumulate(bits)]
+    ones = frozenset(compress(range(1, n + 1), bits))
+
+    def kinds(j: int, corrections: Iterable[int] = ()) -> tuple[int, int, int, int]:
+        if not 1 <= j <= n:
+            raise ValueError(f"probe index {j} outside 1..{n}")
+        corr = frozenset(corrections)
+        if corr and (min(corr) < 1 or max(corr) >= j):
+            raise ValueError(f"corrections must target decoupled qubits 1..{j - 1}")
+        bare = prefix[j - 1] + len(corr) - 2 * len(corr & ones) + bits[j - 1]
+        both = prefix[n] - prefix[j]
+        return (j - bare, bare, n - j - both, both)
+
+    return kinds
+
+
 def make_oracle(s, cfg: Dqc1Config, kind: str | None = None) -> Oracle:
     """Build a protocol query function that closes over the hidden string.
 
-    kind "dense" runs the full matrices, "closed" evaluates the factorized
-    trace, "sampled" adds shot noise to the closed-form values with one
-    RNG stream per probed bit (derived from cfg.seed).
+    A query probes bit j with qubits 1..j-1 decoupled and `corrections`
+    (a subset of them) corrected.  kind "dense" runs the full matrices,
+    "closed" evaluates the trace from the block's kind counts
+    (``prefix_kinds``), "sampled" adds shot noise to the closed-form
+    values with one RNG stream per probed bit (derived from cfg.seed).
     """
-    # plain ints, normalized once: the block is rebuilt on every query
+    # plain ints, normalized once: every query reads them
     bits = as_bits(s, n=cfg.n).tolist()
     kind = kind or cfg.backend
     if kind not in ("dense", "closed", "sampled"):
         raise ValueError(f"unknown oracle kind {kind!r}")
+    kinds_of = prefix_kinds(bits)
 
-    def true_tau(j, decoupled, corrections):
-        block = StepBlock.from_bits(bits, cfg.theta, j, decoupled, corrections)
+    def true_tau(j, corrections):
         if kind == "dense":
+            block = StepBlock.from_bits(bits, cfg.theta, j, range(1, j), corrections)
             return block.dense().trace() / 2**cfg.n
-        return block.tau()
+        return kinds_tau(cfg.theta, 0.0, kinds_of(j, corrections))
 
     def oracle(
         j: int,
-        decoupled: Iterable[int] = (),
         corrections: Iterable[int] = (),
         ensemble: int = 1,
         queries: int = 1,
         observables: tuple[str, ...] = ("x", "y"),
     ) -> EstimateRecord:
-        tau = true_tau(j, decoupled, corrections)
+        tau = true_tau(j, corrections)
         ex, ey = dqc1.expectations_from_tau(cfg.alpha, cfg.p, tau)
         if kind == "sampled":
             stream = np.random.SeedSequence(cfg.seed, spawn_key=(int(j),))
@@ -224,7 +274,7 @@ def learn(
         raise ValueError("rotation angle must avoid integer multiples of pi")
     # the quadrature that carries the signal, once a nonzero reading fixed it
     quadrature: str | None = None
-    corrections: set[int] = set()
+    corrections: frozenset[int] = frozenset()
     steps: list[LearnStep] = []
     for j in range(1, n + 1):
         gap = _worst_case_gap(cfg.theta, n - j)
@@ -237,17 +287,10 @@ def learn(
         # a normal threshold keeps every s_j = 0 reading normal too
         require_normal(threshold, f"the threshold of bit {j}")
         observables = (quadrature,) if quadrature is not None else ("x", "y")
-        record = oracle(
-            j,
-            frozenset(range(1, j)),
-            frozenset(corrections),
-            budget.L,
-            queries,
-            observables,
-        )
+        record = oracle(j, corrections, budget.L, queries, observables)
         bit = decide_bit(record, threshold)
         if bit:
-            corrections.add(j)
+            corrections = corrections | {j}
             if quadrature is not None:
                 quadrature = "y" if quadrature == "x" else "x"
         elif quadrature is None:

@@ -154,6 +154,8 @@ def systematic_error_sweep(
     of cos(phi), so the signal dies at phi = pi/2 whenever m >= 1.
     Amplitude (theta) miscalibration is covered by the theta axis of the
     grid: the trace formula holds at whatever angle was actually applied.
+    A prediction that is not exactly zero but falls below 2^-1022 raises
+    ValueError.
     """
     bits = as_bits(s, n=cfg.n)
     if j is None:
@@ -164,7 +166,10 @@ def systematic_error_sweep(
         for theta in theta_grid:
             block = circuits.StepBlock.from_bits(bits, theta, j, phi=phi)
             tau_dense = complex(block.dense().trace() / 2**cfg.n)
-            predicted = replace(block, phi=0.0).tau() * np.cos(phi) ** m
+            untilted = replace(block, phi=0.0)
+            predicted = untilted.tau() * np.cos(phi) ** m
+            if not untilted.vanishes():
+                circuits.require_normal(predicted, "the predicted trace")
             rows.append(
                 SystematicErrorRow(
                     phi=float(phi),

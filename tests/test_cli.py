@@ -124,6 +124,29 @@ def test_budget_exhaustion_exits_three(capsys):
     assert "error" in err
 
 
+def test_budget_exhaustion_message_is_short(capsys):
+    """Bit 1 of 2100 needs exactly 2^2096 queries: printed as a power of
+    two rather than a 631-digit integer."""
+    code, out, err = run_cli(capsys, "learn", "--n", "2100", "--random-s")
+    assert code == 3
+    assert out == ""
+    assert "2^2096" in err
+    assert len(err.strip()) < 200
+
+
+def test_learn_closed_at_2000_qubits(capsys):
+    """Closed learn stays usable at large n: one query per bit, every bit
+    right."""
+    code, out, _ = run_cli(
+        capsys, "learn", "--backend", "closed", "--queries", "1",
+        "--n", "2000", "--random-s", "--seed", "3",
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["success"] is True
+    assert len(results["rows"]) == 2000
+
+
 def test_trace_table_full_enumeration(capsys):
     code, out, _ = run_cli(capsys, "trace-table", "--n", "2", "--theta", "0.5pi")
     assert code == 0
@@ -335,8 +358,11 @@ def test_noise_sweep_midq_and_parity_at_64_qubits(capsys):
         ("noise-sweep", "--mode", "parity", "--s", "0" * 2199 + "1", "--flips", "2200"),
         # 0.8^3200 is about 2^-1030
         ("noise-sweep", "--mode", "midq", "--s", "0" + "1" * 3200, "--q-grid", "0.2"),
+        # (sin(5e-301))^11: the predicted trace flushes to 0
+        ("noise-sweep", "--mode", "systematic", "--s", "011111111111",
+         "--theta-grid", "1e-300", "--phi-grid", "0"),
     ],
-    ids=["learn-2100", "learn-2200", "trace-table", "parity", "midq"],
+    ids=["learn-2100", "learn-2200", "trace-table", "parity", "midq", "systematic"],
 )
 def test_readout_below_smallest_normal_exits_two(capsys, argv):
     """A printed value that is nonzero but below 2^-1022 would be subnormal

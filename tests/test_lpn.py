@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dqc1lpn.circuits import as_bits, bits_to_str
+from dqc1lpn.circuits import StepBlock, as_bits, bits_to_str
 from dqc1lpn.dqc1 import Dqc1Config, EstimateRecord
 from dqc1lpn.lpn import (
     BudgetExhaustedError,
@@ -16,6 +16,7 @@ from dqc1lpn.lpn import (
     draw_classical_samples,
     learn,
     make_oracle,
+    prefix_kinds,
     query_budget,
 )
 
@@ -172,7 +173,7 @@ def test_oracle_backends_agree(rng, kind):
         dec = tuple(range(1, j))
         corr = tuple(k for k in dec if bits[k - 1])
         cfg = Dqc1Config(n=n, alpha=0.75, p=0.2, theta=theta)
-        rec = make_oracle(bits, cfg, kind=kind)(j, decoupled=dec, corrections=corr)
+        rec = make_oracle(bits, cfg, kind=kind)(j, corrections=corr)
         tau = closed_form_tau(bits, theta, j, decoupled=dec)
         assert rec.ex == pytest.approx(0.75 * 0.8 * tau.real, abs=1e-12)
         assert rec.ey == pytest.approx(0.75 * 0.8 * tau.imag, abs=1e-12)
@@ -182,7 +183,49 @@ def test_oracle_rejects_corrections_outside_decoupled():
     cfg = Dqc1Config(n=3, alpha=1.0, p=0.0, theta=1.0)
     oracle = make_oracle(as_bits("011"), cfg)
     with pytest.raises(ValueError):
-        oracle(2, decoupled=(1,), corrections=(3,))
+        oracle(2, corrections=(3,))
+
+
+def _assert_oracle_matches_block(bits, theta, j, corrections):
+    """The prefix counts and the closed oracle's tau equal the per-qubit
+    block's kinds and tau() exactly."""
+    bits = [int(b) for b in bits]
+    block = StepBlock.from_bits(bits, theta, j, range(1, j), corrections)
+    assert prefix_kinds(bits)(j, corrections) == block.kinds
+    cfg = Dqc1Config(n=len(bits), alpha=1.0, p=0.0, theta=theta)
+    rec = make_oracle(bits, cfg, kind="closed")(j, corrections)
+    assert complex(rec.ex, rec.ey) == block.tau()
+
+
+@pytest.mark.parametrize("theta", [1.1, 2.9])
+def test_prefix_kinds_match_step_block_exhaustive(theta):
+    for n in range(1, 5):
+        for bits in all_bitstrings(n):
+            for j in range(1, n + 1):
+                prefix = frozenset(range(1, j))
+                correct = frozenset(k for k in prefix if bits[k - 1])
+                for corrections in (correct, frozenset(), prefix, prefix - correct):
+                    _assert_oracle_matches_block(bits, theta, j, corrections)
+
+
+def test_prefix_kinds_match_step_block_at_300_qubits(rng):
+    for _ in range(200):
+        bits = rng.integers(0, 2, size=300)
+        j = int(rng.integers(1, 301))
+        # the learner's corrections with a few wrong decisions mixed in
+        prefix = np.arange(1, j)
+        wrong = rng.random(j - 1) < 0.05
+        corrections = frozenset(prefix[(bits[: j - 1] == 1) ^ wrong].tolist())
+        _assert_oracle_matches_block(bits, float(rng.uniform(0.1, 3.0)), j, corrections)
+
+
+@pytest.mark.parametrize("kind", ["dense", "closed", "sampled"])
+def test_oracle_rejects_probe_and_corrections_out_of_range(kind):
+    cfg = Dqc1Config(n=3, alpha=1.0, p=0.0, theta=1.0)
+    oracle = make_oracle(as_bits("011"), cfg, kind=kind)
+    for j, corrections in ((0, ()), (4, ()), (2, (2,)), (2, (3,)), (3, (0,))):
+        with pytest.raises(ValueError):
+            oracle(j, corrections)
 
 
 def test_wrong_correction_kills_later_signal():
@@ -191,7 +234,7 @@ def test_wrong_correction_kills_later_signal():
     cfg = Dqc1Config(n=3, alpha=1.0, p=0.0, theta=HALF_PI)
     oracle = make_oracle(bits, cfg, kind="dense")
     # qubit 1 really is coupled, but the caller claims it was clean
-    rec = oracle(2, decoupled=(1,), corrections=())
+    rec = oracle(2, corrections=())
     assert abs(rec.ex) < 1e-12
     assert abs(rec.ey) < 1e-12
 
