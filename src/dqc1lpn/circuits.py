@@ -1,4 +1,6 @@
-"""Gate and circuit-block constructors for the parity-learning protocol.
+"""Gates and the probe-step block (``StepBlock``) of the parity-learning
+protocol.  The full-register builders of the dense reference (``embed``,
+``controlled`` and the rest) are in ``qstate``.
 
 Layout: qubit 0 is the probe (control) qubit, data qubits are numbered
 1..n and double as absolute qubit indices in the (n+1)-qubit register.
@@ -22,7 +24,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qstate import MAX_QUBITS, OperatorMatrix
+#: Largest qubit count of a dense matrix (``StepBlock.dense``, ``qstate``);
+#: past it a dense matrix stops fitting in desk-scale memory.
+MAX_QUBITS = 12
 
 ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -83,22 +87,6 @@ def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def embed(gate: np.ndarray, qubit: int, total: int) -> np.ndarray:
-    """Single-qubit `gate` on `qubit` (0-based), identity elsewhere."""
-    if not 0 <= qubit < total:
-        raise ValueError(f"qubit {qubit} outside 0..{total - 1}")
-    return kron_all([gate if k == qubit else ID2 for k in range(total)])
-
-
-def cnot(control: int, target: int, total: int) -> np.ndarray:
-    """Dense CNOT on a `total`-qubit register."""
-    if control == target:
-        raise ValueError("control and target coincide")
-    return embed(PROJ_0, control, total) + embed(PROJ_1, control, total) @ embed(
-        PAULI_X, target, total
-    )
-
-
 @dataclass(frozen=True)
 class StepBlock:
     """One probe-step block on the data register, qubit by qubit.
@@ -152,7 +140,7 @@ class StepBlock:
 
     def dense(self) -> np.ndarray:
         """The 2^n x 2^n block; a factor times sx is that factor with its
-        columns swapped.  Refuses n above ``qstate.MAX_QUBITS`` before
+        columns swapped.  Refuses n above ``MAX_QUBITS`` before
         allocating anything."""
         n = len(self.rotated)
         if n > MAX_QUBITS:
@@ -246,55 +234,3 @@ def kinds_tau(theta: float, phi: float, kinds: Sequence[int]) -> complex:
     c, a = _traces(theta, phi)
     mag = c**rotated * a**both
     return complex(*((mag, 0.0), (0.0, mag), (-mag, 0.0), (0.0, -mag))[both % 4])
-
-
-def build_parity_unitary(s) -> OperatorMatrix:
-    """Tensor product of sx on every data qubit with s_k = 1.
-
-    Self-inverse, and traceless unless s is all zeros.
-    """
-    bits = as_bits(s)
-    # every qubit decoupled and none corrected: no rotation, bare couplings
-    block = StepBlock.from_bits(bits, 0.0, decoupled=range(1, bits.size + 1))
-    return OperatorMatrix(block.dense(), unitary=True, validate=False)
-
-
-def controlled(u: OperatorMatrix) -> OperatorMatrix:
-    """Block-diagonal [1, u]: apply `u` to the data register when the probe
-    (most significant qubit) is set."""
-    if not u.unitary:
-        res = np.abs(u.entries.conj().T @ u.entries - np.eye(u.dim)).max()
-        if res > 1e-12:
-            raise ValueError(f"controlled block is not unitary (residue {res:.3e})")
-    dim = u.dim
-    out = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    out[:dim, :dim] = np.eye(dim)
-    out[dim:, dim:] = u.entries
-    return OperatorMatrix(out, unitary=True, validate=False)
-
-
-def parity_step_block(s, theta: float, *, j: int | None = None, phi: float = 0.0) -> OperatorMatrix:
-    """Data-register block rotation . parity pattern for one probe step.
-
-    With `j` given the rotation skips data qubit j (the discrimination
-    step); with ``j=None`` the rotation is uniform.
-    """
-    block = StepBlock.from_bits(as_bits(s), theta, j, phi=phi)
-    return OperatorMatrix(block.dense(), unitary=True, validate=False)
-
-
-def error_identity_check() -> float:
-    """Check the phase-error propagation identity on two qubits.
-
-    A sz after the controlled-x block (probe controls, data qubit is the
-    target) equals the same circuit preceded by sx on the probe and sz on
-    the data qubit, once the probe Hadamard is accounted for:
-
-        (1 x sz) . CNOT . (H x 1) = CNOT . (H x 1) . (sx x sz)
-
-    Returns the largest entrywise deviation between the two sides.
-    """
-    cx = cnot(0, 1, 2)
-    lhs = embed(PAULI_Z, 1, 2) @ cx @ embed(HADAMARD, 0, 2)
-    rhs = cx @ embed(HADAMARD, 0, 2) @ np.kron(PAULI_X, PAULI_Z)
-    return float(np.abs(lhs - rhs).max())

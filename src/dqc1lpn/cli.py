@@ -67,7 +67,8 @@ def parse_angle(text: str) -> float:
 
 
 def parse_grid(text: str, *, angle: bool = False) -> list[float]:
-    """Grid syntax: "lo:hi:count" (inclusive linspace) or "a,b,c"."""
+    """Grid syntax: "lo:hi:count" (inclusive linspace) or "a,b,c"; an empty
+    grid is refused."""
     conv = parse_angle if angle else float
     raw = str(text).strip()
     if ":" in raw:
@@ -79,7 +80,18 @@ def parse_grid(text: str, *, angle: bool = False) -> list[float]:
         if count < 1:
             raise ValueError("grid count must be positive")
         return [float(v) for v in np.linspace(lo, hi, count)]
-    return [conv(item) for item in raw.split(",") if item != ""]
+    values = [conv(item) for item in raw.split(",") if item != ""]
+    if not values:
+        raise ValueError(f"grid {text!r} is empty")
+    return values
+
+
+def parse_seed(text: str) -> int:
+    """--seed: an integer in 0..2^64-1, the range every command accepts."""
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"seed {value} outside 0..2^64-1")
+    return value
 
 
 class NonFiniteOutputError(Exception):
@@ -154,7 +166,7 @@ def cmd_learn(args) -> RunRecord:
         delta=args.delta, alpha=args.alpha, p=args.p,
         L=args.L, per_bit_delta=args.per_bit_delta,
     )
-    oracle = lpn.make_oracle(bits, cfg, kind=args.backend)
+    oracle = lpn.make_oracle(bits, cfg)
     result = lpn.learn(
         oracle, cfg, budget,
         fixed_queries=args.queries, max_queries=args.max_queries,
@@ -199,6 +211,8 @@ def cmd_learn(args) -> RunRecord:
 
 def cmd_trace_table(args) -> RunRecord:
     theta = parse_angle(args.theta)
+    if args.n is not None and args.n < 1:
+        raise ValueError(f"--n {args.n} must be at least 1")
     if args.s is not None:
         strings = [as_bits(args.s)]
         n = strings[0].size
@@ -250,8 +264,6 @@ def cmd_discord_sweep(args) -> RunRecord:
         theta = parse_angle(args.theta)
         block = circuits.StepBlock.from_bits(bits, theta, args.j)
         for alpha in parse_grid(args.alpha_grid):
-            # the config is not run; it checks alpha and the seed as elsewhere
-            Dqc1Config(n=n, alpha=alpha, p=0.0, theta=theta, seed=args.seed)
             res = infomeasures.protocol_discord(block, alpha)
             rows.append(
                 {
@@ -273,8 +285,6 @@ def cmd_discord_sweep(args) -> RunRecord:
         zero = bits.copy()
         zero[args.j - 1] = 0
         for theta in parse_grid(args.theta_grid, angle=True):
-            # the config is not run; it checks alpha and the seed as elsewhere
-            Dqc1Config(n=n, alpha=args.alpha, p=0.0, theta=theta, seed=args.seed)
             vals = {}
             for tag, pattern in (("one", one), ("zero", zero)):
                 block = circuits.StepBlock.from_bits(pattern, theta, args.j)
@@ -383,7 +393,7 @@ def cmd_coherence(args) -> RunRecord:
 
 
 def _add_common(sub, default_format: str):
-    sub.add_argument("--seed", type=int, default=0, help="root RNG seed")
+    sub.add_argument("--seed", type=parse_seed, default=0, help="root RNG seed")
     sub.add_argument("--out", default=None, help="write the record here instead of stdout")
     sub.add_argument(
         "--format", choices=("json", "csv"), default=default_format,

@@ -1,4 +1,4 @@
-"""One-clean-qubit protocol: state preparation, readout, shot sampling.
+"""One-clean-qubit protocol: configuration, probe readout, shot sampling.
 
 The register holds one probe qubit with polarization alpha (qubit 0) and
 n maximally mixed data qubits.  After a probe Hadamard and a controlled
@@ -7,7 +7,9 @@ data-register block ``w`` the probe carries the normalized trace of ``w``:
     <sx> + i <sy> = (1 - p) alpha tr(w) / 2^n
 
 where p is the probe readout depolarization rate.  Shot sampling models
-each query as the mean of L two-outcome (+-1) measurements.
+each query as the mean of L two-outcome (+-1) measurements.  The dense
+run of that circuit (``initial_state``, ``run_protocol``) is the
+reference in ``qstate``.
 """
 
 from __future__ import annotations
@@ -16,10 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import circuits, qstate
-from .circuits import HADAMARD, PAULI_X, PAULI_Y, embed
-from .qstate import DensityMatrix, OperatorMatrix
 
 _BACKENDS = ("dense", "closed", "sampled")
 
@@ -77,57 +75,10 @@ class EstimateRecord:
             raise ValueError("ensemble_L and queries_Q must be positive")
 
 
-def initial_state(cfg: Dqc1Config) -> DensityMatrix:
-    """Probe with polarization alpha tensored with n maximally mixed qubits."""
-    probe = DensityMatrix(
-        np.diag([(1.0 + cfg.alpha) / 2.0, (1.0 - cfg.alpha) / 2.0]).astype(complex),
-        validate=False,
-    )
-    if cfg.n == 0:
-        return probe
-    return qstate.tensor(probe, DensityMatrix.maximally_mixed(cfg.n))
-
-
-def run_protocol(cfg: Dqc1Config, w: OperatorMatrix) -> DensityMatrix:
-    """Apply H on the probe, then the controlled block, to the initial state.
-
-    The output is exactly
-
-        (1 + alpha (|0><1| x w^dag + |1><0| x w)) / 2^(n+1).
-    """
-    if w.num_qubits != cfg.n:
-        raise ValueError(f"block spans {w.num_qubits} qubits, config says {cfg.n}")
-    rho = initial_state(cfg)
-    total = cfg.n + 1
-    had = OperatorMatrix(embed(HADAMARD, 0, total), unitary=True, validate=False)
-    rho = qstate.apply_unitary(rho, had)
-    return qstate.apply_unitary(rho, circuits.controlled(w))
-
-
 def expectations_from_tau(alpha: float, p: float, tau: complex) -> tuple[float, float]:
     """Probe readout (<sx>, <sy>) for a block with normalized trace tau."""
     z = (1.0 - p) * alpha * complex(tau)
     return float(z.real), float(z.imag)
-
-
-def analytic_expectations(cfg: Dqc1Config, w: OperatorMatrix) -> tuple[float, float]:
-    """Exact probe expectations from the dense trace of the block."""
-    if w.num_qubits != cfg.n:
-        raise ValueError(f"block spans {w.num_qubits} qubits, config says {cfg.n}")
-    tau = w.entries.trace() / w.dim
-    return expectations_from_tau(cfg.alpha, cfg.p, tau)
-
-
-def probe_expectations(rho: DensityMatrix, p: float = 0.0) -> tuple[float, float]:
-    """Measured (<sx>, <sy>) on qubit 0 of a register state, after readout
-    depolarization at rate p."""
-    total = rho.num_qubits
-    sx = OperatorMatrix(embed(PAULI_X, 0, total), validate=False)
-    sy = OperatorMatrix(embed(PAULI_Y, 0, total), validate=False)
-    return (
-        (1.0 - p) * qstate.expectation(rho, sx),
-        (1.0 - p) * qstate.expectation(rho, sy),
-    )
 
 
 def _sample_one_observable(

@@ -5,12 +5,11 @@ Quantum discord is computed with the measurement on the probe qubit:
     D = S(rho_probe) - S(rho) + min over projective probe measurements
         of sum_k p_k S(rho_data | k).
 
-For an arbitrary state, ``quantum_discord`` runs a coarse Bloch-sphere
-grid (vectorized through the probe-block decomposition of the state)
-followed by coordinate descent with golden-section line searches.  For
-the protocol's own output state, ``protocol_discord`` needs only alpha
+For the protocol's output state, ``protocol_discord`` needs only alpha
 and the step block's eigenphases (``StepBlock.eigenphases``): no dense
-state is built, and the cost is polynomial in n.
+state is built, and the cost is polynomial in n.  The measures of an
+arbitrary dense state (``quantum_discord``, mutual information, the
+partial-transpose check, coherence) are the reference in ``qstate``.
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qstate
 from .circuits import StepBlock
-from .qstate import DensityMatrix
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 #: measurement angles phi in [0, pi) that protocol_discord scans first
@@ -38,15 +35,6 @@ def binary_entropy(x: float) -> float:
         if t > 0.0:
             acc -= t * math.log2(t)
     return acc
-
-
-def rel_entropy_coherence(rho: DensityMatrix) -> float:
-    """Relative entropy of coherence S(diag(rho)) - S(rho) in the
-    computational basis."""
-    diag = np.clip(rho.entries.diagonal().real, 0.0, 1.0)
-    pos = diag[diag > 0]
-    s_diag = float(-(pos * np.log2(pos)).sum())
-    return max(0.0, s_diag - qstate.von_neumann_entropy(rho))
 
 
 def coherence_consumption(alpha: float, tau_abs: float) -> float:
@@ -72,56 +60,6 @@ class DiscordResult:
     iterations: int
 
 
-def _probe_front(mat: np.ndarray, probe: int, k: int) -> np.ndarray:
-    """Permute qubit `probe` to the most significant position."""
-    if probe == 0:
-        return mat
-    perm = [probe] + [q for q in range(k) if q != probe]
-    axes = perm + [k + q for q in perm]
-    dim = 2**k
-    return mat.reshape([2] * (2 * k)).transpose(axes).reshape(dim, dim)
-
-
-def _probe_blocks(rho: DensityMatrix, probe: int) -> np.ndarray:
-    """(2, 2, D, D) array b with b[i, j] = <i|_probe rho |j>_probe."""
-    k = rho.num_qubits
-    if not 0 <= probe < k:
-        raise ValueError(f"probe index {probe} outside 0..{k - 1}")
-    if k < 2:
-        raise ValueError("state must hold the probe plus at least one qubit")
-    mat = _probe_front(rho.entries, probe, k)
-    half = 2 ** (k - 1)
-    return mat.reshape(2, half, 2, half).transpose(0, 2, 1, 3)
-
-
-def _conditional_entropy_batch(
-    thetas: np.ndarray, phis: np.ndarray, blocks: np.ndarray, rho_data: np.ndarray
-) -> np.ndarray:
-    """sum_k p_k S(rho_data|k) for a batch of measurement directions.
-
-    The post-measurement data state for projector |v><v| is
-    sum_ij v_j conj(v_i) b[i, j]; the complementary outcome is
-    rho_data minus that, so one einsum per batch covers both branches.
-    """
-    v0 = np.cos(thetas / 2.0).astype(complex)
-    v1 = np.sin(thetas / 2.0) * np.exp(1j * phis)
-    coef = np.empty(thetas.shape + (2, 2), dtype=complex)
-    for i, vi in enumerate((v0, v1)):
-        for jj, vj in enumerate((v0, v1)):
-            coef[..., i, jj] = vj * np.conj(vi)
-    sig_plus = np.einsum("...ij,ijab->...ab", coef, blocks)
-    sig_minus = rho_data - sig_plus
-    out = np.zeros(thetas.shape)
-    for sig in (sig_plus, sig_minus):
-        lam = np.linalg.eigvalsh(sig)
-        prob = lam.sum(axis=-1)
-        lam = np.clip(lam, 0.0, None)
-        norm = lam / np.maximum(prob, 1e-300)[..., None]
-        ent = -(norm * np.log2(np.where(norm > 0, norm, 1.0))).sum(axis=-1)
-        out += np.where(prob > 1e-15, prob * ent, 0.0)
-    return out
-
-
 def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float, int]:
     """Golden-section minimum of f on [lo, hi] to bracket width tol."""
     a, b = lo, hi
@@ -141,80 +79,6 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float, int]
         evals += 1
     x = c if fc <= fd else d
     return x, min(fc, fd), evals
-
-
-def quantum_discord(
-    rho: DensityMatrix,
-    probe_index: int = 0,
-    *,
-    grid_shape: tuple[int, int] = (64, 128),
-    angle_tol: float = 1e-6,
-    improve_tol: float = 1e-9,
-) -> DiscordResult:
-    """Discord of `rho` with the measurement on the given probe qubit.
-
-    Grid search over (theta, phi) on the Bloch sphere, then coordinate
-    descent with golden-section line searches down to `angle_tol` per
-    coordinate, stopping once a full sweep improves the conditional
-    entropy by less than `improve_tol` bits.
-    """
-    blocks = _probe_blocks(rho, probe_index)
-    rho_data = blocks[0, 0] + blocks[1, 1]
-    s_probe = qstate.von_neumann_entropy(
-        qstate.partial_trace(rho, keep={probe_index})
-    )
-    s_full = qstate.von_neumann_entropy(rho)
-
-    nt, np_ = grid_shape
-    if nt < 2 or np_ < 2:
-        raise ValueError("grid must hold at least 2 points per axis")
-    thetas = np.linspace(0.0, math.pi, nt)
-    phis = np.linspace(0.0, 2.0 * math.pi, np_, endpoint=False)
-    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    values = _conditional_entropy_batch(tg.ravel(), pg.ravel(), blocks, rho_data)
-    best = int(values.argmin())
-    t_best = float(tg.ravel()[best])
-    p_best = float(pg.ravel()[best])
-    f_best = float(values[best])
-
-    def objective(theta, phi):
-        return float(
-            _conditional_entropy_batch(
-                np.array([theta]), np.array([phi]), blocks, rho_data
-            )[0]
-        )
-
-    step_t = math.pi / (nt - 1)
-    step_p = 2.0 * math.pi / np_
-    evals = 0
-    for _ in range(60):
-        previous = f_best
-        lo = max(0.0, t_best - step_t)
-        hi = min(math.pi, t_best + step_t)
-        t_new, f_t, used = _golden_min(
-            lambda t: objective(t, p_best), lo, hi, angle_tol
-        )
-        evals += used
-        if f_t < f_best:
-            t_best, f_best = t_new, f_t
-        p_new, f_p, used = _golden_min(
-            lambda q: objective(t_best, q), p_best - step_p, p_best + step_p, angle_tol
-        )
-        evals += used
-        if f_p < f_best:
-            p_best, f_best = p_new % (2.0 * math.pi), f_p
-        if previous - f_best < improve_tol:
-            break
-
-    discord = s_probe - s_full + f_best
-    if discord < -1e-9:
-        raise RuntimeError(f"discord came out {discord:.3e}; optimizer failed")
-    return DiscordResult(
-        discord=max(0.0, discord),
-        measurement_theta=t_best,
-        measurement_phi=p_best,
-        iterations=evals,
-    )
 
 
 def _binary_entropy_array(x: np.ndarray) -> np.ndarray:
@@ -280,29 +144,3 @@ def protocol_discord(block: StepBlock, alpha: float) -> DiscordResult:
         measurement_phi=p_best,
         iterations=evals,
     )
-
-
-def mutual_information(rho: DensityMatrix, probe_index: int = 0) -> float:
-    """I = S(rho_probe) + S(rho_rest) - S(rho)."""
-    k = rho.num_qubits
-    rest = [q for q in range(k) if q != probe_index]
-    return (
-        qstate.von_neumann_entropy(qstate.partial_trace(rho, keep={probe_index}))
-        + qstate.von_neumann_entropy(qstate.partial_trace(rho, keep=rest))
-        - qstate.von_neumann_entropy(rho)
-    )
-
-
-def ppt_min_eigenvalue(rho: DensityMatrix, probe_index: int = 0) -> float:
-    """Smallest eigenvalue of the partial transpose over the probe qubit.
-
-    Nonnegative values mean the probe-register split passes the
-    positive-partial-transpose entanglement test.
-    """
-    k = rho.num_qubits
-    if not 0 <= probe_index < k:
-        raise ValueError(f"probe index {probe_index} outside 0..{k - 1}")
-    mat = _probe_front(rho.entries, probe_index, k)
-    half = 2 ** (k - 1)
-    swapped = mat.reshape(2, half, 2, half).transpose(2, 1, 0, 3)
-    return float(np.linalg.eigvalsh(swapped.reshape(2 * half, 2 * half)).min())

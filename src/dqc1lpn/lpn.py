@@ -195,24 +195,22 @@ def prefix_kinds(
     return kinds
 
 
-def make_oracle(s, cfg: Dqc1Config, kind: str | None = None) -> Oracle:
+def make_oracle(s, cfg: Dqc1Config) -> Oracle:
     """Build a protocol query function that closes over the hidden string.
 
     A query probes bit j with qubits 1..j-1 decoupled and `corrections`
-    (a subset of them) corrected.  kind "dense" runs the full matrices,
-    "closed" evaluates the trace from the block's kind counts
+    (a subset of them) corrected.  cfg.backend "dense" builds the block's
+    matrix, "closed" evaluates the trace from the block's kind counts
     (``prefix_kinds``), "sampled" adds shot noise to the closed-form
     values with one RNG stream per probed bit (derived from cfg.seed).
     """
     # plain ints, normalized once: every query reads them
     bits = as_bits(s, n=cfg.n).tolist()
-    kind = kind or cfg.backend
-    if kind not in ("dense", "closed", "sampled"):
-        raise ValueError(f"unknown oracle kind {kind!r}")
+    backend = cfg.backend
     kinds_of = prefix_kinds(bits)
 
     def true_tau(j, corrections):
-        if kind == "dense":
+        if backend == "dense":
             block = StepBlock.from_bits(bits, cfg.theta, j, range(1, j), corrections)
             return block.dense().trace() / 2**cfg.n
         return kinds_tau(cfg.theta, 0.0, kinds_of(j, corrections))
@@ -226,7 +224,7 @@ def make_oracle(s, cfg: Dqc1Config, kind: str | None = None) -> Oracle:
     ) -> EstimateRecord:
         tau = true_tau(j, corrections)
         ex, ey = dqc1.expectations_from_tau(cfg.alpha, cfg.p, tau)
-        if kind == "sampled":
+        if backend == "sampled":
             stream = np.random.SeedSequence(cfg.seed, spawn_key=(int(j),))
             return dqc1.sample_expectations(
                 cfg, ex, ey, ensemble, queries,

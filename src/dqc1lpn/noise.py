@@ -10,7 +10,8 @@ the probe signal by (1-q) per coupled qubit.
 Both mid-circuit experiments apply that corruption to the closed-form
 trace of the probe-step block (``circuits.StepBlock.tau``), so they build
 no density matrix and run at any n.  The tilted-axis sweep compares the
-dense block's trace with its prediction.
+dense block's trace with its prediction.  The depolarizing channel on a
+dense state, against which the damping is checked, is in ``qstate``.
 """
 
 from __future__ import annotations
@@ -21,39 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import circuits, dqc1, qstate
-from .circuits import PAULI_X, PAULI_Y, PAULI_Z, as_bits, embed, weight
+from . import circuits, dqc1
+from .circuits import as_bits, weight
 from .dqc1 import Dqc1Config, EstimateRecord
-from .qstate import DensityMatrix, KrausSet
-
-
-def depolarizing_kraus(rate: float) -> KrausSet:
-    """Single-qubit depolarizing channel of strength `rate` in Kraus form."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("depolarizing rate outside [0, 1]")
-    return KrausSet(
-        [
-            np.sqrt(1.0 - 3.0 * rate / 4.0) * np.eye(2),
-            np.sqrt(rate / 4.0) * PAULI_X,
-            np.sqrt(rate / 4.0) * PAULI_Y,
-            np.sqrt(rate / 4.0) * PAULI_Z,
-        ]
-    )
-
-
-def depolarize(rho: DensityMatrix, rate: float, targets: Iterable[int]) -> DensityMatrix:
-    """Depolarize each target qubit independently at the given rate."""
-    targets = sorted(set(int(t) for t in targets))
-    total = rho.num_qubits
-    if targets and (targets[0] < 0 or targets[-1] >= total):
-        raise ValueError(f"targets {targets} outside qubits 0..{total - 1}")
-    kraus = depolarizing_kraus(rate)
-    for t in targets:
-        full = KrausSet(
-            [embed(op, t, total) for op in kraus.operators], validate=False
-        )
-        rho = qstate.apply_channel(rho, full)
-    return rho
 
 
 def default_probe_bit(s) -> int | None:

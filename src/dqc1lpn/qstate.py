@@ -1,4 +1,12 @@
-"""Dense linear-algebra substrate for small multi-qubit density-matrix work.
+"""Dense reference simulator over at most ``circuits.MAX_QUBITS`` qubits.
+
+The commands run from closed forms of the probe-step block
+(``circuits.StepBlock``), and no module they use imports this one.  It is
+their n <= 12 cross-check: the dense one-clean-qubit run and its probe
+readout (Knill and Laflamme, PRL 81, 5672, 1998), depolarizing channels,
+and the discord of any state by grid and coordinate descent, against
+which the eigenphase formula (Datta, Shaji and Caves, PRL 100, 050502,
+2008) is checked.
 
 Conventions used across the package:
 
@@ -6,26 +14,25 @@ Conventions used across the package:
 * everything is dense ``complex128`` and dimensions are powers of two;
 * wrapped arrays are frozen after construction, so values can be shared
   between concurrent workers without copying.
-
-Sizes are deliberately desk-scale; :data:`MAX_QUBITS` caps tensor growth
-before a dense matrix stops fitting in memory.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .circuits import HADAMARD, MAX_QUBITS, PAULI_X, PAULI_Y, PAULI_Z, PROJ_0, PROJ_1
+from .circuits import StepBlock, as_bits
+from .dqc1 import Dqc1Config, expectations_from_tau
+from .infomeasures import DiscordResult, _golden_min
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 UNITARITY_TOL = 1e-12
 KRAUS_TOL = 1e-12
 MIN_EIGENVALUE = -1e-10
-IMAG_RESIDUE_TOL = 1e-10
-
-#: Largest total qubit count ``tensor`` will produce.
-MAX_QUBITS = 12
 
 
 def _num_qubits(dim: int) -> int:
@@ -45,6 +52,14 @@ def _square_complex(entries) -> np.ndarray:
 def _freeze(mat: np.ndarray) -> np.ndarray:
     mat.flags.writeable = False
     return mat
+
+
+def _require_unitary(mat: np.ndarray, message: str) -> None:
+    """Raise ValueError(message with the residue) unless U^dag U = 1 to
+    within ``UNITARITY_TOL``."""
+    res = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
+    if res > UNITARITY_TOL:
+        raise ValueError(message.format(res))
 
 
 class DensityMatrix:
@@ -104,9 +119,7 @@ class OperatorMatrix:
         dim = mat.shape[0]
         k = _num_qubits(dim)
         if validate and unitary:
-            res = np.abs(mat.conj().T @ mat - np.eye(dim)).max()
-            if res > UNITARITY_TOL:
-                raise ValueError(f"matrix flagged unitary fails U^dag U = 1 ({res:.3e})")
+            _require_unitary(mat, "matrix flagged unitary fails U^dag U = 1 ({:.3e})")
         self.entries = _freeze(mat)
         self.dim = dim
         self.num_qubits = k
@@ -145,25 +158,15 @@ def tensor(a, b):
     Qubit 0 of the result is qubit 0 of `a`; tensoring past ``MAX_QUBITS``
     total qubits is refused.
     """
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        if a.num_qubits + b.num_qubits > MAX_QUBITS:
-            raise ValueError(
-                f"tensor would span {a.num_qubits + b.num_qubits} qubits "
-                f"(limit {MAX_QUBITS})"
-            )
-        return DensityMatrix(np.kron(a.entries, b.entries), validate=False)
-    if isinstance(a, OperatorMatrix) and isinstance(b, OperatorMatrix):
-        if a.num_qubits + b.num_qubits > MAX_QUBITS:
-            raise ValueError(
-                f"tensor would span {a.num_qubits + b.num_qubits} qubits "
-                f"(limit {MAX_QUBITS})"
-            )
-        return OperatorMatrix(
-            np.kron(a.entries, b.entries),
-            unitary=a.unitary and b.unitary,
-            validate=False,
+    if type(a) is not type(b) or not isinstance(a, (DensityMatrix, OperatorMatrix)):
+        raise TypeError("tensor expects two DensityMatrix or two OperatorMatrix arguments")
+    if a.num_qubits + b.num_qubits > MAX_QUBITS:
+        raise ValueError(
+            f"tensor would span {a.num_qubits + b.num_qubits} qubits "
+            f"(limit {MAX_QUBITS})"
         )
-    raise TypeError("tensor expects two DensityMatrix or two OperatorMatrix arguments")
+    flags = {"unitary": a.unitary and b.unitary} if isinstance(a, OperatorMatrix) else {}
+    return type(a)(np.kron(a.entries, b.entries), validate=False, **flags)
 
 
 def apply_unitary(rho: DensityMatrix, u: OperatorMatrix) -> DensityMatrix:
@@ -171,9 +174,7 @@ def apply_unitary(rho: DensityMatrix, u: OperatorMatrix) -> DensityMatrix:
     if rho.dim != u.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, operator {u.dim}")
     if not u.unitary:
-        res = np.abs(u.entries.conj().T @ u.entries - np.eye(u.dim)).max()
-        if res > UNITARITY_TOL:
-            raise ValueError(f"operator is not unitary (residue {res:.3e})")
+        _require_unitary(u.entries, "operator is not unitary (residue {:.3e})")
     out = u.entries @ rho.entries @ u.entries.conj().T
     return DensityMatrix(out, validate=False)
 
@@ -217,14 +218,300 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(-(pos * np.log2(pos)).sum())
 
 
-def expectation(rho: DensityMatrix, obs: OperatorMatrix) -> float:
-    """Real expectation value tr(obs rho) of a Hermitian observable."""
-    if rho.dim != obs.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, observable {obs.dim}")
-    herm = np.abs(obs.entries - obs.entries.conj().T).max()
-    if herm > HERMITICITY_TOL:
-        raise ValueError(f"observable is not Hermitian (residue {herm:.3e})")
-    val = complex(np.einsum("ij,ji->", obs.entries, rho.entries))
-    if abs(val.imag) > IMAG_RESIDUE_TOL:
-        raise RuntimeError(f"expectation carries imaginary residue {val.imag:.3e}")
-    return float(val.real)
+def embed(gate: np.ndarray, qubit: int, total: int) -> np.ndarray:
+    """Single-qubit `gate` on `qubit` (0-based), identity elsewhere."""
+    if not 0 <= qubit < total:
+        raise ValueError(f"qubit {qubit} outside 0..{total - 1}")
+    left = np.eye(2**qubit, dtype=complex)
+    right = np.eye(2 ** (total - qubit - 1), dtype=complex)
+    return np.kron(np.kron(left, gate), right)
+
+
+def cnot(control: int, target: int, total: int) -> np.ndarray:
+    """Dense CNOT on a `total`-qubit register."""
+    if control == target:
+        raise ValueError("control and target coincide")
+    return embed(PROJ_0, control, total) + embed(PROJ_1, control, total) @ embed(
+        PAULI_X, target, total
+    )
+
+
+def build_parity_unitary(s) -> OperatorMatrix:
+    """Tensor product of sx on every data qubit with s_k = 1.
+
+    Self-inverse, and traceless unless s is all zeros.
+    """
+    bits = as_bits(s)
+    # every qubit decoupled and none corrected: no rotation, bare couplings
+    block = StepBlock.from_bits(bits, 0.0, decoupled=range(1, bits.size + 1))
+    return OperatorMatrix(block.dense(), unitary=True, validate=False)
+
+
+def controlled(u: OperatorMatrix) -> OperatorMatrix:
+    """Block-diagonal [1, u]: apply `u` to the data register when the probe
+    (most significant qubit) is set."""
+    if not u.unitary:
+        _require_unitary(u.entries, "controlled block is not unitary (residue {:.3e})")
+    dim = u.dim
+    out = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    out[:dim, :dim] = np.eye(dim)
+    out[dim:, dim:] = u.entries
+    return OperatorMatrix(out, unitary=True, validate=False)
+
+
+def parity_step_block(s, theta: float, *, j: int | None = None, phi: float = 0.0) -> OperatorMatrix:
+    """Data-register block rotation . parity pattern for one probe step.
+
+    With `j` given the rotation skips data qubit j (the discrimination
+    step); with ``j=None`` the rotation is uniform.
+    """
+    block = StepBlock.from_bits(as_bits(s), theta, j, phi=phi)
+    return OperatorMatrix(block.dense(), unitary=True, validate=False)
+
+
+def error_identity_check() -> float:
+    """Check the phase-error propagation identity on two qubits.
+
+    A sz after the controlled-x block (probe controls, data qubit is the
+    target) equals the same circuit preceded by sx on the probe and sz on
+    the data qubit, once the probe Hadamard is accounted for:
+
+        (1 x sz) . CNOT . (H x 1) = CNOT . (H x 1) . (sx x sz)
+
+    Returns the largest entrywise deviation between the two sides.
+    """
+    cx = cnot(0, 1, 2)
+    lhs = embed(PAULI_Z, 1, 2) @ cx @ embed(HADAMARD, 0, 2)
+    rhs = cx @ embed(HADAMARD, 0, 2) @ np.kron(PAULI_X, PAULI_Z)
+    return float(np.abs(lhs - rhs).max())
+
+
+def initial_state(cfg: Dqc1Config) -> DensityMatrix:
+    """Probe with polarization alpha tensored with n maximally mixed qubits."""
+    probe = DensityMatrix(
+        np.diag([(1.0 + cfg.alpha) / 2.0, (1.0 - cfg.alpha) / 2.0]).astype(complex),
+        validate=False,
+    )
+    if cfg.n == 0:
+        return probe
+    return tensor(probe, DensityMatrix.maximally_mixed(cfg.n))
+
+
+def run_protocol(cfg: Dqc1Config, w: OperatorMatrix) -> DensityMatrix:
+    """Apply H on the probe, then the controlled block, to the initial state.
+
+    The output is exactly
+
+        (1 + alpha (|0><1| x w^dag + |1><0| x w)) / 2^(n+1).
+    """
+    if w.num_qubits != cfg.n:
+        raise ValueError(f"block spans {w.num_qubits} qubits, config says {cfg.n}")
+    had = OperatorMatrix(embed(HADAMARD, 0, cfg.n + 1), unitary=True, validate=False)
+    return apply_unitary(apply_unitary(initial_state(cfg), had), controlled(w))
+
+
+def analytic_expectations(cfg: Dqc1Config, w: OperatorMatrix) -> tuple[float, float]:
+    """Exact probe expectations from the dense trace of the block."""
+    if w.num_qubits != cfg.n:
+        raise ValueError(f"block spans {w.num_qubits} qubits, config says {cfg.n}")
+    tau = w.entries.trace() / w.dim
+    return expectations_from_tau(cfg.alpha, cfg.p, tau)
+
+
+def probe_expectations(rho: DensityMatrix, p: float = 0.0) -> tuple[float, float]:
+    """Measured (<sx>, <sy>) on qubit 0 of a register state, after readout
+    depolarization at rate p: <sx> + i <sy> = 2 (1-p) tr(rho_10), with
+    rho_10 the probe's |1><0| block."""
+    half = rho.dim // 2
+    if half == 0:
+        raise ValueError("state holds no probe qubit")
+    z = 2.0 * (1.0 - p) * complex(rho.entries[half:, :half].trace())
+    return z.real, z.imag
+
+
+def depolarizing_kraus(rate: float) -> KrausSet:
+    """Single-qubit depolarizing channel of strength `rate` in Kraus form."""
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError("depolarizing rate outside [0, 1]")
+    return KrausSet(
+        [
+            np.sqrt(1.0 - 3.0 * rate / 4.0) * np.eye(2),
+            np.sqrt(rate / 4.0) * PAULI_X,
+            np.sqrt(rate / 4.0) * PAULI_Y,
+            np.sqrt(rate / 4.0) * PAULI_Z,
+        ]
+    )
+
+
+def depolarize(rho: DensityMatrix, rate: float, targets: Iterable[int]) -> DensityMatrix:
+    """Depolarize each target qubit independently at the given rate."""
+    targets = sorted(set(int(t) for t in targets))
+    total = rho.num_qubits
+    if targets and (targets[0] < 0 or targets[-1] >= total):
+        raise ValueError(f"targets {targets} outside qubits 0..{total - 1}")
+    kraus = depolarizing_kraus(rate)
+    for t in targets:
+        full = KrausSet(
+            [embed(op, t, total) for op in kraus.operators], validate=False
+        )
+        rho = apply_channel(rho, full)
+    return rho
+
+
+def rel_entropy_coherence(rho: DensityMatrix) -> float:
+    """Relative entropy of coherence S(diag(rho)) - S(rho) in the
+    computational basis."""
+    diag = np.clip(rho.entries.diagonal().real, 0.0, 1.0)
+    pos = diag[diag > 0]
+    s_diag = float(-(pos * np.log2(pos)).sum())
+    return max(0.0, s_diag - von_neumann_entropy(rho))
+
+
+def mutual_information(rho: DensityMatrix, probe_index: int = 0) -> float:
+    """I = S(rho_probe) + S(rho_rest) - S(rho)."""
+    k = rho.num_qubits
+    rest = [q for q in range(k) if q != probe_index]
+    return (
+        von_neumann_entropy(partial_trace(rho, keep={probe_index}))
+        + von_neumann_entropy(partial_trace(rho, keep=rest))
+        - von_neumann_entropy(rho)
+    )
+
+
+def ppt_min_eigenvalue(rho: DensityMatrix, probe_index: int = 0) -> float:
+    """Smallest eigenvalue of the partial transpose over the probe qubit.
+
+    Nonnegative values mean the probe-register split passes the
+    positive-partial-transpose entanglement test.
+    """
+    k = rho.num_qubits
+    if not 0 <= probe_index < k:
+        raise ValueError(f"probe index {probe_index} outside 0..{k - 1}")
+    mat = _probe_front(rho.entries, probe_index, k)
+    half = 2 ** (k - 1)
+    swapped = mat.reshape(2, half, 2, half).transpose(2, 1, 0, 3)
+    return float(np.linalg.eigvalsh(swapped.reshape(2 * half, 2 * half)).min())
+
+
+def _probe_front(mat: np.ndarray, probe: int, k: int) -> np.ndarray:
+    """Permute qubit `probe` to the most significant position."""
+    if probe == 0:
+        return mat
+    perm = [probe] + [q for q in range(k) if q != probe]
+    axes = perm + [k + q for q in perm]
+    dim = 2**k
+    return mat.reshape([2] * (2 * k)).transpose(axes).reshape(dim, dim)
+
+
+def _probe_blocks(rho: DensityMatrix, probe: int) -> np.ndarray:
+    """(2, 2, D, D) array b with b[i, j] = <i|_probe rho |j>_probe."""
+    k = rho.num_qubits
+    if not 0 <= probe < k:
+        raise ValueError(f"probe index {probe} outside 0..{k - 1}")
+    if k < 2:
+        raise ValueError("state must hold the probe plus at least one qubit")
+    mat = _probe_front(rho.entries, probe, k)
+    half = 2 ** (k - 1)
+    return mat.reshape(2, half, 2, half).transpose(0, 2, 1, 3)
+
+
+def _conditional_entropy_batch(
+    thetas: np.ndarray, phis: np.ndarray, blocks: np.ndarray, rho_data: np.ndarray
+) -> np.ndarray:
+    """sum_k p_k S(rho_data|k) for a batch of measurement directions.
+
+    The post-measurement data state for projector |v><v| is
+    sum_ij v_j conj(v_i) b[i, j]; the complementary outcome is
+    rho_data minus that, so one einsum per batch covers both branches.
+    """
+    v0 = np.cos(thetas / 2.0).astype(complex)
+    v1 = np.sin(thetas / 2.0) * np.exp(1j * phis)
+    coef = np.empty(thetas.shape + (2, 2), dtype=complex)
+    for i, vi in enumerate((v0, v1)):
+        for jj, vj in enumerate((v0, v1)):
+            coef[..., i, jj] = vj * np.conj(vi)
+    sig_plus = np.einsum("...ij,ijab->...ab", coef, blocks)
+    sig_minus = rho_data - sig_plus
+    out = np.zeros(thetas.shape)
+    for sig in (sig_plus, sig_minus):
+        lam = np.linalg.eigvalsh(sig)
+        prob = lam.sum(axis=-1)
+        lam = np.clip(lam, 0.0, None)
+        norm = lam / np.maximum(prob, 1e-300)[..., None]
+        ent = -(norm * np.log2(np.where(norm > 0, norm, 1.0))).sum(axis=-1)
+        out += np.where(prob > 1e-15, prob * ent, 0.0)
+    return out
+
+
+def quantum_discord(
+    rho: DensityMatrix,
+    probe_index: int = 0,
+    *,
+    grid_shape: tuple[int, int] = (64, 128),
+    angle_tol: float = 1e-6,
+    improve_tol: float = 1e-9,
+) -> DiscordResult:
+    """Discord of `rho` with the measurement on the given probe qubit.
+
+    Grid search over (theta, phi) on the Bloch sphere, then coordinate
+    descent with golden-section line searches down to `angle_tol` per
+    coordinate, stopping once a full sweep improves the conditional
+    entropy by less than `improve_tol` bits.
+    """
+    blocks = _probe_blocks(rho, probe_index)
+    rho_data = blocks[0, 0] + blocks[1, 1]
+    s_probe = von_neumann_entropy(
+        partial_trace(rho, keep={probe_index})
+    )
+    s_full = von_neumann_entropy(rho)
+
+    nt, np_ = grid_shape
+    if nt < 2 or np_ < 2:
+        raise ValueError("grid must hold at least 2 points per axis")
+    thetas = np.linspace(0.0, math.pi, nt)
+    phis = np.linspace(0.0, 2.0 * math.pi, np_, endpoint=False)
+    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
+    values = _conditional_entropy_batch(tg.ravel(), pg.ravel(), blocks, rho_data)
+    best = int(values.argmin())
+    t_best = float(tg.ravel()[best])
+    p_best = float(pg.ravel()[best])
+    f_best = float(values[best])
+
+    def objective(theta, phi):
+        return float(
+            _conditional_entropy_batch(
+                np.array([theta]), np.array([phi]), blocks, rho_data
+            )[0]
+        )
+
+    step_t = math.pi / (nt - 1)
+    step_p = 2.0 * math.pi / np_
+    evals = 0
+    for _ in range(60):
+        previous = f_best
+        lo = max(0.0, t_best - step_t)
+        hi = min(math.pi, t_best + step_t)
+        t_new, f_t, used = _golden_min(
+            lambda t: objective(t, p_best), lo, hi, angle_tol
+        )
+        evals += used
+        if f_t < f_best:
+            t_best, f_best = t_new, f_t
+        p_new, f_p, used = _golden_min(
+            lambda q: objective(t_best, q), p_best - step_p, p_best + step_p, angle_tol
+        )
+        evals += used
+        if f_p < f_best:
+            p_best, f_best = p_new % (2.0 * math.pi), f_p
+        if previous - f_best < improve_tol:
+            break
+
+    discord = s_probe - s_full + f_best
+    if discord < -1e-9:
+        raise RuntimeError(f"discord came out {discord:.3e}; optimizer failed")
+    return DiscordResult(
+        discord=max(0.0, discord),
+        measurement_theta=t_best,
+        measurement_phi=p_best,
+        iterations=evals,
+    )

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from dqc1lpn import circuits, dqc1, qstate
-from dqc1lpn.circuits import HADAMARD, StepBlock, as_bits, embed
+from dqc1lpn import qstate
+from dqc1lpn.circuits import HADAMARD, StepBlock, as_bits
 from dqc1lpn.dqc1 import Dqc1Config
-from dqc1lpn.qstate import DensityMatrix, OperatorMatrix
+from dqc1lpn.qstate import DensityMatrix, OperatorMatrix, embed
 
 
 def random_unitary(rng, dim):
@@ -87,12 +87,12 @@ def dense_final_state(
     """
     bits = as_bits(s, n=cfg.n)
     total = cfg.n + 1
-    rotation = circuits.parity_step_block([0] * cfg.n, cfg.theta, j=j)
-    rho = dqc1.initial_state(cfg)
+    rotation = qstate.parity_step_block([0] * cfg.n, cfg.theta, j=j)
+    rho = qstate.initial_state(cfg)
     had = OperatorMatrix(embed(HADAMARD, 0, total), unitary=True, validate=False)
     rho = qstate.apply_unitary(rho, had)
     rho = qstate.apply_unitary(
-        rho, circuits.controlled(circuits.build_parity_unitary(bits))
+        rho, qstate.controlled(qstate.build_parity_unitary(bits))
     )
     rho = between(rho)
-    return qstate.apply_unitary(rho, circuits.controlled(rotation))
+    return qstate.apply_unitary(rho, qstate.controlled(rotation))

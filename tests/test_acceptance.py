@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from dqc1lpn import circuits, cli, dqc1, infomeasures, lpn, noise
+from dqc1lpn import circuits, cli, infomeasures, lpn, noise, qstate
 from dqc1lpn.circuits import as_bits
 from dqc1lpn.dqc1 import Dqc1Config
 from dqc1lpn.lpn import BudgetParams
@@ -41,7 +41,7 @@ def test_criterion_01_trace_formula():
     for n in range(1, 6):
         for bits in all_bitstrings(n):
             for theta in THETAS:
-                block = circuits.parity_step_block(bits, theta, j=None)
+                block = qstate.parity_step_block(bits, theta, j=None)
                 dense = complex(np.trace(block.entries)) / 2**n
                 closed = _uniform_formula(int(bits.sum()), n, theta)
                 worst = max(worst, abs(dense - closed))
@@ -62,7 +62,7 @@ def test_criterion_02_per_bit_discrimination():
         for bits in all_bitstrings(n):
             for j in range(1, n + 1):
                 for theta in THETAS:
-                    block = circuits.parity_step_block(bits, theta, j=j)
+                    block = qstate.parity_step_block(bits, theta, j=j)
                     dense = complex(np.trace(block.entries)) / 2**n
                     if bits[j - 1]:
                         if abs(dense) >= 1e-12:
@@ -121,7 +121,7 @@ def test_criterion_04_end_to_end_learning():
         budget = BudgetParams(delta=0.01, alpha=1.0, p=0.0, L=1000)
         for bits in all_bitstrings(n):
             res = lpn.learn(
-                lpn.make_oracle(bits, cfg, kind="dense"), cfg, budget, fixed_queries=1
+                lpn.make_oracle(bits, cfg), cfg, budget, fixed_queries=1
             )
             analytic_fails += int(not np.array_equal(res.s_hat, bits))
     analytic_elapsed = time.perf_counter() - start
@@ -136,7 +136,7 @@ def test_criterion_04_end_to_end_learning():
         )
         budget = BudgetParams(delta=0.01, alpha=1.0, p=0.0, L=1000)
         res = lpn.learn(
-            lpn.make_oracle(bits, cfg, kind="sampled"), cfg, budget, fixed_queries=100
+            lpn.make_oracle(bits, cfg), cfg, budget, fixed_queries=100
         )
         wins += int(np.array_equal(res.s_hat, bits))
     ok = analytic_fails == 0 and analytic_elapsed < 60.0 and wins >= 99
@@ -153,11 +153,11 @@ def test_criterion_05_readout_depolarization():
     for s in ("01", "0110"):
         bits = as_bits(s)
         cfg = Dqc1Config(n=bits.size, alpha=0.8, p=0.0, theta=1.1)
-        block = circuits.parity_step_block(bits, 1.1, j=None)
-        rho = dqc1.run_protocol(cfg, block)
-        clean = dqc1.probe_expectations(rho)
+        block = qstate.parity_step_block(bits, 1.1, j=None)
+        rho = qstate.run_protocol(cfg, block)
+        clean = qstate.probe_expectations(rho)
         for p in (0.25, 0.5, 0.9):
-            noisy = dqc1.probe_expectations(noise.depolarize(rho, p, [0]))
+            noisy = qstate.probe_expectations(qstate.depolarize(rho, p, [0]))
             worst = max(
                 worst,
                 abs(noisy[0] - (1 - p) * clean[0]),
@@ -173,7 +173,7 @@ def test_criterion_05_readout_depolarization():
 
 
 def test_criterion_06_error_propagation():
-    identity_dev = circuits.error_identity_check()
+    identity_dev = qstate.error_identity_check()
 
     bits = as_bits("0110")
     cfg = Dqc1Config(n=4, alpha=1.0, p=0.0, theta=HALF_PI)
@@ -220,8 +220,8 @@ def test_criterion_07_systematic_tilt():
 def test_criterion_08_information_measures():
     def protocol_state(bits, theta, alpha, j=1):
         cfg = Dqc1Config(n=bits.size, alpha=alpha, p=0.0, theta=theta)
-        block = circuits.parity_step_block(bits, theta, j=j)
-        return dqc1.run_protocol(cfg, block)
+        block = qstate.parity_step_block(bits, theta, j=j)
+        return qstate.run_protocol(cfg, block)
 
     def discord(bits, theta, alpha, j=1):
         block = circuits.StepBlock.from_bits(bits, theta, j)
@@ -251,14 +251,14 @@ def test_criterion_08_information_measures():
                     rho = protocol_state(bits, theta, alpha)
                     tau = lpn.closed_form_tau(bits, theta, 1)
                     dc = infomeasures.coherence_consumption(alpha, abs(tau))
-                    before = infomeasures.rel_entropy_coherence(
+                    before = qstate.rel_entropy_coherence(
                         DensityMatrix(
                             np.array(
                                 [[0.5, alpha / 2], [alpha / 2, 0.5]], dtype=complex
                             )
                         )
                     )
-                    after = infomeasures.rel_entropy_coherence(
+                    after = qstate.rel_entropy_coherence(
                         partial_trace(rho, [0])
                     )
                     worst_dc = max(worst_dc, abs((before - after) - dc))
@@ -269,7 +269,7 @@ def test_criterion_08_information_measures():
     for n in range(1, 5):
         for bits in all_bitstrings(n):
             rho = protocol_state(bits, HALF_PI, 0.5)
-            worst_ppt = min(worst_ppt, infomeasures.ppt_min_eigenvalue(rho))
+            worst_ppt = min(worst_ppt, qstate.ppt_min_eigenvalue(rho))
 
     ok = (
         worst_zero < 1e-6

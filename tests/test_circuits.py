@@ -8,20 +8,15 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dqc1lpn import circuits, lpn
-from dqc1lpn.circuits import (
-    StepBlock,
-    as_bits,
-    bits_to_str,
+from dqc1lpn import circuits, lpn, qstate
+from dqc1lpn.circuits import StepBlock, as_bits, bits_to_str, require_normal, rx, weight
+from dqc1lpn.qstate import (
     build_parity_unitary,
     cnot,
     controlled,
     embed,
     error_identity_check,
     parity_step_block,
-    require_normal,
-    rx,
-    weight,
 )
 
 from conftest import all_bitstrings, random_unitary, reference_tau, step_blocks
@@ -96,7 +91,7 @@ def test_step_block_validation():
     block = StepBlock.from_bits(bits, 1.0, 3, decoupled=(1, 2), corrections=(1, 2))
     assert block.rotated == (False, False, False)
     assert block.flips == (True, False, True)
-    # past qstate.MAX_QUBITS the dense matrix is refused before allocation
+    # past circuits.MAX_QUBITS the dense matrix is refused before allocation
     with pytest.raises(ValueError, match="closed"):
         StepBlock.from_bits([0] * 13, 1.0, 1).dense()
 
@@ -113,7 +108,7 @@ def test_step_block_unrotated_qubit_is_identity():
 
 def test_controlled_block_structure(rng):
     w = random_unitary(rng, 4)
-    cu = controlled(circuits.OperatorMatrix(w, unitary=True)).entries
+    cu = controlled(qstate.OperatorMatrix(w, unitary=True)).entries
     np.testing.assert_allclose(cu[:4, :4], np.eye(4), atol=1e-14)
     np.testing.assert_allclose(cu[4:, 4:], w, atol=1e-14)
     np.testing.assert_allclose(cu[:4, 4:], 0, atol=1e-14)

@@ -38,6 +38,9 @@ def test_parse_grid_forms():
         cli.parse_grid("0:1:0")
     with pytest.raises(ValueError):
         cli.parse_grid("0:1:2:3")
+    for empty in ("", ","):
+        with pytest.raises(ValueError):
+            cli.parse_grid(empty)
 
 
 def test_learn_json_payload(capsys):
@@ -108,6 +111,22 @@ def test_usage_errors_exit_two(capsys):
         # midq signals that are exactly zero: no rotation, no polarization
         ("noise-sweep", "--mode", "midq", "--s", "0110", "--theta", "0", "--j", "1"),
         ("noise-sweep", "--mode", "midq", "--s", "0110", "--alpha", "0"),
+        # empty grids, a trace table below one qubit
+        ("noise-sweep", "--mode", "systematic", "--s", "0110", "--theta-grid", ""),
+        ("noise-sweep", "--mode", "systematic", "--s", "0110", "--theta-grid", ","),
+        ("noise-sweep", "--mode", "systematic", "--s", "0110", "--phi-grid", ""),
+        ("noise-sweep", "--mode", "midq", "--s", "0110", "--q-grid", ""),
+        ("discord-sweep", "--s", "011", "--j", "1", "--alpha-grid", ""),
+        ("coherence", "--alpha-grid", ""),
+        ("coherence", "--tau-grid", ","),
+        ("trace-table", "--n", "-1"),
+        ("trace-table", "--n", "0"),
+        # seeds outside 0..2^64-1 on every command, and alpha outside [0, 1]
+        ("coherence", "--seed", "-5"),
+        ("trace-table", "--n", "2", "--seed", "18446744073709551616"),
+        ("discord-sweep", "--s", "011", "--j", "1", "--alpha-grid", "0:2:3"),
+        ("discord-sweep", "--s", "011", "--j", "1", "--alpha-grid", "0.5", "--seed", "-1"),
+        ("discord-sweep", "--s", "011", "--j", "1", "--alpha", "1.5", "--theta-grid", "1"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

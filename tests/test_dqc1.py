@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from dqc1lpn import circuits, noise
+from dqc1lpn import circuits, qstate
 from dqc1lpn.dqc1 import (
     Dqc1Config,
     EstimateRecord,
-    analytic_expectations,
     expectations_from_tau,
+    sample_expectations,
+)
+from dqc1lpn.qstate import (
+    OperatorMatrix,
+    analytic_expectations,
     initial_state,
     probe_expectations,
     run_protocol,
-    sample_expectations,
 )
-from dqc1lpn.qstate import OperatorMatrix
 
 from conftest import random_unitary
 
@@ -77,7 +79,7 @@ def test_expectations_from_tau_quarter_signal():
 def test_probe_readout_of_protocol_state():
     bits = circuits.as_bits("10")
     cfg = Dqc1Config(n=2, alpha=0.9, p=0.0, theta=np.pi / 2)
-    block = circuits.parity_step_block(bits, np.pi / 2, j=None)
+    block = qstate.parity_step_block(bits, np.pi / 2, j=None)
     rho = run_protocol(cfg, block)
     ex, ey = probe_expectations(rho)
     # tau = (i sin(pi/4)) cos(pi/4) = i/2
@@ -92,7 +94,7 @@ def test_probe_depolarization_scales_readout(rng, p):
     w = random_unitary(rng, 4)
     rho = run_protocol(cfg, OperatorMatrix(w, unitary=True))
     clean = probe_expectations(rho)
-    noisy = probe_expectations(noise.depolarize(rho, p, [0]))
+    noisy = probe_expectations(qstate.depolarize(rho, p, [0]))
     assert noisy[0] == pytest.approx((1 - p) * clean[0], abs=1e-12)
     assert noisy[1] == pytest.approx((1 - p) * clean[1], abs=1e-12)
 

@@ -6,18 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dqc1lpn import circuits, dqc1, lpn
-from dqc1lpn.infomeasures import (
-    binary_entropy,
-    coherence_consumption,
+from dqc1lpn import circuits, dqc1, lpn, qstate
+from dqc1lpn.infomeasures import binary_entropy, coherence_consumption, protocol_discord
+from dqc1lpn.circuits import StepBlock
+from dqc1lpn.qstate import (
+    DensityMatrix,
+    OperatorMatrix,
     mutual_information,
+    partial_trace,
     ppt_min_eigenvalue,
-    protocol_discord,
     quantum_discord,
     rel_entropy_coherence,
 )
-from dqc1lpn.circuits import StepBlock
-from dqc1lpn.qstate import DensityMatrix, OperatorMatrix, partial_trace
 
 from conftest import step_blocks
 
@@ -42,8 +42,8 @@ BELL = DensityMatrix(
 def _protocol_state(s, theta, alpha, j=1):
     bits = circuits.as_bits(s)
     cfg = dqc1.Dqc1Config(n=bits.size, alpha=alpha, p=0.0, theta=theta)
-    block = circuits.parity_step_block(bits, theta, j=j)
-    return dqc1.run_protocol(cfg, block)
+    block = qstate.parity_step_block(bits, theta, j=j)
+    return qstate.run_protocol(cfg, block)
 
 
 def test_binary_entropy_values():
@@ -179,7 +179,7 @@ def test_protocol_discord_matches_dense(phi):
         w = OperatorMatrix(block.dense(), unitary=True, validate=False)
         for alpha in (0.0, 0.3, 0.7, 1.0):
             cfg = dqc1.Dqc1Config(n=n, alpha=alpha, p=0.0, theta=block.theta)
-            dense = quantum_discord(dqc1.run_protocol(cfg, w), grid_shape=(5, 8))
+            dense = quantum_discord(qstate.run_protocol(cfg, w), grid_shape=(5, 8))
             fast = protocol_discord(block, alpha)
             assert abs(fast.discord - dense.discord) < 1e-9
             assert fast.measurement_theta == HALF_PI

@@ -172,8 +172,8 @@ def test_oracle_backends_agree(rng, kind):
         j = int(rng.integers(1, n + 1))
         dec = tuple(range(1, j))
         corr = tuple(k for k in dec if bits[k - 1])
-        cfg = Dqc1Config(n=n, alpha=0.75, p=0.2, theta=theta)
-        rec = make_oracle(bits, cfg, kind=kind)(j, corrections=corr)
+        cfg = Dqc1Config(n=n, alpha=0.75, p=0.2, theta=theta, backend=kind)
+        rec = make_oracle(bits, cfg)(j, corrections=corr)
         tau = closed_form_tau(bits, theta, j, decoupled=dec)
         assert rec.ex == pytest.approx(0.75 * 0.8 * tau.real, abs=1e-12)
         assert rec.ey == pytest.approx(0.75 * 0.8 * tau.imag, abs=1e-12)
@@ -192,8 +192,8 @@ def _assert_oracle_matches_block(bits, theta, j, corrections):
     bits = [int(b) for b in bits]
     block = StepBlock.from_bits(bits, theta, j, range(1, j), corrections)
     assert prefix_kinds(bits)(j, corrections) == block.kinds
-    cfg = Dqc1Config(n=len(bits), alpha=1.0, p=0.0, theta=theta)
-    rec = make_oracle(bits, cfg, kind="closed")(j, corrections)
+    cfg = Dqc1Config(n=len(bits), alpha=1.0, p=0.0, theta=theta, backend="closed")
+    rec = make_oracle(bits, cfg)(j, corrections)
     assert complex(rec.ex, rec.ey) == block.tau()
 
 
@@ -221,8 +221,8 @@ def test_prefix_kinds_match_step_block_at_300_qubits(rng):
 
 @pytest.mark.parametrize("kind", ["dense", "closed", "sampled"])
 def test_oracle_rejects_probe_and_corrections_out_of_range(kind):
-    cfg = Dqc1Config(n=3, alpha=1.0, p=0.0, theta=1.0)
-    oracle = make_oracle(as_bits("011"), cfg, kind=kind)
+    cfg = Dqc1Config(n=3, alpha=1.0, p=0.0, theta=1.0, backend=kind)
+    oracle = make_oracle(as_bits("011"), cfg)
     for j, corrections in ((0, ()), (4, ()), (2, (2,)), (2, (3,)), (3, (0,))):
         with pytest.raises(ValueError):
             oracle(j, corrections)
@@ -231,8 +231,8 @@ def test_oracle_rejects_probe_and_corrections_out_of_range(kind):
 def test_wrong_correction_kills_later_signal():
     """A mistaken earlier decision leaves a stray flip and zeroes the trace."""
     bits = as_bits("110")
-    cfg = Dqc1Config(n=3, alpha=1.0, p=0.0, theta=HALF_PI)
-    oracle = make_oracle(bits, cfg, kind="dense")
+    cfg = Dqc1Config(n=3, alpha=1.0, p=0.0, theta=HALF_PI, backend="dense")
+    oracle = make_oracle(bits, cfg)
     # qubit 1 really is coupled, but the caller claims it was clean
     rec = oracle(2, corrections=())
     assert abs(rec.ex) < 1e-12
@@ -250,16 +250,16 @@ def test_learn_exhaustive_analytic():
 
 def test_learn_survives_heavy_readout_noise():
     bits = as_bits("0110")
-    cfg = Dqc1Config(n=4, alpha=0.4, p=0.8, theta=HALF_PI)
+    cfg = Dqc1Config(n=4, alpha=0.4, p=0.8, theta=HALF_PI, backend="dense")
     budget = _budget(alpha=0.4, p=0.8)
-    res = learn(make_oracle(bits, cfg, kind="dense"), cfg, budget, fixed_queries=1)
+    res = learn(make_oracle(bits, cfg), cfg, budget, fixed_queries=1)
     assert bits_to_str(res.s_hat) == "0110"
 
 
 def test_learn_sampled_backend_round_trip():
     bits = as_bits("101")
     cfg = Dqc1Config(n=3, alpha=1.0, p=0.0, theta=HALF_PI, backend="sampled", seed=17)
-    res = learn(make_oracle(bits, cfg, kind="sampled"), cfg, _budget(), fixed_queries=200)
+    res = learn(make_oracle(bits, cfg), cfg, _budget(), fixed_queries=200)
     assert bits_to_str(res.s_hat) == "101"
     assert all(step.record.queries_Q == 200 for step in res.steps)
 

@@ -8,17 +8,22 @@ import pytest
 from conftest import all_bitstrings, dense_final_state
 
 from dqc1lpn import qstate
-from dqc1lpn.circuits import PAULI_Z, as_bits, bits_to_str, embed
-from dqc1lpn.dqc1 import Dqc1Config, probe_expectations
+from dqc1lpn.circuits import PAULI_Z, as_bits, bits_to_str
+from dqc1lpn.dqc1 import Dqc1Config
 from dqc1lpn.noise import (
     default_probe_bit,
-    depolarize,
-    depolarizing_kraus,
     midcircuit_noise_experiment,
     phase_flip_parity_experiment,
     systematic_error_sweep,
 )
-from dqc1lpn.qstate import DensityMatrix, OperatorMatrix
+from dqc1lpn.qstate import (
+    DensityMatrix,
+    OperatorMatrix,
+    depolarize,
+    depolarizing_kraus,
+    embed,
+    probe_expectations,
+)
 
 HALF_PI = math.pi / 2
 

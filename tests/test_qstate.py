@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,6 @@ from dqc1lpn.qstate import (
     OperatorMatrix,
     apply_channel,
     apply_unitary,
-    expectation,
     partial_trace,
     tensor,
     von_neumann_entropy,
@@ -165,14 +167,19 @@ def test_entropy_values():
     assert von_neumann_entropy(skewed) == pytest.approx(ENTROPY_QUARTER, abs=1e-13)
 
 
-def test_expectation_basics():
-    rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
-    assert expectation(rho, OperatorMatrix(SZ)) == pytest.approx(1.0)
-    plus = DensityMatrix.from_pure(np.array([1, 1], dtype=complex) / np.sqrt(2))
-    assert expectation(plus, OperatorMatrix(SX)) == pytest.approx(1.0)
-
-
-def test_expectation_rejects_non_hermitian():
-    rho = DensityMatrix.maximally_mixed(1)
-    with pytest.raises(ValueError):
-        expectation(rho, OperatorMatrix(np.array([[0, 1], [0, 0]], dtype=complex)))
+def test_runtime_modules_do_not_import_qstate():
+    """The dense reference stays out of every module the commands run."""
+    src = Path(qstate.__file__).parent
+    importers = []
+    for name in ("cli", "lpn", "dqc1", "noise", "infomeasures", "circuits"):
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+            if isinstance(node, ast.Import):
+                paths = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                paths = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any("qstate" in path.split(".") for path in paths):
+                importers.append(name)
+    assert importers == []
