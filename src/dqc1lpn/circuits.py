@@ -81,9 +81,18 @@ def rx(theta: float, phi: float = 0.0) -> np.ndarray:
 
 
 def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Left-associated Kronecker product of 2x2 factors, starting from
+    [[1+0j]].  Each step writes out * f[r, c] into the (r, c) slots of a
+    preallocated (m, 2, m, 2) array, the same products as ``np.kron`` (so
+    the same bits, signed zeros included) without its strided copies."""
     out = np.array([[1.0 + 0.0j]])
     for f in factors:
-        out = np.kron(out, f)
+        m = out.shape[0]
+        res = np.empty((m, 2, m, 2), dtype=np.result_type(out, f))
+        for r in range(2):
+            for c in range(2):
+                np.multiply(out, f[r, c], out=res[:, r, :, c])
+        out = res.reshape(2 * m, 2 * m)
     return out
 
 

@@ -16,6 +16,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -66,9 +67,14 @@ def parse_angle(text: str) -> float:
     return value
 
 
+#: Most points a "lo:hi:count" grid, or coherence's grid product, may hold;
+#: a typo in a count should exit 2, not fill the host's memory.
+MAX_GRID_POINTS = 10**5
+
+
 def parse_grid(text: str, *, angle: bool = False) -> list[float]:
     """Grid syntax: "lo:hi:count" (inclusive linspace) or "a,b,c"; an empty
-    grid is refused."""
+    grid, or a count above ``MAX_GRID_POINTS``, is refused."""
     conv = parse_angle if angle else float
     raw = str(text).strip()
     if ":" in raw:
@@ -79,6 +85,8 @@ def parse_grid(text: str, *, angle: bool = False) -> list[float]:
         count = int(parts[2])
         if count < 1:
             raise ValueError("grid count must be positive")
+        if count > MAX_GRID_POINTS:
+            raise ValueError(f"grid count {count} exceeds {MAX_GRID_POINTS}")
         return [float(v) for v in np.linspace(lo, hi, count)]
     values = [conv(item) for item in raw.split(",") if item != ""]
     if not values:
@@ -116,9 +124,64 @@ def _dumps(obj: Any, **kwargs) -> str:
         raise NonFiniteOutputError(str(exc)) from exc
 
 
+#: Exact types of the JSON scalars; a subclass takes the general path.
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def _flat(values) -> bool:
+    """Whether every value is a JSON scalar, checked at C speed."""
+    return _SCALAR_TYPES.issuperset(map(type, values))
+
+
+def _json_key(key: Any) -> str:
+    """A dict key as ``json.dumps`` writes it: non-strings in quotes."""
+    return _dumps(key) if isinstance(key, str) else '"' + _dumps(key) + '"'
+
+
+def _indented(obj: Any, level: int = 0) -> str:
+    """``json.dumps(obj, indent=2)`` for `obj` nested `level` deep, built
+    from calls to json's C encoder, which ``indent`` would switch off.
+
+    A container of scalars is one call whose item separator carries the
+    newline and indent.  So is a list of nonempty flat dicts (the rows):
+    an encoded string never holds a raw newline, so each "}," plus a
+    newline in that call's output is a row boundary, re-indented by one
+    replace.
+    """
+    if isinstance(obj, dict):
+        opener, closer, values = "{", "}", obj.values()
+    elif isinstance(obj, (list, tuple)):
+        opener, closer, values = "[", "]", obj
+    else:
+        return _dumps(obj)
+    if not obj:
+        return opener + closer
+    inner = "\n" + "  " * (level + 1)
+    if _flat(values):
+        body = _dumps(obj, separators=("," + inner, ": "))[1:-1]
+    elif isinstance(obj, dict):
+        body = ("," + inner).join(
+            _json_key(k) + ": " + _indented(v, level + 1) for k, v in obj.items()
+        )
+    elif (
+        {dict}.issuperset(map(type, obj)) and all(obj)
+        and _flat(chain.from_iterable(map(dict.values, obj)))
+    ):
+        keys = "\n" + "  " * (level + 2)
+        rows = _dumps(obj, separators=("," + keys, ": "))[2:-2]
+        body = (
+            "{" + keys
+            + rows.replace("}," + keys + "{", inner + "}," + inner + "{" + keys)
+            + inner + "}"
+        )
+    else:
+        body = ("," + inner).join(_indented(v, level + 1) for v in obj)
+    return opener + inner + body + "\n" + "  " * level + closer
+
+
 def _serialize(record: RunRecord, fmt: str) -> str:
     if fmt == "json":
-        return _dumps(record.payload(), indent=2) + "\n"
+        return _indented(record.payload()) + "\n"
     rows = record.results.get("rows", [])
     scalars = {k: v for k, v in record.results.items() if k != "rows"}
     head = (
@@ -375,9 +438,15 @@ def cmd_noise_sweep(args) -> RunRecord:
 
 
 def cmd_coherence(args) -> RunRecord:
+    alphas = parse_grid(args.alpha_grid)
+    taus = parse_grid(args.tau_grid)
+    if len(alphas) * len(taus) > MAX_GRID_POINTS:
+        raise ValueError(
+            f"{len(alphas)} x {len(taus)} grid points exceed {MAX_GRID_POINTS}"
+        )
     rows = []
-    for alpha in parse_grid(args.alpha_grid):
-        for tau_abs in parse_grid(args.tau_grid):
+    for alpha in alphas:
+        for tau_abs in taus:
             rows.append(
                 {
                     "alpha": alpha,

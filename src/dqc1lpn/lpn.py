@@ -12,19 +12,20 @@ step at theta = pi/2:
     |Delta tau_j| = (1/sqrt(2))^(n-j).
 
 Probing bit j always decouples data qubits 1..j-1, so a query names only
-j and the corrections.  The block then has j unrotated qubits, of which
-the stray flips left in the prefix plus s_j are bare sx, and n - j
-rotated ones, of which the 1s after j carry a coupling.  The closed and
-sampled oracles read these four kind counts (``prefix_kinds``) from
-prefix sums of s, so a query runs no per-qubit Python loop.  Oracles close
-over s; the learner only ever sees the query callable.
+j and the corrections, an int bitmask whose bit k-1 marks qubit k.  The
+block then has j unrotated qubits, of which the stray flips left in the
+prefix plus s_j are bare sx, and n - j rotated ones, of which the 1s after
+j carry a coupling.  The closed and sampled oracles read these four kind
+counts (``prefix_kinds``) from prefix sums of s and popcounts of the mask,
+so a query takes a fixed number of Python steps.  Oracles close over s;
+the learner only ever sees the query callable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -37,8 +38,8 @@ from .dqc1 import Dqc1Config, EstimateRecord
 HOEFFDING_C = 2.0
 
 #: Type of a protocol query: (j, corrections, ensemble, queries, observables)
-#: -> EstimateRecord, with data qubits 1..j-1 decoupled and the corrections
-#: a subset of them.
+#: -> EstimateRecord, with data qubits 1..j-1 decoupled and `corrections` an
+#: int bitmask of the corrected ones among them (bit k-1 for qubit k).
 Oracle = Callable[..., EstimateRecord]
 
 
@@ -165,30 +166,33 @@ def query_budget(budget: BudgetParams, n: int, j: int) -> int:
     return max(1, math.ceil(raw))
 
 
-def prefix_kinds(
-    bits: Sequence[int],
-) -> Callable[[int, Iterable[int]], tuple[int, int, int, int]]:
+def prefix_kinds(bits: Sequence[int]) -> Callable[[int, int], tuple[int, int, int, int]]:
     """Kind counts (``StepBlock.kinds``) of the learner's block for probing
-    bit j with qubits 1..j-1 decoupled and the given corrections, read
-    from prefix sums of the plain-int pattern `bits`.
+    bit j with qubits 1..j-1 decoupled and the qubits in the int bitmask
+    `corrections` (bit k-1 for qubit k) corrected, read from prefix sums of
+    the plain-int pattern `bits`.
 
     A decoupled qubit is flipped where s_k xor (k in corrections) is 1,
     so the prefix keeps ones(1..j-1) + |corr| - 2 |corr & ones| stray
-    flips; qubit j adds s_j to them, and the rotated qubits after j carry
-    ones(j+1..n) couplings.  Raises ValueError for j outside 1..n or a
-    correction outside 1..j-1.
+    flips, both popcounts of masks; qubit j adds s_j to them, and the
+    rotated qubits after j carry ones(j+1..n) couplings.  Raises ValueError
+    for j outside 1..n or a mask that is negative or sets bit j-1 or a
+    higher one (a qubit outside 1..j-1).
     """
     n = len(bits)
     prefix = [0, *accumulate(bits)]
-    ones = frozenset(compress(range(1, n + 1), bits))
+    ones = int("".join(map(str, reversed(bits))), 2)
 
-    def kinds(j: int, corrections: Iterable[int] = ()) -> tuple[int, int, int, int]:
+    def kinds(j: int, corrections: int = 0) -> tuple[int, int, int, int]:
         if not 1 <= j <= n:
             raise ValueError(f"probe index {j} outside 1..{n}")
-        corr = frozenset(corrections)
-        if corr and (min(corr) < 1 or max(corr) >= j):
+        # a negative mask shifts to -1, so this refuses it as well
+        if corrections >> (j - 1):
             raise ValueError(f"corrections must target decoupled qubits 1..{j - 1}")
-        bare = prefix[j - 1] + len(corr) - 2 * len(corr & ones) + bits[j - 1]
+        bare = (
+            prefix[j - 1] + corrections.bit_count()
+            - 2 * (corrections & ones).bit_count() + bits[j - 1]
+        )
         both = prefix[n] - prefix[j]
         return (j - bare, bare, n - j - both, both)
 
@@ -198,11 +202,13 @@ def prefix_kinds(
 def make_oracle(s, cfg: Dqc1Config) -> Oracle:
     """Build a protocol query function that closes over the hidden string.
 
-    A query probes bit j with qubits 1..j-1 decoupled and `corrections`
-    (a subset of them) corrected.  cfg.backend "dense" builds the block's
-    matrix, "closed" evaluates the trace from the block's kind counts
-    (``prefix_kinds``), "sampled" adds shot noise to the closed-form
-    values with one RNG stream per probed bit (derived from cfg.seed).
+    A query probes bit j with qubits 1..j-1 decoupled and the qubits in
+    the int bitmask `corrections` (bit k-1 for qubit k, all below j)
+    corrected; every backend checks j and the mask (``prefix_kinds``)
+    first.  cfg.backend "dense" builds the block's matrix, "closed"
+    evaluates the trace from the block's kind counts, "sampled" adds shot
+    noise to the closed-form values with one RNG stream per probed bit
+    (derived from cfg.seed).
     """
     # plain ints, normalized once: every query reads them
     bits = as_bits(s, n=cfg.n).tolist()
@@ -210,14 +216,17 @@ def make_oracle(s, cfg: Dqc1Config) -> Oracle:
     kinds_of = prefix_kinds(bits)
 
     def true_tau(j, corrections):
+        # checks j and the mask on every backend, the dense one included
+        kinds = kinds_of(j, corrections)
         if backend == "dense":
-            block = StepBlock.from_bits(bits, cfg.theta, j, range(1, j), corrections)
+            corrected = [k for k in range(1, j) if corrections >> (k - 1) & 1]
+            block = StepBlock.from_bits(bits, cfg.theta, j, range(1, j), corrected)
             return block.dense().trace() / 2**cfg.n
-        return kinds_tau(cfg.theta, 0.0, kinds_of(j, corrections))
+        return kinds_tau(cfg.theta, 0.0, kinds)
 
     def oracle(
         j: int,
-        corrections: Iterable[int] = (),
+        corrections: int = 0,
         ensemble: int = 1,
         queries: int = 1,
         observables: tuple[str, ...] = ("x", "y"),
@@ -272,7 +281,8 @@ def learn(
         raise ValueError("rotation angle must avoid integer multiples of pi")
     # the quadrature that carries the signal, once a nonzero reading fixed it
     quadrature: str | None = None
-    corrections: frozenset[int] = frozenset()
+    # bit k-1 set: qubit k was learned as a 1 and is corrected from then on
+    corrections = 0
     steps: list[LearnStep] = []
     for j in range(1, n + 1):
         gap = _worst_case_gap(cfg.theta, n - j)
@@ -288,7 +298,7 @@ def learn(
         record = oracle(j, corrections, budget.L, queries, observables)
         bit = decide_bit(record, threshold)
         if bit:
-            corrections = corrections | {j}
+            corrections |= 1 << (j - 1)
             if quadrature is not None:
                 quadrature = "y" if quadrature == "x" else "x"
         elif quadrature is None:

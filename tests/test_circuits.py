@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import sys
@@ -71,6 +72,33 @@ def test_cnot_matrix():
 def test_embed_places_gate():
     z_on_1 = embed(circuits.PAULI_Z, 1, 2)
     np.testing.assert_allclose(z_on_1, np.kron(np.eye(2), circuits.PAULI_Z))
+
+
+def _random_factor(rng):
+    """A 2x2 factor: a rotation, the identity or a random complex matrix
+    with signed zeros mixed in, possibly column-swapped."""
+    kind = int(rng.integers(3))
+    if kind == 0:
+        f = rx(float(rng.uniform(-7.0, 7.0)), float(rng.choice([0.0, 0.4])))
+    elif kind == 1:
+        f = circuits.ID2
+    else:
+        f = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        f.real[rng.random((2, 2)) < 0.3] = rng.choice([0.0, -0.0])
+        f.imag[rng.random((2, 2)) < 0.3] = rng.choice([0.0, -0.0])
+    return f[:, ::-1] if rng.random() < 0.5 else f
+
+
+def test_kron_all_is_bitwise_np_kron(rng):
+    """kron_all equals the left-associated np.kron chain from [[1+0j]]
+    bit for bit, signed zeros included."""
+    for _ in range(60):
+        factors = [_random_factor(rng) for _ in range(int(rng.integers(0, 7)))]
+        got = circuits.kron_all(factors)
+        expected = functools.reduce(np.kron, factors, np.array([[1.0 + 0.0j]]))
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(float), expected.view(float))
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(expected.view(float)))
 
 
 def test_step_block_validation():

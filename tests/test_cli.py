@@ -127,6 +127,9 @@ def test_usage_errors_exit_two(capsys):
         ("discord-sweep", "--s", "011", "--j", "1", "--alpha-grid", "0:2:3"),
         ("discord-sweep", "--s", "011", "--j", "1", "--alpha-grid", "0.5", "--seed", "-1"),
         ("discord-sweep", "--s", "011", "--j", "1", "--alpha", "1.5", "--theta-grid", "1"),
+        # a grid count, and a coherence grid product, above cli.MAX_GRID_POINTS
+        ("coherence", "--alpha-grid", "0:1:100000000"),
+        ("coherence", "--alpha-grid", "0:1:1000", "--tau-grid", "0:1:1000"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -292,6 +295,85 @@ def test_unexpected_error_exits_four(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert "internal error: boom" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("learn", "--s", "0110", "--alpha", "0.8", "--p", "0.2", "--backend", "sampled",
+         "--L", "1000", "--seed", "3"),
+        ("learn", "--backend", "closed", "--queries", "1", "--n", "40", "--random-s"),
+        ("learn", "--backend", "dense", "--n", "5", "--random-s", "--queries", "1"),
+        ("trace-table", "--n", "2"),
+        ("discord-sweep", "--s", "011", "--j", "1", "--alpha-grid", "0.1:1:4"),
+        ("discord-sweep", "--s", "011", "--j", "2", "--alpha", "0.7",
+         "--theta-grid", "0.1pi:0.9pi:3"),
+        ("noise-sweep", "--mode", "midq", "--s", "0110", "--q-grid", "0:0.05:3"),
+        ("noise-sweep", "--mode", "parity", "--s", "0110", "--flips", "2,3"),
+        ("noise-sweep", "--mode", "systematic", "--s", "0110",
+         "--phi-grid", "0:0.4pi:2", "--theta-grid", "0.3:2.2:2"),
+        ("coherence", "--alpha-grid", "0.1:1:3", "--tau-grid", "0:1:3"),
+    ],
+)
+def test_json_output_is_indent_two_bytes(argv):
+    """The serializer writes exactly json.dumps(payload, indent=2) for every
+    subcommand and learn backend."""
+    args = cli._build_parser().parse_args([*argv, "--format", "json"])
+    record = args.func(args)
+    expected = json.dumps(record.payload(), indent=2) + "\n"
+    assert cli._serialize(record, "json") == expected
+
+
+# pieces that could confuse a serializer splitting on "}," and newlines
+_TEXT = st.lists(
+    st.sampled_from(["a", "\n", '"', "},", "},\n  {", "{", "]", ": ", "\\", "é", "漢", "\x00"])
+    | st.characters(),
+    max_size=6,
+).map("".join)
+_SCALAR = (
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | _TEXT
+)
+# json.dumps also takes ints, floats, bools and None as keys and quotes them
+_KEY = (
+    _TEXT | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.booleans() | st.none()
+)
+_FLAT_ROWS = st.lists(st.dictionaries(_KEY, _SCALAR, max_size=4), max_size=4)
+_JSON_LIKE = st.recursive(
+    _SCALAR,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_KEY, inner, max_size=4)
+    | _FLAT_ROWS,
+    max_leaves=25,
+)
+
+
+@given(
+    command=_TEXT,
+    config=st.dictionaries(_KEY, _SCALAR, max_size=5),
+    results=st.dictionaries(_KEY, _JSON_LIKE | _FLAT_ROWS, max_size=4),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_serialize_matches_json_indent_two(command, config, results, seed):
+    record = cli.RunRecord(command=command, config=config, results=results, seed=seed)
+    expected = json.dumps(record.payload(), indent=2) + "\n"
+    assert cli._serialize(record, "json") == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "results",
+    [
+        lambda bad: {"x": bad},
+        lambda bad: {"rows": [{"a": 1.0}, {"a": bad}]},
+        lambda bad: {"nested": {"deep": [[1.0, bad]]}},
+    ],
+)
+def test_serialize_refuses_non_finite_json(bad, results):
+    record = cli.RunRecord(command="x", config={}, results=results(bad), seed=0)
+    with pytest.raises(cli.NonFiniteOutputError):
+        cli._serialize(record, "json")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

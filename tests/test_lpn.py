@@ -29,6 +29,11 @@ def _budget(alpha=1.0, p=0.0, L=1000):
     return BudgetParams(delta=0.01, alpha=alpha, p=p, L=L)
 
 
+def _mask(qubits):
+    """The oracle's corrections bitmask for a set of data qubits 1..n."""
+    return sum(1 << (k - 1) for k in qubits)
+
+
 def test_closed_form_tau_known_value():
     # s=011, probe j=1: two coupled rotations give (i/sqrt2)^2 = -1/2
     tau = closed_form_tau(as_bits("011"), HALF_PI, 1)
@@ -173,7 +178,7 @@ def test_oracle_backends_agree(rng, kind):
         dec = tuple(range(1, j))
         corr = tuple(k for k in dec if bits[k - 1])
         cfg = Dqc1Config(n=n, alpha=0.75, p=0.2, theta=theta, backend=kind)
-        rec = make_oracle(bits, cfg)(j, corrections=corr)
+        rec = make_oracle(bits, cfg)(j, corrections=_mask(corr))
         tau = closed_form_tau(bits, theta, j, decoupled=dec)
         assert rec.ex == pytest.approx(0.75 * 0.8 * tau.real, abs=1e-12)
         assert rec.ey == pytest.approx(0.75 * 0.8 * tau.imag, abs=1e-12)
@@ -183,7 +188,7 @@ def test_oracle_rejects_corrections_outside_decoupled():
     cfg = Dqc1Config(n=3, alpha=1.0, p=0.0, theta=1.0)
     oracle = make_oracle(as_bits("011"), cfg)
     with pytest.raises(ValueError):
-        oracle(2, corrections=(3,))
+        oracle(2, corrections=_mask((3,)))
 
 
 def _assert_oracle_matches_block(bits, theta, j, corrections):
@@ -191,9 +196,9 @@ def _assert_oracle_matches_block(bits, theta, j, corrections):
     block's kinds and tau() exactly."""
     bits = [int(b) for b in bits]
     block = StepBlock.from_bits(bits, theta, j, range(1, j), corrections)
-    assert prefix_kinds(bits)(j, corrections) == block.kinds
+    assert prefix_kinds(bits)(j, _mask(corrections)) == block.kinds
     cfg = Dqc1Config(n=len(bits), alpha=1.0, p=0.0, theta=theta, backend="closed")
-    rec = make_oracle(bits, cfg)(j, corrections)
+    rec = make_oracle(bits, cfg)(j, _mask(corrections))
     assert complex(rec.ex, rec.ey) == block.tau()
 
 
@@ -223,7 +228,11 @@ def test_prefix_kinds_match_step_block_at_300_qubits(rng):
 def test_oracle_rejects_probe_and_corrections_out_of_range(kind):
     cfg = Dqc1Config(n=3, alpha=1.0, p=0.0, theta=1.0, backend=kind)
     oracle = make_oracle(as_bits("011"), cfg)
-    for j, corrections in ((0, ()), (4, ()), (2, (2,)), (2, (3,)), (3, (0,))):
+    for j, corrections in (
+        (0, 0), (4, 0), (2, _mask((2,))), (2, _mask((3,))),
+        # negative masks, and bits at or after j beside valid ones
+        (3, -1), (3, -4), (1, 1), (3, _mask((1, 3))), (3, 1 << 64),
+    ):
         with pytest.raises(ValueError):
             oracle(j, corrections)
 
@@ -234,7 +243,7 @@ def test_wrong_correction_kills_later_signal():
     cfg = Dqc1Config(n=3, alpha=1.0, p=0.0, theta=HALF_PI, backend="dense")
     oracle = make_oracle(bits, cfg)
     # qubit 1 really is coupled, but the caller claims it was clean
-    rec = oracle(2, corrections=())
+    rec = oracle(2, corrections=0)
     assert abs(rec.ex) < 1e-12
     assert abs(rec.ey) < 1e-12
 
@@ -246,6 +255,30 @@ def test_learn_exhaustive_analytic():
             res = learn(make_oracle(bits, cfg), cfg, _budget(), fixed_queries=1)
             assert np.array_equal(res.s_hat, bits)
             assert len(res.steps) == n
+
+
+@pytest.mark.parametrize("kind", ["dense", "closed", "sampled"])
+def test_learn_corrects_exactly_the_learned_ones(rng, kind):
+    """Every query's corrections mask holds the 1s of s_hat before j, so
+    after the run the ones of s_hat are the mask the learner built."""
+    for _ in range(10):
+        n = int(rng.integers(1, 7))
+        bits = rng.integers(0, 2, size=n, dtype=np.uint8)
+        cfg = Dqc1Config(n=n, alpha=1.0, p=0.0, theta=HALF_PI, backend=kind, seed=5)
+        oracle = make_oracle(bits, cfg)
+        calls = []
+
+        def recording(j, corrections, *args):
+            calls.append((j, corrections))
+            return oracle(j, corrections, *args)
+
+        res = learn(recording, cfg, _budget(), fixed_queries=200)
+        learned = [k for k in range(1, n + 1) if res.s_hat[k - 1]]
+        assert [j for j, _ in calls] == list(range(1, n + 1))
+        for j, corrections in calls:
+            assert corrections == _mask(k for k in learned if k < j)
+        last_j, last_mask = calls[-1]
+        assert last_mask | (int(res.s_hat[-1]) << (last_j - 1)) == _mask(learned)
 
 
 def test_learn_survives_heavy_readout_noise():
