@@ -19,14 +19,17 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from typing import Iterable, Sequence
+from operator import index
+from typing import Sequence
 
 import numpy as np
 
 #: Largest qubit count of a dense matrix (``StepBlock.dense``, ``qstate``);
 #: past it a dense matrix stops fitting in desk-scale memory.
 MAX_QUBITS = 12
+
+#: Eigenphases (rad) closer than this are one phase that rounding split.
+PHASE_MERGE = 1e-12
 
 ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -96,23 +99,37 @@ def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def ones_mask(bits: Sequence[int]) -> int:
+    """The 1s of a bit pattern as an int bitmask: bit k-1 is set when s_k = 1."""
+    return int(bits_to_str(bits)[::-1] or "0", 2)
+
+
+def mask_kinds(n: int, rotated: int, flips: int) -> tuple[int, int, int, int]:
+    """Qubit counts of the four kinds, indexed by 2 rotated + flipped (identity,
+    bare sx, R and R . sx), from three popcounts of n qubits' bitmasks."""
+    r, f, both = rotated.bit_count(), flips.bit_count(), (rotated & flips).bit_count()
+    return (n - r - f + both, f - both, r - both, both)
+
+
 @dataclass(frozen=True)
 class StepBlock:
     """One probe-step block on the data register, qubit by qubit.
 
     The block is the tensor product over data qubits k = 1..n of
-    ``R(theta, phi)^rotated[k] . sx^flips[k]``: a rotation or the identity,
+    ``R(theta, phi)^rotated_k . sx^flips_k``: a rotation or the identity,
     times sx where a parity coupling is left after the decoupling
-    corrections.  ``dense`` builds the matrix from the qubits in order.
-    The normalized trace (``tau``), whether it is exactly zero
-    (``vanishes``) and the spectrum (``eigenphases``) depend only on
-    ``kinds``, how many qubits fall into each of the four kinds, so they
-    do not depend on the order of the qubits.
+    corrections.  `rotated` and `flips` are int bitmasks, bit k-1 for
+    qubit k.  ``dense`` builds the matrix from the qubits in order.  The
+    normalized trace (``tau``), whether it is exactly zero (``vanishes``)
+    and the spectrum (``eigenphases``) depend only on ``kinds``, how many
+    qubits fall into each of the four kinds, so they do not depend on the
+    order of the qubits.
     """
 
     theta: float
-    rotated: tuple[bool, ...]
-    flips: tuple[bool, ...]
+    n: int
+    rotated: int
+    flips: int
     phi: float = 0.0
 
     @classmethod
@@ -121,58 +138,51 @@ class StepBlock:
         bits: Sequence[int],
         theta: float,
         j: int | None = None,
-        decoupled: Iterable[int] = (),
-        corrections: Iterable[int] = (),
+        decoupled: int = 0,
+        corrections: int = 0,
         phi: float = 0.0,
     ) -> "StepBlock":
         """Block for probing bit j of the coupling pattern `bits`.
 
-        Qubit j and the decoupled qubits are left unrotated (``j=None``
+        Qubit j and the `decoupled` qubits are left unrotated (``j=None``
         rotates every qubit that is not decoupled); qubit k is flipped
         when s_k xor (k in corrections) is 1, so a correction cancels the
         coupling of a learned 1 and a stray one leaves a bare sx.
         """
         n = len(bits)
-        dec = frozenset(decoupled)
-        corr = frozenset(corrections)
         if j is not None and not 1 <= j <= n:
             raise ValueError(f"probe index {j} outside 1..{n}")
-        if dec and (min(dec) < 1 or max(dec) > n):
+        # a negative mask shifts to -1, or meets ~decoupled, so it is refused
+        if decoupled >> n:
             raise ValueError("decoupled set outside data register")
-        if not corr <= dec:
+        if corrections & ~decoupled:
             raise ValueError("corrections must target decoupled qubits")
-        if j in dec:
+        probe = 0 if j is None else 1 << (index(j) - 1)
+        if probe & decoupled:
             raise ValueError(f"probe index {j} cannot be decoupled")
-        rotated = tuple(k != j and k not in dec for k in range(1, n + 1))
-        flips = tuple(bool(b) ^ (k in corr) for k, b in enumerate(bits, 1))
-        return cls(theta=theta, rotated=rotated, flips=flips, phi=phi)
+        rotated = ((1 << n) - 1) & ~(decoupled | probe)
+        return cls(theta, n, rotated, ones_mask(bits) ^ corrections, phi)
 
     def dense(self) -> np.ndarray:
         """The 2^n x 2^n block; a factor times sx is that factor with its
         columns swapped.  Refuses n above ``MAX_QUBITS`` before
         allocating anything."""
-        n = len(self.rotated)
-        if n > MAX_QUBITS:
+        if self.n > MAX_QUBITS:
             raise ValueError(
-                f"a dense block on {n} qubits exceeds the {MAX_QUBITS}-qubit "
+                f"a dense block on {self.n} qubits exceeds the {MAX_QUBITS}-qubit "
                 "limit; use the closed-form trace (--backend closed)"
             )
         gate = rx(self.theta, self.phi)
         factors = []
-        for rotated, flipped in zip(self.rotated, self.flips):
-            factor = gate if rotated else ID2
-            factors.append(factor[:, ::-1] if flipped else factor)
+        for k in range(self.n):
+            factor = gate if self.rotated >> k & 1 else ID2
+            factors.append(factor[:, ::-1] if self.flips >> k & 1 else factor)
         return kron_all(factors)
 
     @cached_property
     def kinds(self) -> tuple[int, int, int, int]:
-        """Qubit counts of the four kinds, indexed by 2 rotated + flipped:
-        identity, bare sx, R and R . sx."""
-        n = len(self.rotated)
-        rotated = sum(self.rotated)
-        flipped = sum(self.flips)
-        both = sum(compress(self.flips, self.rotated))
-        return (n - rotated - flipped + both, flipped - both, rotated - both, both)
+        """Qubit counts of the four kinds (``mask_kinds``)."""
+        return mask_kinds(self.n, self.rotated, self.flips)
 
     def vanishes(self) -> bool:
         """Whether the trace is exactly zero (``kinds_vanish``)."""
@@ -192,6 +202,7 @@ class StepBlock:
         per qubit, so only how many qubits of each kind take b matters:
         m of `count` do with weight comb(count, m) / 2^count, and the
         spectrum is a convolution over the four kinds in ``kinds`` order.
+        Phases closer than ``PHASE_MERGE`` merge into the smallest of them.
         """
         half = self.theta / 2.0
         _, a = _traces(self.theta, self.phi)
@@ -209,11 +220,14 @@ class StepBlock:
                 [math.comb(count, m) / 2**count for m in range(count + 1)]
             )
             summed = np.mod(np.add.outer(phases, kind_phases).ravel(), 2.0 * math.pi)
-            # a tiny negative sum wraps to exactly 2 pi; wrap that to 0
-            summed[summed == 2.0 * math.pi] = 0.0
-            phases, slot = np.unique(summed, return_inverse=True)
-            weights = np.bincount(
-                slot, weights=np.multiply.outer(weights, kind_weights).ravel()
+            # a tiny negative sum wraps to about 2 pi; fold that into 0
+            summed[summed > 2.0 * math.pi - PHASE_MERGE] = 0.0
+            order = np.argsort(summed, kind="stable")
+            summed = summed[order]
+            starts = np.flatnonzero(np.diff(summed, prepend=-1.0) >= PHASE_MERGE)
+            phases = summed[starts]
+            weights = np.add.reduceat(
+                np.multiply.outer(weights, kind_weights).ravel()[order], starts
             )
         return phases, weights
 
@@ -243,3 +257,10 @@ def kinds_tau(theta: float, phi: float, kinds: Sequence[int]) -> complex:
     c, a = _traces(theta, phi)
     mag = c**rotated * a**both
     return complex(*((mag, 0.0), (0.0, mag), (-mag, 0.0), (0.0, -mag))[both % 4])
+
+
+def normal_tau(theta: float, phi: float, kinds: Sequence[int]) -> complex:
+    """``kinds_tau``, but a trace that is not exactly zero and fell below
+    2^-1022 raises ValueError (``require_normal``)."""
+    tau = kinds_tau(theta, phi, kinds)
+    return tau if kinds_vanish(theta, phi, kinds) else require_normal(tau, "the trace")

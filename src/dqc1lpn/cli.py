@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__, circuits, infomeasures, lpn, noise
-from .circuits import as_bits, bits_to_str
+from .circuits import as_bits, bits_to_str, mask_kinds, normal_tau, ones_mask
 from .dqc1 import Dqc1Config
 from .lpn import BudgetParams
 
@@ -67,7 +67,7 @@ def parse_angle(text: str) -> float:
     return value
 
 
-#: Most points a "lo:hi:count" grid, or coherence's grid product, may hold;
+#: Most points a "lo:hi:count" grid, or a product of two grids, may hold;
 #: a typo in a count should exit 2, not fill the host's memory.
 MAX_GRID_POINTS = 10**5
 
@@ -92,6 +92,14 @@ def parse_grid(text: str, *, angle: bool = False) -> list[float]:
     if not values:
         raise ValueError(f"grid {text!r} is empty")
     return values
+
+
+def _check_product(first: list[float], second: list[float]) -> None:
+    """Refuse a product of two grids above ``MAX_GRID_POINTS``."""
+    if len(first) * len(second) > MAX_GRID_POINTS:
+        raise ValueError(
+            f"{len(first)} x {len(second)} grid points exceed {MAX_GRID_POINTS}"
+        )
 
 
 def parse_seed(text: str) -> int:
@@ -200,6 +208,8 @@ def _serialize(record: RunRecord, fmt: str) -> str:
 
 
 def _resolve_string(args, rng_key: int = 0) -> np.ndarray:
+    if args.n is not None and args.n < 1:
+        raise ValueError(f"--n {args.n} must be at least 1")
     if args.s is not None and args.random_s:
         raise ValueError("give either --s or --random-s, not both")
     if args.s is not None:
@@ -287,20 +297,19 @@ def cmd_trace_table(args) -> RunRecord:
         n = args.n
         if n > 8:
             raise ValueError("full tables stop at n = 8; pass --s for larger n")
-        strings = [
-            np.array([(v >> (n - 1 - k)) & 1 for k in range(n)], dtype=np.uint8)
-            for v in range(2**n)
-        ]
+        strings = [as_bits(format(v, f"0{n}b")) for v in range(2**n)]
     rows = []
     for bits in strings:
+        text, ones = bits_to_str(bits), ones_mask(bits)
         for j in range(1, n + 1):
-            tau = lpn.closed_form_tau(bits, theta, j, decoupled=range(1, j))
-            cleared = bits.copy()
-            cleared[j - 1] = 0
-            gap = lpn.closed_form_tau(cleared, theta, j, decoupled=range(1, j))
+            # 1..j-1 decoupled with their 1s corrected; the gap clears s_j
+            rotated = ((1 << n) - 1) >> j << j
+            flips = ones >> (j - 1) << (j - 1)
+            tau = normal_tau(theta, 0.0, mask_kinds(n, rotated, flips))
+            gap = normal_tau(theta, 0.0, mask_kinds(n, rotated, flips & rotated))
             rows.append(
                 {
-                    "s": bits_to_str(bits),
+                    "s": text,
                     "j": j,
                     "decoupled_prefix": f"1-{j - 1}" if j > 1 else "-",
                     "re_tau": tau.real,
@@ -410,6 +419,7 @@ def cmd_noise_sweep(args) -> RunRecord:
     else:  # systematic
         phi_grid = parse_grid(args.phi_grid, angle=True)
         theta_grid = parse_grid(args.theta_grid, angle=True)
+        _check_product(phi_grid, theta_grid)
         cfg = Dqc1Config(
             n=n, alpha=args.alpha, p=args.p, theta=theta_grid[0], seed=args.seed
         )
@@ -440,10 +450,7 @@ def cmd_noise_sweep(args) -> RunRecord:
 def cmd_coherence(args) -> RunRecord:
     alphas = parse_grid(args.alpha_grid)
     taus = parse_grid(args.tau_grid)
-    if len(alphas) * len(taus) > MAX_GRID_POINTS:
-        raise ValueError(
-            f"{len(alphas)} x {len(taus)} grid points exceed {MAX_GRID_POINTS}"
-        )
+    _check_product(alphas, taus)
     rows = []
     for alpha in alphas:
         for tau_abs in taus:

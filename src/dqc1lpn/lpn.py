@@ -12,26 +12,28 @@ step at theta = pi/2:
     |Delta tau_j| = (1/sqrt(2))^(n-j).
 
 Probing bit j always decouples data qubits 1..j-1, so a query names only
-j and the corrections, an int bitmask whose bit k-1 marks qubit k.  The
-block then has j unrotated qubits, of which the stray flips left in the
-prefix plus s_j are bare sx, and n - j rotated ones, of which the 1s after
-j carry a coupling.  The closed and sampled oracles read these four kind
-counts (``prefix_kinds``) from prefix sums of s and popcounts of the mask,
-so a query takes a fixed number of Python steps.  Oracles close over s;
-the learner only ever sees the query callable.
+j and the corrections, an int bitmask whose bit k-1 marks qubit k (the
+qubit-set format of ``circuits.StepBlock``).  The block then rotates the
+qubits after j and flips the 1s of s xor the corrections; the closed and
+sampled oracles read its four kind counts from these two masks
+(``circuits.mask_kinds``), so a query takes a fixed number of Python
+steps.  Oracles close over s; the learner only ever sees the query
+callable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from operator import index
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import dqc1
-from .circuits import StepBlock, as_bits, kinds_tau, require_normal
+from .circuits import (
+    StepBlock, as_bits, kinds_tau, mask_kinds, normal_tau, ones_mask, require_normal,
+)
 from .dqc1 import Dqc1Config, EstimateRecord
 
 #: Hoeffding-style constant in the query budget.
@@ -127,11 +129,11 @@ def closed_form_tau(s, theta: float, j: int, decoupled: Iterable[int] = ()) -> c
     """Normalized trace for probing bit j with the given qubits decoupled
     and their 1s corrected (``StepBlock.tau``); a trace that is not exactly
     zero but falls below 2^-1022 raises ValueError."""
-    bits = as_bits(s).tolist()
-    dec = frozenset(int(k) for k in decoupled)
-    corr = {k for k, bit in enumerate(bits, 1) if bit and k in dec}
-    block = StepBlock.from_bits(bits, theta, j, dec, corr)
-    return block.tau() if block.vanishes() else require_normal(block.tau(), "the trace")
+    bits = as_bits(s)
+    # a qubit below 1 is a negative shift, which raises ValueError
+    dec = sum({1 << (int(k) - 1) for k in decoupled})
+    block = StepBlock.from_bits(bits, theta, j, dec, ones_mask(bits) & dec)
+    return normal_tau(theta, 0.0, block.kinds)
 
 
 def decide_bit(est: EstimateRecord, threshold: float) -> int:
@@ -166,63 +168,20 @@ def query_budget(budget: BudgetParams, n: int, j: int) -> int:
     return max(1, math.ceil(raw))
 
 
-def prefix_kinds(bits: Sequence[int]) -> Callable[[int, int], tuple[int, int, int, int]]:
-    """Kind counts (``StepBlock.kinds``) of the learner's block for probing
-    bit j with qubits 1..j-1 decoupled and the qubits in the int bitmask
-    `corrections` (bit k-1 for qubit k) corrected, read from prefix sums of
-    the plain-int pattern `bits`.
-
-    A decoupled qubit is flipped where s_k xor (k in corrections) is 1,
-    so the prefix keeps ones(1..j-1) + |corr| - 2 |corr & ones| stray
-    flips, both popcounts of masks; qubit j adds s_j to them, and the
-    rotated qubits after j carry ones(j+1..n) couplings.  Raises ValueError
-    for j outside 1..n or a mask that is negative or sets bit j-1 or a
-    higher one (a qubit outside 1..j-1).
-    """
-    n = len(bits)
-    prefix = [0, *accumulate(bits)]
-    ones = int("".join(map(str, reversed(bits))), 2)
-
-    def kinds(j: int, corrections: int = 0) -> tuple[int, int, int, int]:
-        if not 1 <= j <= n:
-            raise ValueError(f"probe index {j} outside 1..{n}")
-        # a negative mask shifts to -1, so this refuses it as well
-        if corrections >> (j - 1):
-            raise ValueError(f"corrections must target decoupled qubits 1..{j - 1}")
-        bare = (
-            prefix[j - 1] + corrections.bit_count()
-            - 2 * (corrections & ones).bit_count() + bits[j - 1]
-        )
-        both = prefix[n] - prefix[j]
-        return (j - bare, bare, n - j - both, both)
-
-    return kinds
-
-
 def make_oracle(s, cfg: Dqc1Config) -> Oracle:
     """Build a protocol query function that closes over the hidden string.
 
     A query probes bit j with qubits 1..j-1 decoupled and the qubits in
     the int bitmask `corrections` (bit k-1 for qubit k, all below j)
-    corrected; every backend checks j and the mask (``prefix_kinds``)
-    first.  cfg.backend "dense" builds the block's matrix, "closed"
-    evaluates the trace from the block's kind counts, "sampled" adds shot
-    noise to the closed-form values with one RNG stream per probed bit
-    (derived from cfg.seed).
+    corrected; every backend first refuses a j outside 1..n and a mask
+    that is negative or sets a bit at or after j.  cfg.backend "dense"
+    builds the block's matrix, "closed" evaluates the trace from the
+    block's kind counts, "sampled" adds shot noise to the closed-form
+    values with one RNG stream per probed bit (derived from cfg.seed).
     """
-    # plain ints, normalized once: every query reads them
-    bits = as_bits(s, n=cfg.n).tolist()
+    n = cfg.n
+    ones = ones_mask(as_bits(s, n=n))
     backend = cfg.backend
-    kinds_of = prefix_kinds(bits)
-
-    def true_tau(j, corrections):
-        # checks j and the mask on every backend, the dense one included
-        kinds = kinds_of(j, corrections)
-        if backend == "dense":
-            corrected = [k for k in range(1, j) if corrections >> (k - 1) & 1]
-            block = StepBlock.from_bits(bits, cfg.theta, j, range(1, j), corrected)
-            return block.dense().trace() / 2**cfg.n
-        return kinds_tau(cfg.theta, 0.0, kinds)
 
     def oracle(
         j: int,
@@ -231,10 +190,21 @@ def make_oracle(s, cfg: Dqc1Config) -> Oracle:
         queries: int = 1,
         observables: tuple[str, ...] = ("x", "y"),
     ) -> EstimateRecord:
-        tau = true_tau(j, corrections)
+        j = index(j)
+        if not 1 <= j <= n:
+            raise ValueError(f"probe index {j} outside 1..{n}")
+        # a negative mask shifts to -1, so this refuses it as well
+        if corrections >> (j - 1):
+            raise ValueError(f"corrections must target decoupled qubits 1..{j - 1}")
+        rotated = ((1 << n) - 1) >> j << j
+        flips = ones ^ corrections
+        if backend == "dense":
+            tau = StepBlock(cfg.theta, n, rotated, flips).dense().trace() / 2**n
+        else:
+            tau = kinds_tau(cfg.theta, 0.0, mask_kinds(n, rotated, flips))
         ex, ey = dqc1.expectations_from_tau(cfg.alpha, cfg.p, tau)
         if backend == "sampled":
-            stream = np.random.SeedSequence(cfg.seed, spawn_key=(int(j),))
+            stream = np.random.SeedSequence(cfg.seed, spawn_key=(j,))
             return dqc1.sample_expectations(
                 cfg, ex, ey, ensemble, queries,
                 stream=stream, observables=observables,

@@ -60,7 +60,8 @@ def midcircuit_noise_experiment(
             "noiseless signal vanishes; pick a probe bit with s_j = 0, "
             "alpha > 0 and an angle with nonzero rotation traces"
         )
-    return circuits.require_normal((1.0 - q) ** sum(block.flips), "the signal ratio")
+    ratio = (1.0 - q) ** block.flips.bit_count()
+    return circuits.require_normal(ratio, "the signal ratio")
 
 
 def phase_flip_parity_experiment(

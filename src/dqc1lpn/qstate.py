@@ -243,7 +243,7 @@ def build_parity_unitary(s) -> OperatorMatrix:
     """
     bits = as_bits(s)
     # every qubit decoupled and none corrected: no rotation, bare couplings
-    block = StepBlock.from_bits(bits, 0.0, decoupled=range(1, bits.size + 1))
+    block = StepBlock.from_bits(bits, 0.0, decoupled=(1 << bits.size) - 1)
     return OperatorMatrix(block.dense(), unitary=True, validate=False)
 
 

@@ -53,6 +53,11 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def qubit_mask(qubits):
+    """The int bitmask of a set of data qubits 1..n: bit k-1 for qubit k."""
+    return sum(1 << (int(k) - 1) for k in set(qubits))
+
+
 def step_blocks(theta, phi):
     """Every distinct StepBlock for n <= 4: all strings, every probe index,
     decoupled prefixes with the learner's corrections, none, all of them
@@ -62,12 +67,12 @@ def step_blocks(theta, phi):
     for n in (1, 2, 3, 4):
         for bits in all_bitstrings(n):
             bits = bits.tolist()
-            yield StepBlock.from_bits(bits, 0.0, decoupled=range(1, n + 1))
+            yield StepBlock.from_bits(bits, 0.0, decoupled=(1 << n) - 1)
             for j in range(1, n + 1):
-                decoupled = range(1, j)
-                correct = {k for k in decoupled if bits[k - 1]}
-                stray = set(decoupled) - correct
-                for corrections in (correct, set(), set(decoupled), stray):
+                decoupled = (1 << (j - 1)) - 1
+                correct = qubit_mask(k for k in range(1, j) if bits[k - 1])
+                stray = decoupled ^ correct
+                for corrections in (correct, 0, decoupled, stray):
                     block = StepBlock.from_bits(
                         bits, theta, j, decoupled, corrections, phi=phi
                     )

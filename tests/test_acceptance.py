@@ -231,7 +231,7 @@ def test_criterion_08_information_measures():
     worst_zero = 0.0
     for s in ("01", "011"):
         bits = as_bits(s)
-        bare = circuits.StepBlock.from_bits(bits, 0.0, decoupled=range(1, bits.size + 1))
+        bare = circuits.StepBlock.from_bits(bits, 0.0, decoupled=(1 << bits.size) - 1)
         worst_zero = max(worst_zero, infomeasures.protocol_discord(bare, 0.7).discord)
         for theta in (0.0, math.pi):
             worst_zero = max(worst_zero, discord(bits, theta, 0.7))

@@ -10,7 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dqc1lpn import circuits, lpn, qstate
-from dqc1lpn.circuits import StepBlock, as_bits, bits_to_str, require_normal, rx, weight
+from dqc1lpn.circuits import (
+    StepBlock, as_bits, bits_to_str, ones_mask, require_normal, rx, weight,
+)
 from dqc1lpn.qstate import (
     build_parity_unitary,
     cnot,
@@ -20,7 +22,7 @@ from dqc1lpn.qstate import (
     parity_step_block,
 )
 
-from conftest import all_bitstrings, random_unitary, reference_tau, step_blocks
+from conftest import all_bitstrings, qubit_mask, random_unitary, reference_tau, step_blocks
 
 CNOT_01 = np.array(
     [
@@ -106,19 +108,20 @@ def test_step_block_validation():
     for j in (0, 4, -1):
         with pytest.raises(ValueError):
             StepBlock.from_bits(bits, 1.0, j)
-    with pytest.raises(ValueError):
-        StepBlock.from_bits(bits, 1.0, 1, decoupled=(4,))
-    with pytest.raises(ValueError):
-        StepBlock.from_bits(bits, 1.0, 3, decoupled=(0,))
-    with pytest.raises(ValueError):
-        StepBlock.from_bits(bits, 1.0, 3, decoupled=(1,), corrections=(2,))
-    with pytest.raises(ValueError):
-        StepBlock.from_bits(bits, 1.0, 2, decoupled=(2,))
-    assert StepBlock.from_bits(bits, 1.0).rotated == (True, True, True)
-    assert StepBlock.from_bits(bits, 1.0, 2).rotated == (True, False, True)
-    block = StepBlock.from_bits(bits, 1.0, 3, decoupled=(1, 2), corrections=(1, 2))
-    assert block.rotated == (False, False, False)
-    assert block.flips == (True, False, True)
+    # decoupled bits at or past n, negative masks, corrections outside the
+    # decoupled set, and a decoupled probe
+    for j, decoupled, corrections in (
+        (1, qubit_mask((4,)), 0), (1, qubit_mask((9,)), 0),
+        (3, -1, 0), (3, -4, 0), (3, 1, -1),
+        (3, qubit_mask((1,)), qubit_mask((2,))), (2, qubit_mask((2,)), 0),
+    ):
+        with pytest.raises(ValueError):
+            StepBlock.from_bits(bits, 1.0, j, decoupled, corrections)
+    assert StepBlock.from_bits(bits, 1.0).rotated == qubit_mask((1, 2, 3))
+    assert StepBlock.from_bits(bits, 1.0, 2).rotated == qubit_mask((1, 3))
+    block = StepBlock.from_bits(bits, 1.0, 3, qubit_mask((1, 2)), qubit_mask((1, 2)))
+    assert block.rotated == 0
+    assert block.flips == qubit_mask((1, 3))
     # past circuits.MAX_QUBITS the dense matrix is refused before allocation
     with pytest.raises(ValueError, match="closed"):
         StepBlock.from_bits([0] * 13, 1.0, 1).dense()
@@ -173,10 +176,10 @@ def test_step_block_tau_matches_dense_trace(phi):
         for bits in all_bitstrings(n):
             bits = bits.tolist()
             for j in range(1, n + 1):
-                decoupled = range(1, j)
-                correct = {k for k in decoupled if bits[k - 1]}
-                stray = set(decoupled) - correct
-                for corrections in (correct, set(), set(decoupled), stray):
+                decoupled = (1 << (j - 1)) - 1
+                correct = qubit_mask(k for k in range(1, j) if bits[k - 1])
+                stray = decoupled ^ correct
+                for corrections in (correct, 0, decoupled, stray):
                     block = StepBlock.from_bits(
                         bits, theta, j, decoupled, corrections, phi=phi
                     )
@@ -193,7 +196,7 @@ def test_step_block_eigenphases_match_dense_spectrum(phi):
     """The convolved eigenphases, each repeated weight * 2^n times, are the
     eigenvalues of the dense block as a multiset."""
     for block in step_blocks(1.1, phi):
-        n = len(block.flips)
+        n = block.n
         phases, weights = block.eigenphases()
         assert np.all((phases >= 0.0) & (phases < 2 * np.pi))
         assert np.unique(phases).size == phases.size
@@ -214,7 +217,7 @@ def test_step_block_eigenphases_at_scale():
     weighted mean is the normalized trace."""
     bits = [0] * 300
     bits[9] = bits[19] = 1
-    block = StepBlock.from_bits(bits, 0.2, 3, decoupled=(1, 2))
+    block = StepBlock.from_bits(bits, 0.2, 3, decoupled=qubit_mask((1, 2)))
     phases, weights = block.eigenphases()
     assert phases.size <= 296 * 3
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -230,11 +233,14 @@ def test_step_block_kinds_and_vanishes(theta, phi):
     the trace is exactly zero when and only when the block vanishes: a
     bare sx, or at theta = 0 a rotated and flipped qubit."""
     for block in step_blocks(theta, phi):
-        pairs = list(zip(block.rotated, block.flips))
+        pairs = [
+            (bool(block.rotated >> k & 1), bool(block.flips >> k & 1))
+            for k in range(block.n)
+        ]
         kinds = itertools.product((False, True), repeat=2)
         tally = tuple(pairs.count(kind) for kind in kinds)
         assert block.kinds == tally
-        assert sum(block.kinds) == len(block.flips)
+        assert sum(block.kinds) == block.n
         assert block.vanishes() == (block.tau() == 0)
 
 
@@ -243,7 +249,8 @@ def _per_qubit_tau(block):
     c = math.cos(block.theta / 2.0)
     a = 1j * math.sin(block.theta / 2.0) * math.cos(block.phi)
     tau = 1.0 + 0.0j
-    for rotated, flipped in zip(block.rotated, block.flips):
+    for k in range(block.n):
+        rotated, flipped = block.rotated >> k & 1, block.flips >> k & 1
         tau *= (a if flipped else c) if rotated else (0.0 if flipped else 1.0)
     return tau
 
@@ -254,12 +261,15 @@ def test_step_block_tau_matches_per_qubit_product(rng):
     phases = set()
     for _ in range(200):
         theta = float(rng.uniform(-6.0, 6.0))
-        rotated = tuple(bool(b) for b in rng.random(300) < rng.uniform(0.05, 0.95))
-        flips = tuple(bool(b) for b in rng.random(300) < 0.2)
+        rotated = rng.random(300) < rng.uniform(0.05, 0.95)
+        flips = rng.random(300) < 0.2
         if rng.random() < 0.8:
             # no bare sx, so the trace does not vanish
-            flips = tuple(f and r for f, r in zip(flips, rotated))
-        block = StepBlock(theta, rotated, flips, phi=float(rng.uniform(0.0, 1.5)))
+            flips = flips & rotated
+        block = StepBlock(
+            theta, 300, ones_mask(rotated), ones_mask(flips),
+            phi=float(rng.uniform(0.0, 1.5)),
+        )
         want = _per_qubit_tau(block)
         got = block.tau()
         if want == 0:

@@ -1,12 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dqc1lpn import cli, lpn
-from dqc1lpn.circuits import as_bits
+from dqc1lpn.circuits import as_bits, bits_to_str
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +131,11 @@ def test_usage_errors_exit_two(capsys):
         # a grid count, and a coherence grid product, above cli.MAX_GRID_POINTS
         ("coherence", "--alpha-grid", "0:1:100000000"),
         ("coherence", "--alpha-grid", "0:1:1000", "--tau-grid", "0:1:1000"),
+        ("noise-sweep", "--mode", "systematic", "--s", "0110",
+         "--phi-grid", "0:1:100000", "--theta-grid", "0:1:100000"),
+        # learn with --n below 1
+        ("learn", "--random-s", "--n", "-2"),
+        ("learn", "--random-s", "--n", "0"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -191,6 +197,27 @@ def test_trace_table_matches_library(capsys):
         tau = lpn.closed_form_tau(as_bits("0110"), 1.1, j, decoupled=range(1, j))
         assert float(row["re_tau"]) == pytest.approx(tau.real, abs=1e-10)
         assert float(row["im_tau"]) == pytest.approx(tau.imag, abs=1e-10)
+
+
+def test_trace_table_matches_library_at_300_qubits(capsys):
+    """Each row's tau and gap, read from two bitmasks, equal the library's
+    closed form for the string and for it with s_j cleared, bit for bit."""
+    bits = np.random.default_rng(7).integers(0, 2, size=300, dtype=np.uint8)
+    code, out, _ = run_cli(
+        capsys, "trace-table", "--s", bits_to_str(bits), "--theta", "1.1",
+        "--format", "json",
+    )
+    assert code == 0
+    rows = json.loads(out)["results"]["rows"]
+    assert [row["j"] for row in rows] == list(range(1, 301))
+    for row in rows:
+        j = row["j"]
+        tau = lpn.closed_form_tau(bits, 1.1, j, decoupled=range(1, j))
+        cleared = bits.copy()
+        cleared[j - 1] = 0
+        gap = lpn.closed_form_tau(cleared, 1.1, j, decoupled=range(1, j))
+        assert complex(row["re_tau"], row["im_tau"]) == tau
+        assert row["abs_delta_tau"] == abs(gap)
 
 
 def test_trace_table_refuses_large_enumeration(capsys):

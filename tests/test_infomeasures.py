@@ -175,7 +175,7 @@ def test_protocol_discord_matches_dense(phi):
     the protocol state, for every step block with n <= 4.  The dense grid
     is coarse to keep the run short; its descent still refines it."""
     for block in step_blocks(1.1, phi):
-        n = len(block.flips)
+        n = block.n
         w = OperatorMatrix(block.dense(), unitary=True, validate=False)
         for alpha in (0.0, 0.3, 0.7, 1.0):
             cfg = dqc1.Dqc1Config(n=n, alpha=alpha, p=0.0, theta=block.theta)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dqc1lpn.circuits import StepBlock, as_bits, bits_to_str
+from dqc1lpn.circuits import StepBlock, as_bits, bits_to_str, mask_kinds
 from dqc1lpn.dqc1 import Dqc1Config, EstimateRecord
 from dqc1lpn.lpn import (
     BudgetExhaustedError,
@@ -16,22 +16,16 @@ from dqc1lpn.lpn import (
     draw_classical_samples,
     learn,
     make_oracle,
-    prefix_kinds,
     query_budget,
 )
 
-from conftest import all_bitstrings, reference_tau
+from conftest import all_bitstrings, qubit_mask, reference_tau
 
 HALF_PI = math.pi / 2
 
 
 def _budget(alpha=1.0, p=0.0, L=1000):
     return BudgetParams(delta=0.01, alpha=alpha, p=p, L=L)
-
-
-def _mask(qubits):
-    """The oracle's corrections bitmask for a set of data qubits 1..n."""
-    return sum(1 << (k - 1) for k in qubits)
 
 
 def test_closed_form_tau_known_value():
@@ -178,7 +172,7 @@ def test_oracle_backends_agree(rng, kind):
         dec = tuple(range(1, j))
         corr = tuple(k for k in dec if bits[k - 1])
         cfg = Dqc1Config(n=n, alpha=0.75, p=0.2, theta=theta, backend=kind)
-        rec = make_oracle(bits, cfg)(j, corrections=_mask(corr))
+        rec = make_oracle(bits, cfg)(j, corrections=qubit_mask(corr))
         tau = closed_form_tau(bits, theta, j, decoupled=dec)
         assert rec.ex == pytest.approx(0.75 * 0.8 * tau.real, abs=1e-12)
         assert rec.ey == pytest.approx(0.75 * 0.8 * tau.imag, abs=1e-12)
@@ -188,39 +182,43 @@ def test_oracle_rejects_corrections_outside_decoupled():
     cfg = Dqc1Config(n=3, alpha=1.0, p=0.0, theta=1.0)
     oracle = make_oracle(as_bits("011"), cfg)
     with pytest.raises(ValueError):
-        oracle(2, corrections=_mask((3,)))
+        oracle(2, corrections=qubit_mask((3,)))
 
 
 def _assert_oracle_matches_block(bits, theta, j, corrections):
-    """The prefix counts and the closed oracle's tau equal the per-qubit
-    block's kinds and tau() exactly."""
+    """The closed oracle's tau equals the per-qubit block's tau() exactly,
+    and the block's kind counts equal a per-qubit tally: qubit k is rotated
+    after j and flipped where s_k xor (k corrected) is 1."""
     bits = [int(b) for b in bits]
-    block = StepBlock.from_bits(bits, theta, j, range(1, j), corrections)
-    assert prefix_kinds(bits)(j, _mask(corrections)) == block.kinds
+    block = StepBlock.from_bits(bits, theta, j, (1 << (j - 1)) - 1, corrections)
     cfg = Dqc1Config(n=len(bits), alpha=1.0, p=0.0, theta=theta, backend="closed")
-    rec = make_oracle(bits, cfg)(j, _mask(corrections))
+    rec = make_oracle(bits, cfg)(j, corrections)
     assert complex(rec.ex, rec.ey) == block.tau()
+    tally = [0] * 4
+    for k, bit in enumerate(bits, 1):
+        tally[2 * (k > j) + (bit ^ (corrections >> (k - 1) & 1))] += 1
+    assert mask_kinds(block.n, block.rotated, block.flips) == tuple(tally)
 
 
 @pytest.mark.parametrize("theta", [1.1, 2.9])
-def test_prefix_kinds_match_step_block_exhaustive(theta):
+def test_closed_oracle_matches_step_block_exhaustive(theta):
     for n in range(1, 5):
         for bits in all_bitstrings(n):
             for j in range(1, n + 1):
-                prefix = frozenset(range(1, j))
-                correct = frozenset(k for k in prefix if bits[k - 1])
-                for corrections in (correct, frozenset(), prefix, prefix - correct):
+                prefix = (1 << (j - 1)) - 1
+                correct = qubit_mask(k for k in range(1, j) if bits[k - 1])
+                for corrections in (correct, 0, prefix, prefix ^ correct):
                     _assert_oracle_matches_block(bits, theta, j, corrections)
 
 
-def test_prefix_kinds_match_step_block_at_300_qubits(rng):
+def test_closed_oracle_matches_step_block_at_300_qubits(rng):
     for _ in range(200):
         bits = rng.integers(0, 2, size=300)
         j = int(rng.integers(1, 301))
         # the learner's corrections with a few wrong decisions mixed in
         prefix = np.arange(1, j)
         wrong = rng.random(j - 1) < 0.05
-        corrections = frozenset(prefix[(bits[: j - 1] == 1) ^ wrong].tolist())
+        corrections = qubit_mask(prefix[(bits[: j - 1] == 1) ^ wrong])
         _assert_oracle_matches_block(bits, float(rng.uniform(0.1, 3.0)), j, corrections)
 
 
@@ -229,9 +227,9 @@ def test_oracle_rejects_probe_and_corrections_out_of_range(kind):
     cfg = Dqc1Config(n=3, alpha=1.0, p=0.0, theta=1.0, backend=kind)
     oracle = make_oracle(as_bits("011"), cfg)
     for j, corrections in (
-        (0, 0), (4, 0), (2, _mask((2,))), (2, _mask((3,))),
+        (0, 0), (4, 0), (2, qubit_mask((2,))), (2, qubit_mask((3,))),
         # negative masks, and bits at or after j beside valid ones
-        (3, -1), (3, -4), (1, 1), (3, _mask((1, 3))), (3, 1 << 64),
+        (3, -1), (3, -4), (1, 1), (3, qubit_mask((1, 3))), (3, 1 << 64),
     ):
         with pytest.raises(ValueError):
             oracle(j, corrections)
@@ -276,9 +274,9 @@ def test_learn_corrects_exactly_the_learned_ones(rng, kind):
         learned = [k for k in range(1, n + 1) if res.s_hat[k - 1]]
         assert [j for j, _ in calls] == list(range(1, n + 1))
         for j, corrections in calls:
-            assert corrections == _mask(k for k in learned if k < j)
+            assert corrections == qubit_mask(k for k in learned if k < j)
         last_j, last_mask = calls[-1]
-        assert last_mask | (int(res.s_hat[-1]) << (last_j - 1)) == _mask(learned)
+        assert last_mask | (int(res.s_hat[-1]) << (last_j - 1)) == qubit_mask(learned)
 
 
 def test_learn_survives_heavy_readout_noise():
