@@ -28,9 +28,6 @@ import numpy as np
 #: past it a dense matrix stops fitting in desk-scale memory.
 MAX_QUBITS = 12
 
-#: Eigenphases (rad) closer than this are one phase that rounding split.
-PHASE_MERGE = 1e-12
-
 ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -119,11 +116,12 @@ class StepBlock:
     ``R(theta, phi)^rotated_k . sx^flips_k``: a rotation or the identity,
     times sx where a parity coupling is left after the decoupling
     corrections.  `rotated` and `flips` are int bitmasks, bit k-1 for
-    qubit k.  ``dense`` builds the matrix from the qubits in order.  The
-    normalized trace (``tau``), whether it is exactly zero (``vanishes``)
-    and the spectrum (``eigenphases``) depend only on ``kinds``, how many
-    qubits fall into each of the four kinds, so they do not depend on the
-    order of the qubits.
+    qubit k, and a bit at or past n, or a negative mask, is refused.
+    ``dense`` builds the matrix from the qubits in order.  The normalized
+    trace (``tau``), whether it is exactly zero (``vanishes``) and the
+    spectrum that ``infomeasures.protocol_discord`` reads depend only on
+    ``kinds``, how many qubits fall into each of the four kinds, so they
+    do not depend on the order of the qubits.
     """
 
     theta: float
@@ -131,6 +129,11 @@ class StepBlock:
     rotated: int
     flips: int
     phi: float = 0.0
+
+    def __post_init__(self) -> None:
+        # a negative mask shifts to -1, so it is refused too
+        if (self.rotated | self.flips) >> self.n:
+            raise ValueError(f"rotated or flipped qubits outside 1..{self.n}")
 
     @classmethod
     def from_bits(
@@ -191,45 +194,6 @@ class StepBlock:
     def tau(self) -> complex:
         """tr(block)/2^n from the kind counts (``kinds_tau``)."""
         return kinds_tau(self.theta, self.phi, self.kinds)
-
-    def eigenphases(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct eigenphases of the block in [0, 2 pi), with weights.
-
-        A weight is the fraction of the 2^n eigenvalues that carry the
-        phase.  Each factor has an eigenphase pair (a, b): identity (0, 0),
-        sx (0, pi), R (theta/2, -theta/2) and R . sx (mu, pi - mu) with
-        sin mu = sin(theta/2) cos(phi).  A block phase takes one member
-        per qubit, so only how many qubits of each kind take b matters:
-        m of `count` do with weight comb(count, m) / 2^count, and the
-        spectrum is a convolution over the four kinds in ``kinds`` order.
-        Phases closer than ``PHASE_MERGE`` merge into the smallest of them.
-        """
-        half = self.theta / 2.0
-        _, a = _traces(self.theta, self.phi)
-        root = math.sqrt(max(0.0, 1.0 - a * a))
-        pairs = (
-            (0.0, 0.0), (0.0, math.pi), (half, -half),
-            (math.atan2(a, root), math.atan2(a, -root)),
-        )
-        phases = np.zeros(1)
-        weights = np.ones(1)
-        for (first, second), count in zip(pairs, self.kinds):
-            taken = np.arange(count + 1)
-            kind_phases = (count - taken) * first + taken * second
-            kind_weights = np.array(
-                [math.comb(count, m) / 2**count for m in range(count + 1)]
-            )
-            summed = np.mod(np.add.outer(phases, kind_phases).ravel(), 2.0 * math.pi)
-            # a tiny negative sum wraps to about 2 pi; fold that into 0
-            summed[summed > 2.0 * math.pi - PHASE_MERGE] = 0.0
-            order = np.argsort(summed, kind="stable")
-            summed = summed[order]
-            starts = np.flatnonzero(np.diff(summed, prepend=-1.0) >= PHASE_MERGE)
-            phases = summed[starts]
-            weights = np.add.reduceat(
-                np.multiply.outer(weights, kind_weights).ravel()[order], starts
-            )
-        return phases, weights
 
 
 def _traces(theta: float, phi: float) -> tuple[float, float]:

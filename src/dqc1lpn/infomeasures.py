@@ -6,9 +6,10 @@ Quantum discord is computed with the measurement on the probe qubit:
         of sum_k p_k S(rho_data | k).
 
 For the protocol's output state, ``protocol_discord`` needs only alpha
-and the step block's eigenphases (``StepBlock.eigenphases``): no dense
-state is built, and the cost is polynomial in n.  The measures of an
-arbitrary dense state (``quantum_discord``, mutual information, the
+and the step block's kind counts (``StepBlock.kinds``): the spectrum
+mod pi is a binomial lattice over the rotated qubits, no dense state is
+built, and the cost is polynomial in n.  The measures of an arbitrary
+dense state (``quantum_discord``, mutual information, the
 partial-transpose check, coherence) are the reference in ``qstate``.
 """
 
@@ -92,12 +93,54 @@ def _binary_entropy_array(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _binomial_weights(k: int) -> np.ndarray:
+    """C(k, m) / 2^k for m = 0..k, each a correctly rounded quotient of two
+    ints; the C(k, m) come from the recurrence C(k, m+1) = C(k, m)(k-m)/(m+1)."""
+    scale = 2**k
+    weights = np.empty(k + 1)
+    count = 1
+    for m in range(k + 1):
+        weights[m] = count / scale
+        count = count * (k - m) // (m + 1)
+    return weights
+
+
+def _spectrum(block: StepBlock) -> tuple[np.ndarray, np.ndarray]:
+    """Phases of the block's eigenvalues mod pi, with weights that sum to 1.
+
+    The discord objective has period pi in each phase, and mod pi a
+    factor's pair of phases is (0, 0) for the identity and sx, and
+    +-g(t) for R (t = 0) and R . sx (t = phi), with
+
+        g(t) = atan2(sin(theta/2) cos t, hypot(cos(theta/2), sin(theta/2) sin t)).
+
+    k qubits that share g give the phases (k - 2m) g with weights
+    C(k, m) / 2^k.  At phi = 0 the two rotated kinds share g bit for
+    bit and form one binomial; otherwise r R qubits and b R . sx qubits
+    give an (r+1)(b+1) lattice.  Phases whose weight rounds to 0.0 are
+    dropped.
+    """
+    _, _, rotated, both = block.kinds
+    s, c = math.sin(block.theta / 2.0), math.cos(block.theta / 2.0)
+    counts: dict[float, int] = {}
+    for t, count in ((0.0, rotated), (block.phi, both)):
+        g = math.atan2(s * math.cos(t), math.hypot(c, s * math.sin(t)))
+        counts[g] = counts.get(g, 0) + count
+    phases, weights = np.zeros(1), np.ones(1)
+    for g, k in counts.items():
+        lattice = (k - 2 * np.arange(k + 1)) * g
+        phases = np.add.outer(phases, lattice).ravel()
+        weights = np.multiply.outer(weights, _binomial_weights(k)).ravel()
+    kept = weights > 0.0
+    return phases[kept], weights[kept]
+
+
 def protocol_discord(block: StepBlock, alpha: float) -> DiscordResult:
     """Probe-side discord of the one-clean-qubit output state for `block`.
 
     In the eigenbasis of the block the state is a direct sum of probe
     blocks with Bloch vectors alpha (cos l_k, sin l_k), so with weights
-    w_k on the eigenphases l_k and tau = tr(block)/2^n
+    w_k on the eigenvalue phases l_k (``_spectrum``) and tau = tr(block)/2^n
 
         D = H2((1 - alpha|tau|)/2) - H2((1 - alpha)/2)
             + min_phi [sum_k w_k H2((1 - alpha cos(l_k - phi))/2)
@@ -111,7 +154,7 @@ def protocol_discord(block: StepBlock, alpha: float) -> DiscordResult:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha {alpha} outside [0, 1]")
-    phases, weights = block.eigenphases()
+    phases, weights = _spectrum(block)
     tau = block.tau()
 
     def objective(phi: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import index
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -108,21 +108,6 @@ class LearnStep:
 class LearnResult:
     s_hat: np.ndarray
     steps: tuple[LearnStep, ...]
-
-
-def draw_classical_samples(
-    s, p: float, count: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """`count` noisy parity samples: uniform x and y = <s, x> xor e with
-    P(e=1) = p/2."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError("noise rate p must lie in [0, 1)")
-    bits = as_bits(s)
-    gen = np.random.default_rng(seed)
-    xs = gen.integers(0, 2, size=(count, bits.size), dtype=np.uint8)
-    clean = (xs @ bits.astype(np.int64)) & 1
-    flips = gen.random(count) < p / 2.0
-    return xs, (clean ^ flips).astype(np.uint8)
 
 
 def closed_form_tau(s, theta: float, j: int, decoupled: Iterable[int] = ()) -> complex:
@@ -278,30 +263,3 @@ def learn(
         )
     s_hat = np.array([step.bit for step in steps], dtype=np.uint8)
     return LearnResult(s_hat=s_hat, steps=tuple(steps))
-
-
-def brute_force_baseline(samples: Sequence[tuple], n: int) -> np.ndarray:
-    """Classical reference: scan all 2^n candidates, keep the one with the
-    fewest disagreements (ties go to the lowest lexicographic string)."""
-    if n < 1 or n > 20:
-        raise ValueError("n outside 1..20")
-    total = 2**n
-    if not samples:
-        return np.zeros(n, dtype=np.uint8)
-    xs = np.array([as_bits(x, n=n) for x, _ in samples], dtype=np.int64)
-    ys = np.array([int(y) for _, y in samples], dtype=np.int64)
-    if np.isin(ys, (0, 1)).sum() != ys.size:
-        raise ValueError("labels must be bits")
-    best_idx = 0
-    best_count = None
-    shifts = np.arange(n - 1, -1, -1)
-    for start in range(0, total, 4096):
-        idx = np.arange(start, min(start + 4096, total))
-        cands = (idx[:, None] >> shifts[None, :]) & 1
-        parities = (xs @ cands.T) & 1
-        counts = (parities != ys[:, None]).sum(axis=0)
-        pos = int(counts.argmin())
-        if best_count is None or counts[pos] < best_count:
-            best_count = int(counts[pos])
-            best_idx = int(idx[pos])
-    return ((best_idx >> shifts) & 1).astype(np.uint8)

@@ -5,8 +5,9 @@ The commands run from closed forms of the probe-step block
 their n <= 12 cross-check: the dense one-clean-qubit run and its probe
 readout (Knill and Laflamme, PRL 81, 5672, 1998), depolarizing channels,
 and the discord of any state by grid and coordinate descent, against
-which the eigenphase formula (Datta, Shaji and Caves, PRL 100, 050502,
-2008) is checked.
+which ``infomeasures.protocol_discord``, the discord from the block's
+spectrum mod pi (Datta, Shaji and Caves, PRL 100, 050502, 2008), is
+checked.
 
 Conventions used across the package:
 

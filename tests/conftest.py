@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from dqc1lpn import qstate
-from dqc1lpn.circuits import HADAMARD, StepBlock, as_bits
+from dqc1lpn.circuits import HADAMARD, StepBlock, _traces, as_bits
 from dqc1lpn.dqc1 import Dqc1Config
 from dqc1lpn.qstate import DensityMatrix, OperatorMatrix, embed
 
@@ -79,6 +81,50 @@ def step_blocks(theta, phi):
                     if block not in seen:
                         seen.add(block)
                         yield block
+
+
+#: Eigenphases (rad) closer than this are one phase that rounding split.
+PHASE_MERGE = 1e-12
+
+
+def reference_eigenphases(block):
+    """Distinct eigenphases of the block in [0, 2 pi), with weights.
+
+    A weight is the fraction of the 2^n eigenvalues that carry the
+    phase.  Each factor has an eigenphase pair (a, b): identity (0, 0),
+    sx (0, pi), R (theta/2, -theta/2) and R . sx (mu, pi - mu) with
+    sin mu = sin(theta/2) cos(phi).  A block phase takes one member
+    per qubit, so only how many qubits of each kind take b matters:
+    m of `count` do with weight comb(count, m) / 2^count, and the
+    spectrum is a convolution over the four kinds in ``kinds`` order.
+    Phases closer than ``PHASE_MERGE`` merge into the smallest of them.
+    """
+    half = block.theta / 2.0
+    _, a = _traces(block.theta, block.phi)
+    root = math.sqrt(max(0.0, 1.0 - a * a))
+    pairs = (
+        (0.0, 0.0), (0.0, math.pi), (half, -half),
+        (math.atan2(a, root), math.atan2(a, -root)),
+    )
+    phases = np.zeros(1)
+    weights = np.ones(1)
+    for (first, second), count in zip(pairs, block.kinds):
+        taken = np.arange(count + 1)
+        kind_phases = (count - taken) * first + taken * second
+        kind_weights = np.array(
+            [math.comb(count, m) / 2**count for m in range(count + 1)]
+        )
+        summed = np.mod(np.add.outer(phases, kind_phases).ravel(), 2.0 * math.pi)
+        # a tiny negative sum wraps to about 2 pi; fold that into 0
+        summed[summed > 2.0 * math.pi - PHASE_MERGE] = 0.0
+        order = np.argsort(summed, kind="stable")
+        summed = summed[order]
+        starts = np.flatnonzero(np.diff(summed, prepend=-1.0) >= PHASE_MERGE)
+        phases = summed[starts]
+        weights = np.add.reduceat(
+            np.multiply.outer(weights, kind_weights).ravel()[order], starts
+        )
+    return phases, weights
 
 
 def dense_final_state(

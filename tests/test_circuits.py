@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dqc1lpn import circuits, lpn, qstate
+from dqc1lpn import circuits, infomeasures, lpn, qstate
 from dqc1lpn.circuits import (
     StepBlock, as_bits, bits_to_str, ones_mask, require_normal, rx, weight,
 )
@@ -22,7 +22,10 @@ from dqc1lpn.qstate import (
     parity_step_block,
 )
 
-from conftest import all_bitstrings, qubit_mask, random_unitary, reference_tau, step_blocks
+from conftest import (
+    all_bitstrings, qubit_mask, random_unitary, reference_eigenphases, reference_tau,
+    step_blocks,
+)
 
 CNOT_01 = np.array(
     [
@@ -117,6 +120,11 @@ def test_step_block_validation():
     ):
         with pytest.raises(ValueError):
             StepBlock.from_bits(bits, 1.0, j, decoupled, corrections)
+    # the constructor refuses rotated or flipped bits at or past n and
+    # negative masks, which would give negative kind counts
+    for rotated, flips in ((0b1111, 0), (0, 0b1000), (-1, 0), (0, -2)):
+        with pytest.raises(ValueError):
+            StepBlock(1.0, 3, rotated, flips)
     assert StepBlock.from_bits(bits, 1.0).rotated == qubit_mask((1, 2, 3))
     assert StepBlock.from_bits(bits, 1.0, 2).rotated == qubit_mask((1, 3))
     block = StepBlock.from_bits(bits, 1.0, 3, qubit_mask((1, 2)), qubit_mask((1, 2)))
@@ -193,36 +201,41 @@ def test_step_block_tau_matches_dense_trace(phi):
 
 @pytest.mark.parametrize("phi", [0.0, 0.3])
 def test_step_block_eigenphases_match_dense_spectrum(phi):
-    """The convolved eigenphases, each repeated weight * 2^n times, are the
-    eigenvalues of the dense block as a multiset."""
+    """The eigenphases mod pi that discord reads, each repeated
+    weight * 2^n times: e^{2il} are the squared eigenvalues of the dense
+    block as a multiset."""
     for block in step_blocks(1.1, phi):
         n = block.n
-        phases, weights = block.eigenphases()
-        assert np.all((phases >= 0.0) & (phases < 2 * np.pi))
-        assert np.unique(phases).size == phases.size
+        phases, weights = infomeasures._spectrum(block)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         counts = weights * 2**n
-        assert np.allclose(counts, np.round(counts), atol=1e-9)
-        expected = np.repeat(np.exp(1j * phases), np.round(counts).astype(int))
-        remaining = list(np.linalg.eigvals(block.dense()))
+        assert np.array_equal(counts, np.round(counts))
+        expected = np.repeat(np.exp(2j * phases), counts.astype(int))
+        remaining = list(np.linalg.eigvals(block.dense()) ** 2)
         assert expected.size == len(remaining)
         for value in expected:
             nearest = int(np.argmin(np.abs(np.array(remaining) - value)))
             assert abs(remaining.pop(nearest) - value) < 1e-9
 
 
-def test_step_block_eigenphases_at_scale():
-    """Polynomial in n: 300 qubits of three kinds (3 unrotated, 295
-    rotated, 2 rotated and flipped) give at most 296 * 3 phases, whose
-    weighted mean is the normalized trace."""
-    bits = [0] * 300
-    bits[9] = bits[19] = 1
-    block = StepBlock.from_bits(bits, 0.2, 3, decoupled=qubit_mask((1, 2)))
-    phases, weights = block.eigenphases()
-    assert phases.size <= 296 * 3
-    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
-    tau = np.sum(weights * np.exp(1j * phases))
-    assert abs(tau - block.tau()) < 1e-12 * abs(block.tau())
+def test_step_block_eigenphases_at_scale(monkeypatch, rng):
+    """At 300 qubits, discord from the spectrum mod pi agrees to 1e-12 with
+    discord from the convolved eigenphases of conftest, on random blocks
+    of all four kinds, at phi = 0 (one binomial) and phi = 0.3 (a
+    lattice)."""
+    cases = []
+    for phi in (0.0, 0.3) * 25:
+        theta = float(rng.uniform(0.0, 2 * np.pi))
+        rotated = ones_mask(rng.random(300) < rng.uniform(0.1, 0.9))
+        # few flips keep the (r+1)(b+1) lattice at phi = 0.3 small
+        flips = ones_mask(rng.random(300) < rng.uniform(0.0, 0.06))
+        block = StepBlock(theta, 300, rotated, flips, phi)
+        cases += [(block, alpha) for alpha in (0.3, 0.7, 1.0)]
+    got = [infomeasures.protocol_discord(block, alpha).discord for block, alpha in cases]
+    monkeypatch.setattr(infomeasures, "_spectrum", reference_eigenphases)
+    for (block, alpha), value in zip(cases, got):
+        want = infomeasures.protocol_discord(block, alpha).discord
+        assert abs(value - want) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -296,8 +309,8 @@ def test_step_block_spectrum_ignores_qubit_order():
     """Blocks with the same kind counts in another qubit order have the
     same eigenphases and weights, bit for bit."""
     for bits, other in (("0101", "0011"), ("010110", "001101")):
-        first = StepBlock.from_bits([int(b) for b in bits], 1.3, 1).eigenphases()
-        second = StepBlock.from_bits([int(b) for b in other], 1.3, 1).eigenphases()
+        first = infomeasures._spectrum(StepBlock.from_bits([int(b) for b in bits], 1.3, 1))
+        second = infomeasures._spectrum(StepBlock.from_bits([int(b) for b in other], 1.3, 1))
         for x, y in zip(first, second):
             np.testing.assert_array_equal(x, y)
 

@@ -420,7 +420,7 @@ def test_non_finite_result_exits_four(capsys, monkeypatch, fmt, bad):
 
 
 def test_discord_sweep_at_64_qubits(capsys):
-    """Far past any dense state: the eigenphase path stays finite."""
+    """Far past any dense state: discord from the kind counts stays finite."""
     s = "0110100110010110" * 4
     code, out, _ = run_cli(
         capsys, "discord-sweep", "--s", s, "--j", "3",

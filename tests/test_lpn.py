@@ -10,10 +10,8 @@ from dqc1lpn.dqc1 import Dqc1Config, EstimateRecord
 from dqc1lpn.lpn import (
     BudgetExhaustedError,
     BudgetParams,
-    brute_force_baseline,
     closed_form_tau,
     decide_bit,
-    draw_classical_samples,
     learn,
     make_oracle,
     query_budget,
@@ -133,33 +131,6 @@ def test_query_budget_per_bit_delta_needs_less():
         delta=0.01, alpha=1.0, p=0.0, L=1, per_bit_delta=True
     )
     assert query_budget(per_bit, 10, 1) <= query_budget(shared, 10, 1)
-
-
-def test_classical_oracle_clean_parity():
-    bits = as_bits("1011")
-    xs, ys = draw_classical_samples(bits, 0.0, 50, seed=0)
-    assert np.array_equal(ys, (xs @ bits) % 2)
-    with pytest.raises(ValueError):
-        draw_classical_samples(bits, 1.0, 50, seed=0)
-
-
-def test_classical_oracle_noise_rate():
-    bits = as_bits("101")
-    xs, ys = draw_classical_samples(bits, 0.5, 20000, seed=4)
-    clean = (xs @ bits) % 2
-    rate = float(np.mean(clean != ys))
-    assert rate == pytest.approx(0.25, abs=0.02)
-
-
-def test_brute_force_recovers_clean_string():
-    bits = as_bits("10110")
-    xs, ys = draw_classical_samples(bits, 0.0, 64, seed=9)
-    got = brute_force_baseline(list(zip(xs, ys)), 5)
-    assert bits_to_str(got) == "10110"
-
-
-def test_brute_force_empty_sample_defaults_to_zero():
-    assert bits_to_str(brute_force_baseline([], 3)) == "000"
 
 
 @pytest.mark.parametrize("kind", ["dense", "closed"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dqc1lpn import qstate
+from dqc1lpn.dqc1 import Dqc1Config
 from dqc1lpn.qstate import (
     DensityMatrix,
     KrausSet,
@@ -16,7 +17,7 @@ from dqc1lpn.qstate import (
     von_neumann_entropy,
 )
 
-from conftest import random_density, random_unitary
+from conftest import all_bitstrings, random_density, random_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -165,6 +166,23 @@ def test_entropy_values():
     assert von_neumann_entropy(pure) == pytest.approx(0.0, abs=1e-12)
     skewed = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
     assert von_neumann_entropy(skewed) == pytest.approx(ENTROPY_QUARTER, abs=1e-13)
+
+
+def test_probe_readout_survives_full_depolarization_of_the_data():
+    """The readout depends on the data qubits only through the block, so
+    depolarizing every data qubit at rate 1 after the block leaves both
+    probe quadratures as they were, for every string with n <= 4 and
+    every probe bit."""
+    for n in (1, 2, 3, 4):
+        cfg = Dqc1Config(n=n, alpha=0.7, p=0.2, theta=1.1)
+        for bits in all_bitstrings(n):
+            for j in range(1, n + 1):
+                block = qstate.parity_step_block(bits, cfg.theta, j=j)
+                rho = qstate.run_protocol(cfg, block)
+                mixed = qstate.depolarize(rho, 1.0, range(1, n + 1))
+                before = qstate.probe_expectations(rho, cfg.p)
+                after = qstate.probe_expectations(mixed, cfg.p)
+                assert np.allclose(after, before, rtol=0.0, atol=1e-12)
 
 
 def test_runtime_modules_do_not_import_qstate():
