@@ -38,14 +38,15 @@ PROJ_1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
 def as_bits(s, n: int | None = None) -> np.ndarray:
-    """Normalize a bit pattern ("0110", [0,1,1,0], ...) to a uint8 array."""
+    """Normalize a bit pattern ("0110", [0,1,1,0], ...) to a new uint8 array."""
     if isinstance(s, str):
         if not s or set(s) - {"0", "1"}:
             raise ValueError(f"bit string {s!r} must be nonempty over {{0,1}}")
-        bits = np.array([int(c) for c in s], dtype=np.uint8)
+        bits = np.frombuffer(s.encode("ascii"), np.uint8) - 48
     else:
-        bits = np.array(list(s), dtype=np.int64)
-        if bits.ndim != 1 or bits.size == 0 or not np.isin(bits, (0, 1)).all():
+        bits = np.array(s if isinstance(s, np.ndarray) else list(s), dtype=np.int64)
+        # v >> 1 is 0 only for v in {0, 1}; negatives shift to -1 or below
+        if bits.ndim != 1 or bits.size == 0 or (bits >> 1).any():
             raise ValueError("bits must be a nonempty sequence over {0,1}")
         bits = bits.astype(np.uint8)
     if n is not None and bits.size != n:
@@ -54,7 +55,8 @@ def as_bits(s, n: int | None = None) -> np.ndarray:
 
 
 def bits_to_str(bits) -> str:
-    return "".join(str(int(b)) for b in np.asarray(bits).ravel())
+    """A 0/1 pattern (ints or bools, any shape, read in C order) as a string."""
+    return (np.asarray(bits, dtype=np.uint8).ravel() + 48).tobytes().decode("ascii")
 
 
 def weight(bits) -> int:
@@ -98,7 +100,8 @@ def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
 
 def ones_mask(bits: Sequence[int]) -> int:
     """The 1s of a bit pattern as an int bitmask: bit k-1 is set when s_k = 1."""
-    return int(bits_to_str(bits)[::-1] or "0", 2)
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 def mask_kinds(n: int, rotated: int, flips: int) -> tuple[int, int, int, int]:

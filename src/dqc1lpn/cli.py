@@ -11,6 +11,7 @@ the output byte for byte (wall time goes to stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -228,6 +229,10 @@ def _resolve_string(args, rng_key: int = 0) -> np.ndarray:
 
 
 def cmd_learn(args) -> RunRecord:
+    if args.queries is not None and args.queries < 1:
+        raise ValueError(f"--queries {args.queries} must be at least 1")
+    if args.max_queries < 1:
+        raise ValueError(f"--max-queries {args.max_queries} must be at least 1")
     theta = parse_angle(args.theta)
     bits = _resolve_string(args)
     n = bits.size
@@ -477,11 +482,22 @@ def _add_common(sub, default_format: str):
     )
 
 
+def _dispatch(args) -> RunRecord:
+    """Run ``cmd_<command>``, looked up by name on each call, so the parser
+    built once per process never holds on to a replaced command function."""
+    return globals()["cmd_" + args.command.replace("-", "_")](args)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it:
+    parsing leaves it unchanged, and building it costs more than most
+    commands."""
     parser = argparse.ArgumentParser(
         prog="dqc1lpn",
         description="One-clean-qubit trace estimation and parity learning.",
     )
+    parser.set_defaults(func=_dispatch)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("learn", help="recover a hidden parity string")
@@ -509,14 +525,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="refuse bits that would need more queries than this",
     )
     _add_common(p, "json")
-    p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("trace-table", help="closed-form readout table")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--s", default=None, help="single string (else all, n <= 8)")
     p.add_argument("--theta", default="0.5pi")
     _add_common(p, "csv")
-    p.set_defaults(func=cmd_trace_table)
 
     p = sub.add_parser("discord-sweep", help="probe-register discord sweeps")
     p.add_argument("--s", required=True)
@@ -526,7 +540,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-grid", default=None, help="lo:hi:count")
     p.add_argument("--theta-grid", default=None, help="lo:hi:count (pi suffix ok)")
     _add_common(p, "csv")
-    p.set_defaults(func=cmd_discord_sweep)
 
     p = sub.add_parser("noise-sweep", help="error-model experiments")
     p.add_argument("--mode", choices=("midq", "parity", "systematic"), required=True)
@@ -540,13 +553,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi-grid", default="0:0.45pi:5", help="systematic mode: tilt grid")
     p.add_argument("--theta-grid", default="0.3:2.2:5", help="systematic mode: angle grid")
     _add_common(p, "csv")
-    p.set_defaults(func=cmd_noise_sweep)
 
     p = sub.add_parser("coherence", help="coherence consumed per readout")
     p.add_argument("--alpha-grid", default="0.1:1:10")
     p.add_argument("--tau-grid", default="0:1:11")
     _add_common(p, "csv")
-    p.set_defaults(func=cmd_coherence)
 
     return parser
 

@@ -127,6 +127,33 @@ def reference_eigenphases(block):
     return phases, weights
 
 
+def reference_as_bits(s, n=None):
+    """``circuits.as_bits`` before it converted in bulk, kept verbatim as the
+    reference: a Python int per character, ``list`` plus ``np.isin``."""
+    if isinstance(s, str):
+        if not s or set(s) - {"0", "1"}:
+            raise ValueError(f"bit string {s!r} must be nonempty over {{0,1}}")
+        bits = np.array([int(c) for c in s], dtype=np.uint8)
+    else:
+        bits = np.array(list(s), dtype=np.int64)
+        if bits.ndim != 1 or bits.size == 0 or not np.isin(bits, (0, 1)).all():
+            raise ValueError("bits must be a nonempty sequence over {0,1}")
+        bits = bits.astype(np.uint8)
+    if n is not None and bits.size != n:
+        raise ValueError(f"expected {n} bits, got {bits.size}")
+    return bits
+
+
+def reference_bits_to_str(bits):
+    """``circuits.bits_to_str`` before its bulk conversion, kept verbatim."""
+    return "".join(str(int(b)) for b in np.asarray(bits).ravel())
+
+
+def reference_ones_mask(bits):
+    """``circuits.ones_mask`` before it packed bits, kept verbatim."""
+    return int(reference_bits_to_str(bits)[::-1] or "0", 2)
+
+
 def dense_final_state(
     s, cfg: Dqc1Config, *, j: int | None, between: "callable"
 ) -> DensityMatrix:

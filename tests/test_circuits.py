@@ -23,8 +23,9 @@ from dqc1lpn.qstate import (
 )
 
 from conftest import (
-    all_bitstrings, qubit_mask, random_unitary, reference_eigenphases, reference_tau,
-    step_blocks,
+    all_bitstrings, qubit_mask, random_unitary, reference_as_bits,
+    reference_bits_to_str, reference_eigenphases, reference_ones_mask,
+    reference_tau, step_blocks,
 )
 
 CNOT_01 = np.array(
@@ -68,6 +69,57 @@ def test_as_bits_rejects_garbage():
         as_bits("011", n=4)
     with pytest.raises(ValueError):
         as_bits([0, 2, 1])
+
+
+#: The forms a bit pattern reaches ``as_bits`` in, built from a list of 0/1.
+BIT_FORMS = {
+    "str": lambda v: "".join(map(str, v)),
+    "list": list,
+    "tuple": tuple,
+    "uint8": lambda v: np.array(v, dtype=np.uint8),
+    "bool": lambda v: np.array(v, dtype=bool),
+    "int64": lambda v: np.array(v, dtype=np.int64),
+}
+
+
+@given(
+    st.lists(st.integers(0, 1), min_size=1, max_size=300),
+    st.sampled_from(sorted(BIT_FORMS)),
+)
+def test_bit_conversions_match_reference(values, form):
+    s = BIT_FORMS[form](values)
+    want = reference_as_bits(s)
+    got = as_bits(s)
+    assert got.dtype == want.dtype == np.uint8
+    np.testing.assert_array_equal(got, want)
+    assert bits_to_str(got) == reference_bits_to_str(want)
+    assert ones_mask(got) == reference_ones_mask(want)
+    if form != "str":
+        assert bits_to_str(s) == reference_bits_to_str(s)
+        assert ones_mask(s) == reference_ones_mask(s)
+    # a fresh array: writing to it leaves the input as it was
+    before = BIT_FORMS[form](values)
+    got ^= 1
+    if isinstance(s, np.ndarray):
+        np.testing.assert_array_equal(s, before)
+    else:
+        assert s == before
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "", "012", "01x0", [0, 2], [], [-1, 0],
+        np.array([0, 3]), np.array([], dtype=np.uint8),
+        np.array([[0, 1], [1, 0]], dtype=np.uint8), [[0, 1], [1, 0]],
+    ],
+)
+def test_as_bits_refusals_match_reference(bad):
+    with pytest.raises(ValueError) as want:
+        reference_as_bits(bad)
+    with pytest.raises(ValueError) as got:
+        as_bits(bad)
+    assert str(got.value) == str(want.value)
 
 
 def test_cnot_matrix():

@@ -141,6 +141,14 @@ def test_usage_errors_exit_two(capsys):
         assert code == 2
         assert out == ""
         assert "Traceback" not in err
+    # learn with a query count or cap below 1: the message names the flag
+    for flag, value in (
+        ("--queries", "-5"), ("--queries", "0"),
+        ("--max-queries", "-1"), ("--max-queries", "0"),
+    ):
+        code, out, err = run_cli(capsys, "learn", "--s", "0110", flag, value)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} {value} must be at least 1\n"
 
 
 def test_budget_exhaustion_exits_three(capsys):
@@ -311,6 +319,36 @@ def test_out_files_are_reproducible(tmp_path, capsys):
         )
         assert code == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+CACHED_PARSER_CALLS = [
+    ("learn", "--help"),
+    ("learn", "--s", "012"),
+    ("learn", "--s", "0110", "--per-bit-delta"),
+    ("learn", "--s", "0110"),
+    ("trace-table", "--n", "2"),
+    ("discord-sweep", "--s", "011", "--j", "1", "--alpha-grid", "0.5"),
+    ("noise-sweep", "--mode", "midq", "--s", "0110", "--q-grid", "0:0.05:2"),
+    ("coherence", "--alpha-grid", "0.5", "--tau-grid", "0.5"),
+]
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    """One parser serves every call in a process, and no call's flags leak
+    into the next: each command gives the same exit code and stdout run
+    forwards or backwards through the list."""
+    assert cli._build_parser() is cli._build_parser()
+    runs = [
+        {argv: run_cli(capsys, *argv)[:2] for argv in calls}
+        for calls in (CACHED_PARSER_CALLS, CACHED_PARSER_CALLS[::-1])
+    ]
+    assert runs[0] == runs[1]
+    for run in runs:
+        assert [run[argv][0] for argv in CACHED_PARSER_CALLS] == [0, 2, 0, 0, 0, 0, 0, 0]
+        assert run[CACHED_PARSER_CALLS[0]][1].startswith("usage: dqc1lpn learn")
+        flagged, plain = (json.loads(run[argv][1]) for argv in CACHED_PARSER_CALLS[2:4])
+        assert flagged["config"]["per_bit_delta"] is True
+        assert plain["config"]["per_bit_delta"] is False
 
 
 def test_unexpected_error_exits_four(capsys, monkeypatch):
