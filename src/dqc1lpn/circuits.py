@@ -55,8 +55,15 @@ def as_bits(s, n: int | None = None) -> np.ndarray:
 
 
 def bits_to_str(bits) -> str:
-    """A 0/1 pattern (ints or bools, any shape, read in C order) as a string."""
-    return (np.asarray(bits, dtype=np.uint8).ravel() + 48).tobytes().decode("ascii")
+    """A 0/1 pattern (ints or bools, any shape, read in C order) as a string.
+    A str, or a value other than 0 and 1, raises ValueError."""
+    if isinstance(bits, str):
+        raise ValueError("bits_to_str takes a 0/1 sequence or array, not a string")
+    bits = np.asarray(bits)
+    # compare values before the cast, which would wrap -1 or truncate 0.5
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValueError("bits must be over {0,1}")
+    return (bits.astype(np.uint8).ravel() + 48).tobytes().decode("ascii")
 
 
 def weight(bits) -> int:

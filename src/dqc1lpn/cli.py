@@ -392,9 +392,9 @@ def cmd_noise_sweep(args) -> RunRecord:
     if args.mode == "midq":
         theta = parse_angle(args.theta)
         cfg = Dqc1Config(n=n, alpha=args.alpha, p=args.p, theta=theta, seed=args.seed)
-        for q in parse_grid(args.q_grid):
-            ratio = noise.midcircuit_noise_experiment(bits, cfg, q, j=args.j)
-            rows.append({"q": q, "signal_ratio": ratio})
+        q_grid = parse_grid(args.q_grid)
+        ratios = noise.midcircuit_noise_sweep(bits, cfg, q_grid, j=args.j)
+        rows = [{"q": q, "signal_ratio": r} for q, r in zip(q_grid, ratios)]
         config.update(
             theta=theta, theta_raw=args.theta, alpha=args.alpha,
             p=args.p, q_grid=args.q_grid, j=args.j,

@@ -16,6 +16,7 @@ partial-transpose check, coherence) are the reference in ``qstate``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from .circuits import StepBlock
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_TINY = sys.float_info.min
 #: measurement angles phi in [0, pi) that protocol_discord scans first
 _PHI_GRID = 64
 
@@ -84,13 +86,13 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float, int]
 
 def _binary_entropy_array(x: np.ndarray) -> np.ndarray:
     """Elementwise H2, with x clipped into [0, 1]: arguments such as
-    (1 - alpha cos)/2 at alpha = 1 can round a hair outside it."""
-    x = np.clip(x, 0.0, 1.0)
-    out = np.zeros_like(x)
-    for t in (x, 1.0 - x):
-        pos = t > 0.0
-        out[pos] -= t[pos] * np.log2(t[pos])
-    return out
+    (1 - alpha cos)/2 at alpha = 1 can round a hair outside it.  A log2
+    argument is raised to the smallest normal float, so 0 log 0 comes out
+    +0.0 with no mask and no warning."""
+    # np.minimum(np.maximum(...)) is np.clip without its Python wrappers
+    x = np.minimum(np.maximum(x, 0.0), 1.0)
+    y = 1.0 - x
+    return 0.0 - x * np.log2(np.maximum(x, _TINY)) - y * np.log2(np.maximum(y, _TINY))
 
 
 def _binomial_weights(k: int) -> np.ndarray:
@@ -150,29 +152,37 @@ def protocol_discord(block: StepBlock, alpha: float) -> DiscordResult:
     it), and the bracket has period pi in phi.  The minimum is a
     _PHI_GRID-point grid over [0, pi) refined by a golden-section search
     on the best cell down to 1e-6 rad; ``iterations`` counts the
-    refinement evaluations.
+    refinement evaluations.  The quadratures alpha cos l_k, alpha sin l_k
+    and alpha tau are computed once, so that with
+    alpha cos(l_k - phi) = cos(phi) alpha cos l_k + sin(phi) alpha sin l_k
+    a refinement step costs one cos and one sin and a few vector operations.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha {alpha} outside [0, 1]")
     phases, weights = _spectrum(block)
     tau = block.tau()
-
-    def objective(phi: np.ndarray) -> np.ndarray:
-        spread = _binary_entropy_array(
-            (1.0 - alpha * np.cos(np.subtract.outer(phi, phases))) / 2.0
-        )
-        readout = (tau.real * np.cos(phi) + tau.imag * np.sin(phi)) * alpha
-        return spread @ weights - _binary_entropy_array((1.0 - readout) / 2.0)
+    ac, as_ = alpha * np.cos(phases), alpha * np.sin(phases)
+    ar, ai = alpha * tau.real, alpha * tau.imag
 
     step = math.pi / _PHI_GRID
     grid = np.arange(_PHI_GRID) * step
-    values = objective(grid)
+    cos, sin = np.cos(grid), np.sin(grid)
+    spread = _binary_entropy_array(
+        (1.0 - (np.multiply.outer(cos, ac) + np.multiply.outer(sin, as_))) / 2.0
+    )
+    readout = _binary_entropy_array((1.0 - (cos * ar + sin * ai)) / 2.0)
+    values = spread @ weights - readout
+
+    def objective(phi: float) -> float:
+        c, s = math.cos(phi), math.sin(phi)
+        spread = _binary_entropy_array((1.0 - (c * ac + s * as_)) / 2.0)
+        # clipped like the arguments of _binary_entropy_array
+        readout = min(max((1.0 - (c * ar + s * ai)) / 2.0, 0.0), 1.0)
+        return float(spread @ weights) - binary_entropy(readout)
+
     best = int(values.argmin())
     p_best, f_best = float(grid[best]), float(values[best])
-    p_new, f_new, evals = _golden_min(
-        lambda q: float(objective(np.array([q]))[0]),
-        p_best - step, p_best + step, 1e-6,
-    )
+    p_new, f_new, evals = _golden_min(objective, p_best - step, p_best + step, 1e-6)
     if f_new < f_best:
         p_best, f_best = p_new % math.pi, f_new
     s_probe, s_block = _binary_entropy_array(

@@ -47,10 +47,31 @@ def midcircuit_noise_experiment(
     coupled qubits.  Refused when the noiseless signal is exactly zero
     (the block vanishes, or alpha = 0) or the ratio is below 2^-1022.
     """
+    return midcircuit_noise_sweep(s, cfg, (q,), j=j)[0]
+
+
+def midcircuit_noise_sweep(
+    s, cfg: Dqc1Config, q_grid: Iterable[float], *, j: int | None = None
+) -> list[float]:
+    """``midcircuit_noise_experiment`` at each rate of `q_grid`, with s
+    checked and the step block built once.  A sweep is refused where the
+    first failing one-point call in grid order would be, with its message."""
     bits = as_bits(s, n=cfg.n)
-    if not 0.0 <= q <= 0.2:
-        raise ValueError("mid-circuit rate q outside [0, 0.2]")
-    if weight(bits) == 0:
+    coupled = None
+    ratios = []
+    for q in q_grid:
+        if not 0.0 <= q <= 0.2:
+            raise ValueError("mid-circuit rate q outside [0, 0.2]")
+        if coupled is None:
+            coupled = _coupled_qubits(bits, cfg, j)
+        ratios.append(circuits.require_normal((1.0 - q) ** coupled, "the signal ratio"))
+    return ratios
+
+
+def _coupled_qubits(bits: np.ndarray, cfg: Dqc1Config, j: int | None) -> int:
+    """How many qubits the midq step block couples, once its noiseless
+    signal is known not to vanish."""
+    if not bits.any():
         raise ValueError("all-zero string carries no coupling to damp")
     if j is None:
         j = default_probe_bit(bits)
@@ -60,8 +81,7 @@ def midcircuit_noise_experiment(
             "noiseless signal vanishes; pick a probe bit with s_j = 0, "
             "alpha > 0 and an angle with nonzero rotation traces"
         )
-    ratio = (1.0 - q) ** block.flips.bit_count()
-    return circuits.require_normal(ratio, "the signal ratio")
+    return block.flips.bit_count()
 
 
 def phase_flip_parity_experiment(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dqc1lpn import qstate
+from dqc1lpn import infomeasures, qstate
 from dqc1lpn.circuits import HADAMARD, StepBlock, _traces, as_bits
 from dqc1lpn.dqc1 import Dqc1Config
 from dqc1lpn.qstate import DensityMatrix, OperatorMatrix, embed
@@ -125,6 +125,55 @@ def reference_eigenphases(block):
             np.multiply.outer(weights, kind_weights).ravel()[order], starts
         )
     return phases, weights
+
+
+def reference_binary_entropy_array(x):
+    """``infomeasures._binary_entropy_array`` before it went branch-free,
+    kept verbatim: log2 only where an argument is positive."""
+    x = np.clip(x, 0.0, 1.0)
+    out = np.zeros_like(x)
+    for t in (x, 1.0 - x):
+        pos = t > 0.0
+        out[pos] -= t[pos] * np.log2(t[pos])
+    return out
+
+
+def reference_discord_objective(phases, weights, tau, alpha):
+    """The objective of ``infomeasures.protocol_discord`` before it read
+    precomputed quadratures, kept verbatim: cos(phi - l_k) over an outer
+    difference of every probe angle and every phase."""
+
+    def objective(phi: np.ndarray) -> np.ndarray:
+        spread = reference_binary_entropy_array(
+            (1.0 - alpha * np.cos(np.subtract.outer(phi, phases))) / 2.0
+        )
+        readout = (tau.real * np.cos(phi) + tau.imag * np.sin(phi)) * alpha
+        return spread @ weights - reference_binary_entropy_array((1.0 - readout) / 2.0)
+
+    return objective
+
+
+def reference_protocol_discord(block, alpha):
+    """(discord, iterations) of ``protocol_discord`` with the
+    reference objective: the same grid, bracket and golden-section search."""
+    phases, weights = infomeasures._spectrum(block)
+    tau = block.tau()
+    objective = reference_discord_objective(phases, weights, tau, alpha)
+    step = math.pi / infomeasures._PHI_GRID
+    grid = np.arange(infomeasures._PHI_GRID) * step
+    values = objective(grid)
+    best = int(values.argmin())
+    p_best, f_best = float(grid[best]), float(values[best])
+    p_new, f_new, evals = infomeasures._golden_min(
+        lambda q: float(objective(np.array([q]))[0]),
+        p_best - step, p_best + step, 1e-6,
+    )
+    if f_new < f_best:
+        p_best, f_best = p_new % math.pi, f_new
+    s_probe, s_block = reference_binary_entropy_array(
+        np.array([(1.0 - alpha * abs(tau)) / 2.0, (1.0 - alpha) / 2.0])
+    )
+    return max(0.0, float(s_probe - s_block) + f_best), evals
 
 
 def reference_as_bits(s, n=None):

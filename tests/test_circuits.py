@@ -122,6 +122,18 @@ def test_as_bits_refusals_match_reference(bad):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    ["0110", [-1], [2], [0.5]],
+    ids=["str", "negative", "two", "half"],
+)
+def test_bits_to_str_refuses_non_bits(bad):
+    """A string is not a bit array (its bytes would read as one number),
+    and a value outside {0, 1} must not wrap or truncate into a bit."""
+    with pytest.raises(ValueError):
+        bits_to_str(bad)
+
+
 def test_cnot_matrix():
     np.testing.assert_allclose(cnot(0, 1, 2), CNOT_01)
 

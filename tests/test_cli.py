@@ -255,6 +255,55 @@ def test_noise_sweep_midq_power_law(capsys):
         assert ratio == pytest.approx((1 - q) ** 2, abs=1e-10)
 
 
+#: noise-sweep --mode midq output as the one-call-per-q-point loop printed it
+MIDQ_GOLDEN = {
+    ("--s", "0110", "--q-grid", "0:0.05:6"): (
+        '# dqc1lpn v0.1.0 command=noise-sweep seed=0 config={"mode":"midq","s":"0110",'
+        '"theta":1.5707963267948966,"theta_raw":"0.5pi","alpha":1.0,"p":0.0,'
+        '"q_grid":"0:0.05:6","j":null}\n'
+        "q,signal_ratio\n0,1\n0.01,0.9801\n0.02,0.9604\n0.03,0.9409\n"
+        "0.04,0.9216\n0.05,0.9025\n"
+    ),
+    (
+        "--s", "0110100110010110", "--j", "4", "--theta", "0.3pi",
+        "--alpha", "0.6", "--q-grid", "0.2,0.013,0,0.11",
+    ): (
+        '# dqc1lpn v0.1.0 command=noise-sweep seed=0 config={"mode":"midq",'
+        '"s":"0110100110010110","theta":0.9424777960769379,"theta_raw":"0.3pi",'
+        '"alpha":0.6,"p":0.0,"q_grid":"0.2,0.013,0,0.11","j":4}\n'
+        "q,signal_ratio\n0.2,0.16777216\n0.013,0.900610946612\n0,1\n"
+        "0.11,0.39365888057\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(MIDQ_GOLDEN), ids=["readme", "listed-grid"])
+def test_noise_sweep_midq_bytes_unchanged(capsys, argv):
+    code, out, _ = run_cli(capsys, "noise-sweep", "--mode", "midq", *argv)
+    assert code == 0
+    assert out == MIDQ_GOLDEN[argv]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--s", "0000", "--q-grid", "0.3"), "mid-circuit rate q outside"),
+        (("--s", "0000", "--q-grid", "0.1,0.3"), "all-zero string"),
+        (("--s", "0110", "--q-grid", "0.1,0.3"), "mid-circuit rate q outside"),
+        (("--s", "0110", "--theta", "0", "--j", "1", "--q-grid", "0.5"),
+         "mid-circuit rate q outside"),
+        (("--s", "0110", "--theta", "0", "--j", "1", "--q-grid", "0.1,0.5"),
+         "noiseless signal vanishes"),
+    ],
+)
+def test_noise_sweep_midq_refuses_as_per_point_calls(capsys, argv, message):
+    """The sweep checks s once, but the first q point is still checked
+    before s and the block, as a one-point call would do."""
+    code, out, err = run_cli(capsys, "noise-sweep", "--mode", "midq", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
 def test_noise_sweep_parity_cancellation(capsys):
     code, out, _ = run_cli(
         capsys, "noise-sweep", "--mode", "parity", "--s", "0110",

@@ -7,7 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dqc1lpn import circuits, dqc1, lpn, qstate
-from dqc1lpn.infomeasures import binary_entropy, coherence_consumption, protocol_discord
+from dqc1lpn.infomeasures import (
+    _binary_entropy_array,
+    binary_entropy,
+    coherence_consumption,
+    protocol_discord,
+)
 from dqc1lpn.circuits import StepBlock
 from dqc1lpn.qstate import (
     DensityMatrix,
@@ -19,7 +24,7 @@ from dqc1lpn.qstate import (
     rel_entropy_coherence,
 )
 
-from conftest import step_blocks
+from conftest import reference_protocol_discord, step_blocks
 
 HALF_PI = math.pi / 2
 
@@ -195,6 +200,36 @@ def test_protocol_discord_exactly_zero_at_full_polarization(theta):
         for j in range(1, bits.size + 1):
             block = StepBlock.from_bits(bits, theta, j)
             assert protocol_discord(block, 1.0).discord == 0.0
+
+
+def test_binary_entropy_array_is_exactly_zero_at_the_endpoints():
+    """0 log 0 = 0 without a mask: 0 and 1, and the arguments that round
+    just outside them and are clipped onto them, give +0.0 exactly."""
+    ends = np.array([0.0, 1.0, -0.0, -1e-17, -5e-324, 1.0 + 2.0**-52, 1.0 + 1e-9])
+    h = _binary_entropy_array(ends)
+    assert (h == 0.0).all() and not np.signbit(h).any()
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.3])
+def test_protocol_discord_matches_reference_objective(phi):
+    """The quadrature objective against the outer-difference one it replaced,
+    on random blocks of up to 300 qubits with random decoupled prefixes and
+    corrections: the same discord to 1e-12 and the same number of
+    refinement evaluations.  Half the blocks have at most 8 qubits, where
+    |tau| is large enough for the readout term to count."""
+    rng = np.random.default_rng(1300 + int(phi * 10))
+    for n in rng.integers(1, 9, 8).tolist() + rng.integers(9, 301, 8).tolist():
+        bits = rng.integers(0, 2, n).tolist()
+        j = int(rng.integers(1, n + 1))
+        decoupled = (1 << (j - 1)) - 1
+        corrections = int(rng.integers(0, 2**62)) & decoupled
+        theta = float(rng.uniform(0.0, 2.0 * math.pi))
+        block = StepBlock.from_bits(bits, theta, j, decoupled, corrections, phi=phi)
+        for alpha in (0.0, 0.3, 0.7, 1.0):
+            fast = protocol_discord(block, alpha)
+            discord, iterations = reference_protocol_discord(block, alpha)
+            assert abs(fast.discord - discord) <= 1e-12
+            assert fast.iterations == iterations == 26
 
 
 def test_protocol_discord_rejects_alpha_outside_unit_interval():

@@ -13,6 +13,7 @@ from dqc1lpn.dqc1 import Dqc1Config
 from dqc1lpn.noise import (
     default_probe_bit,
     midcircuit_noise_experiment,
+    midcircuit_noise_sweep,
     phase_flip_parity_experiment,
     systematic_error_sweep,
 )
@@ -147,6 +148,16 @@ def test_midcircuit_ratio_is_power_law(s, m):
     for q in (0.0, 0.02, 0.2):
         ratio = midcircuit_noise_experiment(bits, cfg, q)
         assert ratio == pytest.approx((1 - q) ** m, abs=1e-12)
+
+
+def test_midcircuit_sweep_is_the_one_point_calls():
+    """The sweep builds the block once and gives each point's ratio bit for bit."""
+    bits, qs = as_bits("0110100110"), [0.2, 0.0, 0.013, 0.11]
+    for j in (None, 1, 4):
+        cfg = _cfg(bits.size)
+        assert midcircuit_noise_sweep(bits, cfg, qs, j=j) == [
+            midcircuit_noise_experiment(bits, cfg, q, j=j) for q in qs
+        ]
 
 
 def test_midcircuit_rejects_out_of_range_rate():
