@@ -66,11 +66,6 @@ def bits_to_str(bits) -> str:
     return (bits.astype(np.uint8).ravel() + 48).tobytes().decode("ascii")
 
 
-def weight(bits) -> int:
-    """Hamming weight."""
-    return int(as_bits(bits).sum())
-
-
 def require_normal(value: complex, what: str) -> complex:
     """Return `value`, nonzero in exact arithmetic, unless its magnitude came
     out below 2^-1022, the smallest normal float: subnormal or 0, it lost
@@ -215,10 +210,16 @@ def _traces(theta: float, phi: float) -> tuple[float, float]:
 def kinds_vanish(theta: float, phi: float, kinds: Sequence[int]) -> bool:
     """Whether some factor of a block's trace is exactly 0.0, for the
     kind counts of ``StepBlock.kinds``: a bare sx, or a rotated kind whose
-    trace is 0.0.  An underflow does not vanish."""
+    trace has a factor 0.0 (cos(theta/2) for R; sin(theta/2) or cos(phi)
+    for R . sx).  An underflow, such as a product sin(theta/2) cos(phi)
+    that rounds to 0.0, does not vanish."""
     _, bare, rotated, both = kinds
-    c, a = _traces(theta, phi)
-    return bare > 0 or (rotated > 0 and c == 0.0) or (both > 0 and a == 0.0)
+    half = theta / 2.0
+    return (
+        bare > 0
+        or (rotated > 0 and math.cos(half) == 0.0)
+        or (both > 0 and 0.0 in (math.sin(half), math.cos(phi)))
+    )
 
 
 def kinds_tau(theta: float, phi: float, kinds: Sequence[int]) -> complex:

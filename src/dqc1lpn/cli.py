@@ -240,10 +240,7 @@ def cmd_learn(args) -> RunRecord:
         n=n, alpha=args.alpha, p=args.p, theta=theta,
         backend=args.backend, seed=args.seed,
     )
-    budget = BudgetParams(
-        delta=args.delta, alpha=args.alpha, p=args.p,
-        L=args.L, per_bit_delta=args.per_bit_delta,
-    )
+    budget = BudgetParams(delta=args.delta, L=args.L, per_bit_delta=args.per_bit_delta)
     oracle = lpn.make_oracle(bits, cfg)
     result = lpn.learn(
         oracle, cfg, budget,
@@ -258,7 +255,7 @@ def cmd_learn(args) -> RunRecord:
             "se_x": step.record.se_x,
             "se_y": step.record.se_y,
             "queries": step.queries,
-            "ensemble": step.record.ensemble_L,
+            "ensemble": budget.L,
             "threshold": step.threshold,
             "bit": step.bit,
         }

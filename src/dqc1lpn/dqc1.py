@@ -53,26 +53,18 @@ class Dqc1Config:
 
 @dataclass(frozen=True)
 class EstimateRecord:
-    """One estimate of the probe expectations.
-
-    ensemble_L is the per-query shot count, queries_Q the number of
-    queries averaged.  Analytic backends report se 0.
-    """
+    """One estimate of the probe expectations; analytic backends report se 0."""
 
     ex: float
     ey: float
     se_x: float
     se_y: float
-    ensemble_L: int
-    queries_Q: int
 
     def __post_init__(self):
         if abs(self.ex) > 1.0 + 1e-12 or abs(self.ey) > 1.0 + 1e-12:
             raise ValueError("expectation estimates must lie in [-1, 1]")
         if self.se_x < 0.0 or self.se_y < 0.0:
             raise ValueError("standard errors must be nonnegative")
-        if self.ensemble_L < 1 or self.queries_Q < 1:
-            raise ValueError("ensemble_L and queries_Q must be positive")
 
 
 def expectations_from_tau(alpha: float, p: float, tau: complex) -> tuple[float, float]:
@@ -98,22 +90,21 @@ def _sample_one_observable(
 
 
 def sample_expectations(
-    cfg: Dqc1Config,
     true_ex: float,
     true_ey: float,
     L: int,
     Q: int,
+    stream: np.random.SeedSequence,
     *,
-    stream: np.random.SeedSequence | None = None,
     observables: tuple[str, ...] = ("x", "y"),
 ) -> EstimateRecord:
     """Simulate shot-noise estimation of the probe expectations.
 
-    Each observable draws from its own child of ``stream`` (default: the
-    config seed), so reading only y gives the same ey as reading both, and
-    identical inputs reproduce the record bit for bit.  Observables left
-    out of `observables` are reported as 0 with se 0.  L must fit in int64,
-    the range of numpy's binomial sampler.
+    Each observable draws from its own child of ``stream``, so reading only
+    y gives the same ey as reading both, and identical inputs reproduce the
+    record bit for bit.  Observables left out of `observables` are reported
+    as 0 with se 0.  L must fit in int64, the range of numpy's binomial
+    sampler.
     """
     if abs(true_ex) > 1.0 or abs(true_ey) > 1.0:
         raise ValueError("true expectations must lie in [-1, 1]")
@@ -124,14 +115,11 @@ def sample_expectations(
     unknown = set(observables) - {"x", "y"}
     if unknown:
         raise ValueError(f"unknown observables {sorted(unknown)}")
-    root = stream if stream is not None else np.random.SeedSequence(cfg.seed)
-    x_stream, y_stream = root.spawn(2)
+    x_stream, y_stream = stream.spawn(2)
     ex = ey = 0.0
     se_x = se_y = 0.0
     if "x" in observables:
         ex, se_x = _sample_one_observable(true_ex, L, Q, x_stream)
     if "y" in observables:
         ey, se_y = _sample_one_observable(true_ey, L, Q, y_stream)
-    return EstimateRecord(
-        ex=ex, ey=ey, se_x=se_x, se_y=se_y, ensemble_L=L, queries_Q=Q
-    )
+    return EstimateRecord(ex=ex, ey=ey, se_x=se_x, se_y=se_y)

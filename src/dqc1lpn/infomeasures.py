@@ -55,7 +55,9 @@ def coherence_consumption(alpha: float, tau_abs: float) -> float:
 @dataclass(frozen=True)
 class DiscordResult:
     """Minimized discord plus the optimal probe measurement direction
-    (Bloch angles) and the number of refinement evaluations spent."""
+    (Bloch angles) and the number of refinement evaluations spent.
+    ``protocol_discord`` reports phi in [0, pi/2]: its objective is even
+    in phi with period pi, so pi - phi is the same minimum."""
 
     discord: float
     measurement_theta: float
@@ -149,10 +151,12 @@ def protocol_discord(block: StepBlock, alpha: float) -> DiscordResult:
                        - H2((1 - alpha Re(tau e^{-i phi}))/2)].
 
     An equatorial measurement is optimal (a tilted one is a garbling of
-    it), and the bracket has period pi in phi.  The minimum is a
+    it), and the bracket is even in phi with period pi (the phases come
+    in pairs +-l_k and tau is real or imaginary).  The minimum is a
     _PHI_GRID-point grid over [0, pi) refined by a golden-section search
     on the best cell down to 1e-6 rad; ``iterations`` counts the
-    refinement evaluations.  The quadratures alpha cos l_k, alpha sin l_k
+    refinement evaluations, and the angle is folded into [0, pi/2] by
+    min(phi, pi - phi).  The quadratures alpha cos l_k, alpha sin l_k
     and alpha tau are computed once, so that with
     alpha cos(l_k - phi) = cos(phi) alpha cos l_k + sin(phi) alpha sin l_k
     a refinement step costs one cos and one sin and a few vector operations.
@@ -185,6 +189,7 @@ def protocol_discord(block: StepBlock, alpha: float) -> DiscordResult:
     p_new, f_new, evals = _golden_min(objective, p_best - step, p_best + step, 1e-6)
     if f_new < f_best:
         p_best, f_best = p_new % math.pi, f_new
+    p_best = min(p_best, math.pi - p_best)
     s_probe, s_block = _binary_entropy_array(
         np.array([(1.0 - alpha * abs(tau)) / 2.0, (1.0 - alpha) / 2.0])
     )

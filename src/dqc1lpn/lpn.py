@@ -73,22 +73,18 @@ class BudgetParams:
 
     delta is the failure probability; by default it is split globally
     (delta/n per bit), set per_bit_delta to spend delta on every bit.
-    The per-bit accuracy comes from the discrimination gap.
+    L is the shot count of one query.  The per-bit accuracy comes from the
+    discrimination gap, and the polarization and readout noise that scale
+    it from the protocol's ``Dqc1Config``.
     """
 
     delta: float
-    alpha: float
-    p: float
     L: int
     per_bit_delta: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-        if not 0.0 <= self.p < 1.0:
-            raise ValueError("p must lie in [0, 1)")
         if self.L < 1:
             raise ValueError("L must be positive")
 
@@ -128,19 +124,27 @@ def decide_bit(est: EstimateRecord, threshold: float) -> int:
     return 1 if abs(est.ex) + abs(est.ey) < threshold else 0
 
 
-def query_budget(budget: BudgetParams, n: int, j: int) -> int:
+def _require_polarization(cfg: Dqc1Config) -> None:
+    """Refuse an unpolarized probe, whose readout carries no signal."""
+    if cfg.alpha == 0.0:
+        raise ValueError("alpha must lie in (0, 1]")
+
+
+def query_budget(budget: BudgetParams, cfg: Dqc1Config, j: int) -> int:
     """Queries required to decide bit j at the canonical angle theta = pi/2.
 
-    ceil(C ln(1/delta') / (L (alpha eps_j (1-p))^2)) with
-    eps_j = |Delta tau_j| / 2 = (1/sqrt(2))^(n-j) / 2 and delta' the
-    per-bit share of the failure budget.  Grows by 2x per extra data
-    qubit ahead of j, and diverges as p -> 1.
+    ceil(C ln(1/delta') / (L (alpha eps_j (1-p))^2)) with n, alpha and p
+    from `cfg`, eps_j = |Delta tau_j| / 2 = (1/sqrt(2))^(n-j) / 2 and
+    delta' the per-bit share of the failure budget.  Grows by 2x per extra
+    data qubit ahead of j, and diverges as p -> 1.
     """
+    n = cfg.n
     if not 1 <= j <= n:
         raise ValueError(f"probe index {j} outside 1..{n}")
+    _require_polarization(cfg)
     delta_eff = budget.delta if budget.per_bit_delta else budget.delta / n
     log_term = HOEFFDING_C * math.log(1.0 / delta_eff)
-    scale = budget.L * (budget.alpha * (1.0 - budget.p)) ** 2
+    scale = budget.L * (cfg.alpha * (1.0 - cfg.p)) ** 2
     # eps_j^2 = 2^-(n-j) / 4; keep the exponential as an exact integer so
     # deep strings do not underflow to a zero denominator
     try:
@@ -158,11 +162,12 @@ def make_oracle(s, cfg: Dqc1Config) -> Oracle:
 
     A query probes bit j with qubits 1..j-1 decoupled and the qubits in
     the int bitmask `corrections` (bit k-1 for qubit k, all below j)
-    corrected; every backend first refuses a j outside 1..n and a mask
-    that is negative or sets a bit at or after j.  cfg.backend "dense"
-    builds the block's matrix, "closed" evaluates the trace from the
-    block's kind counts, "sampled" adds shot noise to the closed-form
-    values with one RNG stream per probed bit (derived from cfg.seed).
+    corrected; every backend first refuses a j outside 1..n, a mask that
+    is negative or sets a bit at or after j, and an ensemble or query
+    count below 1.  cfg.backend "dense" builds the block's matrix,
+    "closed" evaluates the trace from the block's kind counts, "sampled"
+    adds shot noise to the closed-form values with one RNG stream per
+    probed bit (derived from cfg.seed).
     """
     n = cfg.n
     ones = ones_mask(as_bits(s, n=n))
@@ -181,6 +186,8 @@ def make_oracle(s, cfg: Dqc1Config) -> Oracle:
         # a negative mask shifts to -1, so this refuses it as well
         if corrections >> (j - 1):
             raise ValueError(f"corrections must target decoupled qubits 1..{j - 1}")
+        if ensemble < 1 or queries < 1:
+            raise ValueError("ensemble and queries must be at least 1")
         rotated = ((1 << n) - 1) >> j << j
         flips = ones ^ corrections
         if backend == "dense":
@@ -191,15 +198,11 @@ def make_oracle(s, cfg: Dqc1Config) -> Oracle:
         if backend == "sampled":
             stream = np.random.SeedSequence(cfg.seed, spawn_key=(j,))
             return dqc1.sample_expectations(
-                cfg, ex, ey, ensemble, queries,
-                stream=stream, observables=observables,
+                ex, ey, ensemble, queries, stream, observables=observables
             )
         ex = ex if "x" in observables else 0.0
         ey = ey if "y" in observables else 0.0
-        return EstimateRecord(
-            ex=ex, ey=ey, se_x=0.0, se_y=0.0,
-            ensemble_L=ensemble, queries_Q=queries,
-        )
+        return EstimateRecord(ex=ex, ey=ey, se_x=0.0, se_y=0.0)
 
     return oracle
 
@@ -229,6 +232,7 @@ def learn(
     every 1 recorded afterwards toggles it, since each removed coupling
     drops one factor of i from the trace.
     """
+    _require_polarization(cfg)
     n = cfg.n
     if n < 1:
         raise ValueError("nothing to learn for n = 0")
@@ -243,7 +247,7 @@ def learn(
         gap = _worst_case_gap(cfg.theta, n - j)
         threshold = cfg.alpha * (1.0 - cfg.p) * gap / 2.0
         queries = fixed_queries if fixed_queries is not None else query_budget(
-            budget, n, j
+            budget, cfg, j
         )
         if queries > max_queries:
             raise BudgetExhaustedError(j, queries, max_queries)

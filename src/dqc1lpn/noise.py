@@ -17,13 +17,13 @@ dense state, against which the damping is checked, is in ``qstate``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import circuits, dqc1
-from .circuits import as_bits, weight
+from .circuits import as_bits
 from .dqc1 import Dqc1Config, EstimateRecord
 
 
@@ -117,9 +117,7 @@ def phase_flip_parity_experiment(
     if cfg.alpha and not block.vanishes():
         circuits.require_normal(complex(ex, ey), "the probe readout")
     # + 0.0 turns the negative zero of a vanishing component into 0.0
-    return EstimateRecord(
-        ex=ex + 0.0, ey=ey + 0.0, se_x=0.0, se_y=0.0, ensemble_L=1, queries_Q=1
-    )
+    return EstimateRecord(ex=ex + 0.0, ey=ey + 0.0, se_x=0.0, se_y=0.0)
 
 
 @dataclass(frozen=True)
@@ -139,11 +137,12 @@ def systematic_error_sweep(
     *,
     j: int | None = None,
 ) -> list[SystematicErrorRow]:
-    """Normalized trace under a tilted rotation axis, across a (phi, theta)
-    grid, against the prediction untilted_tau x cos(phi)^m.
+    """Normalized trace of the dense block under a tilted rotation axis,
+    across a (phi, theta) grid, against the block's closed form
+    (``StepBlock.tau``): the untilted trace times cos(phi)^m.
 
-    Each coupled qubit rotated about the tilted axis picks up one factor
-    of cos(phi), so the signal dies at phi = pi/2 whenever m >= 1.
+    Each of the m coupled qubits rotated about the tilted axis picks up one
+    factor of cos(phi), so the signal dies at phi = pi/2 whenever m >= 1.
     Amplitude (theta) miscalibration is covered by the theta axis of the
     grid: the trace formula holds at whatever angle was actually applied.
     A prediction that is not exactly zero but falls below 2^-1022 raises
@@ -152,22 +151,20 @@ def systematic_error_sweep(
     bits = as_bits(s, n=cfg.n)
     if j is None:
         j = default_probe_bit(bits)
-    m = weight(bits)
     rows = []
     for phi in phi_grid:
         for theta in theta_grid:
             block = circuits.StepBlock.from_bits(bits, theta, j, phi=phi)
             tau_dense = complex(block.dense().trace() / 2**cfg.n)
-            untilted = replace(block, phi=0.0)
-            predicted = untilted.tau() * np.cos(phi) ** m
-            if not untilted.vanishes():
+            predicted = block.tau()
+            if not block.vanishes():
                 circuits.require_normal(predicted, "the predicted trace")
             rows.append(
                 SystematicErrorRow(
                     phi=float(phi),
                     theta=float(theta),
                     tau_dense=tau_dense,
-                    tau_predicted=complex(predicted),
+                    tau_predicted=predicted,
                     deviation=abs(tau_dense - predicted),
                 )
             )

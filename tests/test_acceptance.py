@@ -118,7 +118,7 @@ def test_criterion_04_end_to_end_learning():
     analytic_fails = 0
     for n in range(1, 6):
         cfg = Dqc1Config(n=n, alpha=1.0, p=0.0, theta=HALF_PI)
-        budget = BudgetParams(delta=0.01, alpha=1.0, p=0.0, L=1000)
+        budget = BudgetParams(delta=0.01, L=1000)
         for bits in all_bitstrings(n):
             res = lpn.learn(
                 lpn.make_oracle(bits, cfg), cfg, budget, fixed_queries=1
@@ -134,7 +134,7 @@ def test_criterion_04_end_to_end_learning():
             n=3, alpha=1.0, p=0.0, theta=HALF_PI,
             backend="sampled", seed=int(gen.integers(2**32)),
         )
-        budget = BudgetParams(delta=0.01, alpha=1.0, p=0.0, L=1000)
+        budget = BudgetParams(delta=0.01, L=1000)
         res = lpn.learn(
             lpn.make_oracle(bits, cfg), cfg, budget, fixed_queries=100
         )
@@ -288,24 +288,24 @@ def test_criterion_08_information_measures():
 
 
 def test_criterion_09_budget_frontier():
-    base = dict(delta=0.01, alpha=1.0, L=100)
+    def cfg(n, p=0.0):
+        return Dqc1Config(n=n, alpha=1.0, p=p, theta=HALF_PI)
+
     noisier = [
-        lpn.query_budget(BudgetParams(p=p, **base), 4, 1)
+        lpn.query_budget(BudgetParams(delta=0.01, L=100), cfg(4, p), 1)
         for p in (0.0, 0.5, 0.9, 0.99)
     ]
     diverges_p = all(a < b for a, b in zip(noisier, noisier[1:]))
 
     tighter = [
-        lpn.query_budget(
-            BudgetParams(delta=0.01, alpha=1.0, p=0.0, L=1), n, 1
-        )
+        lpn.query_budget(BudgetParams(delta=0.01, L=1), cfg(n), 1)
         for n in (2, 6, 10, 14)
     ]
     diverges_eps = all(a < b for a, b in zip(tighter, tighter[1:]))
 
-    huge = BudgetParams(delta=0.01, alpha=1.0, p=0.0, L=10**22)
-    feasible = max(lpn.query_budget(huge, 66, j) for j in (1, 22, 44, 66))
-    infeasible = lpn.query_budget(huge, 120, 1)
+    huge = BudgetParams(delta=0.01, L=10**22)
+    feasible = max(lpn.query_budget(huge, cfg(66), j) for j in (1, 22, 44, 66))
+    infeasible = lpn.query_budget(huge, cfg(120), 1)
 
     ok = diverges_p and diverges_eps and feasible <= 2 and infeasible > 10**6
     _verdict(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dqc1lpn import circuits, infomeasures, lpn, qstate
 from dqc1lpn.circuits import (
-    StepBlock, as_bits, bits_to_str, ones_mask, require_normal, rx, weight,
+    StepBlock, as_bits, bits_to_str, ones_mask, require_normal, rx,
 )
 from dqc1lpn.qstate import (
     build_parity_unitary,
@@ -56,7 +56,6 @@ def test_rx_inverse(theta):
 def test_as_bits_roundtrip():
     bits = as_bits("01101")
     assert bits_to_str(bits) == "01101"
-    assert weight(bits) == 3
     np.testing.assert_array_equal(as_bits([1, 0, 1]), [1, 0, 1])
 
 

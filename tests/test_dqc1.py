@@ -100,28 +100,33 @@ def test_probe_depolarization_scales_readout(rng, p):
 
 
 def test_estimate_record_validation():
-    EstimateRecord(ex=0.1, ey=-0.2, se_x=0.01, se_y=0.01, ensemble_L=10, queries_Q=1)
+    EstimateRecord(ex=0.1, ey=-0.2, se_x=0.01, se_y=0.01)
     with pytest.raises(ValueError):
-        EstimateRecord(ex=1.5, ey=0.0, se_x=0.0, se_y=0.0, ensemble_L=1, queries_Q=1)
+        EstimateRecord(ex=1.5, ey=0.0, se_x=0.0, se_y=0.0)
     with pytest.raises(ValueError):
-        EstimateRecord(ex=0.0, ey=0.0, se_x=-0.1, se_y=0.0, ensemble_L=1, queries_Q=1)
-    with pytest.raises(ValueError):
-        EstimateRecord(ex=0.0, ey=0.0, se_x=0.0, se_y=0.0, ensemble_L=0, queries_Q=1)
+        EstimateRecord(ex=0.0, ey=0.0, se_x=-0.1, se_y=0.0)
+
+
+def _seed(k):
+    return np.random.SeedSequence(k)
 
 
 def test_sampling_is_seed_deterministic():
-    cfg = Dqc1Config(n=2, alpha=0.8, p=0.1, theta=1.0, backend="sampled", seed=7)
-    a = sample_expectations(cfg, 0.3, -0.1, 500, 3)
-    b = sample_expectations(cfg, 0.3, -0.1, 500, 3)
+    a = sample_expectations(0.3, -0.1, 500, 3, _seed(7))
+    b = sample_expectations(0.3, -0.1, 500, 3, _seed(7))
     assert a == b
-    c = sample_expectations(cfg, 0.3, -0.1, 500, 3,
-                            stream=np.random.SeedSequence(8))
+    c = sample_expectations(0.3, -0.1, 500, 3, _seed(8))
     assert c != a
 
 
+def test_sampling_needs_a_stream():
+    """The stream is the one source of the sampler's seed."""
+    with pytest.raises(TypeError):
+        sample_expectations(0.3, -0.1, 500, 3)
+
+
 def test_sampling_single_observable():
-    cfg = Dqc1Config(n=1, alpha=1.0, p=0.0, theta=1.0, seed=3)
-    rec = sample_expectations(cfg, 0.4, 0.9, 200, 2, observables=("x",))
+    rec = sample_expectations(0.4, 0.9, 200, 2, _seed(3), observables=("x",))
     assert rec.ey == 0.0
     assert rec.se_y == 0.0
     assert rec.se_x > 0.0
@@ -129,28 +134,22 @@ def test_sampling_single_observable():
 
 def test_sampling_concentrates():
     """Estimates land within five reported standard errors of the truth."""
-    cfg = Dqc1Config(n=1, alpha=1.0, p=0.0, theta=1.0, seed=11)
     truth = (0.35, -0.6)
-    rec = sample_expectations(cfg, truth[0], truth[1], 4000, 5)
+    rec = sample_expectations(truth[0], truth[1], 4000, 5, _seed(11))
     assert abs(rec.ex - truth[0]) < 5 * rec.se_x
     assert abs(rec.ey - truth[1]) < 5 * rec.se_y
 
 
 def test_sampling_error_shrinks_with_budget():
-    cfg = Dqc1Config(n=1, alpha=1.0, p=0.0, theta=1.0, seed=2)
-    small = sample_expectations(cfg, 0.2, 0.0, 100, 1)
-    large = sample_expectations(cfg, 0.2, 0.0, 10000, 10)
+    small = sample_expectations(0.2, 0.0, 100, 1, _seed(2))
+    large = sample_expectations(0.2, 0.0, 10000, 10, _seed(2))
     assert large.se_x < small.se_x
 
 
 def test_sampling_y_only_matches_two_quadrature_read():
     """Each quadrature has its own stream: leaving x out does not move ey."""
-    cfg = Dqc1Config(n=1, alpha=1.0, p=0.0, theta=1.0, seed=5)
-    both = sample_expectations(cfg, 0.4, -0.7, 300, 7,
-                               stream=np.random.SeedSequence(21))
-    y_only = sample_expectations(cfg, 0.4, -0.7, 300, 7,
-                                 stream=np.random.SeedSequence(21),
-                                 observables=("y",))
+    both = sample_expectations(0.4, -0.7, 300, 7, _seed(21))
+    y_only = sample_expectations(0.4, -0.7, 300, 7, _seed(21), observables=("y",))
     assert y_only.ey == both.ey
     assert y_only.se_y == both.se_y
     assert y_only.ex == 0.0
@@ -158,11 +157,9 @@ def test_sampling_y_only_matches_two_quadrature_read():
 
 def test_sampling_variance_matches_binomial():
     """Over fixed seeds the estimate is unbiased with variance (1-t^2)/(L Q)."""
-    cfg = Dqc1Config(n=1, alpha=1.0, p=0.0, theta=1.0)
     L, Q, truth = 50, 20, 0.3
     ex = np.array([
-        sample_expectations(cfg, truth, 0.0, L, Q, stream=np.random.SeedSequence(k),
-                            observables=("x",)).ex
+        sample_expectations(truth, 0.0, L, Q, _seed(k), observables=("x",)).ex
         for k in range(300)
     ])
     var = (1.0 - truth**2) / (L * Q)

@@ -189,6 +189,16 @@ def test_protocol_discord_matches_dense(phi):
             assert abs(fast.discord - dense.discord) < 1e-9
             assert fast.measurement_theta == HALF_PI
             assert 0.0 <= fast.measurement_phi < math.pi
+            assert fast.measurement_phi <= HALF_PI
+
+
+def test_protocol_discord_folds_the_mirror_minimum():
+    """s = 0110, j = 1 at pi/2 has mirror minima phi* and pi - phi* of
+    the even objective; the angle in [0, pi/2] is reported."""
+    block = StepBlock.from_bits(circuits.as_bits("0110"), HALF_PI, 1)
+    res = protocol_discord(block, 1.0)
+    assert format(res.measurement_phi, ".12g") == "0.83107779394"
+    assert format(res.discord, ".12g") == "0.451687929294"
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi])

@@ -22,8 +22,12 @@ from conftest import all_bitstrings, qubit_mask, reference_tau
 HALF_PI = math.pi / 2
 
 
-def _budget(alpha=1.0, p=0.0, L=1000):
-    return BudgetParams(delta=0.01, alpha=alpha, p=p, L=L)
+def _budget(L=1000):
+    return BudgetParams(delta=0.01, L=L)
+
+
+def _cfg(n, alpha=1.0, p=0.0):
+    return Dqc1Config(n=n, alpha=alpha, p=p, theta=HALF_PI)
 
 
 def test_closed_form_tau_known_value():
@@ -74,7 +78,7 @@ def test_closed_form_tau_validation():
 
 
 def test_decide_bit_threshold():
-    rec = EstimateRecord(ex=0.3, ey=0.0, se_x=0.0, se_y=0.0, ensemble_L=1, queries_Q=1)
+    rec = EstimateRecord(ex=0.3, ey=0.0, se_x=0.0, se_y=0.0)
     assert decide_bit(rec, 0.2) == 0
     assert decide_bit(rec, 0.4) == 1
     with pytest.raises(ValueError):
@@ -87,26 +91,26 @@ def test_decide_bit_threshold():
     st.floats(min_value=1e-6, max_value=2),
 )
 def test_decide_bit_is_indicator(ex, ey, threshold):
-    rec = EstimateRecord(ex=ex, ey=ey, se_x=0.0, se_y=0.0, ensemble_L=1, queries_Q=1)
+    rec = EstimateRecord(ex=ex, ey=ey, se_x=0.0, se_y=0.0)
     assert decide_bit(rec, threshold) == int(abs(ex) + abs(ey) < threshold)
 
 
 def test_query_budget_monotone_in_tail():
     b = _budget(L=1)
-    values = [query_budget(b, n, 1) for n in (2, 4, 8, 12)]
+    values = [query_budget(b, _cfg(n), 1) for n in (2, 4, 8, 12)]
     assert values == sorted(values)
     assert values[0] < values[-1]
 
 
 def test_query_budget_diverges_with_readout_noise():
-    qs = [query_budget(_budget(p=p, L=100), 4, 1) for p in (0.0, 0.9, 0.99)]
+    qs = [query_budget(_budget(L=100), _cfg(4, p=p), 1) for p in (0.0, 0.9, 0.99)]
     assert qs[0] < qs[1] < qs[2]
 
 
 def test_query_budget_efficiency_frontier():
     big_l = _budget(L=10**22)
-    assert all(query_budget(big_l, 66, j) == 1 for j in (1, 33, 66))
-    assert query_budget(big_l, 120, 1) > 10**6
+    assert all(query_budget(big_l, _cfg(66), j) == 1 for j in (1, 33, 66))
+    assert query_budget(big_l, _cfg(120), 1) > 10**6
 
 
 @pytest.mark.parametrize(
@@ -120,17 +124,30 @@ def test_query_budget_efficiency_frontier():
 )
 def test_query_budget_log_space_fallback(n, j, alpha, L):
     # the float quotient is unusable; result must still be a usable int
-    q = query_budget(_budget(alpha=alpha, L=L), n, j)
+    q = query_budget(_budget(L=L), _cfg(n, alpha=alpha), j)
     assert isinstance(q, int)
     assert q > 10**300
 
 
 def test_query_budget_per_bit_delta_needs_less():
-    shared = BudgetParams(delta=0.01, alpha=1.0, p=0.0, L=1)
-    per_bit = BudgetParams(
-        delta=0.01, alpha=1.0, p=0.0, L=1, per_bit_delta=True
-    )
-    assert query_budget(per_bit, 10, 1) <= query_budget(shared, 10, 1)
+    shared = BudgetParams(delta=0.01, L=1)
+    per_bit = BudgetParams(delta=0.01, L=1, per_bit_delta=True)
+    assert query_budget(per_bit, _cfg(10), 1) <= query_budget(shared, _cfg(10), 1)
+
+
+def test_query_budget_refuses_unpolarized_probe():
+    """alpha = 0 would make the budget's scale 0; it is refused by name."""
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+        query_budget(_budget(), _cfg(4, alpha=0.0), 1)
+
+
+@pytest.mark.parametrize("fixed_queries", [None, 5])
+@pytest.mark.parametrize("kind", ["dense", "closed", "sampled"])
+def test_learn_refuses_unpolarized_probe(kind, fixed_queries):
+    cfg = Dqc1Config(n=4, alpha=0.0, p=0.0, theta=HALF_PI, backend=kind)
+    oracle = make_oracle(as_bits("0110"), cfg)
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+        learn(oracle, cfg, _budget(), fixed_queries=fixed_queries)
 
 
 @pytest.mark.parametrize("kind", ["dense", "closed"])
@@ -197,13 +214,17 @@ def test_closed_oracle_matches_step_block_at_300_qubits(rng):
 def test_oracle_rejects_probe_and_corrections_out_of_range(kind):
     cfg = Dqc1Config(n=3, alpha=1.0, p=0.0, theta=1.0, backend=kind)
     oracle = make_oracle(as_bits("011"), cfg)
-    for j, corrections in (
+    for query in (
         (0, 0), (4, 0), (2, qubit_mask((2,))), (2, qubit_mask((3,))),
         # negative masks, and bits at or after j beside valid ones
         (3, -1), (3, -4), (1, 1), (3, qubit_mask((1, 3))), (3, 1 << 64),
+        # ensemble or query counts below 1
+        (1, 0, 0, 1), (1, 0, 1, 0), (1, 0, -3, 5), (1, 0, 5, -1),
     ):
         with pytest.raises(ValueError):
-            oracle(j, corrections)
+            oracle(*query)
+    with pytest.raises(ValueError, match="at least 1"):
+        learn(oracle, cfg, _budget(), fixed_queries=0)
 
 
 def test_wrong_correction_kills_later_signal():
@@ -253,8 +274,7 @@ def test_learn_corrects_exactly_the_learned_ones(rng, kind):
 def test_learn_survives_heavy_readout_noise():
     bits = as_bits("0110")
     cfg = Dqc1Config(n=4, alpha=0.4, p=0.8, theta=HALF_PI, backend="dense")
-    budget = _budget(alpha=0.4, p=0.8)
-    res = learn(make_oracle(bits, cfg), cfg, budget, fixed_queries=1)
+    res = learn(make_oracle(bits, cfg), cfg, _budget(), fixed_queries=1)
     assert bits_to_str(res.s_hat) == "0110"
 
 
@@ -263,7 +283,7 @@ def test_learn_sampled_backend_round_trip():
     cfg = Dqc1Config(n=3, alpha=1.0, p=0.0, theta=HALF_PI, backend="sampled", seed=17)
     res = learn(make_oracle(bits, cfg), cfg, _budget(), fixed_queries=200)
     assert bits_to_str(res.s_hat) == "101"
-    assert all(step.record.queries_Q == 200 for step in res.steps)
+    assert all(step.queries == 200 for step in res.steps)
 
 
 def test_learn_thresholds_grow_with_decoupling():
@@ -277,7 +297,7 @@ def test_learn_thresholds_grow_with_decoupling():
 
 def test_learn_budget_exhaustion():
     cfg = Dqc1Config(n=40, alpha=0.2, p=0.5, theta=HALF_PI)
-    budget = BudgetParams(delta=0.01, alpha=0.2, p=0.5, L=10)
+    budget = BudgetParams(delta=0.01, L=10)
     with pytest.raises(BudgetExhaustedError) as info:
         learn(make_oracle(as_bits("0" * 40), cfg), cfg, budget, max_queries=1000)
     assert info.value.j == 1

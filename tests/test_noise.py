@@ -8,7 +8,7 @@ import pytest
 from conftest import all_bitstrings, dense_final_state
 
 from dqc1lpn import qstate
-from dqc1lpn.circuits import PAULI_Z, as_bits, bits_to_str
+from dqc1lpn.circuits import PAULI_Z, StepBlock, as_bits, bits_to_str
 from dqc1lpn.dqc1 import Dqc1Config
 from dqc1lpn.noise import (
     default_probe_bit,
@@ -215,6 +215,20 @@ def test_systematic_sweep_known_point():
     rows = systematic_error_sweep(bits, _cfg(3), [math.pi / 3], [HALF_PI], j=1)
     assert rows[0].tau_dense == pytest.approx(-1 / 8, abs=1e-12)
     assert rows[0].deviation < 1e-12
+
+
+def test_systematic_prediction_is_the_block_closed_form():
+    """The prediction is the tilted block's own tau(): exact, with +0.0 for a
+    zero component where cos(phi)^m < 0 once gave -0.0."""
+    for s, j in (("0111", 2), ("01", 1), ("0110", 1)):
+        bits = as_bits(s)
+        phis, thetas = [0.6 * math.pi, 0.7 * math.pi], [1.0, 2.0]
+        rows = systematic_error_sweep(bits, _cfg(len(s)), phis, thetas, j=j)
+        for row in rows:
+            block = StepBlock.from_bits(bits, row.theta, j, phi=row.phi)
+            assert row.tau_predicted == block.tau()
+            for part in (row.tau_predicted.real, row.tau_predicted.imag):
+                assert math.copysign(1.0, part) == 1.0 or part != 0.0
 
 
 def test_systematic_sweep_grid_accuracy():
