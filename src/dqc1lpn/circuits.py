@@ -122,7 +122,8 @@ class StepBlock:
     times sx where a parity coupling is left after the decoupling
     corrections.  `rotated` and `flips` are int bitmasks, bit k-1 for
     qubit k, and a bit at or past n, or a negative mask, is refused.
-    ``dense`` builds the matrix from the qubits in order.  The normalized
+    ``dense`` builds the matrix from the qubits in order and ``dense_trace``
+    sums its diagonal, both up to ``MAX_QUBITS``.  The normalized
     trace (``tau``), whether it is exactly zero (``vanishes``) and the
     spectrum that ``infomeasures.protocol_discord`` reads depend only on
     ``kinds``, how many qubits fall into each of the four kinds, so they
@@ -171,10 +172,9 @@ class StepBlock:
         rotated = ((1 << n) - 1) & ~(decoupled | probe)
         return cls(theta, n, rotated, ones_mask(bits) ^ corrections, phi)
 
-    def dense(self) -> np.ndarray:
-        """The 2^n x 2^n block; a factor times sx is that factor with its
-        columns swapped.  Refuses n above ``MAX_QUBITS`` before
-        allocating anything."""
+    def _factors(self) -> list[np.ndarray]:
+        """The 2x2 factors of qubits 1..n in order, a factor times sx with its
+        columns swapped; refused past ``MAX_QUBITS`` before any allocation."""
         if self.n > MAX_QUBITS:
             raise ValueError(
                 f"a dense block on {self.n} qubits exceeds the {MAX_QUBITS}-qubit "
@@ -185,7 +185,20 @@ class StepBlock:
         for k in range(self.n):
             factor = gate if self.rotated >> k & 1 else ID2
             factors.append(factor[:, ::-1] if self.flips >> k & 1 else factor)
-        return kron_all(factors)
+        return factors
+
+    def dense(self) -> np.ndarray:
+        """The 2^n x 2^n block, ``kron_all`` of the factors."""
+        return kron_all(self._factors())
+
+    def dense_trace(self) -> np.complex128:
+        """tr(``dense()``) from its 2^n diagonal entries, without the 4^n
+        matrix: each is the product of factor diagonals that ``kron_all``
+        writes there, summed in the same order, so the trace has the same bits."""
+        diag = np.ones(1, dtype=complex)
+        for f in self._factors():
+            diag = np.multiply.outer(diag, np.diagonal(f)).ravel()
+        return diag.sum()
 
     @cached_property
     def kinds(self) -> tuple[int, int, int, int]:

@@ -26,9 +26,10 @@ _BACKENDS = ("dense", "closed", "sampled")
 class Dqc1Config:
     """Protocol parameters.
 
-    backend selects how expectation values are produced: "dense" builds
-    the full matrices, "closed" uses the factorized trace formulas, and
-    "sampled" adds binomial shot noise on top of the closed-form values.
+    backend selects how expectation values are produced: "dense" sums
+    the diagonal of the block's matrix (``StepBlock.dense_trace``), "closed"
+    uses the factorized trace formulas, and "sampled" adds binomial shot
+    noise on top of the closed-form values.
     """
 
     n: int
@@ -115,7 +116,11 @@ def sample_expectations(
     unknown = set(observables) - {"x", "y"}
     if unknown:
         raise ValueError(f"unknown observables {sorted(unknown)}")
-    x_stream, y_stream = stream.spawn(2)
+    # children 0 and 1, as a first stream.spawn(2) derives them, without advancing it
+    entropy, key, pool = stream.entropy, stream.spawn_key, stream.pool_size
+    x_stream, y_stream = (
+        np.random.SeedSequence(entropy, spawn_key=key + (k,), pool_size=pool) for k in (0, 1)
+    )
     ex = ey = 0.0
     se_x = se_y = 0.0
     if "x" in observables:

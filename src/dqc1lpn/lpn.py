@@ -164,7 +164,8 @@ def make_oracle(s, cfg: Dqc1Config) -> Oracle:
     the int bitmask `corrections` (bit k-1 for qubit k, all below j)
     corrected; every backend first refuses a j outside 1..n, a mask that
     is negative or sets a bit at or after j, and an ensemble or query
-    count below 1.  cfg.backend "dense" builds the block's matrix,
+    count below 1.  cfg.backend "dense" sums the diagonal of the block's
+    matrix qubit by qubit (``StepBlock.dense_trace``, up to ``MAX_QUBITS``),
     "closed" evaluates the trace from the block's kind counts, "sampled"
     adds shot noise to the closed-form values with one RNG stream per
     probed bit (derived from cfg.seed).
@@ -191,7 +192,7 @@ def make_oracle(s, cfg: Dqc1Config) -> Oracle:
         rotated = ((1 << n) - 1) >> j << j
         flips = ones ^ corrections
         if backend == "dense":
-            tau = StepBlock(cfg.theta, n, rotated, flips).dense().trace() / 2**n
+            tau = StepBlock(cfg.theta, n, rotated, flips).dense_trace() / 2**n
         else:
             tau = kinds_tau(cfg.theta, 0.0, mask_kinds(n, rotated, flips))
         ex, ey = dqc1.expectations_from_tau(cfg.alpha, cfg.p, tau)

@@ -10,8 +10,9 @@ the probe signal by (1-q) per coupled qubit.
 Both mid-circuit experiments apply that corruption to the closed-form
 trace of the probe-step block (``circuits.StepBlock.tau``), so they build
 no density matrix and run at any n.  The tilted-axis sweep compares the
-dense block's trace with its prediction.  The depolarizing channel on a
-dense state, against which the damping is checked, is in ``qstate``.
+trace summed over the block's dense diagonal (``StepBlock.dense_trace``,
+which builds no matrix) with its prediction.  The depolarizing channel on
+a dense state, against which the damping is checked, is in ``qstate``.
 """
 
 from __future__ import annotations
@@ -137,9 +138,9 @@ def systematic_error_sweep(
     *,
     j: int | None = None,
 ) -> list[SystematicErrorRow]:
-    """Normalized trace of the dense block under a tilted rotation axis,
-    across a (phi, theta) grid, against the block's closed form
-    (``StepBlock.tau``): the untilted trace times cos(phi)^m.
+    """Normalized trace of the dense block under a tilted rotation axis
+    (``StepBlock.dense_trace``), across a (phi, theta) grid, against the
+    block's closed form (``StepBlock.tau``): the untilted trace times cos(phi)^m.
 
     Each of the m coupled qubits rotated about the tilted axis picks up one
     factor of cos(phi), so the signal dies at phi = pi/2 whenever m >= 1.
@@ -155,7 +156,7 @@ def systematic_error_sweep(
     for phi in phi_grid:
         for theta in theta_grid:
             block = circuits.StepBlock.from_bits(bits, theta, j, phi=phi)
-            tau_dense = complex(block.dense().trace() / 2**cfg.n)
+            tau_dense = complex(block.dense_trace() / 2**cfg.n)
             predicted = block.tau()
             if not block.vanishes():
                 circuits.require_normal(predicted, "the predicted trace")

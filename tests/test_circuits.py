@@ -169,6 +169,27 @@ def test_kron_all_is_bitwise_np_kron(rng):
         assert np.array_equal(np.signbit(got.view(float)), np.signbit(expected.view(float)))
 
 
+def test_dense_trace_is_bitwise_dense_trace():
+    """dense_trace() sums the same diagonal products as dense().trace(), so
+    the two agree bit for bit, signed zeros included (theta 0 and pi give
+    exact zeros, 1e-300 products that flush to zero), tilted or not."""
+    rng = np.random.default_rng(20)
+    thetas = (0.0, np.pi, 1e-300, np.pi / 2)
+    for i in range(2000):
+        n = int(rng.integers(1, 11))
+        theta = thetas[i % 5] if i % 5 < 4 else float(rng.uniform(-7.0, 7.0))
+        phi = float(rng.uniform(-4.0, 4.0)) if i % 2 else 0.0
+        rotated, flips = (int(m) for m in rng.integers(0, 1 << n, size=2))
+        block = StepBlock(theta, n, rotated, flips, phi)
+        got = np.array([block.dense_trace()])
+        expected = np.array([block.dense().trace()])
+        assert got.dtype == expected.dtype == np.complex128
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), block
+    # past circuits.MAX_QUBITS the trace is refused as the matrix is
+    with pytest.raises(ValueError, match="closed"):
+        StepBlock.from_bits([0] * 13, 1.0, 1).dense_trace()
+
+
 def test_step_block_validation():
     bits = [0, 1, 1]
     for j in (0, 4, -1):

@@ -115,6 +115,29 @@ def test_learn_bytes_unchanged(capsys, name):
     assert out == (GOLDEN / golden).read_text()
 
 
+#: systematic sweeps whose stdout is pinned in tests/golden: the README grid
+#: and a tilted grid on 12 qubits, the largest dense block.
+SYSTEMATIC_GOLDEN = {
+    "readme": (
+        ("--s", "0110", "--phi-grid", "0:0.4pi:5", "--theta-grid", "0.3:2.2:5"),
+        "noise-systematic-readme.out",
+    ),
+    "tilted-n12": (
+        ("--s", "011010011001", "--j", "4", "--phi-grid", "0.1pi,0.3pi,0.45pi",
+         "--theta-grid", "0.7,2.1"),
+        "noise-systematic-tilted-n12.out",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SYSTEMATIC_GOLDEN))
+def test_noise_sweep_systematic_bytes_unchanged(capsys, name):
+    argv, golden = SYSTEMATIC_GOLDEN[name]
+    code, out, _ = run_cli(capsys, "noise-sweep", "--mode", "systematic", *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_learn_csv_has_comment_header(capsys):
     code, out, _ = run_cli(capsys, "learn", "--s", "01", "--format", "csv")
     assert code == 0

@@ -119,6 +119,19 @@ def test_sampling_is_seed_deterministic():
     assert c != a
 
 
+def test_sampling_reuses_a_stream_object():
+    """Two calls with one SeedSequence object return the same record, the
+    one drawn from the first two children that a fresh stream spawns."""
+    stream = _seed(7)
+    first = sample_expectations(0.3, -0.1, 500, 3, stream)
+    assert sample_expectations(0.3, -0.1, 500, 3, stream) == first
+    x_stream, y_stream = _seed(7).spawn(2)
+    ups_x = np.random.default_rng(x_stream).binomial(500, 0.65, size=3)
+    ups_y = np.random.default_rng(y_stream).binomial(500, 0.45, size=3)
+    assert first.ex == (2.0 * float(ups_x.mean()) - 500) / 500
+    assert first.ey == (2.0 * float(ups_y.mean()) - 500) / 500
+
+
 def test_sampling_needs_a_stream():
     """The stream is the one source of the sampler's seed."""
     with pytest.raises(TypeError):
