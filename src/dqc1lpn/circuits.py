@@ -1,6 +1,7 @@
-"""Gates and the probe-step block (``StepBlock``) of the parity-learning
-protocol.  The full-register builders of the dense reference (``embed``,
-``controlled`` and the rest) are in ``qstate``.
+"""The probe-step block (``StepBlock``) of the parity-learning protocol,
+described qubit by qubit, with its closed-form trace.  No dense matrix is
+built here: ``qstate``, the dense reference, builds the block's matrix
+from its 2x2 factors (``StepBlock.factors``).
 
 Layout: qubit 0 is the probe (control) qubit, data qubits are numbered
 1..n and double as absolute qubit indices in the (n+1)-qubit register.
@@ -24,17 +25,11 @@ from typing import Sequence
 
 import numpy as np
 
-#: Largest qubit count of a dense matrix (``StepBlock.dense``, ``qstate``);
+#: Largest qubit count of a dense matrix (``StepBlock.factors``, ``qstate``);
 #: past it a dense matrix stops fitting in desk-scale memory.
 MAX_QUBITS = 12
 
 ID2 = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-PROJ_0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-PROJ_1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
 def as_bits(s, n: int | None = None) -> np.ndarray:
@@ -84,22 +79,6 @@ def rx(theta: float, phi: float = 0.0) -> np.ndarray:
     )
 
 
-def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Left-associated Kronecker product of 2x2 factors, starting from
-    [[1+0j]].  Each step writes out * f[r, c] into the (r, c) slots of a
-    preallocated (m, 2, m, 2) array, the same products as ``np.kron`` (so
-    the same bits, signed zeros included) without its strided copies."""
-    out = np.array([[1.0 + 0.0j]])
-    for f in factors:
-        m = out.shape[0]
-        res = np.empty((m, 2, m, 2), dtype=np.result_type(out, f))
-        for r in range(2):
-            for c in range(2):
-                np.multiply(out, f[r, c], out=res[:, r, :, c])
-        out = res.reshape(2 * m, 2 * m)
-    return out
-
-
 def ones_mask(bits: Sequence[int]) -> int:
     """The 1s of a bit pattern as an int bitmask: bit k-1 is set when s_k = 1."""
     packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
@@ -122,10 +101,12 @@ class StepBlock:
     times sx where a parity coupling is left after the decoupling
     corrections.  `rotated` and `flips` are int bitmasks, bit k-1 for
     qubit k, and a bit at or past n, or a negative mask, is refused.
-    ``dense`` builds the matrix from the qubits in order and ``dense_trace``
-    sums its diagonal, both up to ``MAX_QUBITS``.  The normalized
-    trace (``tau``), whether it is exactly zero (``vanishes``) and the
-    spectrum that ``infomeasures.protocol_discord`` reads depend only on
+    ``factors`` lists its 2x2 factors in qubit order, which
+    ``qstate.block_operator`` multiplies out into the dense matrix, and
+    ``dense_trace`` sums that matrix's diagonal without building it, both
+    up to ``MAX_QUBITS``.  The normalized trace (``tau``), whether it is
+    exactly zero (``vanishes``) and the spectrum that
+    ``infomeasures.protocol_discord`` reads depend only on
     ``kinds``, how many qubits fall into each of the four kinds, so they
     do not depend on the order of the qubits.
     """
@@ -172,7 +153,7 @@ class StepBlock:
         rotated = ((1 << n) - 1) & ~(decoupled | probe)
         return cls(theta, n, rotated, ones_mask(bits) ^ corrections, phi)
 
-    def _factors(self) -> list[np.ndarray]:
+    def factors(self) -> list[np.ndarray]:
         """The 2x2 factors of qubits 1..n in order, a factor times sx with its
         columns swapped; refused past ``MAX_QUBITS`` before any allocation."""
         if self.n > MAX_QUBITS:
@@ -187,16 +168,13 @@ class StepBlock:
             factors.append(factor[:, ::-1] if self.flips >> k & 1 else factor)
         return factors
 
-    def dense(self) -> np.ndarray:
-        """The 2^n x 2^n block, ``kron_all`` of the factors."""
-        return kron_all(self._factors())
-
     def dense_trace(self) -> np.complex128:
-        """tr(``dense()``) from its 2^n diagonal entries, without the 4^n
-        matrix: each is the product of factor diagonals that ``kron_all``
-        writes there, summed in the same order, so the trace has the same bits."""
+        """The trace of the dense block from its 2^n diagonal entries, without
+        the 4^n matrix: each is the product of factor diagonals that
+        ``qstate.kron_all`` writes there, summed in the same order, so the
+        trace has the same bits."""
         diag = np.ones(1, dtype=complex)
-        for f in self._factors():
+        for f in self.factors():
             diag = np.multiply.outer(diag, np.diagonal(f)).ravel()
         return diag.sum()
 

@@ -2,7 +2,9 @@
 
 The commands run from closed forms of the probe-step block
 (``circuits.StepBlock``), and no module they use imports this one.  It is
-their n <= 12 cross-check: the dense one-clean-qubit run and its probe
+the one module that builds dense matrices: the gates, ``kron_all`` and
+the block's matrix from its 2x2 factors (``block_operator``).  It is the
+commands' n <= 12 cross-check: the dense one-clean-qubit run and its probe
 readout (Knill and Laflamme, PRL 81, 5672, 1998), depolarizing channels,
 and the discord of any state by grid and coordinate descent, against
 which ``infomeasures.protocol_discord``, the discord from the block's
@@ -24,8 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .circuits import HADAMARD, MAX_QUBITS, PAULI_X, PAULI_Y, PAULI_Z, PROJ_0, PROJ_1
-from .circuits import StepBlock, as_bits
+from .circuits import MAX_QUBITS, StepBlock, as_bits
 from .dqc1 import Dqc1Config, expectations_from_tau
 from .infomeasures import DiscordResult, _golden_min
 
@@ -34,6 +35,13 @@ TRACE_TOL = 1e-12
 UNITARITY_TOL = 1e-12
 KRAUS_TOL = 1e-12
 MIN_EIGENVALUE = -1e-10
+
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+PROJ_0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+PROJ_1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
 def _num_qubits(dim: int) -> int:
@@ -219,6 +227,28 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(-(pos * np.log2(pos)).sum())
 
 
+def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Left-associated Kronecker product of 2x2 factors, starting from
+    [[1+0j]].  Each step writes out * f[r, c] into the (r, c) slots of a
+    preallocated (m, 2, m, 2) array, the same products as ``np.kron`` (so
+    the same bits, signed zeros included) without its strided copies."""
+    out = np.array([[1.0 + 0.0j]])
+    for f in factors:
+        m = out.shape[0]
+        res = np.empty((m, 2, m, 2), dtype=np.result_type(out, f))
+        for r in range(2):
+            for c in range(2):
+                np.multiply(out, f[r, c], out=res[:, r, :, c])
+        out = res.reshape(2 * m, 2 * m)
+    return out
+
+
+def block_operator(block: StepBlock) -> OperatorMatrix:
+    """The 2^n x 2^n matrix of a probe-step block, ``kron_all`` of its
+    factors; refused past ``MAX_QUBITS`` (``StepBlock.factors``)."""
+    return OperatorMatrix(kron_all(block.factors()), unitary=True, validate=False)
+
+
 def embed(gate: np.ndarray, qubit: int, total: int) -> np.ndarray:
     """Single-qubit `gate` on `qubit` (0-based), identity elsewhere."""
     if not 0 <= qubit < total:
@@ -244,8 +274,7 @@ def build_parity_unitary(s) -> OperatorMatrix:
     """
     bits = as_bits(s)
     # every qubit decoupled and none corrected: no rotation, bare couplings
-    block = StepBlock.from_bits(bits, 0.0, decoupled=(1 << bits.size) - 1)
-    return OperatorMatrix(block.dense(), unitary=True, validate=False)
+    return block_operator(StepBlock.from_bits(bits, 0.0, decoupled=(1 << bits.size) - 1))
 
 
 def controlled(u: OperatorMatrix) -> OperatorMatrix:
@@ -258,16 +287,6 @@ def controlled(u: OperatorMatrix) -> OperatorMatrix:
     out[:dim, :dim] = np.eye(dim)
     out[dim:, dim:] = u.entries
     return OperatorMatrix(out, unitary=True, validate=False)
-
-
-def parity_step_block(s, theta: float, *, j: int | None = None, phi: float = 0.0) -> OperatorMatrix:
-    """Data-register block rotation . parity pattern for one probe step.
-
-    With `j` given the rotation skips data qubit j (the discrimination
-    step); with ``j=None`` the rotation is uniform.
-    """
-    block = StepBlock.from_bits(as_bits(s), theta, j, phi=phi)
-    return OperatorMatrix(block.dense(), unitary=True, validate=False)
 
 
 def error_identity_check() -> float:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from dqc1lpn import infomeasures, qstate
-from dqc1lpn.circuits import HADAMARD, StepBlock, _traces, as_bits
+from dqc1lpn.circuits import StepBlock, _traces, as_bits
 from dqc1lpn.dqc1 import Dqc1Config
-from dqc1lpn.qstate import DensityMatrix, OperatorMatrix, embed
+from dqc1lpn.qstate import HADAMARD, DensityMatrix, OperatorMatrix, embed
 
 
 def random_unitary(rng, dim):
@@ -214,7 +214,7 @@ def dense_final_state(
     """
     bits = as_bits(s, n=cfg.n)
     total = cfg.n + 1
-    rotation = qstate.parity_step_block([0] * cfg.n, cfg.theta, j=j)
+    rotation = qstate.block_operator(StepBlock.from_bits([0] * cfg.n, cfg.theta, j))
     rho = qstate.initial_state(cfg)
     had = OperatorMatrix(embed(HADAMARD, 0, total), unitary=True, validate=False)
     rho = qstate.apply_unitary(rho, had)

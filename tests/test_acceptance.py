@@ -41,7 +41,7 @@ def test_criterion_01_trace_formula():
     for n in range(1, 6):
         for bits in all_bitstrings(n):
             for theta in THETAS:
-                block = qstate.parity_step_block(bits, theta, j=None)
+                block = qstate.block_operator(circuits.StepBlock.from_bits(bits, theta))
                 dense = complex(np.trace(block.entries)) / 2**n
                 closed = _uniform_formula(int(bits.sum()), n, theta)
                 worst = max(worst, abs(dense - closed))
@@ -62,7 +62,7 @@ def test_criterion_02_per_bit_discrimination():
         for bits in all_bitstrings(n):
             for j in range(1, n + 1):
                 for theta in THETAS:
-                    block = qstate.parity_step_block(bits, theta, j=j)
+                    block = qstate.block_operator(circuits.StepBlock.from_bits(bits, theta, j))
                     dense = complex(np.trace(block.entries)) / 2**n
                     if bits[j - 1]:
                         if abs(dense) >= 1e-12:
@@ -153,7 +153,7 @@ def test_criterion_05_readout_depolarization():
     for s in ("01", "0110"):
         bits = as_bits(s)
         cfg = Dqc1Config(n=bits.size, alpha=0.8, p=0.0, theta=1.1)
-        block = qstate.parity_step_block(bits, 1.1, j=None)
+        block = qstate.block_operator(circuits.StepBlock.from_bits(bits, 1.1))
         rho = qstate.run_protocol(cfg, block)
         clean = qstate.probe_expectations(rho)
         for p in (0.25, 0.5, 0.9):
@@ -220,7 +220,7 @@ def test_criterion_07_systematic_tilt():
 def test_criterion_08_information_measures():
     def protocol_state(bits, theta, alpha, j=1):
         cfg = Dqc1Config(n=bits.size, alpha=alpha, p=0.0, theta=theta)
-        block = qstate.parity_step_block(bits, theta, j=j)
+        block = qstate.block_operator(circuits.StepBlock.from_bits(bits, theta, j))
         return qstate.run_protocol(cfg, block)
 
     def discord(bits, theta, alpha, j=1):

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import sys
@@ -9,7 +8,7 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dqc1lpn import circuits, infomeasures, lpn, qstate
+from dqc1lpn import infomeasures, lpn, qstate
 from dqc1lpn.circuits import (
     StepBlock, as_bits, bits_to_str, ones_mask, require_normal, rx,
 )
@@ -18,8 +17,8 @@ from dqc1lpn.qstate import (
     cnot,
     controlled,
     embed,
+    block_operator,
     error_identity_check,
-    parity_step_block,
 )
 
 from conftest import (
@@ -43,7 +42,7 @@ CNOT_01 = np.array(
 @pytest.mark.parametrize("phi", [0.0, 0.4, np.pi / 3])
 def test_rx_matches_matrix_exponential(theta, phi):
     """The rotation is exp(+i theta/2 (cos phi X + sin phi Y))."""
-    axis = np.cos(phi) * circuits.PAULI_X + np.sin(phi) * circuits.PAULI_Y
+    axis = np.cos(phi) * qstate.PAULI_X + np.sin(phi) * qstate.PAULI_Y
     expected = scipy.linalg.expm(0.5j * theta * axis)
     np.testing.assert_allclose(rx(theta, phi), expected, atol=1e-13)
 
@@ -138,56 +137,8 @@ def test_cnot_matrix():
 
 
 def test_embed_places_gate():
-    z_on_1 = embed(circuits.PAULI_Z, 1, 2)
-    np.testing.assert_allclose(z_on_1, np.kron(np.eye(2), circuits.PAULI_Z))
-
-
-def _random_factor(rng):
-    """A 2x2 factor: a rotation, the identity or a random complex matrix
-    with signed zeros mixed in, possibly column-swapped."""
-    kind = int(rng.integers(3))
-    if kind == 0:
-        f = rx(float(rng.uniform(-7.0, 7.0)), float(rng.choice([0.0, 0.4])))
-    elif kind == 1:
-        f = circuits.ID2
-    else:
-        f = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        f.real[rng.random((2, 2)) < 0.3] = rng.choice([0.0, -0.0])
-        f.imag[rng.random((2, 2)) < 0.3] = rng.choice([0.0, -0.0])
-    return f[:, ::-1] if rng.random() < 0.5 else f
-
-
-def test_kron_all_is_bitwise_np_kron(rng):
-    """kron_all equals the left-associated np.kron chain from [[1+0j]]
-    bit for bit, signed zeros included."""
-    for _ in range(60):
-        factors = [_random_factor(rng) for _ in range(int(rng.integers(0, 7)))]
-        got = circuits.kron_all(factors)
-        expected = functools.reduce(np.kron, factors, np.array([[1.0 + 0.0j]]))
-        assert got.shape == expected.shape
-        assert np.array_equal(got.view(float), expected.view(float))
-        assert np.array_equal(np.signbit(got.view(float)), np.signbit(expected.view(float)))
-
-
-def test_dense_trace_is_bitwise_dense_trace():
-    """dense_trace() sums the same diagonal products as dense().trace(), so
-    the two agree bit for bit, signed zeros included (theta 0 and pi give
-    exact zeros, 1e-300 products that flush to zero), tilted or not."""
-    rng = np.random.default_rng(20)
-    thetas = (0.0, np.pi, 1e-300, np.pi / 2)
-    for i in range(2000):
-        n = int(rng.integers(1, 11))
-        theta = thetas[i % 5] if i % 5 < 4 else float(rng.uniform(-7.0, 7.0))
-        phi = float(rng.uniform(-4.0, 4.0)) if i % 2 else 0.0
-        rotated, flips = (int(m) for m in rng.integers(0, 1 << n, size=2))
-        block = StepBlock(theta, n, rotated, flips, phi)
-        got = np.array([block.dense_trace()])
-        expected = np.array([block.dense().trace()])
-        assert got.dtype == expected.dtype == np.complex128
-        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), block
-    # past circuits.MAX_QUBITS the trace is refused as the matrix is
-    with pytest.raises(ValueError, match="closed"):
-        StepBlock.from_bits([0] * 13, 1.0, 1).dense_trace()
+    z_on_1 = embed(qstate.PAULI_Z, 1, 2)
+    np.testing.assert_allclose(z_on_1, np.kron(np.eye(2), qstate.PAULI_Z))
 
 
 def test_step_block_validation():
@@ -216,16 +167,16 @@ def test_step_block_validation():
     assert block.flips == qubit_mask((1, 3))
     # past circuits.MAX_QUBITS the dense matrix is refused before allocation
     with pytest.raises(ValueError, match="closed"):
-        StepBlock.from_bits([0] * 13, 1.0, 1).dense()
+        block_operator(StepBlock.from_bits([0] * 13, 1.0, 1))
 
 
 def test_build_parity_unitary_small():
     par = build_parity_unitary(as_bits("10"))
-    np.testing.assert_allclose(par.entries, np.kron(circuits.PAULI_X, np.eye(2)))
+    np.testing.assert_allclose(par.entries, np.kron(qstate.PAULI_X, np.eye(2)))
 
 
 def test_step_block_unrotated_qubit_is_identity():
-    got = StepBlock.from_bits([0, 0], 0.7, 1).dense()
+    got = block_operator(StepBlock.from_bits([0, 0], 0.7, 1)).entries
     np.testing.assert_allclose(got, np.kron(np.eye(2), rx(0.7)), atol=1e-14)
 
 
@@ -241,8 +192,8 @@ def test_parity_step_block_composition():
     bits = as_bits("011")
     theta = 1.2
     # a tilted axis, so that the rotation and sx do not commute
-    block = parity_step_block(bits, theta, j=2, phi=0.3)
-    rot = parity_step_block("000", theta, j=2, phi=0.3)
+    block = block_operator(StepBlock.from_bits(bits, theta, 2, phi=0.3))
+    rot = block_operator(StepBlock.from_bits(as_bits("000"), theta, 2, phi=0.3))
     par = build_parity_unitary(bits)
     np.testing.assert_allclose(block.entries, rot.entries @ par.entries, atol=1e-14)
 
@@ -252,7 +203,7 @@ def test_uniform_block_trace_matches_reference(theta):
     """Full-register rotation trace agrees with the raw-numpy build."""
     for n in (1, 2, 3, 4):
         for bits in all_bitstrings(n):
-            block = parity_step_block(bits, theta, j=None)
+            block = block_operator(StepBlock.from_bits(bits, theta))
             dense = complex(np.trace(block.entries)) / 2**n
             ref = reference_tau(bits, theta, rotated=set(range(1, n + 1)))
             assert abs(dense - ref) < 1e-12
@@ -275,7 +226,7 @@ def test_step_block_tau_matches_dense_trace(phi):
                     block = StepBlock.from_bits(
                         bits, theta, j, decoupled, corrections, phi=phi
                     )
-                    dense = complex(np.trace(block.dense())) / 2**n
+                    dense = complex(np.trace(block_operator(block).entries)) / 2**n
                     assert abs(block.tau() - dense) < 1e-12
                     if phi == 0.0 and not corrections:
                         rotated = set(range(j + 1, n + 1))
@@ -295,7 +246,7 @@ def test_step_block_eigenphases_match_dense_spectrum(phi):
         counts = weights * 2**n
         assert np.array_equal(counts, np.round(counts))
         expected = np.repeat(np.exp(2j * phases), counts.astype(int))
-        remaining = list(np.linalg.eigvals(block.dense()) ** 2)
+        remaining = list(np.linalg.eigvals(block_operator(block).entries) ** 2)
         assert expected.size == len(remaining)
         for value in expected:
             nearest = int(np.argmin(np.abs(np.array(remaining) - value)))

@@ -167,7 +167,7 @@ def test_usage_errors_exit_two(capsys):
         ("noise-sweep", "--mode", "systematic", "--s", "0110", "--phi-grid", "nan"),
         ("learn", "--s", "01", "--backend", "sampled",
          "--L", "100000000000000000000000", "--queries", "1"),
-        # an unwritable --out path, and a dense block past qstate.MAX_QUBITS
+        # an unwritable --out path, and a dense block past circuits.MAX_QUBITS
         ("coherence", "--out", "/nonexistent/dir/x.csv"),
         ("learn", "--backend", "dense", "--n", "13", "--random-s"),
         # midq signals that are exactly zero: no rotation, no polarization

@@ -79,7 +79,7 @@ def test_expectations_from_tau_quarter_signal():
 def test_probe_readout_of_protocol_state():
     bits = circuits.as_bits("10")
     cfg = Dqc1Config(n=2, alpha=0.9, p=0.0, theta=np.pi / 2)
-    block = qstate.parity_step_block(bits, np.pi / 2, j=None)
+    block = qstate.block_operator(circuits.StepBlock.from_bits(bits, np.pi / 2))
     rho = run_protocol(cfg, block)
     ex, ey = probe_expectations(rho)
     # tau = (i sin(pi/4)) cos(pi/4) = i/2

@@ -16,7 +16,6 @@ from dqc1lpn.infomeasures import (
 from dqc1lpn.circuits import StepBlock
 from dqc1lpn.qstate import (
     DensityMatrix,
-    OperatorMatrix,
     mutual_information,
     partial_trace,
     ppt_min_eigenvalue,
@@ -47,7 +46,7 @@ BELL = DensityMatrix(
 def _protocol_state(s, theta, alpha, j=1):
     bits = circuits.as_bits(s)
     cfg = dqc1.Dqc1Config(n=bits.size, alpha=alpha, p=0.0, theta=theta)
-    block = qstate.parity_step_block(bits, theta, j=j)
+    block = qstate.block_operator(StepBlock.from_bits(bits, theta, j))
     return qstate.run_protocol(cfg, block)
 
 
@@ -181,7 +180,7 @@ def test_protocol_discord_matches_dense(phi):
     is coarse to keep the run short; its descent still refines it."""
     for block in step_blocks(1.1, phi):
         n = block.n
-        w = OperatorMatrix(block.dense(), unitary=True, validate=False)
+        w = qstate.block_operator(block)
         for alpha in (0.0, 0.3, 0.7, 1.0):
             cfg = dqc1.Dqc1Config(n=n, alpha=alpha, p=0.0, theta=block.theta)
             dense = quantum_discord(qstate.run_protocol(cfg, w), grid_shape=(5, 8))

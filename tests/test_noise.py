@@ -8,7 +8,7 @@ import pytest
 from conftest import all_bitstrings, dense_final_state
 
 from dqc1lpn import qstate
-from dqc1lpn.circuits import PAULI_Z, StepBlock, as_bits, bits_to_str
+from dqc1lpn.circuits import StepBlock, as_bits, bits_to_str
 from dqc1lpn.dqc1 import Dqc1Config
 from dqc1lpn.noise import (
     default_probe_bit,
@@ -18,6 +18,7 @@ from dqc1lpn.noise import (
     systematic_error_sweep,
 )
 from dqc1lpn.qstate import (
+    PAULI_Z,
     DensityMatrix,
     OperatorMatrix,
     depolarize,

@@ -1,10 +1,12 @@
 import ast
+import functools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dqc1lpn import qstate
+from dqc1lpn.circuits import ID2, StepBlock, rx
 from dqc1lpn.dqc1 import Dqc1Config
 from dqc1lpn.qstate import (
     DensityMatrix,
@@ -177,7 +179,7 @@ def test_probe_readout_survives_full_depolarization_of_the_data():
         cfg = Dqc1Config(n=n, alpha=0.7, p=0.2, theta=1.1)
         for bits in all_bitstrings(n):
             for j in range(1, n + 1):
-                block = qstate.parity_step_block(bits, cfg.theta, j=j)
+                block = qstate.block_operator(StepBlock.from_bits(bits, cfg.theta, j))
                 rho = qstate.run_protocol(cfg, block)
                 mixed = qstate.depolarize(rho, 1.0, range(1, n + 1))
                 before = qstate.probe_expectations(rho, cfg.p)
@@ -185,19 +187,98 @@ def test_probe_readout_survives_full_depolarization_of_the_data():
                 assert np.allclose(after, before, rtol=0.0, atol=1e-12)
 
 
+def _random_factor(rng):
+    """A 2x2 factor: a rotation, the identity or a random complex matrix
+    with signed zeros mixed in, possibly column-swapped."""
+    kind = int(rng.integers(3))
+    if kind == 0:
+        f = rx(float(rng.uniform(-7.0, 7.0)), float(rng.choice([0.0, 0.4])))
+    elif kind == 1:
+        f = ID2
+    else:
+        f = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        f.real[rng.random((2, 2)) < 0.3] = rng.choice([0.0, -0.0])
+        f.imag[rng.random((2, 2)) < 0.3] = rng.choice([0.0, -0.0])
+    return f[:, ::-1] if rng.random() < 0.5 else f
+
+
+def test_kron_all_is_bitwise_np_kron(rng):
+    """kron_all equals the left-associated np.kron chain from [[1+0j]]
+    bit for bit, signed zeros included."""
+    for _ in range(60):
+        factors = [_random_factor(rng) for _ in range(int(rng.integers(0, 7)))]
+        got = qstate.kron_all(factors)
+        expected = functools.reduce(np.kron, factors, np.array([[1.0 + 0.0j]]))
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(float), expected.view(float))
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(expected.view(float)))
+
+
+def test_dense_trace_is_bitwise_dense_trace():
+    """dense_trace() sums the same diagonal products as the trace of the
+    dense block, kron_all(factors()), so the two agree bit for bit, signed
+    zeros included (theta 0 and pi give exact zeros, 1e-300 products that
+    flush to zero), tilted or not."""
+    rng = np.random.default_rng(20)
+    thetas = (0.0, np.pi, 1e-300, np.pi / 2)
+    for i in range(2000):
+        n = int(rng.integers(1, 11))
+        theta = thetas[i % 5] if i % 5 < 4 else float(rng.uniform(-7.0, 7.0))
+        phi = float(rng.uniform(-4.0, 4.0)) if i % 2 else 0.0
+        rotated, flips = (int(m) for m in rng.integers(0, 1 << n, size=2))
+        block = StepBlock(theta, n, rotated, flips, phi)
+        got = np.array([block.dense_trace()])
+        expected = np.array([qstate.kron_all(block.factors()).trace()])
+        assert got.dtype == expected.dtype == np.complex128
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), block
+    # past circuits.MAX_QUBITS the trace is refused as the matrix is
+    with pytest.raises(ValueError, match="closed"):
+        StepBlock.from_bits([0] * 13, 1.0, 1).dense_trace()
+
+
+#: The modules the commands run, which build no dense matrix.
+RUNTIME_MODULES = ("cli", "lpn", "dqc1", "noise", "infomeasures", "circuits")
+
+
+def _runtime_nodes():
+    """(module name, AST node) over every node of the runtime modules."""
+    src = Path(qstate.__file__).parent
+    for name in RUNTIME_MODULES:
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+            yield name, node
+
+
 def test_runtime_modules_do_not_import_qstate():
     """The dense reference stays out of every module the commands run."""
-    src = Path(qstate.__file__).parent
     importers = []
-    for name in ("cli", "lpn", "dqc1", "noise", "infomeasures", "circuits"):
-        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
-            if isinstance(node, ast.Import):
-                paths = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                paths = [module] + [f"{module}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            if any("qstate" in path.split(".") for path in paths):
-                importers.append(name)
+    for name, node in _runtime_nodes():
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            paths = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any("qstate" in path.split(".") for path in paths):
+            importers.append(name)
     assert importers == []
+
+
+def test_runtime_modules_build_no_kronecker_product():
+    """The 4^n builder stays in qstate: no module the commands run defines,
+    imports or names ``kron_all``, or names ``kron`` (``np.kron``)."""
+    found = []
+    for name, node in _runtime_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            ident = node.name
+        elif isinstance(node, ast.alias):
+            ident = node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Name):
+            ident = node.id
+        elif isinstance(node, ast.Attribute):
+            ident = node.attr
+        else:
+            continue
+        if ident in ("kron_all", "kron"):
+            found.append(f"{name}: {ident}")
+    assert found == []
