@@ -208,7 +208,7 @@ def _serialize(record: RunRecord, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _resolve_string(args, rng_key: int = 0) -> np.ndarray:
+def _resolve_string(args) -> np.ndarray:
     if args.n is not None and args.n < 1:
         raise ValueError(f"--n {args.n} must be at least 1")
     if args.s is not None and args.random_s:
@@ -223,7 +223,7 @@ def _resolve_string(args, rng_key: int = 0) -> np.ndarray:
     if args.n is None:
         raise ValueError("--random-s needs --n")
     gen = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(args.seed, spawn_key=(rng_key,)))
+        np.random.PCG64(np.random.SeedSequence(args.seed, spawn_key=(0,)))
     )
     return gen.integers(0, 2, size=args.n, dtype=np.uint8)
 

@@ -25,8 +25,8 @@ from .circuits import StepBlock
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _TINY = sys.float_info.min
-#: measurement angles phi in [0, pi) that protocol_discord scans first
-_PHI_GRID = 64
+#: cells of [0, pi/2], the measurement angles protocol_discord searches
+_PHI_GRID = 32
 
 
 def binary_entropy(x: float) -> float:
@@ -54,10 +54,9 @@ def coherence_consumption(alpha: float, tau_abs: float) -> float:
 
 @dataclass(frozen=True)
 class DiscordResult:
-    """Minimized discord plus the optimal probe measurement direction
-    (Bloch angles) and the number of refinement evaluations spent.
-    ``protocol_discord`` reports phi in [0, pi/2]: its objective is even
-    in phi with period pi, so pi - phi is the same minimum."""
+    """Minimized discord, the optimal probe measurement direction (Bloch
+    angles; ``protocol_discord`` searches phi over [0, pi/2]) and the
+    number of refinement evaluations spent."""
 
     discord: float
     measurement_theta: float
@@ -152,12 +151,11 @@ def protocol_discord(block: StepBlock, alpha: float) -> DiscordResult:
 
     An equatorial measurement is optimal (a tilted one is a garbling of
     it), and the bracket is even in phi with period pi (the phases come
-    in pairs +-l_k and tau is real or imaginary).  The minimum is a
-    _PHI_GRID-point grid over [0, pi) refined by a golden-section search
-    on the best cell down to 1e-6 rad; ``iterations`` counts the
-    refinement evaluations, and the angle is folded into [0, pi/2] by
-    min(phi, pi - phi).  The quadratures alpha cos l_k, alpha sin l_k
-    and alpha tau are computed once, so that with
+    in pairs +-l_k and tau is real or imaginary), so phi is searched over
+    [0, pi/2] only: a grid of _PHI_GRID cells, then a golden-section search
+    to 1e-6 rad on the cells next to the best grid point, clamped to
+    [0, pi/2]; ``iterations`` counts its evaluations.  The quadratures
+    alpha cos l_k, alpha sin l_k and alpha tau are computed once, so that with
     alpha cos(l_k - phi) = cos(phi) alpha cos l_k + sin(phi) alpha sin l_k
     a refinement step costs one cos and one sin and a few vector operations.
     """
@@ -168,8 +166,8 @@ def protocol_discord(block: StepBlock, alpha: float) -> DiscordResult:
     ac, as_ = alpha * np.cos(phases), alpha * np.sin(phases)
     ar, ai = alpha * tau.real, alpha * tau.imag
 
-    step = math.pi / _PHI_GRID
-    grid = np.arange(_PHI_GRID) * step
+    step = math.pi / 2.0 / _PHI_GRID
+    grid = np.arange(_PHI_GRID + 1) * step
     cos, sin = np.cos(grid), np.sin(grid)
     spread = _binary_entropy_array(
         (1.0 - (np.multiply.outer(cos, ac) + np.multiply.outer(sin, as_))) / 2.0
@@ -184,12 +182,11 @@ def protocol_discord(block: StepBlock, alpha: float) -> DiscordResult:
         readout = min(max((1.0 - (c * ar + s * ai)) / 2.0, 0.0), 1.0)
         return float(spread @ weights) - binary_entropy(readout)
 
-    best = int(values.argmin())
-    p_best, f_best = float(grid[best]), float(values[best])
-    p_new, f_new, evals = _golden_min(objective, p_best - step, p_best + step, 1e-6)
+    p_best, f_best = float(grid[values.argmin()]), float(values.min())
+    lo, hi = max(p_best - step, 0.0), min(p_best + step, math.pi / 2.0)
+    p_new, f_new, evals = _golden_min(objective, lo, hi, 1e-6)
     if f_new < f_best:
-        p_best, f_best = p_new % math.pi, f_new
-    p_best = min(p_best, math.pi - p_best)
+        p_best, f_best = p_new, f_new
     s_probe, s_block = _binary_entropy_array(
         np.array([(1.0 - alpha * abs(tau)) / 2.0, (1.0 - alpha) / 2.0])
     )

@@ -95,13 +95,16 @@ def phase_flip_parity_experiment(
     (-1)^{s_k} sx^{s_k}, so each flip on a coupled (s_k = 1) qubit
     propagates a bit flip to the probe input: an even number cancels, an
     odd number flips the sign of the step block's trace.  Flips on
-    uncoupled qubits do nothing and are flagged with a warning.  A readout
-    that is not exactly zero but falls below 2^-1022 raises ValueError.
+    uncoupled qubits do nothing and are flagged with a warning.  A repeated
+    qubit, or a readout that is not exactly zero but below 2^-1022, raises ValueError.
     """
     bits = as_bits(s, n=cfg.n)
-    flips = sorted(set(int(k) for k in flip_set))
+    flips = sorted(int(k) for k in flip_set)
     if flips and (flips[0] < 1 or flips[-1] > cfg.n):
         raise ValueError(f"flip set {flips} outside data qubits 1..{cfg.n}")
+    for k, after in zip(flips, flips[1:]):
+        if k == after:
+            raise ValueError(f"phase flip on qubit {k} repeated: two sz on one qubit cancel")
     idle = [k for k in flips if not bits[k - 1]]
     if idle:
         warnings.warn(

@@ -154,26 +154,26 @@ def reference_discord_objective(phases, weights, tau, alpha):
 
 
 def reference_protocol_discord(block, alpha):
-    """(discord, iterations) of ``protocol_discord`` with the
-    reference objective: the same grid, bracket and golden-section search."""
+    """(discord, iterations, best grid angle) of ``protocol_discord`` with
+    the reference objective: the same grid over [0, pi/2], the same bracket
+    clamped to it and the same golden-section search."""
     phases, weights = infomeasures._spectrum(block)
     tau = block.tau()
     objective = reference_discord_objective(phases, weights, tau, alpha)
-    step = math.pi / infomeasures._PHI_GRID
-    grid = np.arange(infomeasures._PHI_GRID) * step
+    step = math.pi / 2.0 / infomeasures._PHI_GRID
+    grid = np.arange(infomeasures._PHI_GRID + 1) * step
     values = objective(grid)
     best = int(values.argmin())
-    p_best, f_best = float(grid[best]), float(values[best])
+    p_grid, f_best = float(grid[best]), float(values[best])
     p_new, f_new, evals = infomeasures._golden_min(
         lambda q: float(objective(np.array([q]))[0]),
-        p_best - step, p_best + step, 1e-6,
+        max(p_grid - step, 0.0), min(p_grid + step, math.pi / 2.0), 1e-6,
     )
-    if f_new < f_best:
-        p_best, f_best = p_new % math.pi, f_new
+    f_best = min(f_best, f_new)
     s_probe, s_block = reference_binary_entropy_array(
         np.array([(1.0 - alpha * abs(tau)) / 2.0, (1.0 - alpha) / 2.0])
     )
-    return max(0.0, float(s_probe - s_block) + f_best), evals
+    return max(0.0, float(s_probe - s_block) + f_best), evals, p_grid
 
 
 def reference_as_bits(s, n=None):

@@ -138,6 +138,37 @@ def test_noise_sweep_systematic_bytes_unchanged(capsys, name):
     assert out == (GOLDEN / golden).read_text()
 
 
+#: discord sweeps whose stdout is pinned in tests/golden: the README's
+#: three commands and the mirror-minimum run that CI checks.
+DISCORD_GOLDEN = {
+    "alpha-readme": (
+        ("--s", "011", "--j", "1", "--theta", "0.5pi", "--alpha-grid", "0.1:1:10"),
+        "discord-sweep-alpha-readme.out",
+    ),
+    "theta-readme": (
+        ("--s", "011", "--j", "2", "--alpha", "0.7", "--theta-grid", "0.1pi:0.9pi:9"),
+        "discord-sweep-theta-readme.out",
+    ),
+    "alpha-n64": (
+        ("--s", "0110100110010110011010011001011001101001100101100110100110010110",
+         "--j", "3", "--theta", "0.5pi", "--alpha-grid", "0.1:1:4"),
+        "discord-sweep-alpha-n64.out",
+    ),
+    "mirror": (
+        ("--s", "0110", "--j", "1", "--theta", "0.5pi", "--alpha-grid", "1"),
+        "discord-sweep-mirror.out",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DISCORD_GOLDEN))
+def test_discord_sweep_bytes_unchanged(capsys, name):
+    argv, golden = DISCORD_GOLDEN[name]
+    code, out, _ = run_cli(capsys, "discord-sweep", *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_learn_csv_has_comment_header(capsys):
     code, out, _ = run_cli(capsys, "learn", "--s", "01", "--format", "csv")
     assert code == 0
@@ -194,6 +225,8 @@ def test_usage_errors_exit_two(capsys):
         ("coherence", "--alpha-grid", "0:1:1000", "--tau-grid", "0:1:1000"),
         ("noise-sweep", "--mode", "systematic", "--s", "0110",
          "--phi-grid", "0:1:100000", "--theta-grid", "0:1:100000"),
+        # a phase flip repeated on one qubit, where two sz cancel
+        ("noise-sweep", "--mode", "parity", "--s", "0110", "--flips", "2,2"),
         # learn with --n below 1
         ("learn", "--random-s", "--n", "-2"),
         ("learn", "--random-s", "--n", "0"),
@@ -425,7 +458,7 @@ def test_discord_sweep_alpha_mode(capsys):
 
 def test_discord_sweep_reports_the_angle_below_its_mirror(capsys):
     """The objective is even with period pi: of the mirror minima phi* and
-    pi - phi*, the one in [0, pi/2] is printed."""
+    pi - phi*, the one in the searched [0, pi/2] is printed."""
     code, out, _ = run_cli(
         capsys, "discord-sweep", "--s", "0110", "--j", "1", "--theta", "0.5pi",
         "--alpha-grid", "1",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dqc1lpn import circuits, dqc1, lpn, qstate
+from dqc1lpn import circuits, dqc1, infomeasures, lpn, qstate
 from dqc1lpn.infomeasures import (
     _binary_entropy_array,
     binary_entropy,
@@ -187,13 +187,12 @@ def test_protocol_discord_matches_dense(phi):
             fast = protocol_discord(block, alpha)
             assert abs(fast.discord - dense.discord) < 1e-9
             assert fast.measurement_theta == HALF_PI
-            assert 0.0 <= fast.measurement_phi < math.pi
-            assert fast.measurement_phi <= HALF_PI
+            assert 0.0 <= fast.measurement_phi <= HALF_PI
 
 
 def test_protocol_discord_folds_the_mirror_minimum():
     """s = 0110, j = 1 at pi/2 has mirror minima phi* and pi - phi* of
-    the even objective; the angle in [0, pi/2] is reported."""
+    the even objective; the search covers [0, pi/2] only and reports phi*."""
     block = StepBlock.from_bits(circuits.as_bits("0110"), HALF_PI, 1)
     res = protocol_discord(block, 1.0)
     assert format(res.measurement_phi, ".12g") == "0.83107779394"
@@ -224,8 +223,9 @@ def test_protocol_discord_matches_reference_objective(phi):
     """The quadrature objective against the outer-difference one it replaced,
     on random blocks of up to 300 qubits with random decoupled prefixes and
     corrections: the same discord to 1e-12 and the same number of
-    refinement evaluations.  Half the blocks have at most 8 qubits, where
-    |tau| is large enough for the readout term to count."""
+    refinement evaluations, 25 when the bracket is clamped at 0 or pi/2
+    to one cell and 26 for two cells.  Half the blocks have at most 8
+    qubits, where |tau| is large enough for the readout term to count."""
     rng = np.random.default_rng(1300 + int(phi * 10))
     for n in rng.integers(1, 9, 8).tolist() + rng.integers(9, 301, 8).tolist():
         bits = rng.integers(0, 2, n).tolist()
@@ -236,9 +236,35 @@ def test_protocol_discord_matches_reference_objective(phi):
         block = StepBlock.from_bits(bits, theta, j, decoupled, corrections, phi=phi)
         for alpha in (0.0, 0.3, 0.7, 1.0):
             fast = protocol_discord(block, alpha)
-            discord, iterations = reference_protocol_discord(block, alpha)
+            discord, iterations, p_grid = reference_protocol_discord(block, alpha)
             assert abs(fast.discord - discord) <= 1e-12
-            assert fast.iterations == iterations == 26
+            assert fast.iterations == iterations
+            assert iterations == (25 if p_grid in (0.0, HALF_PI) else 26)
+
+
+def test_protocol_discord_searches_one_quarter_period(monkeypatch):
+    """Every bracket and every angle the golden-section search probes lies
+    in [0, pi/2], also when the best grid point is an end of it."""
+    brackets, probes = [], []
+    golden_min = infomeasures._golden_min
+
+    def spy(f, lo, hi, tol):
+        brackets.append((lo, hi))
+
+        def probed(angle):
+            probes.append(angle)
+            return f(angle)
+
+        return golden_min(probed, lo, hi, tol)
+
+    monkeypatch.setattr(infomeasures, "_golden_min", spy)
+    for phi in (0.0, 0.3):
+        for block in step_blocks(1.1, phi):
+            for alpha in (0.0, 0.3, 0.7, 1.0):
+                assert 0.0 <= protocol_discord(block, alpha).measurement_phi <= HALF_PI
+    assert brackets and all(0.0 <= lo < hi <= HALF_PI for lo, hi in brackets)
+    assert any(lo == 0.0 for lo, _ in brackets)
+    assert probes and all(0.0 <= q <= HALF_PI for q in probes)
 
 
 def test_protocol_discord_rejects_alpha_outside_unit_interval():

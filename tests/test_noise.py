@@ -197,9 +197,13 @@ def test_flip_on_uncoupled_qubit_warns_and_does_nothing():
 
 
 def test_phase_flip_rejects_bad_targets():
+    """A qubit outside 1..n, and a qubit named twice (two sz on it cancel,
+    so counting it once would print a sign flip that does not happen)."""
     cfg = _cfg(3)
     with pytest.raises(ValueError):
         phase_flip_parity_experiment(as_bits("011"), cfg, (4,))
+    with pytest.raises(ValueError, match="qubit 2 repeated"):
+        phase_flip_parity_experiment(as_bits("011"), cfg, (2, 3, 2))
 
 
 def test_phase_flip_scales_with_readout_noise():
