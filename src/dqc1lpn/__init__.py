@@ -19,7 +19,7 @@ from .lpn import (
     make_oracle,
     query_budget,
 )
-from .noise import midcircuit_noise_experiment, phase_flip_parity_experiment
+from .noise import midcircuit_noise_sweep, phase_flip_parity_experiment
 from .qstate import (
     DensityMatrix,
     KrausSet,
@@ -63,7 +63,7 @@ __all__ = [
     "learn",
     "make_oracle",
     "query_budget",
-    "midcircuit_noise_experiment",
+    "midcircuit_noise_sweep",
     "phase_flip_parity_experiment",
     "DensityMatrix",
     "KrausSet",

@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from itertools import chain
 from typing import Any
 
@@ -26,31 +25,6 @@ from . import __version__, circuits, infomeasures, lpn, noise
 from .circuits import as_bits, bits_to_str, mask_kinds, normal_tau, ones_mask
 from .dqc1 import Dqc1Config
 from .lpn import BudgetParams
-
-
-@dataclass
-class RunRecord:
-    """Everything one invocation produced, plus the resolved configuration.
-
-    wall_time_ms is kept out of the serialized payload so identical runs
-    emit identical bytes.
-    """
-
-    command: str
-    config: dict[str, Any]
-    results: dict[str, Any]
-    seed: int
-    version: str = __version__
-    wall_time_ms: float = 0.0
-
-    def payload(self) -> dict[str, Any]:
-        return {
-            "command": self.command,
-            "version": self.version,
-            "seed": self.seed,
-            "config": self.config,
-            "results": self.results,
-        }
 
 
 def parse_angle(text: str) -> float:
@@ -188,14 +162,17 @@ def _indented(obj: Any, level: int = 0) -> str:
     return opener + inner + body + "\n" + "  " * level + closer
 
 
-def _serialize(record: RunRecord, fmt: str) -> str:
+def _serialize(payload: dict[str, Any], fmt: str) -> str:
+    """The run record `payload` ({command, version, seed, config, results})
+    as JSON, or as a CSV of its result rows under a "#" header line."""
     if fmt == "json":
-        return _indented(record.payload()) + "\n"
-    rows = record.results.get("rows", [])
-    scalars = {k: v for k, v in record.results.items() if k != "rows"}
+        return _indented(payload) + "\n"
+    results = payload["results"]
+    rows = results.get("rows", [])
+    scalars = {k: v for k, v in results.items() if k != "rows"}
     head = (
-        f"# dqc1lpn v{record.version} command={record.command} "
-        f"seed={record.seed} config={_dumps(record.config, separators=(',', ':'))}"
+        f"# dqc1lpn v{payload['version']} command={payload['command']} "
+        f"seed={payload['seed']} config={_dumps(payload['config'], separators=(',', ':'))}"
     )
     if scalars:
         head += " " + " ".join(f"{k}={_fmt(v)}" for k, v in scalars.items())
@@ -228,7 +205,7 @@ def _resolve_string(args) -> np.ndarray:
     return gen.integers(0, 2, size=args.n, dtype=np.uint8)
 
 
-def cmd_learn(args) -> RunRecord:
+def cmd_learn(args) -> tuple[dict[str, Any], dict[str, Any]]:
     if args.queries is not None and args.queries < 1:
         raise ValueError(f"--queries {args.queries} must be at least 1")
     if args.max_queries < 1:
@@ -281,10 +258,10 @@ def cmd_learn(args) -> RunRecord:
         "total_queries": sum(step.queries for step in result.steps),
         "rows": rows,
     }
-    return RunRecord(command="learn", config=config, results=results, seed=args.seed)
+    return config, results
 
 
-def cmd_trace_table(args) -> RunRecord:
+def cmd_trace_table(args) -> tuple[dict[str, Any], dict[str, Any]]:
     theta = parse_angle(args.theta)
     if args.n is not None and args.n < 1:
         raise ValueError(f"--n {args.n} must be at least 1")
@@ -320,13 +297,10 @@ def cmd_trace_table(args) -> RunRecord:
                 }
             )
     config = {"n": n, "s": args.s, "theta": theta, "theta_raw": args.theta}
-    return RunRecord(
-        command="trace-table", config=config,
-        results={"rows": rows}, seed=args.seed,
-    )
+    return config, {"rows": rows}
 
 
-def cmd_discord_sweep(args) -> RunRecord:
+def cmd_discord_sweep(args) -> tuple[dict[str, Any], dict[str, Any]]:
     if (args.alpha_grid is None) == (args.theta_grid is None):
         raise ValueError("give exactly one of --alpha-grid or --theta-grid")
     bits = as_bits(args.s)
@@ -375,13 +349,10 @@ def cmd_discord_sweep(args) -> RunRecord:
             "s": bits_to_str(bits), "j": args.j, "alpha": args.alpha,
             "theta_grid": args.theta_grid,
         }
-    return RunRecord(
-        command="discord-sweep", config=config,
-        results={"rows": rows}, seed=args.seed,
-    )
+    return config, {"rows": rows}
 
 
-def cmd_noise_sweep(args) -> RunRecord:
+def cmd_noise_sweep(args) -> tuple[dict[str, Any], dict[str, Any]]:
     bits = as_bits(args.s)
     n = bits.size
     rows: list[dict[str, Any]] = []
@@ -443,13 +414,10 @@ def cmd_noise_sweep(args) -> RunRecord:
             alpha=args.alpha, p=args.p, phi_grid=args.phi_grid,
             theta_grid=args.theta_grid, j=args.j,
         )
-    return RunRecord(
-        command="noise-sweep", config=config,
-        results={"rows": rows}, seed=args.seed,
-    )
+    return config, {"rows": rows}
 
 
-def cmd_coherence(args) -> RunRecord:
+def cmd_coherence(args) -> tuple[dict[str, Any], dict[str, Any]]:
     alphas = parse_grid(args.alpha_grid)
     taus = parse_grid(args.tau_grid)
     _check_product(alphas, taus)
@@ -464,10 +432,7 @@ def cmd_coherence(args) -> RunRecord:
                 }
             )
     config = {"alpha_grid": args.alpha_grid, "tau_grid": args.tau_grid}
-    return RunRecord(
-        command="coherence", config=config,
-        results={"rows": rows}, seed=args.seed,
-    )
+    return config, {"rows": rows}
 
 
 def _add_common(sub, default_format: str):
@@ -479,12 +444,6 @@ def _add_common(sub, default_format: str):
     )
 
 
-def _dispatch(args) -> RunRecord:
-    """Run ``cmd_<command>``, looked up by name on each call, so the parser
-    built once per process never holds on to a replaced command function."""
-    return globals()["cmd_" + args.command.replace("-", "_")](args)
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused after it:
@@ -494,7 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dqc1lpn",
         description="One-clean-qubit trace estimation and parity learning.",
     )
-    parser.set_defaults(func=_dispatch)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("learn", help="recover a hidden parity string")
@@ -567,9 +525,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     start = time.perf_counter()
     try:
-        record = args.func(args)
-        record.wall_time_ms = (time.perf_counter() - start) * 1000.0
-        text = _serialize(record, args.format)
+        # looked up by name on each call, so a replaced command function runs
+        config, results = globals()["cmd_" + args.command.replace("-", "_")](args)
+        wall_time_ms = (time.perf_counter() - start) * 1000.0
+        payload = {
+            "command": args.command, "version": __version__, "seed": args.seed,
+            "config": config, "results": results,
+        }
+        text = _serialize(payload, args.format)
         if args.out:
             try:
                 with open(args.out, "w", encoding="utf-8") as handle:
@@ -588,10 +551,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    print(
-        f"{record.command}: finished in {record.wall_time_ms:.1f} ms",
-        file=sys.stderr,
-    )
+    print(f"{args.command}: finished in {wall_time_ms:.1f} ms", file=sys.stderr)
     return 0
 
 

@@ -143,16 +143,24 @@ def query_budget(budget: BudgetParams, cfg: Dqc1Config, j: int) -> int:
         raise ValueError(f"probe index {j} outside 1..{n}")
     _require_polarization(cfg)
     delta_eff = budget.delta if budget.per_bit_delta else budget.delta / n
-    log_term = HOEFFDING_C * math.log(1.0 / delta_eff)
+    if delta_eff and 1.0 / delta_eff < math.inf:
+        log_term = HOEFFDING_C * math.log(1.0 / delta_eff)
+    else:  # delta/n underflowed to 0, or 1/delta' overflows: add the logs
+        spread = 0.0 if budget.per_bit_delta else math.log(n)
+        log_term = HOEFFDING_C * (spread - math.log(budget.delta))
     scale = budget.L * (cfg.alpha * (1.0 - cfg.p)) ** 2
     # eps_j^2 = 2^-(n-j) / 4; keep the exponential as an exact integer so
     # deep strings do not underflow to a zero denominator
     try:
         raw = log_term * 4.0 * float(2 ** (n - j)) / scale
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         raw = math.inf
     if not math.isfinite(raw):
-        exponent = math.log2(log_term) + 2.0 - math.log2(scale) + (n - j)
+        # a scale that underflowed to 0 is summed from its factors' logs
+        log_scale = math.log2(scale) if scale else math.log2(budget.L) + 2.0 * (
+            math.log2(cfg.alpha) + math.log2(1.0 - cfg.p)
+        )
+        exponent = math.log2(log_term) + 2.0 - log_scale + (n - j)
         return 1 << math.ceil(exponent)
     return max(1, math.ceil(raw))
 

@@ -36,27 +36,21 @@ def default_probe_bit(s) -> int | None:
     return int(zeros[0]) + 1 if zeros.size else None
 
 
-def midcircuit_noise_experiment(
-    s, cfg: Dqc1Config, q: float, *, j: int | None = None
-) -> float:
-    """Signal ratio under data depolarization between couplings and rotation.
+def midcircuit_noise_sweep(
+    s, cfg: Dqc1Config, q_grid: Iterable[float], *, j: int | None = None
+) -> list[float]:
+    """Signal ratio under data depolarization between couplings and
+    rotation, at each rate q of `q_grid`.
 
     Depolarization at rate q is unital and maps each coupling sx to
     (1-q) sx, so every data qubit depolarized in the middle of the probe
     step damps the step block's trace by (1-q) per coupled qubit: the
     ratio of |<sx> + i <sy>| with and without noise is (1-q)^m for m
-    coupled qubits.  Refused when the noiseless signal is exactly zero
-    (the block vanishes, or alpha = 0) or the ratio is below 2^-1022.
+    coupled qubits.  After s is parsed, the points are checked in grid
+    order: a rate outside [0, 0.2] is refused first; then, once, an
+    all-zero s or a noiseless signal that is exactly zero (the block
+    vanishes, or alpha = 0); then a ratio below 2^-1022.
     """
-    return midcircuit_noise_sweep(s, cfg, (q,), j=j)[0]
-
-
-def midcircuit_noise_sweep(
-    s, cfg: Dqc1Config, q_grid: Iterable[float], *, j: int | None = None
-) -> list[float]:
-    """``midcircuit_noise_experiment`` at each rate of `q_grid`, with s
-    checked and the step block built once.  A sweep is refused where the
-    first failing one-point call in grid order would be, with its message."""
     bits = as_bits(s, n=cfg.n)
     coupled = None
     ratios = []

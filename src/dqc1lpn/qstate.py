@@ -387,52 +387,33 @@ def rel_entropy_coherence(rho: DensityMatrix) -> float:
     return max(0.0, s_diag - von_neumann_entropy(rho))
 
 
-def mutual_information(rho: DensityMatrix, probe_index: int = 0) -> float:
-    """I = S(rho_probe) + S(rho_rest) - S(rho)."""
-    k = rho.num_qubits
-    rest = [q for q in range(k) if q != probe_index]
+def mutual_information(rho: DensityMatrix) -> float:
+    """I = S(rho_probe) + S(rho_rest) - S(rho), with the probe on qubit 0."""
     return (
-        von_neumann_entropy(partial_trace(rho, keep={probe_index}))
-        + von_neumann_entropy(partial_trace(rho, keep=rest))
+        von_neumann_entropy(partial_trace(rho, keep={0}))
+        + von_neumann_entropy(partial_trace(rho, keep=range(1, rho.num_qubits)))
         - von_neumann_entropy(rho)
     )
 
 
-def ppt_min_eigenvalue(rho: DensityMatrix, probe_index: int = 0) -> float:
-    """Smallest eigenvalue of the partial transpose over the probe qubit.
+def ppt_min_eigenvalue(rho: DensityMatrix) -> float:
+    """Smallest eigenvalue of the partial transpose over the probe, qubit 0.
 
     Nonnegative values mean the probe-register split passes the
     positive-partial-transpose entanglement test.
     """
-    k = rho.num_qubits
-    if not 0 <= probe_index < k:
-        raise ValueError(f"probe index {probe_index} outside 0..{k - 1}")
-    mat = _probe_front(rho.entries, probe_index, k)
-    half = 2 ** (k - 1)
-    swapped = mat.reshape(2, half, 2, half).transpose(2, 1, 0, 3)
+    half = rho.dim // 2
+    swapped = rho.entries.reshape(2, half, 2, half).transpose(2, 1, 0, 3)
     return float(np.linalg.eigvalsh(swapped.reshape(2 * half, 2 * half)).min())
 
 
-def _probe_front(mat: np.ndarray, probe: int, k: int) -> np.ndarray:
-    """Permute qubit `probe` to the most significant position."""
-    if probe == 0:
-        return mat
-    perm = [probe] + [q for q in range(k) if q != probe]
-    axes = perm + [k + q for q in perm]
-    dim = 2**k
-    return mat.reshape([2] * (2 * k)).transpose(axes).reshape(dim, dim)
-
-
-def _probe_blocks(rho: DensityMatrix, probe: int) -> np.ndarray:
-    """(2, 2, D, D) array b with b[i, j] = <i|_probe rho |j>_probe."""
-    k = rho.num_qubits
-    if not 0 <= probe < k:
-        raise ValueError(f"probe index {probe} outside 0..{k - 1}")
-    if k < 2:
+def _probe_blocks(rho: DensityMatrix) -> np.ndarray:
+    """(2, 2, D, D) array b with b[i, j] = <i|_probe rho |j>_probe, the
+    probe being qubit 0."""
+    if rho.num_qubits < 2:
         raise ValueError("state must hold the probe plus at least one qubit")
-    mat = _probe_front(rho.entries, probe, k)
-    half = 2 ** (k - 1)
-    return mat.reshape(2, half, 2, half).transpose(0, 2, 1, 3)
+    half = rho.dim // 2
+    return rho.entries.reshape(2, half, 2, half).transpose(0, 2, 1, 3)
 
 
 def _conditional_entropy_batch(
@@ -464,25 +445,18 @@ def _conditional_entropy_batch(
 
 
 def quantum_discord(
-    rho: DensityMatrix,
-    probe_index: int = 0,
-    *,
-    grid_shape: tuple[int, int] = (64, 128),
-    angle_tol: float = 1e-6,
-    improve_tol: float = 1e-9,
+    rho: DensityMatrix, *, grid_shape: tuple[int, int] = (64, 128)
 ) -> DiscordResult:
-    """Discord of `rho` with the measurement on the given probe qubit.
+    """Discord of `rho` with the measurement on the probe, qubit 0.
 
     Grid search over (theta, phi) on the Bloch sphere, then coordinate
-    descent with golden-section line searches down to `angle_tol` per
+    descent with golden-section line searches down to 1e-6 per
     coordinate, stopping once a full sweep improves the conditional
-    entropy by less than `improve_tol` bits.
+    entropy by less than 1e-9 bits.
     """
-    blocks = _probe_blocks(rho, probe_index)
+    blocks = _probe_blocks(rho)
     rho_data = blocks[0, 0] + blocks[1, 1]
-    s_probe = von_neumann_entropy(
-        partial_trace(rho, keep={probe_index})
-    )
+    s_probe = von_neumann_entropy(partial_trace(rho, keep={0}))
     s_full = von_neumann_entropy(rho)
 
     nt, np_ = grid_shape
@@ -512,18 +486,18 @@ def quantum_discord(
         lo = max(0.0, t_best - step_t)
         hi = min(math.pi, t_best + step_t)
         t_new, f_t, used = _golden_min(
-            lambda t: objective(t, p_best), lo, hi, angle_tol
+            lambda t: objective(t, p_best), lo, hi, 1e-6
         )
         evals += used
         if f_t < f_best:
             t_best, f_best = t_new, f_t
         p_new, f_p, used = _golden_min(
-            lambda q: objective(t_best, q), p_best - step_p, p_best + step_p, angle_tol
+            lambda q: objective(t_best, q), p_best - step_p, p_best + step_p, 1e-6
         )
         evals += used
         if f_p < f_best:
             p_best, f_best = p_new % (2.0 * math.pi), f_p
-        if previous - f_best < improve_tol:
+        if previous - f_best < 1e-9:
             break
 
     discord = s_probe - s_full + f_best

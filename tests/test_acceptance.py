@@ -187,7 +187,7 @@ def test_criterion_06_error_propagation():
     mid_bits = as_bits("01")
     mid_cfg = Dqc1Config(n=2, alpha=1.0, p=0.0, theta=HALF_PI)
     for q in (0.0, 0.01, 0.03, 0.05):
-        ratio = noise.midcircuit_noise_experiment(mid_bits, mid_cfg, q)
+        ratio = noise.midcircuit_noise_sweep(mid_bits, mid_cfg, [q])[0]
         mid_worst = max(mid_worst, abs(ratio - (1 - q)))
         assert abs(ratio - (1 - q)) <= 3 * q**2 + 1e-12
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from pathlib import Path
@@ -15,6 +16,14 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _payload(command, config, results, seed):
+    """The run record ``cli.main`` serializes, in its key order."""
+    return {
+        "command": command, "version": cli.__version__, "seed": seed,
+        "config": config, "results": results,
+    }
 
 
 def test_parse_angle():
@@ -271,6 +280,29 @@ def test_budget_exhaustion_message_is_short(capsys):
     assert out == ""
     assert "2^2096" in err
     assert len(err.strip()) < 200
+
+
+def test_learn_extreme_budget_inputs_exit_cleanly(capsys):
+    """Subnormal and underflowing alpha, delta and L (alpha (1-p))^2 either
+    give finite JSON, exit 2 or exit 3; the budget never exits 4."""
+    codes = set()
+    for alpha, p, delta, L, backend in itertools.product(
+        ("5e-324", "1e-170", "1e-9", "1"),
+        ("0", "0.9999999999999999"),
+        ("5e-324", "1e-320", "0.5"),
+        ("1", "1000", str(2**63 - 1)),
+        ("closed", "sampled"),
+    ):
+        argv = (
+            "learn", "--s", "0110", "--alpha", alpha, "--p", p, "--delta", delta,
+            "--L", L, "--backend", backend, "--max-queries", "1000",
+        )
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 2, 3), (argv, err)
+        if code == 0:
+            json.loads(out, parse_constant=lambda c: pytest.fail(f"{argv} printed {c}"))
+        codes.add(code)
+    assert 0 in codes and 3 in codes
 
 
 def test_learn_closed_at_2000_qubits(capsys):
@@ -561,9 +593,9 @@ def test_json_output_is_indent_two_bytes(argv):
     """The serializer writes exactly json.dumps(payload, indent=2) for every
     subcommand and learn backend."""
     args = cli._build_parser().parse_args([*argv, "--format", "json"])
-    record = args.func(args)
-    expected = json.dumps(record.payload(), indent=2) + "\n"
-    assert cli._serialize(record, "json") == expected
+    config, results = getattr(cli, "cmd_" + args.command.replace("-", "_"))(args)
+    payload = _payload(args.command, config, results, args.seed)
+    assert cli._serialize(payload, "json") == json.dumps(payload, indent=2) + "\n"
 
 
 # pieces that could confuse a serializer splitting on "}," and newlines
@@ -598,9 +630,8 @@ _JSON_LIKE = st.recursive(
     seed=st.integers(0, 2**64 - 1),
 )
 def test_serialize_matches_json_indent_two(command, config, results, seed):
-    record = cli.RunRecord(command=command, config=config, results=results, seed=seed)
-    expected = json.dumps(record.payload(), indent=2) + "\n"
-    assert cli._serialize(record, "json") == expected
+    payload = _payload(command, config, results, seed)
+    assert cli._serialize(payload, "json") == json.dumps(payload, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -613,18 +644,16 @@ def test_serialize_matches_json_indent_two(command, config, results, seed):
     ],
 )
 def test_serialize_refuses_non_finite_json(bad, results):
-    record = cli.RunRecord(command="x", config={}, results=results(bad), seed=0)
+    payload = _payload("x", {}, results(bad), 0)
     with pytest.raises(cli.NonFiniteOutputError):
-        cli._serialize(record, "json")
+        cli._serialize(payload, "json")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_result_exits_four(capsys, monkeypatch, fmt, bad):
     def nan_row(args):
-        return cli.RunRecord(
-            command="coherence", config={}, results={"rows": [{"x": bad}]}, seed=0
-        )
+        return {}, {"rows": [{"x": bad}]}
 
     monkeypatch.setattr(cli, "cmd_coherence", nan_row)
     code, out, err = run_cli(capsys, "coherence", "--format", fmt)

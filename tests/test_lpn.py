@@ -114,19 +114,25 @@ def test_query_budget_efficiency_frontier():
 
 
 @pytest.mark.parametrize(
-    "n,j,alpha,L",
+    "n,j,alpha,L,delta,expected",
     [
         # 2^(n-j) does not fit in a float
-        pytest.param(2200, 1, 1.0, 1, id="overflow"),
+        pytest.param(2200, 1, 1.0, 1, 0.01, None, id="overflow"),
         # 2^(n-j) fits, the quotient by a tiny scale does not
-        pytest.param(1022, 1, 1e-3, 1, id="nonfinite"),
+        pytest.param(1022, 1, 1e-3, 1, 0.01, None, id="nonfinite"),
+        # 1/delta' overflows: 2 ln(4e320) 4 2^3 / 1000 = 47.2
+        pytest.param(4, 1, 1.0, 1000, 1e-320, 48, id="subnormal-delta"),
+        # delta/n underflows to 0: 2 ln(4 / 5e-324) 4 2^3 / 1000 = 47.7
+        pytest.param(4, 1, 1.0, 1000, 5e-324, 48, id="zero-delta-share"),
+        # L (alpha (1-p))^2 underflows to 0: 2^1128.07 queries
+        pytest.param(4, 1, 1e-170, 1000, 0.01, 2**1129, id="underflowed-scale"),
     ],
 )
-def test_query_budget_log_space_fallback(n, j, alpha, L):
+def test_query_budget_log_space_fallback(n, j, alpha, L, delta, expected):
     # the float quotient is unusable; result must still be a usable int
-    q = query_budget(_budget(L=L), _cfg(n, alpha=alpha), j)
+    q = query_budget(BudgetParams(delta=delta, L=L), _cfg(n, alpha=alpha), j)
     assert isinstance(q, int)
-    assert q > 10**300
+    assert q > 10**300 if expected is None else q == expected
 
 
 def test_query_budget_per_bit_delta_needs_less():

@@ -12,7 +12,6 @@ from dqc1lpn.circuits import StepBlock, as_bits, bits_to_str
 from dqc1lpn.dqc1 import Dqc1Config
 from dqc1lpn.noise import (
     default_probe_bit,
-    midcircuit_noise_experiment,
     midcircuit_noise_sweep,
     phase_flip_parity_experiment,
     systematic_error_sweep,
@@ -59,18 +58,18 @@ def test_midcircuit_matches_dense_reference():
     for s, j, cfg in _dense_cases():
         if j is not None and s[j - 1] == "1":
             with pytest.raises(ValueError, match="vanishes"):
-                midcircuit_noise_experiment(s, cfg, 0.05, j=j)
+                midcircuit_noise_sweep(s, cfg, [0.05], j=j)[0]
             continue
         clean = dense_final_state(s, cfg, j=j, between=lambda r: r)
         den = abs(complex(*probe_expectations(clean, cfg.p)))
-        assert midcircuit_noise_experiment(s, cfg, 0.0, j=j) == 1.0
+        assert midcircuit_noise_sweep(s, cfg, [0.0], j=j)[0] == 1.0
         data = range(1, cfg.n + 1)
         for q in (0.05, 0.2):
             rho = dense_final_state(
                 s, cfg, j=j, between=lambda r: depolarize(r, q, data)
             )
             num = abs(complex(*probe_expectations(rho, cfg.p)))
-            ratio = midcircuit_noise_experiment(s, cfg, q, j=j)
+            ratio = midcircuit_noise_sweep(s, cfg, [q], j=j)[0]
             worst = max(worst, abs(ratio - num / den))
     assert worst < 1e-12
 
@@ -114,10 +113,10 @@ def test_midcircuit_refuses_exact_zeros_only():
     refused = ((2, _cfg(128)), (1, _cfg(128, theta=0.0)), (1, _cfg(128, alpha=0.0)))
     for j, cfg in refused:
         with pytest.raises(ValueError, match="vanishes"):
-            midcircuit_noise_experiment(s, cfg, 0.1, j=j)
-    assert midcircuit_noise_experiment(s, _cfg(128), 0.1, j=1) == 0.9**64
+            midcircuit_noise_sweep(s, cfg, [0.1], j=j)[0]
+    assert midcircuit_noise_sweep(s, _cfg(128), [0.1], j=1)[0] == 0.9**64
     with pytest.raises(ValueError, match="2\\^-1022"):
-        midcircuit_noise_experiment("0" + "1" * 3200, _cfg(3201), 0.2)
+        midcircuit_noise_sweep("0" + "1" * 3200, _cfg(3201), [0.2])[0]
 
 
 def test_depolarizing_kraus_is_complete():
@@ -147,26 +146,27 @@ def test_midcircuit_ratio_is_power_law(s, m):
     bits = as_bits(s)
     cfg = _cfg(bits.size)
     for q in (0.0, 0.02, 0.2):
-        ratio = midcircuit_noise_experiment(bits, cfg, q)
+        ratio = midcircuit_noise_sweep(bits, cfg, [q])[0]
         assert ratio == pytest.approx((1 - q) ** m, abs=1e-12)
 
 
 def test_midcircuit_sweep_is_the_one_point_calls():
-    """The sweep builds the block once and gives each point's ratio bit for bit."""
+    """The sweep builds the block once and gives each point's ratio bit for
+    bit, as a one-point sweep does."""
     bits, qs = as_bits("0110100110"), [0.2, 0.0, 0.013, 0.11]
     for j in (None, 1, 4):
         cfg = _cfg(bits.size)
         assert midcircuit_noise_sweep(bits, cfg, qs, j=j) == [
-            midcircuit_noise_experiment(bits, cfg, q, j=j) for q in qs
+            midcircuit_noise_sweep(bits, cfg, [q], j=j)[0] for q in qs
         ]
 
 
 def test_midcircuit_rejects_out_of_range_rate():
     cfg = _cfg(2)
     with pytest.raises(ValueError):
-        midcircuit_noise_experiment(as_bits("01"), cfg, 0.5)
+        midcircuit_noise_sweep(as_bits("01"), cfg, [0.5])[0]
     with pytest.raises(ValueError):
-        midcircuit_noise_experiment(as_bits("00"), cfg, 0.1)
+        midcircuit_noise_sweep(as_bits("00"), cfg, [0.1])[0]
 
 
 def test_single_phase_flip_reverses_polarization():
