@@ -100,7 +100,8 @@ class StepBlock:
     ``R(theta, phi)^rotated_k . sx^flips_k``: a rotation or the identity,
     times sx where a parity coupling is left after the decoupling
     corrections.  `rotated` and `flips` are int bitmasks, bit k-1 for
-    qubit k, and a bit at or past n, or a negative mask, is refused.
+    qubit k; a bit at or past n, a negative mask, or a theta or phi that is
+    not finite is refused.
     ``factors`` lists its 2x2 factors in qubit order, which
     ``qstate.block_operator`` multiplies out into the dense matrix, and
     ``dense_trace`` sums that matrix's diagonal without building it, both
@@ -118,6 +119,8 @@ class StepBlock:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+            raise ValueError(f"angles theta {self.theta} and phi {self.phi} must be finite")
         # a negative mask shifts to -1, so it is refused too
         if (self.rotated | self.flips) >> self.n:
             raise ValueError(f"rotated or flipped qubits outside 1..{self.n}")

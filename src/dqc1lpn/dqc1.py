@@ -46,6 +46,8 @@ class Dqc1Config:
             raise ValueError(f"alpha {self.alpha} outside [0, 1]")
         if not 0.0 <= self.p < 1.0:
             raise ValueError(f"readout depolarization p {self.p} outside [0, 1)")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"angle theta {self.theta} is not finite")
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend {self.backend!r} not one of {_BACKENDS}")
         if not 0 <= int(self.seed) < 2**64:
@@ -62,9 +64,10 @@ class EstimateRecord:
     se_y: float
 
     def __post_init__(self):
-        if abs(self.ex) > 1.0 + 1e-12 or abs(self.ey) > 1.0 + 1e-12:
+        # written so that NaN fails both bounds
+        if not (abs(self.ex) <= 1.0 + 1e-12 and abs(self.ey) <= 1.0 + 1e-12):
             raise ValueError("expectation estimates must lie in [-1, 1]")
-        if self.se_x < 0.0 or self.se_y < 0.0:
+        if not (self.se_x >= 0.0 and self.se_y >= 0.0):
             raise ValueError("standard errors must be nonnegative")
 
 

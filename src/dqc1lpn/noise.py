@@ -46,26 +46,15 @@ def midcircuit_noise_sweep(
     (1-q) sx, so every data qubit depolarized in the middle of the probe
     step damps the step block's trace by (1-q) per coupled qubit: the
     ratio of |<sx> + i <sy>| with and without noise is (1-q)^m for m
-    coupled qubits.  After s is parsed, the points are checked in grid
-    order: a rate outside [0, 0.2] is refused first; then, once, an
-    all-zero s or a noiseless signal that is exactly zero (the block
-    vanishes, or alpha = 0); then a ratio below 2^-1022.
+    coupled qubits.  After s is parsed, every rate of the grid is checked
+    to lie in [0, 0.2]; then an all-zero s, and a noiseless signal that is
+    exactly zero (the block vanishes, or alpha = 0), are refused; then a
+    ratio below 2^-1022.
     """
     bits = as_bits(s, n=cfg.n)
-    coupled = None
-    ratios = []
-    for q in q_grid:
-        if not 0.0 <= q <= 0.2:
-            raise ValueError("mid-circuit rate q outside [0, 0.2]")
-        if coupled is None:
-            coupled = _coupled_qubits(bits, cfg, j)
-        ratios.append(circuits.require_normal((1.0 - q) ** coupled, "the signal ratio"))
-    return ratios
-
-
-def _coupled_qubits(bits: np.ndarray, cfg: Dqc1Config, j: int | None) -> int:
-    """How many qubits the midq step block couples, once its noiseless
-    signal is known not to vanish."""
+    q_grid = list(q_grid)
+    if not all(0.0 <= q <= 0.2 for q in q_grid):
+        raise ValueError("mid-circuit rate q outside [0, 0.2]")
     if not bits.any():
         raise ValueError("all-zero string carries no coupling to damp")
     if j is None:
@@ -76,7 +65,8 @@ def _coupled_qubits(bits: np.ndarray, cfg: Dqc1Config, j: int | None) -> int:
             "noiseless signal vanishes; pick a probe bit with s_j = 0, "
             "alpha > 0 and an angle with nonzero rotation traces"
         )
-    return block.flips.bit_count()
+    coupled = block.flips.bit_count()
+    return [circuits.require_normal((1.0 - q) ** coupled, "the signal ratio") for q in q_grid]
 
 
 def phase_flip_parity_experiment(

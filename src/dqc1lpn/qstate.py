@@ -1,9 +1,10 @@
 """Dense reference simulator over at most ``circuits.MAX_QUBITS`` qubits.
 
 The commands run from closed forms of the probe-step block
-(``circuits.StepBlock``), and no module they use imports this one.  It is
-the one module that builds dense matrices: the gates, ``kron_all`` and
-the block's matrix from its 2x2 factors (``block_operator``).  It is the
+(``circuits.StepBlock``), and neither a module they use nor the package
+root imports this one.  It is the one module that builds dense matrices:
+the gates, ``kron_all`` and the block's matrix from its 2x2 factors
+(``block_operator``).  It is the
 commands' n <= 12 cross-check: the dense one-clean-qubit run and its probe
 readout (Knill and Laflamme, PRL 81, 5672, 1998), depolarizing channels,
 and the discord of any state by grid and coordinate descent, against
@@ -27,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .circuits import MAX_QUBITS, StepBlock, as_bits
-from .dqc1 import Dqc1Config, expectations_from_tau
+from .dqc1 import Dqc1Config
 from .infomeasures import DiscordResult, _golden_min
 
 HERMITICITY_TOL = 1e-12
@@ -328,14 +329,6 @@ def run_protocol(cfg: Dqc1Config, w: OperatorMatrix) -> DensityMatrix:
         raise ValueError(f"block spans {w.num_qubits} qubits, config says {cfg.n}")
     had = OperatorMatrix(embed(HADAMARD, 0, cfg.n + 1), unitary=True, validate=False)
     return apply_unitary(apply_unitary(initial_state(cfg), had), controlled(w))
-
-
-def analytic_expectations(cfg: Dqc1Config, w: OperatorMatrix) -> tuple[float, float]:
-    """Exact probe expectations from the dense trace of the block."""
-    if w.num_qubits != cfg.n:
-        raise ValueError(f"block spans {w.num_qubits} qubits, config says {cfg.n}")
-    tau = w.entries.trace() / w.dim
-    return expectations_from_tau(cfg.alpha, cfg.p, tau)
 
 
 def probe_expectations(rho: DensityMatrix, p: float = 0.0) -> tuple[float, float]:

@@ -160,6 +160,10 @@ def test_step_block_validation():
     for rotated, flips in ((0b1111, 0), (0, 0b1000), (-1, 0), (0, -2)):
         with pytest.raises(ValueError):
             StepBlock(1.0, 3, rotated, flips)
+    # and an angle that is not finite, whose trace would be NaN
+    for theta, phi in ((math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            StepBlock(theta, 3, 0b011, 0b100, phi)
     assert StepBlock.from_bits(bits, 1.0).rotated == qubit_mask((1, 2, 3))
     assert StepBlock.from_bits(bits, 1.0, 2).rotated == qubit_mask((1, 3))
     block = StepBlock.from_bits(bits, 1.0, 3, qubit_mask((1, 2)), qubit_mask((1, 2)))

@@ -423,17 +423,20 @@ def test_noise_sweep_midq_bytes_unchanged(capsys, argv):
     "argv, message",
     [
         (("--s", "0000", "--q-grid", "0.3"), "mid-circuit rate q outside"),
-        (("--s", "0000", "--q-grid", "0.1,0.3"), "all-zero string"),
+        (("--s", "0000", "--q-grid", "0.1,0.3"), "mid-circuit rate q outside"),
+        (("--s", "0000", "--q-grid", "0.1"), "all-zero string"),
         (("--s", "0110", "--q-grid", "0.1,0.3"), "mid-circuit rate q outside"),
         (("--s", "0110", "--theta", "0", "--j", "1", "--q-grid", "0.5"),
          "mid-circuit rate q outside"),
         (("--s", "0110", "--theta", "0", "--j", "1", "--q-grid", "0.1,0.5"),
+         "mid-circuit rate q outside"),
+        (("--s", "0110", "--theta", "0", "--j", "1", "--q-grid", "0.1"),
          "noiseless signal vanishes"),
     ],
 )
-def test_noise_sweep_midq_refuses_as_per_point_calls(capsys, argv, message):
-    """The sweep checks s once, but the first q point is still checked
-    before s and the block, as a one-point call would do."""
+def test_noise_sweep_midq_refuses_rates_then_string_then_block(capsys, argv, message):
+    """Every q point is checked before s and the block: a bad rate anywhere
+    in the grid is the first refusal."""
     code, out, err = run_cli(capsys, "noise-sweep", "--mode", "midq", *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}")

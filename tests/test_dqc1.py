@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from dqc1lpn.dqc1 import (
 )
 from dqc1lpn.qstate import (
     OperatorMatrix,
-    analytic_expectations,
     initial_state,
     probe_expectations,
     run_protocol,
@@ -29,6 +30,10 @@ def test_config_validation():
         Dqc1Config(n=2, alpha=0.5, p=1.0, theta=1.0)
     with pytest.raises(ValueError):
         Dqc1Config(n=2, alpha=0.5, p=0.0, theta=1.0, backend="magic")
+    # a non-finite angle gave NaN thresholds and a wrong s_hat, without an error
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            Dqc1Config(n=2, alpha=0.5, p=0.0, theta=theta, backend="closed")
 
 
 def test_initial_state_half_polarized():
@@ -58,15 +63,6 @@ def test_output_state_block_form(rng):
     np.testing.assert_allclose(
         rho.entries[:dim, dim:], cfg.alpha * w.conj().T / norm, atol=1e-12
     )
-
-
-def test_analytic_expectations_match_trace(rng):
-    cfg = Dqc1Config(n=2, alpha=0.6, p=0.25, theta=1.0)
-    for _ in range(5):
-        w = random_unitary(rng, 4)
-        tau = complex(np.trace(w)) / 4
-        got = analytic_expectations(cfg, OperatorMatrix(w, unitary=True))
-        assert got == pytest.approx(expectations_from_tau(0.6, 0.25, tau), abs=1e-12)
 
 
 def test_expectations_from_tau_quarter_signal():
@@ -105,6 +101,11 @@ def test_estimate_record_validation():
         EstimateRecord(ex=1.5, ey=0.0, se_x=0.0, se_y=0.0)
     with pytest.raises(ValueError):
         EstimateRecord(ex=0.0, ey=0.0, se_x=-0.1, se_y=0.0)
+    # NaN fails every bound
+    for fields in ((math.nan, 0.0, 0.0, 0.0), (0.0, math.nan, 0.0, 0.0),
+                   (0.0, 0.0, math.nan, 0.0), (0.0, 0.0, 0.0, math.nan)):
+        with pytest.raises(ValueError):
+            EstimateRecord(*fields)
 
 
 def _seed(k):

@@ -1,5 +1,8 @@
 import ast
 import functools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -237,7 +240,9 @@ def test_dense_trace_is_bitwise_dense_trace():
 
 
 #: The modules the commands run, which build no dense matrix.
-RUNTIME_MODULES = ("cli", "lpn", "dqc1", "noise", "infomeasures", "circuits")
+RUNTIME_MODULES = (
+    "__init__", "__main__", "cli", "lpn", "dqc1", "noise", "infomeasures", "circuits"
+)
 
 
 def _runtime_nodes():
@@ -262,6 +267,19 @@ def test_runtime_modules_do_not_import_qstate():
         if any("qstate" in path.split(".") for path in paths):
             importers.append(name)
     assert importers == []
+
+
+def test_cli_import_leaves_qstate_unloaded():
+    """The import test above sees only direct imports; a fresh interpreter
+    that imports the CLI, as ``python -m dqc1lpn`` does, must not load the
+    dense reference through any chain of them."""
+    code = "import sys, dqc1lpn.cli; print('dqc1lpn.qstate' in sys.modules)"
+    src = Path(qstate.__file__).parents[1]
+    run = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert run.stdout == "False\n"
 
 
 def test_runtime_modules_build_no_kronecker_product():
