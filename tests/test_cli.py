@@ -423,23 +423,37 @@ def test_noise_sweep_midq_bytes_unchanged(capsys, argv):
     "argv, message",
     [
         (("--s", "0000", "--q-grid", "0.3"), "mid-circuit rate q outside"),
-        (("--s", "0000", "--q-grid", "0.1,0.3"), "mid-circuit rate q outside"),
         (("--s", "0000", "--q-grid", "0.1"), "all-zero string"),
         (("--s", "0110", "--q-grid", "0.1,0.3"), "mid-circuit rate q outside"),
         (("--s", "0110", "--theta", "0", "--j", "1", "--q-grid", "0.5"),
-         "mid-circuit rate q outside"),
-        (("--s", "0110", "--theta", "0", "--j", "1", "--q-grid", "0.1,0.5"),
          "mid-circuit rate q outside"),
         (("--s", "0110", "--theta", "0", "--j", "1", "--q-grid", "0.1"),
          "noiseless signal vanishes"),
     ],
 )
-def test_noise_sweep_midq_refuses_rates_then_string_then_block(capsys, argv, message):
-    """Every q point is checked before s and the block: a bad rate anywhere
-    in the grid is the first refusal."""
+def test_noise_sweep_midq_refuses_as_per_point_calls(capsys, argv, message):
+    """A grid with one fault is refused with the message a one-point call
+    on the offending point gives: a bad rate, then an all-zero s, then a
+    vanishing block."""
     code, out, err = run_cli(capsys, "noise-sweep", "--mode", "midq", *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--s", "0000", "--q-grid", "0.1,0.3"),
+        ("--s", "0110", "--theta", "0", "--j", "1", "--q-grid", "0.1,0.5"),
+    ],
+    ids=["all-zero-string", "vanishing-block"],
+)
+def test_noise_sweep_midq_checks_every_rate_first(capsys, argv):
+    """Every q point is checked before s and the block: a bad rate anywhere
+    in the grid is the first refusal, even after a good one."""
+    code, out, err = run_cli(capsys, "noise-sweep", "--mode", "midq", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: mid-circuit rate q outside")
 
 
 def test_noise_sweep_parity_cancellation(capsys):
