@@ -7,7 +7,9 @@ data-register block ``w`` the probe carries the normalized trace of ``w``:
     <sx> + i <sy> = (1 - p) alpha tr(w) / 2^n
 
 where p is the probe readout depolarization rate.  Shot sampling models
-each query as the mean of L two-outcome (+-1) measurements.  The dense
+each query as the mean of L two-outcome (+-1) measurements, and reads a
+quadrature over Q queries as one binomial draw of L*Q shots, split into
+int64-sized parts when L*Q is larger.  The dense
 run of that circuit (``initial_state``, ``run_protocol``) is the
 reference in ``qstate``.
 """
@@ -20,6 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _BACKENDS = ("dense", "closed", "sampled")
+
+#: the largest shot count one numpy binomial draw takes
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -82,14 +87,21 @@ def _sample_one_observable(
 ) -> tuple[float, float]:
     """Mean of Q queries, each the average of L two-outcome shots.
 
-    The Q per-query up-counts are one binomial draw from ``stream``.  The
-    estimate averages them in floating point, because an integer total of
-    L*Q shots can leave int64.
+    The sum of Q Binomial(L, p) up-counts is Binomial(L*Q, p), so the
+    quadrature is one binomial draw of L*Q shots from ``stream``.  When
+    L*Q leaves int64 the draw splits into int64-sized parts, summed as
+    Python ints; with L in int64 there are at most Q parts.
     """
-    ups = np.random.default_rng(stream).binomial(L, (1.0 + truth) / 2.0, size=Q)
-    est = (2.0 * float(ups.mean()) - L) / L
+    shots = L * Q
+    full, rest = divmod(shots, _INT64_MAX)
+    rng = np.random.default_rng(stream)
+    prob = (1.0 + truth) / 2.0
+    ups = sum(int(rng.binomial(_INT64_MAX, prob)) for _ in range(full))
+    if rest:
+        ups += int(rng.binomial(rest, prob))
+    est = (2 * ups - shots) / shots
     # plug-in standard error of the pooled mean of L*Q shots
-    se = math.sqrt(max(0.0, 1.0 - est * est) / (L * Q))
+    se = math.sqrt(max(0.0, 1.0 - est * est) / shots)
     return est, se
 
 
@@ -104,30 +116,32 @@ def sample_expectations(
 ) -> EstimateRecord:
     """Simulate shot-noise estimation of the probe expectations.
 
-    Each observable draws from its own child of ``stream``, so reading only
-    y gives the same ey as reading both, and identical inputs reproduce the
-    record bit for bit.  Observables left out of `observables` are reported
-    as 0 with se 0.  L must fit in int64, the range of numpy's binomial
-    sampler.
+    Each observable draws from its own child of ``stream`` (child 0 is x,
+    child 1 is y, each built only when read), so reading only y gives the
+    same ey as reading both, and identical inputs reproduce the record bit
+    for bit.  Observables left out of `observables` are reported as 0 with
+    se 0.  L must fit in int64, the range of numpy's binomial sampler, so a
+    read of L*Q shots takes at most Q draws.
     """
-    if abs(true_ex) > 1.0 or abs(true_ey) > 1.0:
-        raise ValueError("true expectations must lie in [-1, 1]")
+    # written so that NaN fails the bound
+    if not (abs(true_ex) <= 1.0 and abs(true_ey) <= 1.0):
+        raise ValueError(
+            f"sample_expectations: true expectations ({true_ex}, {true_ey}) must lie in [-1, 1]"
+        )
     if L < 1 or Q < 1:
         raise ValueError("L and Q must be positive")
-    if L > np.iinfo(np.int64).max:
+    if L > _INT64_MAX:
         raise ValueError(f"L={L} exceeds the int64 range of the shot sampler")
     unknown = set(observables) - {"x", "y"}
     if unknown:
         raise ValueError(f"unknown observables {sorted(unknown)}")
-    # children 0 and 1, as a first stream.spawn(2) derives them, without advancing it
+    # child k, as a first stream.spawn(2) derives it, without advancing the stream
     entropy, key, pool = stream.entropy, stream.spawn_key, stream.pool_size
-    x_stream, y_stream = (
-        np.random.SeedSequence(entropy, spawn_key=key + (k,), pool_size=pool) for k in (0, 1)
-    )
-    ex = ey = 0.0
-    se_x = se_y = 0.0
-    if "x" in observables:
-        ex, se_x = _sample_one_observable(true_ex, L, Q, x_stream)
-    if "y" in observables:
-        ey, se_y = _sample_one_observable(true_ey, L, Q, y_stream)
+
+    def read(k: int, truth: float) -> tuple[float, float]:
+        child = np.random.SeedSequence(entropy, spawn_key=key + (k,), pool_size=pool)
+        return _sample_one_observable(truth, L, Q, child)
+
+    ex, se_x = read(0, true_ex) if "x" in observables else (0.0, 0.0)
+    ey, se_y = read(1, true_ey) if "y" in observables else (0.0, 0.0)
     return EstimateRecord(ex=ex, ey=ey, se_x=se_x, se_y=se_y)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,10 +128,48 @@ def test_sampling_reuses_a_stream_object():
     first = sample_expectations(0.3, -0.1, 500, 3, stream)
     assert sample_expectations(0.3, -0.1, 500, 3, stream) == first
     x_stream, y_stream = _seed(7).spawn(2)
-    ups_x = np.random.default_rng(x_stream).binomial(500, 0.65, size=3)
-    ups_y = np.random.default_rng(y_stream).binomial(500, 0.45, size=3)
-    assert first.ex == (2.0 * float(ups_x.mean()) - 500) / 500
-    assert first.ey == (2.0 * float(ups_y.mean()) - 500) / 500
+    # one binomial draw of L*Q = 1500 shots per quadrature
+    ups_x = int(np.random.default_rng(x_stream).binomial(1500, 0.65))
+    ups_y = int(np.random.default_rng(y_stream).binomial(1500, 0.45))
+    assert first.ex == (2 * ups_x - 1500) / 1500
+    assert first.ey == (2 * ups_y - 1500) / 1500
+
+
+def test_sampling_splits_shots_beyond_int64():
+    """L*Q = 2^65 shots leave int64: the draw is four full int64 parts and a
+    remainder of 4, in that order, from the quadrature's child stream."""
+    L, Q = 2**62, 8
+    rec = sample_expectations(0.3, -0.1, L, Q, _seed(7))
+    assert sample_expectations(0.3, -0.1, L, Q, _seed(7)) == rec
+    top = 2**63 - 1
+    for stream, truth, est in zip(_seed(7).spawn(2), (0.3, -0.1), (rec.ex, rec.ey)):
+        rng = np.random.default_rng(stream)
+        ups = sum(int(rng.binomial(top, (1.0 + truth) / 2.0)) for _ in range(4))
+        ups += int(rng.binomial(4, (1.0 + truth) / 2.0))
+        assert est == (2 * ups - L * Q) / (L * Q)
+        assert math.isfinite(est) and -1.0 <= est <= 1.0
+        assert abs(est - truth) < 1e-6
+    assert rec.se_x > 0.0 and rec.se_y > 0.0
+
+
+def test_sampling_memory_is_independent_of_queries():
+    """A read of 10^12 queries is one draw: no array of Q counts."""
+    tracemalloc.start()
+    try:
+        rec = sample_expectations(0.3, -0.1, 1000, 10**12, _seed(7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert abs(rec.ex - 0.3) < 1e-6 and abs(rec.ey + 0.1) < 1e-6
+
+
+def test_sampling_refuses_nan_truth():
+    """NaN fails the [-1, 1] bound for each quadrature, read or not."""
+    for truths in ((math.nan, 0.0), (0.0, math.nan)):
+        for observables in (("x", "y"), ("x",), ("y",)):
+            with pytest.raises(ValueError, match="sample_expectations"):
+                sample_expectations(*truths, 10, 2, _seed(1), observables=observables)
 
 
 def test_sampling_needs_a_stream():
