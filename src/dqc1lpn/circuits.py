@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -188,48 +188,56 @@ class StepBlock:
 
     def vanishes(self) -> bool:
         """Whether the trace is exactly zero (``kinds_vanish``)."""
-        return kinds_vanish(self.theta, self.phi, self.kinds)
+        return kinds_vanish(angle_traces(self.theta, self.phi), self.kinds)
 
     def tau(self) -> complex:
         """tr(block)/2^n from the kind counts (``kinds_tau``)."""
-        return kinds_tau(self.theta, self.phi, self.kinds)
+        return kinds_tau(angle_traces(self.theta, self.phi), self.kinds)
 
 
-def _traces(theta: float, phi: float) -> tuple[float, float]:
-    """tr(R)/2 = cos(theta/2) and tr(R . sx)/2i = sin(theta/2) cos(phi)."""
+class AngleTraces(NamedTuple):
+    """The per-angle constants of the kind formulas: the factor traces
+    c = tr(R)/2 = cos(theta/2) and a = tr(R . sx)/2i = sin(theta/2) cos(phi),
+    and whether each has a factor that is exactly 0.0.  The flag of a tests
+    sin(theta/2) and cos(phi) apart, since a product that underflows to 0.0
+    does not vanish."""
+
+    c: float
+    a: float
+    c_zero: bool
+    a_zero: bool
+
+
+def angle_traces(theta: float, phi: float) -> AngleTraces:
+    """``AngleTraces`` of the rotation R(theta, phi), computed once per angle
+    and read by ``kinds_vanish`` and ``kinds_tau`` for any kind counts."""
     half = theta / 2.0
-    return math.cos(half), math.sin(half) * math.cos(phi)
+    c, sin_half, cos_phi = math.cos(half), math.sin(half), math.cos(phi)
+    return AngleTraces(c, sin_half * cos_phi, c == 0.0, 0.0 in (sin_half, cos_phi))
 
 
-def kinds_vanish(theta: float, phi: float, kinds: Sequence[int]) -> bool:
+def kinds_vanish(traces: AngleTraces, kinds: Sequence[int]) -> bool:
     """Whether some factor of a block's trace is exactly 0.0, for the
     kind counts of ``StepBlock.kinds``: a bare sx, or a rotated kind whose
-    trace has a factor 0.0 (cos(theta/2) for R; sin(theta/2) or cos(phi)
-    for R . sx).  An underflow, such as a product sin(theta/2) cos(phi)
-    that rounds to 0.0, does not vanish."""
+    trace has a factor 0.0 (``traces.c_zero`` for R, ``traces.a_zero`` for
+    R . sx)."""
     _, bare, rotated, both = kinds
-    half = theta / 2.0
-    return (
-        bare > 0
-        or (rotated > 0 and math.cos(half) == 0.0)
-        or (both > 0 and 0.0 in (math.sin(half), math.cos(phi)))
-    )
+    return bare > 0 or (rotated > 0 and traces.c_zero) or (both > 0 and traces.a_zero)
 
 
-def kinds_tau(theta: float, phi: float, kinds: Sequence[int]) -> complex:
+def kinds_tau(traces: AngleTraces, kinds: Sequence[int]) -> complex:
     """tr(block)/2^n = c^r (i a)^m for the kind counts of ``StepBlock.kinds``,
-    with r qubits R, m qubits R . sx and c, a from ``_traces``: real powers
+    with r qubits R, m qubits R . sx and c, a from `traces`: real powers
     times i^(m mod 4)."""
-    if kinds_vanish(theta, phi, kinds):
+    if kinds_vanish(traces, kinds):
         return 0j
     _, _, rotated, both = kinds
-    c, a = _traces(theta, phi)
-    mag = c**rotated * a**both
+    mag = traces.c**rotated * traces.a**both
     return complex(*((mag, 0.0), (0.0, mag), (-mag, 0.0), (0.0, -mag))[both % 4])
 
 
-def normal_tau(theta: float, phi: float, kinds: Sequence[int]) -> complex:
+def normal_tau(traces: AngleTraces, kinds: Sequence[int]) -> complex:
     """``kinds_tau``, but a trace that is not exactly zero and fell below
     2^-1022 raises ValueError (``require_normal``)."""
-    tau = kinds_tau(theta, phi, kinds)
-    return tau if kinds_vanish(theta, phi, kinds) else require_normal(tau, "the trace")
+    tau = kinds_tau(traces, kinds)
+    return tau if kinds_vanish(traces, kinds) else require_normal(tau, "the trace")

@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__, circuits, infomeasures, lpn, noise
-from .circuits import as_bits, bits_to_str, mask_kinds, normal_tau, ones_mask
+from .circuits import angle_traces, as_bits, bits_to_str, mask_kinds, normal_tau, ones_mask
 from .dqc1 import Dqc1Config
 from .lpn import BudgetParams
 
@@ -126,10 +126,12 @@ def _indented(obj: Any, level: int = 0) -> str:
     from calls to json's C encoder, which ``indent`` would switch off.
 
     A container of scalars is one call whose item separator carries the
-    newline and indent.  So is a list of nonempty flat dicts (the rows):
-    an encoded string never holds a raw newline, so each "}," plus a
-    newline in that call's output is a row boundary, re-indented by one
-    replace.
+    newline and indent.  A table, a list of nonempty flat dicts whose keys
+    are strings in one order, is filled into one template: its keys are
+    encoded once (a "%" doubled), every cell is written by one call whose
+    item separator is a NUL (the encoder writes a NUL inside a string as
+    \\u0000, so the split finds only separators), and one "%" operation
+    puts the cells in place.
     """
     if isinstance(obj, dict):
         opener, closer, values = "{", "}", obj.values()
@@ -146,20 +148,34 @@ def _indented(obj: Any, level: int = 0) -> str:
         body = ("," + inner).join(
             _json_key(k) + ": " + _indented(v, level + 1) for k, v in obj.items()
         )
-    elif (
-        {dict}.issuperset(map(type, obj)) and all(obj)
-        and _flat(chain.from_iterable(map(dict.values, obj)))
-    ):
-        keys = "\n" + "  " * (level + 2)
-        rows = _dumps(obj, separators=("," + keys, ": "))[2:-2]
-        body = (
-            "{" + keys
-            + rows.replace("}," + keys + "{", inner + "}," + inner + "{" + keys)
+    elif (cells := _table_cells(obj)) is not None:
+        indent = "\n" + "  " * (level + 2)
+        row = (
+            "{" + indent
+            + ("," + indent).join(_dumps(k).replace("%", "%%") + ": %s" for k in obj[0])
             + inner + "}"
         )
+        text = _dumps(cells, separators=("\0", ":"))[1:-1]
+        body = ("," + inner).join([row] * len(obj)) % tuple(text.split("\0"))
     else:
         body = ("," + inner).join(_indented(v, level + 1) for v in obj)
     return opener + inner + body + "\n" + "  " * level + closer
+
+
+def _table_cells(rows: list | tuple) -> list | None:
+    """The values of `rows`, row by row, when they are nonempty dicts of
+    JSON scalars that share one key list of strings; else None.  A key of
+    another type could equal one that encodes differently (1, 1.0 and True;
+    0.0 and -0.0), so such rows are no table."""
+    if not {dict}.issuperset(map(type, rows)):
+        return None
+    keys = list(rows[0])
+    if not keys or not {str}.issuperset(map(type, keys)):
+        return None
+    if not all(list(row) == keys for row in rows):
+        return None
+    cells = list(chain.from_iterable(map(dict.values, rows)))
+    return cells if _flat(cells) else None
 
 
 def _serialize(payload: dict[str, Any], fmt: str) -> str:
@@ -277,6 +293,7 @@ def cmd_trace_table(args) -> tuple[dict[str, Any], dict[str, Any]]:
         if n > 8:
             raise ValueError("full tables stop at n = 8; pass --s for larger n")
         strings = [as_bits(format(v, f"0{n}b")) for v in range(2**n)]
+    traces = angle_traces(theta, 0.0)
     rows = []
     for bits in strings:
         text, ones = bits_to_str(bits), ones_mask(bits)
@@ -284,8 +301,8 @@ def cmd_trace_table(args) -> tuple[dict[str, Any], dict[str, Any]]:
             # 1..j-1 decoupled with their 1s corrected; the gap clears s_j
             rotated = ((1 << n) - 1) >> j << j
             flips = ones >> (j - 1) << (j - 1)
-            tau = normal_tau(theta, 0.0, mask_kinds(n, rotated, flips))
-            gap = normal_tau(theta, 0.0, mask_kinds(n, rotated, flips & rotated))
+            tau = normal_tau(traces, mask_kinds(n, rotated, flips))
+            gap = normal_tau(traces, mask_kinds(n, rotated, flips & rotated))
             rows.append(
                 {
                     "s": text,

@@ -26,6 +26,9 @@ _BACKENDS = ("dense", "closed", "sampled")
 #: the largest shot count one numpy binomial draw takes
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
+#: full int64 parts drawn by one numpy call; bounds the array a read holds
+_PARTS_PER_CALL = 4096
+
 
 @dataclass(frozen=True)
 class Dqc1Config:
@@ -90,13 +93,19 @@ def _sample_one_observable(
     The sum of Q Binomial(L, p) up-counts is Binomial(L*Q, p), so the
     quadrature is one binomial draw of L*Q shots from ``stream``.  When
     L*Q leaves int64 the draw splits into int64-sized parts, summed as
-    Python ints; with L in int64 there are at most Q parts.
+    Python ints, since an int64 sum would wrap; with L in int64 there are at
+    most Q parts.  The full parts are drawn as arrays of up to
+    ``_PARTS_PER_CALL``, which take the same numbers from the stream as
+    one draw each, and the remainder part last.
     """
     shots = L * Q
     full, rest = divmod(shots, _INT64_MAX)
     rng = np.random.default_rng(stream)
     prob = (1.0 + truth) / 2.0
-    ups = sum(int(rng.binomial(_INT64_MAX, prob)) for _ in range(full))
+    ups = 0
+    for start in range(0, full, _PARTS_PER_CALL):
+        parts = rng.binomial(_INT64_MAX, prob, size=min(_PARTS_PER_CALL, full - start))
+        ups += sum(parts.tolist())
     if rest:
         ups += int(rng.binomial(rest, prob))
     est = (2 * ups - shots) / shots
@@ -121,7 +130,8 @@ def sample_expectations(
     same ey as reading both, and identical inputs reproduce the record bit
     for bit.  Observables left out of `observables` are reported as 0 with
     se 0.  L must fit in int64, the range of numpy's binomial sampler, so a
-    read of L*Q shots takes at most Q draws.
+    read of L*Q shots splits into at most Q int64-sized parts, drawn
+    ``_PARTS_PER_CALL`` to a numpy call.
     """
     # written so that NaN fails the bound
     if not (abs(true_ex) <= 1.0 and abs(true_ey) <= 1.0):

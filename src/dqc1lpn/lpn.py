@@ -17,8 +17,11 @@ qubit-set format of ``circuits.StepBlock``).  The block then rotates the
 qubits after j and flips the 1s of s xor the corrections; the closed and
 sampled oracles read its four kind counts from these two masks
 (``circuits.mask_kinds``), so a query takes a fixed number of Python
-steps.  Oracles close over s; the learner only ever sees the query
-callable.
+steps.  What does not change from bit to bit is computed once per run: an
+oracle holds the register mask and the factor traces of its angle
+(``circuits.angle_traces``), and ``learn`` the threshold's base
+alpha (1-p) and the gap factor min(|sin(theta/2)|, |cos(theta/2)|).
+Oracles close over s; the learner only ever sees the query callable.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ import numpy as np
 
 from . import dqc1
 from .circuits import (
-    StepBlock, as_bits, kinds_tau, mask_kinds, normal_tau, ones_mask, require_normal,
+    StepBlock, angle_traces, as_bits, kinds_tau, mask_kinds, normal_tau, ones_mask,
+    require_normal,
 )
 from .dqc1 import Dqc1Config, EstimateRecord
 
@@ -114,7 +118,7 @@ def closed_form_tau(s, theta: float, j: int, decoupled: Iterable[int] = ()) -> c
     # a qubit below 1 is a negative shift, which raises ValueError
     dec = sum({1 << (int(k) - 1) for k in decoupled})
     block = StepBlock.from_bits(bits, theta, j, dec, ones_mask(bits) & dec)
-    return normal_tau(theta, 0.0, block.kinds)
+    return normal_tau(angle_traces(theta, 0.0), block.kinds)
 
 
 def decide_bit(est: EstimateRecord, threshold: float) -> int:
@@ -181,6 +185,9 @@ def make_oracle(s, cfg: Dqc1Config) -> Oracle:
     n = cfg.n
     ones = ones_mask(as_bits(s, n=n))
     backend = cfg.backend
+    # per-run constants: every query rotates a suffix of these n qubits, at one angle
+    register = (1 << n) - 1
+    traces = angle_traces(cfg.theta, 0.0)
 
     def oracle(
         j: int,
@@ -197,12 +204,12 @@ def make_oracle(s, cfg: Dqc1Config) -> Oracle:
             raise ValueError(f"corrections must target decoupled qubits 1..{j - 1}")
         if ensemble < 1 or queries < 1:
             raise ValueError("ensemble and queries must be at least 1")
-        rotated = ((1 << n) - 1) >> j << j
+        rotated = register >> j << j
         flips = ones ^ corrections
         if backend == "dense":
             tau = StepBlock(cfg.theta, n, rotated, flips).dense_trace() / 2**n
         else:
-            tau = kinds_tau(cfg.theta, 0.0, mask_kinds(n, rotated, flips))
+            tau = kinds_tau(traces, mask_kinds(n, rotated, flips))
         ex, ey = dqc1.expectations_from_tau(cfg.alpha, cfg.p, tau)
         if backend == "sampled":
             stream = np.random.SeedSequence(cfg.seed, spawn_key=(j,))
@@ -216,11 +223,17 @@ def make_oracle(s, cfg: Dqc1Config) -> Oracle:
     return oracle
 
 
+def _gap_factor(theta: float) -> float:
+    """min(|sin(theta/2)|, |cos(theta/2)|): the most that one trailing qubit,
+    whose bit is still unknown, can shrink the gap by."""
+    half = theta / 2.0
+    return min(abs(math.sin(half)), abs(math.cos(half)))
+
+
 def _worst_case_gap(theta: float, trailing: int) -> float:
-    """Smallest |Delta tau_j| over the unknown trailing ones count."""
-    s = abs(math.sin(theta / 2.0))
-    c = abs(math.cos(theta / 2.0))
-    return min(s, c) ** trailing if trailing else 1.0
+    """Smallest |Delta tau_j| over the unknown trailing ones count: the gap
+    factor to the power `trailing` (1.0 for none)."""
+    return _gap_factor(theta) ** trailing
 
 
 def learn(
@@ -245,16 +258,19 @@ def learn(
     n = cfg.n
     if n < 1:
         raise ValueError("nothing to learn for n = 0")
-    if min(abs(math.sin(cfg.theta / 2.0)), abs(math.cos(cfg.theta / 2.0))) < 1e-9:
+    factor = _gap_factor(cfg.theta)
+    if factor < 1e-9:
         raise ValueError("rotation angle must avoid integer multiples of pi")
+    # the threshold alpha (1-p) _worst_case_gap(theta, n-j) / 2, from factors
+    # computed once per run and multiplied in the same order
+    base = cfg.alpha * (1.0 - cfg.p)
     # the quadrature that carries the signal, once a nonzero reading fixed it
     quadrature: str | None = None
     # bit k-1 set: qubit k was learned as a 1 and is corrected from then on
     corrections = 0
     steps: list[LearnStep] = []
     for j in range(1, n + 1):
-        gap = _worst_case_gap(cfg.theta, n - j)
-        threshold = cfg.alpha * (1.0 - cfg.p) * gap / 2.0
+        threshold = base * factor ** (n - j) / 2.0
         queries = fixed_queries if fixed_queries is not None else query_budget(
             budget, cfg, j
         )

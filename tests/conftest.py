@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dqc1lpn import infomeasures, qstate
-from dqc1lpn.circuits import StepBlock, _traces, as_bits
+from dqc1lpn.circuits import StepBlock, angle_traces, as_bits
 from dqc1lpn.dqc1 import Dqc1Config
 from dqc1lpn.qstate import HADAMARD, DensityMatrix, OperatorMatrix, embed
 
@@ -100,7 +100,7 @@ def reference_eigenphases(block):
     Phases closer than ``PHASE_MERGE`` merge into the smallest of them.
     """
     half = block.theta / 2.0
-    _, a = _traces(block.theta, block.phi)
+    a = angle_traces(block.theta, block.phi).a
     root = math.sqrt(max(0.0, 1.0 - a * a))
     pairs = (
         (0.0, 0.0), (0.0, math.pi), (half, -half),

@@ -114,6 +114,18 @@ LEARN_GOLDEN = {
          "--L", "200", "--per-bit-delta", "--format", "csv", "--seed", "5"),
         "learn-sampled-per-bit-delta.csv",
     ),
+    # off theta = pi/2, alpha = 1 and p = 0, so every threshold and reading
+    # pins the rounding of the gap factor, the trace and the readout scale
+    "closed-theta1.1-n64": (
+        ("--backend", "closed", "--queries", "1", "--n", "64", "--random-s",
+         "--theta", "1.1", "--alpha", "0.7", "--p", "0.2", "--seed", "4"),
+        "learn-closed-theta1.1-n64.out",
+    ),
+    "dense-theta2.4-n8": (
+        ("--backend", "dense", "--queries", "1", "--n", "8", "--random-s",
+         "--theta", "2.4", "--alpha", "0.9", "--p", "0.1", "--seed", "4"),
+        "learn-dense-theta2.4-n8.out",
+    ),
 }
 
 
@@ -663,6 +675,48 @@ _JSON_LIKE = st.recursive(
 )
 def test_serialize_matches_json_indent_two(command, config, results, seed):
     payload = _payload(command, config, results, seed)
+    assert cli._serialize(payload, "json") == json.dumps(payload, indent=2) + "\n"
+
+
+# pieces that a row template filled by "%" could misread, in keys and cells
+_TRAP = st.sampled_from(["%", "%s", "%(x)s", "%%", "\x00", "a\x00%s", "%d"])
+
+
+def _twin(key):
+    """A key equal to `key` that json writes differently (1, True and 1.0;
+    0, False and 0.0; 0.0 and -0.0), or the key itself."""
+    if type(key) is float:
+        return -key if key == 0.0 else int(key) if key.is_integer() else key
+    if type(key) is int and key in (0, 1):
+        return bool(key)
+    if type(key) is bool:
+        return float(key)
+    return key
+
+
+@st.composite
+def _tables(draw):
+    """1-30 rows that share one key list: string keys, or keys of any type
+    with a non-string key swapped for an equal twin in some rows."""
+    keys = draw(st.lists(_TRAP | _KEY, min_size=1, max_size=9))
+    strings = draw(st.booleans())
+    if strings:
+        keys = [k if isinstance(k, str) else repr(k) for k in keys]
+    keys = list(dict.fromkeys(keys))
+    rows = []
+    for _ in range(draw(st.integers(1, 30))):
+        cells = draw(st.lists(_TRAP | _SCALAR, min_size=len(keys), max_size=len(keys)))
+        row_keys = keys if strings or draw(st.booleans()) else map(_twin, keys)
+        rows.append(dict(zip(row_keys, cells)))
+    return rows
+
+
+@given(table=_tables(), seed=st.integers(0, 2**64 - 1))
+def test_serialize_tables_match_json_indent_two(table, seed):
+    """Row tables, the rows of every command, as the top-level value and
+    as results rows: exactly json.dumps(indent=2), "%" and NUL included."""
+    assert cli._indented(table) == json.dumps(table, indent=2)
+    payload = _payload("learn", {}, {"rows": table}, seed)
     assert cli._serialize(payload, "json") == json.dumps(payload, indent=2) + "\n"
 
 

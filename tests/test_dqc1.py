@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dqc1lpn import circuits, qstate
+from dqc1lpn import circuits, dqc1, qstate
 from dqc1lpn.dqc1 import (
     Dqc1Config,
     EstimateRecord,
@@ -150,6 +150,45 @@ def test_sampling_splits_shots_beyond_int64():
         assert math.isfinite(est) and -1.0 <= est <= 1.0
         assert abs(est - truth) < 1e-6
     assert rec.se_x > 0.0 and rec.se_y > 0.0
+
+
+def test_sampling_draws_full_parts_in_bounded_calls(monkeypatch):
+    """10^5 full int64 parts per quadrature take a few array draws of at
+    most ``_PARTS_PER_CALL`` parts each, not one Python call per part."""
+    calls = []
+
+    class Spy:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def binomial(self, n, p, size=None):
+            calls.append(1 if size is None else size)
+            return self._rng.binomial(n, p, size=size)
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Spy(default_rng(seed)))
+    Q = 10**5
+    rec = sample_expectations(0.3, -0.1, dqc1._INT64_MAX, Q, _seed(7))
+    assert sum(calls) == 2 * Q
+    assert len(calls) == 2 * math.ceil(Q / dqc1._PARTS_PER_CALL)
+    assert max(calls) <= dqc1._PARTS_PER_CALL
+    assert abs(rec.ex - 0.3) < 1e-6 and abs(rec.ey + 0.1) < 1e-6
+
+
+@pytest.mark.parametrize("p", [0.0, 0.123, 0.5, 0.9, 1.0])
+def test_sampling_parts_equal_a_scalar_loop(p):
+    """The chunked array draws take the same numbers from the stream as one
+    scalar draw per part, then the remainder: 2^62 * 9001 shots are 4500
+    full parts, drawn by two array calls, and a remainder of 2^62 + 4500."""
+    L, Q, top = 2**62, 9001, 2**63 - 1
+    full, rest = divmod(L * Q, top)
+    assert full > dqc1._PARTS_PER_CALL and rest
+    truth = 2.0 * p - 1.0
+    rec = sample_expectations(truth, 0.0, L, Q, _seed(3), observables=("x",))
+    rng = np.random.default_rng(_seed(3).spawn(1)[0])
+    ups = sum(int(rng.binomial(top, p)) for _ in range(full))
+    ups += int(rng.binomial(rest, p))
+    assert rec.ex == (2 * ups - L * Q) / (L * Q)
 
 
 def test_sampling_memory_is_independent_of_queries():

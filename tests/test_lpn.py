@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dqc1lpn.circuits import StepBlock, as_bits, bits_to_str, mask_kinds
-from dqc1lpn.dqc1 import Dqc1Config, EstimateRecord
+from dqc1lpn.dqc1 import Dqc1Config, EstimateRecord, expectations_from_tau
 from dqc1lpn.lpn import (
     BudgetExhaustedError,
     BudgetParams,
+    _gap_factor,
+    _worst_case_gap,
     closed_form_tau,
     decide_bit,
     learn,
@@ -299,6 +301,40 @@ def test_learn_thresholds_grow_with_decoupling():
     thresholds = [step.threshold for step in res.steps]
     assert thresholds == sorted(thresholds)
     assert thresholds[-1] == pytest.approx(0.5, abs=1e-12)
+
+
+@given(
+    n=st.integers(1, 64),
+    theta=st.floats(-7.0, 7.0),
+    alpha=st.floats(0.01, 1.0),
+    p=st.floats(0.0, 0.99),
+    s_seed=st.integers(0, 2**32 - 1),
+)
+def test_learn_steps_are_bitwise_the_formulas(n, theta, alpha, p, s_seed):
+    """Off theta = pi/2: every threshold is alpha (1-p) gap / 2 with the gap
+    from ``_worst_case_gap``, and every closed reading is the block's trace
+    through ``expectations_from_tau``, bit for bit (an unread quadrature is
+    0.0)."""
+    assume(_gap_factor(theta) >= 1e-3)
+    bits = np.random.default_rng(s_seed).integers(0, 2, size=n, dtype=np.uint8)
+    cfg = Dqc1Config(n=n, alpha=alpha, p=p, theta=theta, backend="closed")
+    oracle = make_oracle(bits, cfg)
+    reads = []
+
+    def recording(j, corrections, ensemble, queries, observables):
+        reads.append((corrections, observables))
+        return oracle(j, corrections, ensemble, queries, observables)
+
+    res = learn(recording, cfg, _budget(), fixed_queries=1)
+    ones = qubit_mask(k for k in range(1, n + 1) if bits[k - 1])
+    for step, (corrections, observables) in zip(res.steps, reads, strict=True):
+        j = step.j
+        assert step.threshold == cfg.alpha * (1 - cfg.p) * _worst_case_gap(theta, n - j) / 2
+        rotated = ((1 << n) - 1) >> j << j
+        tau = StepBlock(theta, n, rotated, ones ^ corrections).tau()
+        ex, ey = expectations_from_tau(alpha, p, tau)
+        assert step.record.ex == (ex if "x" in observables else 0.0)
+        assert step.record.ey == (ey if "y" in observables else 0.0)
 
 
 def test_learn_budget_exhaustion():
