@@ -135,17 +135,20 @@ def _require_polarization(cfg: Dqc1Config) -> None:
 
 
 def query_budget(budget: BudgetParams, cfg: Dqc1Config, j: int) -> int:
-    """Queries required to decide bit j at the canonical angle theta = pi/2.
+    """Queries required to decide bit j against ``learn``'s threshold.
 
-    ceil(C ln(1/delta') / (L (alpha eps_j (1-p))^2)) with n, alpha and p
-    from `cfg`, eps_j = |Delta tau_j| / 2 = (1/sqrt(2))^(n-j) / 2 and
-    delta' the per-bit share of the failure budget.  Grows by 2x per extra
-    data qubit ahead of j, and diverges as p -> 1.
+    ceil(C ln(1/delta') / (L (alpha eps_j (1-p))^2)) with n, alpha, p and
+    theta from `cfg`, eps_j = _worst_case_gap(theta, n-j) / 2 (at
+    theta = pi/2, (1/sqrt(2))^(n-j) / 2) and delta' the per-bit share of
+    the failure budget.  Grows by 1/min(sin^2(theta/2), cos^2(theta/2))
+    per extra data qubit ahead of j, and diverges as p -> 1.  An angle
+    within 1e-9 of a multiple of pi is refused, as ``learn`` refuses it.
     """
     n = cfg.n
     if not 1 <= j <= n:
         raise ValueError(f"probe index {j} outside 1..{n}")
     _require_polarization(cfg)
+    factor = _require_gap_factor(cfg.theta)
     delta_eff = budget.delta if budget.per_bit_delta else budget.delta / n
     if delta_eff and 1.0 / delta_eff < math.inf:
         log_term = HOEFFDING_C * math.log(1.0 / delta_eff)
@@ -153,10 +156,12 @@ def query_budget(budget: BudgetParams, cfg: Dqc1Config, j: int) -> int:
         spread = 0.0 if budget.per_bit_delta else math.log(n)
         log_term = HOEFFDING_C * (spread - math.log(budget.delta))
     scale = budget.L * (cfg.alpha * (1.0 - cfg.p)) ** 2
-    # eps_j^2 = 2^-(n-j) / 4; keep the exponential as an exact integer so
-    # deep strings do not underflow to a zero denominator
+    # eps_j^2 = gap^2 / 4, divided out one gap at a time so that no
+    # subnormal square loses bits; a deep gap overflows the quotient or
+    # underflows to 0, and is then summed from its factor's log below
+    gap = _worst_case_gap(cfg.theta, n - j)
     try:
-        raw = log_term * 4.0 * float(2 ** (n - j)) / scale
+        raw = log_term * 4.0 / gap / gap / scale
     except (OverflowError, ZeroDivisionError):
         raw = math.inf
     if not math.isfinite(raw):
@@ -164,7 +169,9 @@ def query_budget(budget: BudgetParams, cfg: Dqc1Config, j: int) -> int:
         log_scale = math.log2(scale) if scale else math.log2(budget.L) + 2.0 * (
             math.log2(cfg.alpha) + math.log2(1.0 - cfg.p)
         )
-        exponent = math.log2(log_term) + 2.0 - log_scale + (n - j)
+        exponent = (
+            math.log2(log_term) + 2.0 - log_scale - 2.0 * (n - j) * math.log2(factor)
+        )
         return 1 << math.ceil(exponent)
     return max(1, math.ceil(raw))
 
@@ -230,6 +237,15 @@ def _gap_factor(theta: float) -> float:
     return min(abs(math.sin(half)), abs(math.cos(half)))
 
 
+def _require_gap_factor(theta: float) -> float:
+    """The gap factor of `theta`, refused within 1e-9 of 0, where an angle
+    near a multiple of pi leaves no gap to read."""
+    factor = _gap_factor(theta)
+    if factor < 1e-9:
+        raise ValueError("rotation angle must avoid integer multiples of pi")
+    return factor
+
+
 def _worst_case_gap(theta: float, trailing: int) -> float:
     """Smallest |Delta tau_j| over the unknown trailing ones count: the gap
     factor to the power `trailing` (1.0 for none)."""
@@ -258,9 +274,7 @@ def learn(
     n = cfg.n
     if n < 1:
         raise ValueError("nothing to learn for n = 0")
-    factor = _gap_factor(cfg.theta)
-    if factor < 1e-9:
-        raise ValueError("rotation angle must avoid integer multiples of pi")
+    factor = _require_gap_factor(cfg.theta)
     # the threshold alpha (1-p) _worst_case_gap(theta, n-j) / 2, from factors
     # computed once per run and multiplied in the same order
     base = cfg.alpha * (1.0 - cfg.p)

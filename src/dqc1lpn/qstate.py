@@ -7,7 +7,7 @@ the gates, ``kron_all`` and the block's matrix from its 2x2 factors
 (``block_operator``).  It is the
 commands' n <= 12 cross-check: the dense one-clean-qubit run and its probe
 readout (Knill and Laflamme, PRL 81, 5672, 1998), depolarizing channels,
-and the discord of any state by grid and coordinate descent, against
+and the discord of any state by grid and compass search, against
 which ``infomeasures.protocol_discord``, the discord from the block's
 spectrum mod pi (Datta, Shaji and Caves, PRL 100, 050502, 2008), is
 checked.
@@ -29,13 +29,17 @@ import numpy as np
 
 from .circuits import MAX_QUBITS, StepBlock, as_bits
 from .dqc1 import Dqc1Config
-from .infomeasures import DiscordResult, _golden_min
+from .infomeasures import DiscordResult
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 UNITARITY_TOL = 1e-12
 KRAUS_TOL = 1e-12
 MIN_EIGENVALUE = -1e-10
+#: ``quantum_discord``'s compass search stops once both steps (radians)
+#: fall below this, or after this many steps.
+COMPASS_TOL = 1e-6
+COMPASS_MAX_STEPS = 200
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -442,10 +446,11 @@ def quantum_discord(
 ) -> DiscordResult:
     """Discord of `rho` with the measurement on the probe, qubit 0.
 
-    Grid search over (theta, phi) on the Bloch sphere, then coordinate
-    descent with golden-section line searches down to 1e-6 per
-    coordinate, stopping once a full sweep improves the conditional
-    entropy by less than 1e-9 bits.
+    Grid search over (theta, phi) on the Bloch sphere, then a compass
+    search from the best grid point: each step evaluates theta +- h_t
+    (clipped to [0, pi]) and phi +- h_p in one batch and moves to the
+    lowest if it is strictly lower, else halves both steps, which start
+    at the grid spacing.  ``iterations`` counts these evaluations.
     """
     blocks = _probe_blocks(rho)
     rho_data = blocks[0, 0] + blocks[1, 1]
@@ -464,34 +469,24 @@ def quantum_discord(
     p_best = float(pg.ravel()[best])
     f_best = float(values[best])
 
-    def objective(theta, phi):
-        return float(
-            _conditional_entropy_batch(
-                np.array([theta]), np.array([phi]), blocks, rho_data
-            )[0]
-        )
-
-    step_t = math.pi / (nt - 1)
-    step_p = 2.0 * math.pi / np_
+    h_t = math.pi / (nt - 1)
+    h_p = 2.0 * math.pi / np_
     evals = 0
-    for _ in range(60):
-        previous = f_best
-        lo = max(0.0, t_best - step_t)
-        hi = min(math.pi, t_best + step_t)
-        t_new, f_t, used = _golden_min(
-            lambda t: objective(t, p_best), lo, hi, 1e-6
-        )
-        evals += used
-        if f_t < f_best:
-            t_best, f_best = t_new, f_t
-        p_new, f_p, used = _golden_min(
-            lambda q: objective(t_best, q), p_best - step_p, p_best + step_p, 1e-6
-        )
-        evals += used
-        if f_p < f_best:
-            p_best, f_best = p_new % (2.0 * math.pi), f_p
-        if previous - f_best < 1e-9:
+    for _ in range(COMPASS_MAX_STEPS):
+        if h_t < COMPASS_TOL and h_p < COMPASS_TOL:
             break
+        t_try = np.array(
+            [min(math.pi, t_best + h_t), max(0.0, t_best - h_t), t_best, t_best]
+        )
+        p_try = np.array([p_best, p_best, p_best + h_p, p_best - h_p]) % (2.0 * math.pi)
+        f_try = _conditional_entropy_batch(t_try, p_try, blocks, rho_data)
+        evals += 4
+        k = int(f_try.argmin())
+        if f_try[k] < f_best:
+            t_best, p_best, f_best = float(t_try[k]), float(p_try[k]), float(f_try[k])
+        else:
+            h_t /= 2.0
+            h_p /= 2.0
 
     discord = s_probe - s_full + f_best
     if discord < -1e-9:

@@ -89,12 +89,14 @@ def test_learn_random_string_is_seeded(capsys):
 
 GOLDEN = Path(__file__).parent / "golden"
 
-#: learn runs whose stdout is pinned in tests/golden.  The sampler half of
-#: ROADMAP item 1 is done: each read quadrature is one binomial draw of L*Q
-#: shots, which rewrote csv-per-bit-delta; readme-sampled kept its bytes,
-#: since every bit there reads one query.  The budget half (the query budget
-#: takes its gap from the rotation angle) will still change readme-sampled
-#: on purpose; that change must say so and rewrite the file.
+#: learn runs whose stdout is pinned in tests/golden.  Two parts of ROADMAP
+#: item 1 are done: each read quadrature is one binomial draw of L*Q shots,
+#: which rewrote csv-per-bit-delta, and the query budget takes its gap from
+#: the rotation angle, which moved no byte here (every run is at pi/2 or
+#: uses --queries).  The rest of the budget rule (the Hoeffding constant and
+#: a second term for the second quadrature read) will change readme-sampled
+#: and csv-per-bit-delta on purpose; that change must say so and rewrite
+#: the files.
 LEARN_GOLDEN = {
     "closed-n40": (
         ("--backend", "closed", "--queries", "1", "--n", "40", "--random-s"),

@@ -175,9 +175,9 @@ def test_discord_measurement_angles_in_range():
 
 @pytest.mark.parametrize("phi", [0.0, 0.3])
 def test_protocol_discord_matches_dense(phi):
-    """Eigenphase discord against the dense grid-and-descent optimizer on
+    """Eigenphase discord against the dense grid-and-compass optimizer on
     the protocol state, for every step block with n <= 4.  The dense grid
-    is coarse to keep the run short; its descent still refines it."""
+    is coarse to keep the run short; its compass search still refines it."""
     for block in step_blocks(1.1, phi):
         n = block.n
         w = qstate.block_operator(block)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dqc1lpn.circuits import StepBlock, as_bits, bits_to_str, mask_kinds
 from dqc1lpn.dqc1 import Dqc1Config, EstimateRecord, expectations_from_tau
 from dqc1lpn.lpn import (
+    HOEFFDING_C,
     BudgetExhaustedError,
     BudgetParams,
     _gap_factor,
@@ -116,25 +117,57 @@ def test_query_budget_efficiency_frontier():
 
 
 @pytest.mark.parametrize(
-    "n,j,alpha,L,delta,expected",
+    "n,j,alpha,L,delta,theta,expected",
     [
         # 2^(n-j) does not fit in a float
-        pytest.param(2200, 1, 1.0, 1, 0.01, None, id="overflow"),
+        pytest.param(2200, 1, 1.0, 1, 0.01, HALF_PI, None, id="overflow"),
         # 2^(n-j) fits, the quotient by a tiny scale does not
-        pytest.param(1022, 1, 1e-3, 1, 0.01, None, id="nonfinite"),
+        pytest.param(1022, 1, 1e-3, 1, 0.01, HALF_PI, None, id="nonfinite"),
         # 1/delta' overflows: 2 ln(4e320) 4 2^3 / 1000 = 47.2
-        pytest.param(4, 1, 1.0, 1000, 1e-320, 48, id="subnormal-delta"),
+        pytest.param(4, 1, 1.0, 1000, 1e-320, HALF_PI, 48, id="subnormal-delta"),
         # delta/n underflows to 0: 2 ln(4 / 5e-324) 4 2^3 / 1000 = 47.7
-        pytest.param(4, 1, 1.0, 1000, 5e-324, 48, id="zero-delta-share"),
+        pytest.param(4, 1, 1.0, 1000, 5e-324, HALF_PI, 48, id="zero-delta-share"),
         # L (alpha (1-p))^2 underflows to 0: 2^1128.07 queries
-        pytest.param(4, 1, 1e-170, 1000, 0.01, 2**1129, id="underflowed-scale"),
+        pytest.param(4, 1, 1e-170, 1000, 0.01, HALF_PI, 2**1129, id="underflowed-scale"),
+        # the same at theta = 1: each of the 3 trailing qubits costs
+        # -2 log2 sin(1/2) = 2.121 bits, not 1, so 2^(1128.07 - 3 + 6.36)
+        # = 2^1131.44 queries
+        pytest.param(
+            4, 1, 1e-170, 1000, 0.01, 1.0, 2**1132, id="underflowed-scale-theta1"
+        ),
     ],
 )
-def test_query_budget_log_space_fallback(n, j, alpha, L, delta, expected):
+def test_query_budget_log_space_fallback(n, j, alpha, L, delta, theta, expected):
     # the float quotient is unusable; result must still be a usable int
-    q = query_budget(BudgetParams(delta=delta, L=L), _cfg(n, alpha=alpha), j)
+    cfg = Dqc1Config(n=n, alpha=alpha, p=0.0, theta=theta)
+    q = query_budget(BudgetParams(delta=delta, L=L), cfg, j)
     assert isinstance(q, int)
     assert q > 10**300 if expected is None else q == expected
+
+
+@pytest.mark.parametrize("theta", [0.6, 1.0, 2.4, HALF_PI])
+@pytest.mark.parametrize(
+    "n,alpha,p,L,delta,per_bit_delta",
+    [
+        (5, 1.0, 0.0, 20, 0.05, False),
+        (12, 0.8, 0.2, 1000, 0.01, False),
+        (4, 0.7, 0.2, 20, 0.05, True),
+        (9, 0.1, 0.5, 1, 0.3, False),
+    ],
+)
+def test_budget_meets_the_threshold_learn_uses(theta, n, alpha, p, L, delta, per_bit_delta):
+    """Every bit's queries meet the Hoeffding count for the threshold T that
+    ``learn`` compares against, off theta = pi/2 too: N L T^2 is at least
+    C ln(1/delta'), up to the rounding of T."""
+    budget = BudgetParams(delta=delta, L=L, per_bit_delta=per_bit_delta)
+    cfg = Dqc1Config(n=n, alpha=alpha, p=p, theta=theta, backend="closed")
+    bits = np.random.default_rng(n).integers(0, 2, size=n, dtype=np.uint8)
+    res = learn(make_oracle(bits, cfg), cfg, budget, max_queries=10**30)
+    assert np.array_equal(res.s_hat, bits)
+    share = delta if per_bit_delta else delta / n
+    need = HOEFFDING_C * math.log(1.0 / share) * (1 - 1e-12)
+    for step in res.steps:
+        assert step.queries * L * step.threshold**2 >= need, step.j
 
 
 def test_query_budget_per_bit_delta_needs_less():
@@ -350,3 +383,8 @@ def test_learn_rejects_degenerate_angle():
     cfg = Dqc1Config(n=2, alpha=1.0, p=0.0, theta=0.0)
     with pytest.raises(ValueError):
         learn(make_oracle(as_bits("01"), cfg), cfg, _budget())
+    # the budget reads the same gap factor and refuses the same angles
+    for theta in (0.0, 2 * math.pi):
+        cfg = Dqc1Config(n=2, alpha=1.0, p=0.0, theta=theta)
+        with pytest.raises(ValueError, match="multiples of pi"):
+            query_budget(_budget(), cfg, 1)

@@ -269,6 +269,24 @@ def test_runtime_modules_do_not_import_qstate():
     assert importers == []
 
 
+def test_package_modules_import_no_private_name_of_another():
+    """No module under the package imports a single-underscore name from
+    another package module: each private helper serves its own module, and
+    a check (the dense discord against ``protocol_discord``) shares no
+    private code with what it checks."""
+    found = []
+    for path in sorted(Path(qstate.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "dqc1lpn":
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    found.append(f"{path.stem}: {alias.name}")
+    assert found == []
+
+
 def test_cli_import_leaves_qstate_unloaded():
     """The import test above sees only direct imports; a fresh interpreter
     that imports the CLI, as ``python -m dqc1lpn`` does, must not load the
