@@ -144,7 +144,7 @@ class StepBlock:
         """
         n = len(bits)
         if j is not None and not 1 <= j <= n:
-            raise ValueError(f"probe index {j} outside 1..{n}")
+            raise ValueError(f"probe index outside 1..{n}")
         # a negative mask shifts to -1, or meets ~decoupled, so it is refused
         if decoupled >> n:
             raise ValueError("decoupled set outside data register")

@@ -61,7 +61,7 @@ def parse_grid(text: str, *, angle: bool = False) -> list[float]:
         if count < 1:
             raise ValueError("grid count must be positive")
         if count > MAX_GRID_POINTS:
-            raise ValueError(f"grid count {count} exceeds {MAX_GRID_POINTS}")
+            raise ValueError(f"grid count exceeds {MAX_GRID_POINTS}")
         return [float(v) for v in np.linspace(lo, hi, count)]
     values = [conv(item) for item in raw.split(",") if item != ""]
     if not values:
@@ -209,7 +209,7 @@ def _resolve_string(args) -> np.ndarray:
     if args.s is not None:
         bits = as_bits(args.s)
         if args.n is not None and args.n != bits.size:
-            raise ValueError(f"--n {args.n} disagrees with --s length {bits.size}")
+            raise ValueError(f"--n disagrees with --s length {bits.size}")
         return bits
     if not args.random_s:
         raise ValueError("provide --s or --random-s")
@@ -285,7 +285,7 @@ def cmd_trace_table(args) -> tuple[dict[str, Any], dict[str, Any]]:
         strings = [as_bits(args.s)]
         n = strings[0].size
         if args.n is not None and args.n != n:
-            raise ValueError(f"--n {args.n} disagrees with --s length {n}")
+            raise ValueError(f"--n disagrees with --s length {n}")
     else:
         if args.n is None:
             raise ValueError("provide --s or --n")
@@ -323,7 +323,7 @@ def cmd_discord_sweep(args) -> tuple[dict[str, Any], dict[str, Any]]:
     bits = as_bits(args.s)
     n = bits.size
     if not 1 <= args.j <= n:
-        raise ValueError(f"--j {args.j} outside 1..{n}")
+        raise ValueError(f"--j outside 1..{n}")
     rows = []
     if args.alpha_grid is not None:
         theta = parse_angle(args.theta)

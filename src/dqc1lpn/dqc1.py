@@ -29,6 +29,9 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 #: full int64 parts drawn by one numpy call; bounds the array a read holds
 _PARTS_PER_CALL = 4096
 
+#: most full int64 parts one read may take: about 0.1 s of draws
+_MAX_PARTS = 2**20
+
 
 @dataclass(frozen=True)
 class Dqc1Config:
@@ -94,7 +97,8 @@ def _sample_one_observable(
     quadrature is one binomial draw of L*Q shots from ``stream``.  When
     L*Q leaves int64 the draw splits into int64-sized parts, summed as
     Python ints, since an int64 sum would wrap; with L in int64 there are at
-    most Q parts.  The full parts are drawn as arrays of up to
+    most Q parts, and ``sample_expectations`` refuses more than
+    ``_MAX_PARTS`` full ones.  The full parts are drawn as arrays of up to
     ``_PARTS_PER_CALL``, which take the same numbers from the stream as
     one draw each, and the remainder part last.
     """
@@ -131,7 +135,8 @@ def sample_expectations(
     for bit.  Observables left out of `observables` are reported as 0 with
     se 0.  L must fit in int64, the range of numpy's binomial sampler, so a
     read of L*Q shots splits into at most Q int64-sized parts, drawn
-    ``_PARTS_PER_CALL`` to a numpy call.
+    ``_PARTS_PER_CALL`` to a numpy call; a read of more than ``_MAX_PARTS``
+    full parts is refused.
     """
     # written so that NaN fails the bound
     if not (abs(true_ex) <= 1.0 and abs(true_ey) <= 1.0):
@@ -141,7 +146,9 @@ def sample_expectations(
     if L < 1 or Q < 1:
         raise ValueError("L and Q must be positive")
     if L > _INT64_MAX:
-        raise ValueError(f"L={L} exceeds the int64 range of the shot sampler")
+        raise ValueError("L exceeds 2^63 - 1, the int64 range of the shot sampler")
+    if L * Q // _INT64_MAX > _MAX_PARTS:
+        raise ValueError("a read of L*Q shots exceeds 2^20 int64 draws of the shot sampler")
     unknown = set(observables) - {"x", "y"}
     if unknown:
         raise ValueError(f"unknown observables {sorted(unknown)}")

@@ -11,6 +11,8 @@ mod pi is a binomial lattice over the rotated qubits, no dense state is
 built, and the cost is polynomial in n.  The measures of an arbitrary
 dense state (``quantum_discord``, mutual information, the
 partial-transpose check, coherence) are the reference in ``qstate``.
+The measurement angle is searched by nested grids of one vectorized
+objective (``_nested_grid_min``).
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ import numpy as np
 
 from .circuits import StepBlock
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _TINY = sys.float_info.min
-#: cells of [0, pi/2], the measurement angles protocol_discord searches
+#: cells of each level of the nested grids over [0, pi/2]
 _PHI_GRID = 32
+#: the nested grids stop once their spacing falls below this (rad)
+_PHI_TOL = 1e-7
 
 
 def binary_entropy(x: float) -> float:
@@ -64,25 +67,28 @@ class DiscordResult:
     iterations: int
 
 
-def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float, int]:
-    """Golden-section minimum of f on [lo, hi] to bracket width tol."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    evals = 2
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        evals += 1
-    x = c if fc <= fd else d
-    return x, min(fc, fd), evals
+def _nested_grid_min(objective) -> tuple[float, float, int]:
+    """(phi, value, evaluations after level 0) of the minimum of a vectorized
+    objective over [0, pi/2] by nested grids.  Level 0 is _PHI_GRID + 1
+    points of spacing h = pi/2 / _PHI_GRID; each later level puts as many
+    points of spacing 2h / _PHI_GRID over [phi - h, phi + h] around the
+    best angle so far, clamped to [0, pi/2], and h becomes that spacing.
+    The search stops once h falls below _PHI_TOL, after a fixed number of
+    levels; the best angle so far is a point of every later level, so no
+    level loses it."""
+    h = math.pi / 2.0 / _PHI_GRID
+    phis = np.arange(_PHI_GRID + 1) * h
+    offsets = np.arange(_PHI_GRID + 1) - _PHI_GRID // 2
+    evals = 0
+    while True:
+        values = objective(phis)
+        best = int(values.argmin())
+        phi, value = float(phis[best]), float(values[best])
+        if h < _PHI_TOL:
+            return phi, value, evals
+        h *= 2.0 / _PHI_GRID
+        phis = np.minimum(np.maximum(phi + offsets * h, 0.0), math.pi / 2.0)
+        evals += phis.size
 
 
 def _binary_entropy_array(x: np.ndarray) -> np.ndarray:
@@ -152,12 +158,12 @@ def protocol_discord(block: StepBlock, alpha: float) -> DiscordResult:
     An equatorial measurement is optimal (a tilted one is a garbling of
     it), and the bracket is even in phi with period pi (the phases come
     in pairs +-l_k and tau is real or imaginary), so phi is searched over
-    [0, pi/2] only: a grid of _PHI_GRID cells, then a golden-section search
-    to 1e-6 rad on the cells next to the best grid point, clamped to
-    [0, pi/2]; ``iterations`` counts its evaluations.  The quadratures
-    alpha cos l_k, alpha sin l_k and alpha tau are computed once, so that with
+    [0, pi/2] only, by ``_nested_grid_min``; ``iterations`` counts its
+    evaluations after the first grid.  The quadratures alpha cos l_k,
+    alpha sin l_k and alpha tau are computed once, so that with
     alpha cos(l_k - phi) = cos(phi) alpha cos l_k + sin(phi) alpha sin l_k
-    a refinement step costs one cos and one sin and a few vector operations.
+    each level of the search is two outer products and a few array
+    operations.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha {alpha} outside [0, 1]")
@@ -166,31 +172,16 @@ def protocol_discord(block: StepBlock, alpha: float) -> DiscordResult:
     ac, as_ = alpha * np.cos(phases), alpha * np.sin(phases)
     ar, ai = alpha * tau.real, alpha * tau.imag
 
-    step = math.pi / 2.0 / _PHI_GRID
-    grid = np.arange(_PHI_GRID + 1) * step
-    cos, sin = np.cos(grid), np.sin(grid)
-    spread = _binary_entropy_array(
-        (1.0 - (np.multiply.outer(cos, ac) + np.multiply.outer(sin, as_))) / 2.0
-    )
-    readout = _binary_entropy_array((1.0 - (cos * ar + sin * ai)) / 2.0)
-    values = spread @ weights - readout
+    def objective(phis: np.ndarray) -> np.ndarray:
+        cos, sin = np.cos(phis), np.sin(phis)
+        spread = _binary_entropy_array(
+            (1.0 - (np.multiply.outer(cos, ac) + np.multiply.outer(sin, as_))) / 2.0
+        )
+        readout = _binary_entropy_array((1.0 - (cos * ar + sin * ai)) / 2.0)
+        return spread @ weights - readout
 
-    def objective(phi: float) -> float:
-        c, s = math.cos(phi), math.sin(phi)
-        spread = _binary_entropy_array((1.0 - (c * ac + s * as_)) / 2.0)
-        # clipped like the arguments of _binary_entropy_array
-        readout = min(max((1.0 - (c * ar + s * ai)) / 2.0, 0.0), 1.0)
-        return float(spread @ weights) - binary_entropy(readout)
-
-    p_best, f_best = float(grid[values.argmin()]), float(values.min())
-    lo, hi = max(p_best - step, 0.0), min(p_best + step, math.pi / 2.0)
-    p_new, f_new, evals = _golden_min(objective, lo, hi, 1e-6)
-    if f_new < f_best:
-        p_best, f_best = p_new, f_new
-    s_probe, s_block = _binary_entropy_array(
-        np.array([(1.0 - alpha * abs(tau)) / 2.0, (1.0 - alpha) / 2.0])
-    )
-    discord = float(s_probe - s_block) + f_best
+    p_best, f_best, evals = _nested_grid_min(objective)
+    discord = coherence_consumption(alpha, abs(tau)) + f_best
     if discord < -1e-9:
         raise RuntimeError(f"discord came out {discord:.3e}; optimizer failed")
     return DiscordResult(

@@ -146,7 +146,7 @@ def query_budget(budget: BudgetParams, cfg: Dqc1Config, j: int) -> int:
     """
     n = cfg.n
     if not 1 <= j <= n:
-        raise ValueError(f"probe index {j} outside 1..{n}")
+        raise ValueError(f"probe index outside 1..{n}")
     _require_polarization(cfg)
     factor = _require_gap_factor(cfg.theta)
     delta_eff = budget.delta if budget.per_bit_delta else budget.delta / n
@@ -155,7 +155,10 @@ def query_budget(budget: BudgetParams, cfg: Dqc1Config, j: int) -> int:
     else:  # delta/n underflowed to 0, or 1/delta' overflows: add the logs
         spread = 0.0 if budget.per_bit_delta else math.log(n)
         log_term = HOEFFDING_C * (spread - math.log(budget.delta))
-    scale = budget.L * (cfg.alpha * (1.0 - cfg.p)) ** 2
+    try:
+        scale = budget.L * (cfg.alpha * (1.0 - cfg.p)) ** 2
+    except OverflowError:  # float(L) overflows; the log path sums the logs
+        scale = math.inf
     # eps_j^2 = gap^2 / 4, divided out one gap at a time so that no
     # subnormal square loses bits; a deep gap overflows the quotient or
     # underflows to 0, and is then summed from its factor's log below
@@ -165,14 +168,15 @@ def query_budget(budget: BudgetParams, cfg: Dqc1Config, j: int) -> int:
     except (OverflowError, ZeroDivisionError):
         raw = math.inf
     if not math.isfinite(raw):
-        # a scale that underflowed to 0 is summed from its factors' logs
-        log_scale = math.log2(scale) if scale else math.log2(budget.L) + 2.0 * (
-            math.log2(cfg.alpha) + math.log2(1.0 - cfg.p)
+        # a scale that underflowed to 0, or overflowed, is summed from its
+        # factors' logs
+        log_scale = math.log2(scale) if 0.0 < scale < math.inf else (
+            math.log2(budget.L) + 2.0 * (math.log2(cfg.alpha) + math.log2(1.0 - cfg.p))
         )
         exponent = (
             math.log2(log_term) + 2.0 - log_scale - 2.0 * (n - j) * math.log2(factor)
         )
-        return 1 << math.ceil(exponent)
+        return 1 << max(0, math.ceil(exponent))
     return max(1, math.ceil(raw))
 
 
@@ -205,7 +209,7 @@ def make_oracle(s, cfg: Dqc1Config) -> Oracle:
     ) -> EstimateRecord:
         j = index(j)
         if not 1 <= j <= n:
-            raise ValueError(f"probe index {j} outside 1..{n}")
+            raise ValueError(f"probe index outside 1..{n}")
         # a negative mask shifts to -1, so this refuses it as well
         if corrections >> (j - 1):
             raise ValueError(f"corrections must target decoupled qubits 1..{j - 1}")

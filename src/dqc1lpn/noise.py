@@ -85,7 +85,7 @@ def phase_flip_parity_experiment(
     bits = as_bits(s, n=cfg.n)
     flips = sorted(int(k) for k in flip_set)
     if flips and (flips[0] < 1 or flips[-1] > cfg.n):
-        raise ValueError(f"flip set {flips} outside data qubits 1..{cfg.n}")
+        raise ValueError(f"flip set outside data qubits 1..{cfg.n}")
     for k, after in zip(flips, flips[1:]):
         if k == after:
             raise ValueError(f"phase flip on qubit {k} repeated: two sz on one qubit cancel")

@@ -1,11 +1,14 @@
+import contextlib
+import io
 import itertools
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqc1lpn import cli, lpn
@@ -334,6 +337,50 @@ def test_learn_sampled_huge_query_count(capsys):
         assert all(math.isfinite(v) for v in row.values() if isinstance(v, float))
 
 
+@pytest.mark.parametrize("backend,expected", [("closed", 0), ("dense", 0), ("sampled", 2)])
+def test_learn_budget_rule_with_a_400_digit_L(capsys, backend, expected):
+    """With the budget rule, float(L) of --L 10^400 overflows: the analytic
+    backends plan one query per bit, as L = 10^22 does, and the sampler
+    refuses an L beyond int64, as with --queries 1; none exits 4."""
+    code, out, err = run_cli(
+        capsys, "learn", "--s", "0110", "--L", str(10**400), "--backend", backend
+    )
+    assert code == expected, err
+    if expected == 0:
+        results = json.loads(out)["results"]
+        assert results["success"] is True
+        assert [row["queries"] for row in results["rows"]] == [1] * 4
+    else:
+        assert out == "" and "int64" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("discord-sweep", "--s", "011", "--j", str(10**400), "--alpha-grid", "0.5"),
+         "--j outside 1..3"),
+        (("noise-sweep", "--mode", "midq", "--s", "0110", "--j", str(10**400)),
+         "probe index outside 1..4"),
+        (("noise-sweep", "--mode", "parity", "--s", "0110", "--flips", str(10**400)),
+         "flip set outside data qubits 1..4"),
+        (("learn", "--s", "0110", "--backend", "sampled", "--L", str(10**400),
+          "--queries", "1"),
+         "L exceeds 2^63 - 1, the int64 range of the shot sampler"),
+        # about 10^384 int64 parts per read: a loop that would never end
+        (("learn", "--s", "0110", "--backend", "sampled",
+          "--queries", str(10**400), "--max-queries", str(10**400)),
+         "a read of L*Q shots exceeds 2^20 int64 draws of the shot sampler"),
+    ],
+    ids=["discord-j", "midq-j", "parity-flips", "sampled-L", "sampled-queries"],
+)
+def test_refusals_of_huge_ints_are_short(capsys, argv, message):
+    """A refused 400-digit argument is not echoed: exit 2, nothing on
+    stdout, and a message under 200 bytes that names the bound it broke."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n" and len(err) < 200
+
+
 def test_learn_closed_at_2000_qubits(capsys):
     """Closed learn stays usable at large n: one query per bit, every bit
     right."""
@@ -542,7 +589,7 @@ def test_discord_sweep_reports_the_angle_below_its_mirror(capsys):
         "--alpha-grid", "1",
     )
     assert code == 0
-    assert out.splitlines()[2] == "1,0.451687929294,1.57079632679,0.83107779394"
+    assert out.splitlines()[2] == "1,0.451687929294,1.57079632679,0.831077909159"
 
 
 def test_discord_sweep_theta_mode(capsys):
@@ -851,3 +898,138 @@ def test_discord_rows_ignore_qubit_order(capsys):
         assert code == 0
         rows.append(out.splitlines()[1:])
     assert rows[0] == rows[1]
+
+
+#: edge values mixed into the generated argv: non-finite, subnormal and
+#: huge floats, 20- and 400-digit ints, empty and 13-bit strings, reversed,
+#: empty and oversized grids
+_EDGE_FLOATS = ("nan", "inf", "-inf", "5e-324", "1e308", "-0.5", "1.5")
+_EDGE_INTS = ("0", "-1", str(10**19 + 7), str(10**400))
+_EDGE_GRIDS = (
+    "", ",", "1:0:3", "0:1:100001", "0:1:0", "nan,0.5", "inf", "5e-324,1e308",
+    "0:1:" + str(10**400),
+)
+
+
+def _mostly(valid, edge):
+    """Draws from `valid` nine times in ten, else from `edge`."""
+    return st.integers(0, 9).flatmap(lambda k: edge if k == 9 else valid)
+
+
+def _grid(top):
+    """Valid grids over [0, top], as a list or as lo:hi:count (lo > hi too)."""
+    point = st.floats(0.0, top).map(repr)
+    return st.one_of(
+        st.lists(point, min_size=1, max_size=3).map(",".join),
+        st.tuples(point, point, st.integers(1, 4)).map(lambda t: "%s:%s:%d" % t),
+    )
+
+
+#: strategies of the string options, by dest; every string option of the
+#: parser needs one, so a new option is drawn once it is added here
+_STRING_VALUES = {
+    "s": _mostly(
+        st.text("01", min_size=1, max_size=8),
+        st.sampled_from(("", "0" * 13, "0110100110011", "01x")),
+    ),
+    "theta": _mostly(
+        st.one_of(st.floats(-7.0, 7.0).map(repr), st.sampled_from(("0.5pi", "0.3pi", "pi"))),
+        st.sampled_from(_EDGE_FLOATS + ("0", "0pi")),
+    ),
+    "flips": _mostly(
+        st.lists(st.integers(1, 8), max_size=3).map(lambda ks: ",".join(map(str, ks))),
+        st.sampled_from(("1,1",) + _EDGE_INTS),
+    ),
+    "q_grid": _mostly(_grid(0.2), st.sampled_from(_EDGE_GRIDS)),
+    **{
+        dest: _mostly(_grid(1.0), st.sampled_from(_EDGE_GRIDS))
+        for dest in ("alpha_grid", "theta_grid", "phi_grid", "tau_grid")
+    },
+}
+
+
+def _option_values(action):
+    """Argv values for one option, from its type or choices in the parser."""
+    if action.choices:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is cli.parse_seed:
+        return st.integers(0, 2**64 - 1).map(str)
+    if action.type is int:
+        if action.dest in ("queries", "max_queries", "L"):
+            # capped so that a budget-free run stays fast
+            return _mostly(st.integers(1, 10**4).map(str), st.sampled_from(("0", "-1")))
+        return _mostly(st.integers(1, 12).map(str), st.sampled_from(_EDGE_INTS))
+    if action.type is float:
+        return _mostly(st.floats(0.0, 1.0).map(repr), st.sampled_from(_EDGE_FLOATS))
+    return _STRING_VALUES[action.dest]
+
+
+#: options of which a command takes exactly one, and what each of them
+#: needs: the argv holds exactly one of the pair four times in five, so
+#: that runs past these refusals are not rare
+_ONE_OF = {"learn": ("s", "random_s"), "discord-sweep": ("alpha_grid", "theta_grid")}
+_NEEDS = {"random_s": "n", "theta_grid": "alpha"}
+
+
+@st.composite
+def _cli_argv(draw):
+    """A command and a subset of its options (the required ones always),
+    drawn from the option table of ``cli._build_parser()`` and written as
+    --flag=value, so that every value parses and each failure comes from
+    the command; --out and --help are left out."""
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    name = draw(st.sampled_from(sorted(commands)))
+    pair = _ONE_OF.get(name, ())
+    chosen = draw(_mostly(st.sampled_from(pair), st.none())) if pair else None
+    argv = [name]
+    for action in commands[name]._actions:
+        dest = action.dest
+        if dest in ("help", "out"):
+            continue
+        if chosen is not None and dest in pair:
+            if dest != chosen:
+                continue
+        elif not (action.required or _NEEDS.get(chosen) == dest or draw(st.booleans())):
+            continue
+        flag = action.option_strings[-1]
+        argv.append(flag if action.nargs == 0 else flag + "=" + draw(_option_values(action)))
+    return argv
+
+
+def _finite_csv(text):
+    """Whether every numeric field of the CSV rows under the header is finite."""
+    for line in text.splitlines()[2:]:
+        for field in line.split(","):
+            try:
+                value = float(field)
+            except ValueError:
+                continue
+            if not math.isfinite(value):
+                return False
+    return True
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_cli_argv())
+def test_cli_contract_on_generated_argv(argv):
+    """Every command exits 0, 2 or 3.  Exit 0 prints JSON with no NaN or
+    infinity, or CSV whose numeric fields are finite; a refusal prints
+    nothing on stdout and a message under 200 bytes with no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            # the parity mode's warning about idle flips; a RuntimeWarning
+            # still raises, and cli.main turns it into exit 4
+            warnings.simplefilter("ignore", UserWarning)
+            code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3), (argv, err)
+    if code == 0:
+        if out.startswith("{"):
+            json.loads(out, parse_constant=lambda c: pytest.fail(f"{argv} printed {c}"))
+        else:
+            assert out.startswith("# dqc1lpn") and _finite_csv(out), argv
+    else:
+        assert out == "", argv
+        assert "Traceback" not in err and len(err) < 200, (argv, err)

@@ -191,6 +191,27 @@ def test_sampling_parts_equal_a_scalar_loop(p):
     assert rec.ex == (2 * ups - L * Q) / (L * Q)
 
 
+def test_sampling_refuses_more_than_max_parts(monkeypatch):
+    """A read of 2^20 full int64 parts is drawn; one part more is refused,
+    by a message that names the limit, before any draw."""
+    assert dqc1._MAX_PARTS == 2**20
+    calls = []
+
+    class Zeros:
+        def binomial(self, n, p, size=None):
+            calls.append(1 if size is None else size)
+            return 0 if size is None else np.zeros(size, dtype=np.int64)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Zeros())
+    L = dqc1._INT64_MAX
+    sample_expectations(0.3, -0.1, L, dqc1._MAX_PARTS, _seed(7), observables=("x",))
+    assert sum(calls) == dqc1._MAX_PARTS
+    calls.clear()
+    with pytest.raises(ValueError, match=r"2\^20 int64 draws"):
+        sample_expectations(0.3, -0.1, L, dqc1._MAX_PARTS + 1, _seed(7))
+    assert calls == []
+
+
 def test_sampling_memory_is_independent_of_queries():
     """A read of 10^12 queries is one draw: no array of Q counts."""
     tracemalloc.start()

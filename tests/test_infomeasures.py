@@ -195,7 +195,7 @@ def test_protocol_discord_folds_the_mirror_minimum():
     the even objective; the search covers [0, pi/2] only and reports phi*."""
     block = StepBlock.from_bits(circuits.as_bits("0110"), HALF_PI, 1)
     res = protocol_discord(block, 1.0)
-    assert format(res.measurement_phi, ".12g") == "0.83107779394"
+    assert format(res.measurement_phi, ".12g") == "0.831077909159"
     assert format(res.discord, ".12g") == "0.451687929294"
 
 
@@ -223,9 +223,10 @@ def test_protocol_discord_matches_reference_objective(phi):
     """The quadrature objective against the outer-difference one it replaced,
     on random blocks of up to 300 qubits with random decoupled prefixes and
     corrections: the same discord to 1e-12 and the same number of
-    refinement evaluations, 25 when the bracket is clamped at 0 or pi/2
-    to one cell and 26 for two cells.  Half the blocks have at most 8
-    qubits, where |tau| is large enough for the readout term to count."""
+    refinement evaluations, five levels of 33 angles after the first grid,
+    also where a level is clamped at 0 or pi/2.  Half the blocks have at
+    most 8 qubits, where |tau| is large enough for the readout term to
+    count."""
     rng = np.random.default_rng(1300 + int(phi * 10))
     for n in rng.integers(1, 9, 8).tolist() + rng.integers(9, 301, 8).tolist():
         bits = rng.integers(0, 2, n).tolist()
@@ -236,28 +237,30 @@ def test_protocol_discord_matches_reference_objective(phi):
         block = StepBlock.from_bits(bits, theta, j, decoupled, corrections, phi=phi)
         for alpha in (0.0, 0.3, 0.7, 1.0):
             fast = protocol_discord(block, alpha)
-            discord, iterations, p_grid = reference_protocol_discord(block, alpha)
+            discord, iterations = reference_protocol_discord(block, alpha)
             assert abs(fast.discord - discord) <= 1e-12
-            assert fast.iterations == iterations
-            assert iterations == (25 if p_grid in (0.0, HALF_PI) else 26)
+            assert fast.iterations == iterations == 5 * 33
 
 
 def test_protocol_discord_searches_one_quarter_period(monkeypatch):
-    """Every bracket and every angle the golden-section search probes lies
-    in [0, pi/2], also when the best grid point is an end of it."""
+    """Every bracket of a refinement level and every angle the nested grids
+    probe lies in [0, pi/2], also when the best grid point is an end of it."""
     brackets, probes = [], []
-    golden_min = infomeasures._golden_min
+    nested_grid_min = infomeasures._nested_grid_min
 
-    def spy(f, lo, hi, tol):
-        brackets.append((lo, hi))
+    def spy(objective):
+        levels = []
 
-        def probed(angle):
-            probes.append(angle)
-            return f(angle)
+        def probed(phis):
+            levels.append(phis)
+            return objective(phis)
 
-        return golden_min(probed, lo, hi, tol)
+        result = nested_grid_min(probed)
+        probes.extend(np.concatenate(levels).tolist())
+        brackets.extend((float(p.min()), float(p.max())) for p in levels[1:])
+        return result
 
-    monkeypatch.setattr(infomeasures, "_golden_min", spy)
+    monkeypatch.setattr(infomeasures, "_nested_grid_min", spy)
     for phi in (0.0, 0.3):
         for block in step_blocks(1.1, phi):
             for alpha in (0.0, 0.3, 0.7, 1.0):

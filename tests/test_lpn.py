@@ -135,10 +135,17 @@ def test_query_budget_efficiency_frontier():
         pytest.param(
             4, 1, 1e-170, 1000, 0.01, 1.0, 2**1132, id="underflowed-scale-theta1"
         ),
+        # float(L) overflows, so the scale is infinite: the quotient is 0
+        pytest.param(4, 1, 1.0, 10**400, 0.01, HALF_PI, 1, id="overflowed-scale"),
+        # ... and with a gap that underflows, the logs give
+        # 2 ln(2200 / 0.01) 4 2^2199 / 10^400 = 2^876.85 queries
+        pytest.param(2200, 1, 1.0, 10**400, 0.01, HALF_PI, 2**877, id="overflowed-scale-deep-gap"),
+        # or 2^-1116 for L = 10^1000, which counts as 1
+        pytest.param(2200, 1, 1.0, 10**1000, 0.01, HALF_PI, 1, id="overflowed-scale-deep-gap-1"),
     ],
 )
 def test_query_budget_log_space_fallback(n, j, alpha, L, delta, theta, expected):
-    # the float quotient is unusable; result must still be a usable int
+    # the float quotient is unusable or overflows; result must still be a usable int
     cfg = Dqc1Config(n=n, alpha=alpha, p=0.0, theta=theta)
     q = query_budget(BudgetParams(delta=delta, L=L), cfg, j)
     assert isinstance(q, int)
