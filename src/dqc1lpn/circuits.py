@@ -35,8 +35,12 @@ ID2 = np.eye(2, dtype=complex)
 def as_bits(s, n: int | None = None) -> np.ndarray:
     """Normalize a bit pattern ("0110", [0,1,1,0], ...) to a new uint8 array."""
     if isinstance(s, str):
-        if not s or set(s) - {"0", "1"}:
-            raise ValueError(f"bit string {s!r} must be nonempty over {{0,1}}")
+        if not s:
+            raise ValueError("bit string is empty")
+        if set(s) - {"0", "1"}:
+            # name the first character that is not a bit, not the whole string
+            k = len(s) - len(s.lstrip("01"))
+            raise ValueError(f"bit string has {s[k]!r} at position {k + 1}, not a 0 or 1")
         bits = np.frombuffer(s.encode("ascii"), np.uint8) - 48
     else:
         bits = np.array(s if isinstance(s, np.ndarray) else list(s), dtype=np.int64)

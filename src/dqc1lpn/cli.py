@@ -27,6 +27,14 @@ from .dqc1 import Dqc1Config
 from .lpn import BudgetParams
 
 
+def _number(text: str, what: str) -> float:
+    """float(text); a refusal names `what`, not the text, which may be long."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{what} is not a number") from None
+
+
 def parse_angle(text: str) -> float:
     """Parse "0.7", "0.5pi", "pi", "-0.25pi" into radians; reject nan and inf."""
     raw = str(text).strip().lower()
@@ -34,11 +42,11 @@ def parse_angle(text: str) -> float:
         head = raw[:-2]
         if head in ("", "+", "-"):
             head += "1"
-        value = float(head) * math.pi
+        value = _number(head, "angle") * math.pi
     else:
-        value = float(raw)
+        value = _number(raw, "angle")
     if not math.isfinite(value):
-        raise ValueError(f"angle {text!r} is not finite")
+        raise ValueError("angle is not finite")
     return value
 
 
@@ -50,14 +58,17 @@ MAX_GRID_POINTS = 10**5
 def parse_grid(text: str, *, angle: bool = False) -> list[float]:
     """Grid syntax: "lo:hi:count" (inclusive linspace) or "a,b,c"; an empty
     grid, or a count above ``MAX_GRID_POINTS``, is refused."""
-    conv = parse_angle if angle else float
+    conv = parse_angle if angle else functools.partial(_number, what="grid value")
     raw = str(text).strip()
     if ":" in raw:
         parts = raw.split(":")
         if len(parts) != 3:
-            raise ValueError(f"grid {text!r} must be lo:hi:count")
+            raise ValueError("grid must be lo:hi:count or a comma-separated list")
         lo, hi = conv(parts[0]), conv(parts[1])
-        count = int(parts[2])
+        try:
+            count = int(parts[2])
+        except ValueError:
+            raise ValueError("grid count is not an integer") from None
         if count < 1:
             raise ValueError("grid count must be positive")
         if count > MAX_GRID_POINTS:
@@ -65,7 +76,7 @@ def parse_grid(text: str, *, angle: bool = False) -> list[float]:
         return [float(v) for v in np.linspace(lo, hi, count)]
     values = [conv(item) for item in raw.split(",") if item != ""]
     if not values:
-        raise ValueError(f"grid {text!r} is empty")
+        raise ValueError("grid is empty")
     return values
 
 
@@ -81,8 +92,16 @@ def parse_seed(text: str) -> int:
     """--seed: an integer in 0..2^64-1, the range every command accepts."""
     value = int(text)
     if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed {value} outside 0..2^64-1")
+        raise argparse.ArgumentTypeError("seed outside 0..2^64-1")
     return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that refuses in one line on stderr, without the
+    usage text; --help still prints it."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 class NonFiniteOutputError(Exception):
@@ -466,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused after it:
     parsing leaves it unchanged, and building it costs more than most
     commands."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dqc1lpn",
         description="One-clean-qubit trace estimation and parity learning.",
     )

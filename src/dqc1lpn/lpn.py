@@ -77,9 +77,8 @@ class BudgetParams:
 
     delta is the failure probability; by default it is split globally
     (delta/n per bit), set per_bit_delta to spend delta on every bit.
-    L is the shot count of one query.  The per-bit accuracy comes from the
-    discrimination gap, and the polarization and readout noise that scale
-    it from the protocol's ``Dqc1Config``.
+    L is the shot count of one query.  The per-bit accuracy is the
+    threshold that ``learn`` compares the bit's reading with.
     """
 
     delta: float
@@ -128,54 +127,36 @@ def decide_bit(est: EstimateRecord, threshold: float) -> int:
     return 1 if abs(est.ex) + abs(est.ey) < threshold else 0
 
 
-def _require_polarization(cfg: Dqc1Config) -> None:
-    """Refuse an unpolarized probe, whose readout carries no signal."""
-    if cfg.alpha == 0.0:
-        raise ValueError("alpha must lie in (0, 1]")
+def query_budget(budget: BudgetParams, n: int, threshold: float) -> int:
+    """Queries required to decide one of n bits against `threshold`, the T
+    that ``learn`` compares the bit's reading with.
 
-
-def query_budget(budget: BudgetParams, cfg: Dqc1Config, j: int) -> int:
-    """Queries required to decide bit j against ``learn``'s threshold.
-
-    ceil(C ln(1/delta') / (L (alpha eps_j (1-p))^2)) with n, alpha, p and
-    theta from `cfg`, eps_j = _worst_case_gap(theta, n-j) / 2 (at
-    theta = pi/2, (1/sqrt(2))^(n-j) / 2) and delta' the per-bit share of
-    the failure budget.  Grows by 1/min(sin^2(theta/2), cos^2(theta/2))
-    per extra data qubit ahead of j, and diverges as p -> 1.  An angle
-    within 1e-9 of a multiple of pi is refused, as ``learn`` refuses it.
+    ceil(C ln(1/delta') / (L T^2)) with delta' the per-bit share of the
+    failure budget.  ``learn``'s T_j = alpha (1-p) g^(n-j) / 2, with g the
+    gap factor of theta (1/sqrt(2) at pi/2), so the count grows by 1/g^2
+    per extra data qubit ahead of j and diverges as p -> 1.  A T that is
+    not a positive normal float is refused, and so is n below 1.
     """
-    n = cfg.n
-    if not 1 <= j <= n:
-        raise ValueError(f"probe index outside 1..{n}")
-    _require_polarization(cfg)
-    factor = _require_gap_factor(cfg.theta)
+    # 0, a subnormal, a negative T, NaN and inf all fail this test
+    if not 2.0**-1022 <= threshold < math.inf:
+        raise ValueError("threshold must be a finite float of at least 2^-1022")
+    if n < 1:
+        raise ValueError("nothing to budget for n < 1")
     delta_eff = budget.delta if budget.per_bit_delta else budget.delta / n
     if delta_eff and 1.0 / delta_eff < math.inf:
         log_term = HOEFFDING_C * math.log(1.0 / delta_eff)
     else:  # delta/n underflowed to 0, or 1/delta' overflows: add the logs
         spread = 0.0 if budget.per_bit_delta else math.log(n)
         log_term = HOEFFDING_C * (spread - math.log(budget.delta))
+    # L first, then T one factor at a time: no square underflows, and for
+    # T <= 1 the quotient overflows only when the budget does; then, or when
+    # float(L) overflows, the logs of the factors are summed instead
     try:
-        scale = budget.L * (cfg.alpha * (1.0 - cfg.p)) ** 2
-    except OverflowError:  # float(L) overflows; the log path sums the logs
-        scale = math.inf
-    # eps_j^2 = gap^2 / 4, divided out one gap at a time so that no
-    # subnormal square loses bits; a deep gap overflows the quotient or
-    # underflows to 0, and is then summed from its factor's log below
-    gap = _worst_case_gap(cfg.theta, n - j)
-    try:
-        raw = log_term * 4.0 / gap / gap / scale
-    except (OverflowError, ZeroDivisionError):
+        raw = log_term / budget.L / threshold / threshold
+    except OverflowError:
         raw = math.inf
     if not math.isfinite(raw):
-        # a scale that underflowed to 0, or overflowed, is summed from its
-        # factors' logs
-        log_scale = math.log2(scale) if 0.0 < scale < math.inf else (
-            math.log2(budget.L) + 2.0 * (math.log2(cfg.alpha) + math.log2(1.0 - cfg.p))
-        )
-        exponent = (
-            math.log2(log_term) + 2.0 - log_scale - 2.0 * (n - j) * math.log2(factor)
-        )
+        exponent = math.log2(log_term) - math.log2(budget.L) - 2.0 * math.log2(threshold)
         return 1 << max(0, math.ceil(exponent))
     return max(1, math.ceil(raw))
 
@@ -241,21 +222,6 @@ def _gap_factor(theta: float) -> float:
     return min(abs(math.sin(half)), abs(math.cos(half)))
 
 
-def _require_gap_factor(theta: float) -> float:
-    """The gap factor of `theta`, refused within 1e-9 of 0, where an angle
-    near a multiple of pi leaves no gap to read."""
-    factor = _gap_factor(theta)
-    if factor < 1e-9:
-        raise ValueError("rotation angle must avoid integer multiples of pi")
-    return factor
-
-
-def _worst_case_gap(theta: float, trailing: int) -> float:
-    """Smallest |Delta tau_j| over the unknown trailing ones count: the gap
-    factor to the power `trailing` (1.0 for none)."""
-    return _gap_factor(theta) ** trailing
-
-
 def learn(
     oracle: Oracle,
     cfg: Dqc1Config,
@@ -274,13 +240,18 @@ def learn(
     every 1 recorded afterwards toggles it, since each removed coupling
     drops one factor of i from the trace.
     """
-    _require_polarization(cfg)
+    # an unpolarized probe, or an angle within 1e-9 of a multiple of pi,
+    # leaves no signal to read
+    if cfg.alpha == 0.0:
+        raise ValueError("alpha must lie in (0, 1]")
     n = cfg.n
     if n < 1:
         raise ValueError("nothing to learn for n = 0")
-    factor = _require_gap_factor(cfg.theta)
-    # the threshold alpha (1-p) _worst_case_gap(theta, n-j) / 2, from factors
-    # computed once per run and multiplied in the same order
+    factor = _gap_factor(cfg.theta)
+    if factor < 1e-9:
+        raise ValueError("rotation angle must avoid integer multiples of pi")
+    # the threshold alpha (1-p) factor^(n-j) / 2, from factors computed once
+    # per run and multiplied in the same order
     base = cfg.alpha * (1.0 - cfg.p)
     # the quadrature that carries the signal, once a nonzero reading fixed it
     quadrature: str | None = None
@@ -289,13 +260,14 @@ def learn(
     steps: list[LearnStep] = []
     for j in range(1, n + 1):
         threshold = base * factor ** (n - j) / 2.0
+        # a normal threshold keeps every s_j = 0 reading normal too, and
+        # is the one the budget is sized for
+        require_normal(threshold, f"the threshold of bit {j}")
         queries = fixed_queries if fixed_queries is not None else query_budget(
-            budget, cfg, j
+            budget, n, threshold
         )
         if queries > max_queries:
             raise BudgetExhaustedError(j, queries, max_queries)
-        # a normal threshold keeps every s_j = 0 reading normal too
-        require_normal(threshold, f"the threshold of bit {j}")
         observables = (quadrature,) if quadrature is not None else ("x", "y")
         record = oracle(j, corrections, budget.L, queries, observables)
         bit = decide_bit(record, threshold)

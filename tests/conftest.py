@@ -168,10 +168,14 @@ def reference_protocol_discord(block, alpha):
 
 def reference_as_bits(s, n=None):
     """``circuits.as_bits`` before it converted in bulk, kept verbatim as the
-    reference: a Python int per character, ``list`` plus ``np.isin``."""
+    reference (a Python int per character, ``list`` plus ``np.isin``) but
+    for its refusals of a string, which name the first non-bit character."""
     if isinstance(s, str):
-        if not s or set(s) - {"0", "1"}:
-            raise ValueError(f"bit string {s!r} must be nonempty over {{0,1}}")
+        if not s:
+            raise ValueError("bit string is empty")
+        bad = next((k for k, c in enumerate(s) if c not in "01"), None)
+        if bad is not None:
+            raise ValueError(f"bit string has {s[bad]!r} at position {bad + 1}, not a 0 or 1")
         bits = np.array([int(c) for c in s], dtype=np.uint8)
     else:
         bits = np.array(list(s), dtype=np.int64)

@@ -291,21 +291,26 @@ def test_criterion_09_budget_frontier():
     def cfg(n, p=0.0):
         return Dqc1Config(n=n, alpha=1.0, p=p, theta=HALF_PI)
 
+    def bit_budget(budget, c, j):
+        # the threshold learn compares bit j's reading with
+        threshold = c.alpha * (1.0 - c.p) * lpn._gap_factor(c.theta) ** (c.n - j) / 2.0
+        return lpn.query_budget(budget, c.n, threshold)
+
     noisier = [
-        lpn.query_budget(BudgetParams(delta=0.01, L=100), cfg(4, p), 1)
+        bit_budget(BudgetParams(delta=0.01, L=100), cfg(4, p), 1)
         for p in (0.0, 0.5, 0.9, 0.99)
     ]
     diverges_p = all(a < b for a, b in zip(noisier, noisier[1:]))
 
     tighter = [
-        lpn.query_budget(BudgetParams(delta=0.01, L=1), cfg(n), 1)
+        bit_budget(BudgetParams(delta=0.01, L=1), cfg(n), 1)
         for n in (2, 6, 10, 14)
     ]
     diverges_eps = all(a < b for a, b in zip(tighter, tighter[1:]))
 
     huge = BudgetParams(delta=0.01, L=10**22)
-    feasible = max(lpn.query_budget(huge, cfg(66), j) for j in (1, 22, 44, 66))
-    infeasible = lpn.query_budget(huge, cfg(120), 1)
+    feasible = max(bit_budget(huge, cfg(66), j) for j in (1, 22, 44, 66))
+    infeasible = bit_budget(huge, cfg(120), 1)
 
     ok = diverges_p and diverges_eps and feasible <= 2 and infeasible > 10**6
     _verdict(

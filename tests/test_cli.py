@@ -291,12 +291,12 @@ def test_budget_exhaustion_exits_three(capsys):
 
 
 def test_budget_exhaustion_message_is_short(capsys):
-    """Bit 1 of 2100 needs exactly 2^2096 queries: printed as a power of
-    two rather than a 631-digit integer."""
-    code, out, err = run_cli(capsys, "learn", "--n", "2100", "--random-s")
+    """Bit 1 of 2000 needs exactly 2^1996 queries: printed as a power of
+    two rather than a 601-digit integer."""
+    code, out, err = run_cli(capsys, "learn", "--n", "2000", "--random-s")
     assert code == 3
     assert out == ""
-    assert "2^2096" in err
+    assert "2^1996" in err
     assert len(err.strip()) < 200
 
 
@@ -379,6 +379,26 @@ def test_refusals_of_huge_ints_are_short(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n" and len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trace-table", "--s", "0" * 3000 + "x"),
+        ("learn", "--s", "0110", "--theta", "1" * 400 + "e400"),
+        ("noise-sweep", "--mode", "systematic", "--s", "0110", "--phi-grid", "a" * 500),
+        # refused by argparse: one line, without the usage text
+        ("learn", "--s", "0110", "--seed", str(10**400)),
+        ("learn", "--s", "0110", "--seed", "-1"),
+    ],
+    ids=["bit-string", "angle", "grid", "seed-huge", "seed-negative"],
+)
+def test_refusals_name_the_fault_not_the_input(capsys, argv):
+    """A refused long value is not echoed back: exit 2, nothing on stdout
+    and one short line on stderr."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err) < 200 and err.count("\n") == 1, err
 
 
 def test_learn_closed_at_2000_qubits(capsys):
@@ -861,6 +881,10 @@ def test_noise_sweep_midq_and_parity_at_64_qubits(capsys):
         # the decision threshold of bit 1 is 2^-1050.5 and 2^-1100.5
         ("learn", "--s", "0" * 2100, "--queries", "1"),
         ("learn", "--s", "0" * 2200, "--queries", "1"),
+        # with the budget rule too, at any cap: no query count can read
+        # a bit whose threshold is not a normal float
+        ("learn", "--s", "0" * 2100),
+        ("learn", "--s", "0" * 2100, "--max-queries", str(10**400)),
         ("trace-table", "--s", "0" * 2200),
         ("noise-sweep", "--mode", "parity", "--s", "0" * 2199 + "1", "--flips", "2200"),
         # 0.8^3200 is about 2^-1030
@@ -873,8 +897,8 @@ def test_noise_sweep_midq_and_parity_at_64_qubits(capsys):
          "--theta-grid", "1e-323", "--phi-grid", "0.4pi"),
     ],
     ids=[
-        "learn-2100", "learn-2200", "trace-table", "parity", "midq", "systematic",
-        "systematic-tilted",
+        "learn-2100", "learn-2200", "learn-2100-budget", "learn-2100-budget-cap",
+        "trace-table", "parity", "midq", "systematic", "systematic-tilted",
     ],
 )
 def test_readout_below_smallest_normal_exits_two(capsys, argv):
@@ -948,19 +972,32 @@ _STRING_VALUES = {
 }
 
 
+#: values that argparse itself refuses for an int option; all but 1.5 are
+#: refused for a float option too
+_UNPARSED = ("x", "1.5", "")
+
+
 def _option_values(action):
-    """Argv values for one option, from its type or choices in the parser."""
+    """Argv values for one option, from its type or choices in the parser;
+    the edge values include some that argparse refuses."""
     if action.choices:
-        return st.sampled_from(sorted(action.choices))
+        return _mostly(st.sampled_from(sorted(action.choices)), st.just("x"))
     if action.type is cli.parse_seed:
-        return st.integers(0, 2**64 - 1).map(str)
+        return _mostly(
+            st.integers(0, 2**64 - 1).map(str),
+            st.sampled_from(("-1", str(2**64), str(10**400), "x")),
+        )
     if action.type is int:
         if action.dest in ("queries", "max_queries", "L"):
             # capped so that a budget-free run stays fast
-            return _mostly(st.integers(1, 10**4).map(str), st.sampled_from(("0", "-1")))
-        return _mostly(st.integers(1, 12).map(str), st.sampled_from(_EDGE_INTS))
+            return _mostly(
+                st.integers(1, 10**4).map(str), st.sampled_from(("0", "-1") + _UNPARSED)
+            )
+        return _mostly(st.integers(1, 12).map(str), st.sampled_from(_EDGE_INTS + _UNPARSED))
     if action.type is float:
-        return _mostly(st.floats(0.0, 1.0).map(repr), st.sampled_from(_EDGE_FLOATS))
+        return _mostly(
+            st.floats(0.0, 1.0).map(repr), st.sampled_from(_EDGE_FLOATS + _UNPARSED)
+        )
     return _STRING_VALUES[action.dest]
 
 
@@ -975,8 +1012,8 @@ _NEEDS = {"random_s": "n", "theta_grid": "alpha"}
 def _cli_argv(draw):
     """A command and a subset of its options (the required ones always),
     drawn from the option table of ``cli._build_parser()`` and written as
-    --flag=value, so that every value parses and each failure comes from
-    the command; --out and --help are left out."""
+    --flag=value, so that a value such as -1 is read as a value; --out and
+    --help are left out."""
     parser = cli._build_parser()
     commands = next(a for a in parser._actions if a.dest == "command").choices
     name = draw(st.sampled_from(sorted(commands)))
@@ -1014,8 +1051,9 @@ def _finite_csv(text):
 @given(_cli_argv())
 def test_cli_contract_on_generated_argv(argv):
     """Every command exits 0, 2 or 3.  Exit 0 prints JSON with no NaN or
-    infinity, or CSV whose numeric fields are finite; a refusal prints
-    nothing on stdout and a message under 200 bytes with no traceback."""
+    infinity, or CSV whose numeric fields are finite; a refusal, by the
+    command or by argparse, prints nothing on stdout and a message under
+    200 bytes with no traceback."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with warnings.catch_warnings():

@@ -12,7 +12,6 @@ from dqc1lpn.lpn import (
     BudgetExhaustedError,
     BudgetParams,
     _gap_factor,
-    _worst_case_gap,
     closed_form_tau,
     decide_bit,
     learn,
@@ -31,6 +30,12 @@ def _budget(L=1000):
 
 def _cfg(n, alpha=1.0, p=0.0):
     return Dqc1Config(n=n, alpha=alpha, p=p, theta=HALF_PI)
+
+
+def _bit_budget(budget, cfg, j):
+    """The budget of bit j, sized from the threshold ``learn`` computes."""
+    threshold = cfg.alpha * (1.0 - cfg.p) * _gap_factor(cfg.theta) ** (cfg.n - j) / 2.0
+    return query_budget(budget, cfg.n, threshold)
 
 
 def test_closed_form_tau_known_value():
@@ -100,34 +105,35 @@ def test_decide_bit_is_indicator(ex, ey, threshold):
 
 def test_query_budget_monotone_in_tail():
     b = _budget(L=1)
-    values = [query_budget(b, _cfg(n), 1) for n in (2, 4, 8, 12)]
+    values = [_bit_budget(b, _cfg(n), 1) for n in (2, 4, 8, 12)]
     assert values == sorted(values)
     assert values[0] < values[-1]
 
 
 def test_query_budget_diverges_with_readout_noise():
-    qs = [query_budget(_budget(L=100), _cfg(4, p=p), 1) for p in (0.0, 0.9, 0.99)]
+    qs = [_bit_budget(_budget(L=100), _cfg(4, p=p), 1) for p in (0.0, 0.9, 0.99)]
     assert qs[0] < qs[1] < qs[2]
 
 
 def test_query_budget_efficiency_frontier():
     big_l = _budget(L=10**22)
-    assert all(query_budget(big_l, _cfg(66), j) == 1 for j in (1, 33, 66))
-    assert query_budget(big_l, _cfg(120), 1) > 10**6
+    assert all(_bit_budget(big_l, _cfg(66), j) == 1 for j in (1, 33, 66))
+    assert _bit_budget(big_l, _cfg(120), 1) > 10**6
 
 
 @pytest.mark.parametrize(
     "n,j,alpha,L,delta,theta,expected",
     [
-        # 2^(n-j) does not fit in a float
-        pytest.param(2200, 1, 1.0, 1, 0.01, HALF_PI, None, id="overflow"),
-        # 2^(n-j) fits, the quotient by a tiny scale does not
+        # T = 2^-750.5, so T^2 underflows and the quotient overflows:
+        # 2 ln(1500 / 0.01) 2^1501 = 2^1505.58 queries
+        pytest.param(1500, 1, 1.0, 1, 0.01, HALF_PI, 2**1506, id="overflow"),
+        # T = 5e-4 2^-510.5 fits, the quotient by its square does not
         pytest.param(1022, 1, 1e-3, 1, 0.01, HALF_PI, None, id="nonfinite"),
         # 1/delta' overflows: 2 ln(4e320) 4 2^3 / 1000 = 47.2
         pytest.param(4, 1, 1.0, 1000, 1e-320, HALF_PI, 48, id="subnormal-delta"),
         # delta/n underflows to 0: 2 ln(4 / 5e-324) 4 2^3 / 1000 = 47.7
         pytest.param(4, 1, 1.0, 1000, 5e-324, HALF_PI, 48, id="zero-delta-share"),
-        # L (alpha (1-p))^2 underflows to 0: 2^1128.07 queries
+        # T = 1e-170 2^-2.5, whose square underflows to 0: 2^1128.07 queries
         pytest.param(4, 1, 1e-170, 1000, 0.01, HALF_PI, 2**1129, id="underflowed-scale"),
         # the same at theta = 1: each of the 3 trailing qubits costs
         # -2 log2 sin(1/2) = 2.121 bits, not 1, so 2^(1128.07 - 3 + 6.36)
@@ -135,19 +141,19 @@ def test_query_budget_efficiency_frontier():
         pytest.param(
             4, 1, 1e-170, 1000, 0.01, 1.0, 2**1132, id="underflowed-scale-theta1"
         ),
-        # float(L) overflows, so the scale is infinite: the quotient is 0
+        # float(L) overflows, so the logs give 2^-1320.2, which counts as 1
         pytest.param(4, 1, 1.0, 10**400, 0.01, HALF_PI, 1, id="overflowed-scale"),
-        # ... and with a gap that underflows, the logs give
-        # 2 ln(2200 / 0.01) 4 2^2199 / 10^400 = 2^876.85 queries
-        pytest.param(2200, 1, 1.0, 10**400, 0.01, HALF_PI, 2**877, id="overflowed-scale-deep-gap"),
-        # or 2^-1116 for L = 10^1000, which counts as 1
-        pytest.param(2200, 1, 1.0, 10**1000, 0.01, HALF_PI, 1, id="overflowed-scale-deep-gap-1"),
+        # ... and with T = 2^-1000.5, whose square underflows, the logs give
+        # 2 ln(2000 / 0.01) 2^2001 / 10^400 = 2^676.84 queries
+        pytest.param(2000, 1, 1.0, 10**400, 0.01, HALF_PI, 2**677, id="overflowed-scale-deep-gap"),
+        # or 2^-1316.3 for L = 10^1000, which counts as 1
+        pytest.param(2000, 1, 1.0, 10**1000, 0.01, HALF_PI, 1, id="overflowed-scale-deep-gap-1"),
     ],
 )
 def test_query_budget_log_space_fallback(n, j, alpha, L, delta, theta, expected):
     # the float quotient is unusable or overflows; result must still be a usable int
     cfg = Dqc1Config(n=n, alpha=alpha, p=0.0, theta=theta)
-    q = query_budget(BudgetParams(delta=delta, L=L), cfg, j)
+    q = _bit_budget(BudgetParams(delta=delta, L=L), cfg, j)
     assert isinstance(q, int)
     assert q > 10**300 if expected is None else q == expected
 
@@ -180,13 +186,23 @@ def test_budget_meets_the_threshold_learn_uses(theta, n, alpha, p, L, delta, per
 def test_query_budget_per_bit_delta_needs_less():
     shared = BudgetParams(delta=0.01, L=1)
     per_bit = BudgetParams(delta=0.01, L=1, per_bit_delta=True)
-    assert query_budget(per_bit, _cfg(10), 1) <= query_budget(shared, _cfg(10), 1)
+    assert _bit_budget(per_bit, _cfg(10), 1) <= _bit_budget(shared, _cfg(10), 1)
 
 
 def test_query_budget_refuses_unpolarized_probe():
-    """alpha = 0 would make the budget's scale 0; it is refused by name."""
-    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
-        query_budget(_budget(), _cfg(4, alpha=0.0), 1)
+    """An unpolarized probe (alpha = 0) gives a threshold of 0.0, and a deep
+    gap a subnormal one; the budget refuses these, a negative T and NaN."""
+    for threshold in (0.0, -0.25, math.nan, 2.0**-1030):
+        with pytest.raises(ValueError, match=r"at least 2\^-1022"):
+            query_budget(_budget(), 4, threshold)
+
+
+def test_query_budget_refuses_fewer_than_one_bit():
+    """delta has no bits to be split over; a ZeroDivisionError or a math
+    domain error would not say so."""
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n < 1"):
+            query_budget(_budget(), n, 0.25)
 
 
 @pytest.mark.parametrize("fixed_queries", [None, 5])
@@ -352,7 +368,7 @@ def test_learn_thresholds_grow_with_decoupling():
 )
 def test_learn_steps_are_bitwise_the_formulas(n, theta, alpha, p, s_seed):
     """Off theta = pi/2: every threshold is alpha (1-p) gap / 2 with the gap
-    from ``_worst_case_gap``, and every closed reading is the block's trace
+    ``_gap_factor(theta) ** (n - j)``, and every closed reading is the block's trace
     through ``expectations_from_tau``, bit for bit (an unread quadrature is
     0.0)."""
     assume(_gap_factor(theta) >= 1e-3)
@@ -369,7 +385,7 @@ def test_learn_steps_are_bitwise_the_formulas(n, theta, alpha, p, s_seed):
     ones = qubit_mask(k for k in range(1, n + 1) if bits[k - 1])
     for step, (corrections, observables) in zip(res.steps, reads, strict=True):
         j = step.j
-        assert step.threshold == cfg.alpha * (1 - cfg.p) * _worst_case_gap(theta, n - j) / 2
+        assert step.threshold == cfg.alpha * (1 - cfg.p) * _gap_factor(theta) ** (n - j) / 2
         rotated = ((1 << n) - 1) >> j << j
         tau = StepBlock(theta, n, rotated, ones ^ corrections).tau()
         ex, ey = expectations_from_tau(alpha, p, tau)
@@ -390,8 +406,12 @@ def test_learn_rejects_degenerate_angle():
     cfg = Dqc1Config(n=2, alpha=1.0, p=0.0, theta=0.0)
     with pytest.raises(ValueError):
         learn(make_oracle(as_bits("01"), cfg), cfg, _budget())
-    # the budget reads the same gap factor and refuses the same angles
     for theta in (0.0, 2 * math.pi):
         cfg = Dqc1Config(n=2, alpha=1.0, p=0.0, theta=theta)
         with pytest.raises(ValueError, match="multiples of pi"):
-            query_budget(_budget(), cfg, 1)
+            learn(make_oracle(as_bits("01"), cfg), cfg, _budget())
+    # at theta = 0 bit 1's threshold is 0.0: the budget refuses it, as it
+    # refuses every T that is not a positive normal float
+    for threshold in (0.0, -0.25, math.nan, 2.0**-1030):
+        with pytest.raises(ValueError, match=r"at least 2\^-1022"):
+            query_budget(_budget(), 2, threshold)
