@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from itertools import chain
+from itertools import chain, product
 from typing import Any
 
 import numpy as np
@@ -33,6 +33,14 @@ def _number(text: str, what: str) -> float:
         return float(text)
     except ValueError:
         raise ValueError(f"{what} is not a number") from None
+
+
+def _integer(text: str, what: str) -> int:
+    """int(text); a refusal names `what`, not the text, which may be long."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} is not an integer") from None
 
 
 def parse_angle(text: str) -> float:
@@ -65,10 +73,7 @@ def parse_grid(text: str, *, angle: bool = False) -> list[float]:
         if len(parts) != 3:
             raise ValueError("grid must be lo:hi:count or a comma-separated list")
         lo, hi = conv(parts[0]), conv(parts[1])
-        try:
-            count = int(parts[2])
-        except ValueError:
-            raise ValueError("grid count is not an integer") from None
+        count = _integer(parts[2], "grid count")
         if count < 1:
             raise ValueError("grid count must be positive")
         if count > MAX_GRID_POINTS:
@@ -88,9 +93,25 @@ def _check_product(first: list[float], second: list[float]) -> None:
         )
 
 
+def parse_int(text: str) -> int:
+    """Type of the int options: argparse's own refusal would echo the text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer") from None
+
+
+def parse_float(text: str) -> float:
+    """Type of the float options: argparse's own refusal would echo the text."""
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not a number") from None
+
+
 def parse_seed(text: str) -> int:
     """--seed: an integer in 0..2^64-1, the range every command accepts."""
-    value = int(text)
+    value = parse_int(text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed outside 0..2^64-1")
     return value
@@ -102,6 +123,19 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _add_choice(sub, flag: str, names: tuple[str, ...], **kwargs) -> None:
+    """An option that takes one of `names`.  Its type refuses any other text
+    without echoing it; argparse applies the type before its own check of
+    ``choices``, which keeps the names in --help."""
+
+    def one_of(text: str) -> str:
+        if text not in names:
+            raise argparse.ArgumentTypeError("not one of " + ", ".join(names))
+        return text
+
+    sub.add_argument(flag, type=one_of, choices=names, **kwargs)
 
 
 class NonFiniteOutputError(Exception):
@@ -222,7 +256,7 @@ def _serialize(payload: dict[str, Any], fmt: str) -> str:
 
 def _resolve_string(args) -> np.ndarray:
     if args.n is not None and args.n < 1:
-        raise ValueError(f"--n {args.n} must be at least 1")
+        raise ValueError("--n must be at least 1")
     if args.s is not None and args.random_s:
         raise ValueError("give either --s or --random-s, not both")
     if args.s is not None:
@@ -242,9 +276,9 @@ def _resolve_string(args) -> np.ndarray:
 
 def cmd_learn(args) -> tuple[dict[str, Any], dict[str, Any]]:
     if args.queries is not None and args.queries < 1:
-        raise ValueError(f"--queries {args.queries} must be at least 1")
+        raise ValueError("--queries must be at least 1")
     if args.max_queries < 1:
-        raise ValueError(f"--max-queries {args.max_queries} must be at least 1")
+        raise ValueError("--max-queries must be at least 1")
     theta = parse_angle(args.theta)
     bits = _resolve_string(args)
     n = bits.size
@@ -299,7 +333,7 @@ def cmd_learn(args) -> tuple[dict[str, Any], dict[str, Any]]:
 def cmd_trace_table(args) -> tuple[dict[str, Any], dict[str, Any]]:
     theta = parse_angle(args.theta)
     if args.n is not None and args.n < 1:
-        raise ValueError(f"--n {args.n} must be at least 1")
+        raise ValueError("--n must be at least 1")
     if args.s is not None:
         strings = [as_bits(args.s)]
         n = strings[0].size
@@ -390,12 +424,11 @@ def cmd_discord_sweep(args) -> tuple[dict[str, Any], dict[str, Any]]:
 
 def cmd_noise_sweep(args) -> tuple[dict[str, Any], dict[str, Any]]:
     bits = as_bits(args.s)
-    n = bits.size
+    theta = parse_angle(args.theta)
+    cfg = Dqc1Config(n=bits.size, alpha=args.alpha, p=args.p, theta=theta, seed=args.seed)
     rows: list[dict[str, Any]] = []
     config: dict[str, Any] = {"mode": args.mode, "s": bits_to_str(bits)}
     if args.mode == "midq":
-        theta = parse_angle(args.theta)
-        cfg = Dqc1Config(n=n, alpha=args.alpha, p=args.p, theta=theta, seed=args.seed)
         q_grid = parse_grid(args.q_grid)
         ratios = noise.midcircuit_noise_sweep(bits, cfg, q_grid, j=args.j)
         rows = [{"q": q, "signal_ratio": r} for q, r in zip(q_grid, ratios)]
@@ -404,9 +437,7 @@ def cmd_noise_sweep(args) -> tuple[dict[str, Any], dict[str, Any]]:
             p=args.p, q_grid=args.q_grid, j=args.j,
         )
     elif args.mode == "parity":
-        theta = parse_angle(args.theta)
-        cfg = Dqc1Config(n=n, alpha=args.alpha, p=args.p, theta=theta, seed=args.seed)
-        flips = [int(v) for v in str(args.flips).split(",") if v != ""]
+        flips = [_integer(v, "--flips entry") for v in str(args.flips).split(",") if v != ""]
         corrupted = noise.phase_flip_parity_experiment(bits, cfg, flips, j=args.j)
         clean = noise.phase_flip_parity_experiment(bits, cfg, (), j=args.j)
         rows.append(
@@ -429,23 +460,11 @@ def cmd_noise_sweep(args) -> tuple[dict[str, Any], dict[str, Any]]:
         phi_grid = parse_grid(args.phi_grid, angle=True)
         theta_grid = parse_grid(args.theta_grid, angle=True)
         _check_product(phi_grid, theta_grid)
-        cfg = Dqc1Config(
-            n=n, alpha=args.alpha, p=args.p, theta=theta_grid[0], seed=args.seed
-        )
-        for row in noise.systematic_error_sweep(
-            bits, cfg, phi_grid, theta_grid, j=args.j
-        ):
-            rows.append(
-                {
-                    "phi": row.phi,
-                    "theta": row.theta,
-                    "re_tau_dense": row.tau_dense.real,
-                    "im_tau_dense": row.tau_dense.imag,
-                    "re_tau_pred": row.tau_predicted.real,
-                    "im_tau_pred": row.tau_predicted.imag,
-                    "deviation": row.deviation,
-                }
-            )
+        taus = noise.systematic_error_sweep(bits, phi_grid, theta_grid, j=args.j)
+        rows = [
+            {"phi": phi, "theta": angle, "re_tau_pred": tau.real, "im_tau_pred": tau.imag}
+            for (phi, angle), tau in zip(product(phi_grid, theta_grid), taus)
+        ]
         config.update(
             alpha=args.alpha, p=args.p, phi_grid=args.phi_grid,
             theta_grid=args.theta_grid, j=args.j,
@@ -474,8 +493,8 @@ def cmd_coherence(args) -> tuple[dict[str, Any], dict[str, Any]]:
 def _add_common(sub, default_format: str):
     sub.add_argument("--seed", type=parse_seed, default=0, help="root RNG seed")
     sub.add_argument("--out", default=None, help="write the record here instead of stdout")
-    sub.add_argument(
-        "--format", choices=("json", "csv"), default=default_format,
+    _add_choice(
+        sub, "--format", ("json", "csv"), default=default_format,
         help=f"output format (default {default_format})",
     )
 
@@ -492,53 +511,51 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("learn", help="recover a hidden parity string")
-    p.add_argument("--n", type=int, default=None, help="number of data qubits")
+    p.add_argument("--n", type=parse_int, default=None, help="number of data qubits")
     p.add_argument("--s", default=None, help="hidden string, e.g. 0110")
     p.add_argument("--random-s", action="store_true", help="draw s from the seed")
-    p.add_argument("--alpha", type=float, default=1.0, help="probe polarization")
-    p.add_argument("--p", type=float, default=0.0, help="readout depolarization")
+    p.add_argument("--alpha", type=parse_float, default=1.0, help="probe polarization")
+    p.add_argument("--p", type=parse_float, default=0.0, help="readout depolarization")
     p.add_argument("--theta", default="0.5pi", help="rotation angle (pi suffix ok)")
-    p.add_argument("--L", type=int, default=1000, help="shots per query")
-    p.add_argument("--delta", type=float, default=0.01, help="failure probability")
+    p.add_argument("--L", type=parse_int, default=1000, help="shots per query")
+    p.add_argument("--delta", type=parse_float, default=0.01, help="failure probability")
     p.add_argument(
         "--per-bit-delta", action="store_true",
         help="spend delta per bit instead of splitting it globally",
     )
+    _add_choice(p, "--backend", ("dense", "closed", "sampled"), default="closed")
     p.add_argument(
-        "--backend", choices=("dense", "closed", "sampled"), default="closed"
-    )
-    p.add_argument(
-        "--queries", type=int, default=None,
+        "--queries", type=parse_int, default=None,
         help="fixed queries per bit (overrides the budget rule)",
     )
     p.add_argument(
-        "--max-queries", type=int, default=10**7,
+        "--max-queries", type=parse_int, default=10**7,
         help="refuse bits that would need more queries than this",
     )
     _add_common(p, "json")
 
     p = sub.add_parser("trace-table", help="closed-form readout table")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=parse_int, default=None)
     p.add_argument("--s", default=None, help="single string (else all, n <= 8)")
     p.add_argument("--theta", default="0.5pi")
     _add_common(p, "csv")
 
     p = sub.add_parser("discord-sweep", help="probe-register discord sweeps")
     p.add_argument("--s", required=True)
-    p.add_argument("--j", type=int, required=True, help="probed data qubit")
+    p.add_argument("--j", type=parse_int, required=True, help="probed data qubit")
     p.add_argument("--theta", default="0.5pi", help="angle for --alpha-grid mode")
-    p.add_argument("--alpha", type=float, default=None, help="fixed polarization for --theta-grid mode")
+    p.add_argument("--alpha", type=parse_float, default=None, help="fixed polarization for --theta-grid mode")
     p.add_argument("--alpha-grid", default=None, help="lo:hi:count")
     p.add_argument("--theta-grid", default=None, help="lo:hi:count (pi suffix ok)")
     _add_common(p, "csv")
 
     p = sub.add_parser("noise-sweep", help="error-model experiments")
-    p.add_argument("--mode", choices=("midq", "parity", "systematic"), required=True)
+    _add_choice(p, "--mode", ("midq", "parity", "systematic"), required=True)
     p.add_argument("--s", required=True)
     p.add_argument("--theta", default="0.5pi")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--p", type=float, default=0.0)
-    p.add_argument("--j", type=int, default=None, help="probed data qubit (default: first 0 bit)")
+    p.add_argument("--alpha", type=parse_float, default=1.0)
+    p.add_argument("--p", type=parse_float, default=0.0)
+    p.add_argument("--j", type=parse_int, default=None, help="probed data qubit (default: first 0 bit)")
     p.add_argument("--q-grid", default="0:0.05:6", help="midq mode: depolarization grid")
     p.add_argument("--flips", default="", help="parity mode: data qubits to phase-flip, e.g. 1,3")
     p.add_argument("--phi-grid", default="0:0.45pi:5", help="systematic mode: tilt grid")

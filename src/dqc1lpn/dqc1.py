@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -31,6 +32,15 @@ _PARTS_PER_CALL = 4096
 
 #: most full int64 parts one read may take: about 0.1 s of draws
 _MAX_PARTS = 2**20
+
+
+def require_int(value, what: str) -> int:
+    """`value` as an int (``operator.index``); a float, even 2.0, or any
+    other value that is not an integer raises ValueError naming `what`."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer") from None
 
 
 @dataclass(frozen=True)
@@ -51,7 +61,7 @@ class Dqc1Config:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 0:
+        if require_int(self.n, "n") < 0:
             raise ValueError("n must be nonnegative")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha {self.alpha} outside [0, 1]")
@@ -61,7 +71,7 @@ class Dqc1Config:
             raise ValueError(f"angle theta {self.theta} is not finite")
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend {self.backend!r} not one of {_BACKENDS}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= require_int(self.seed, "seed") < 2**64:
             raise ValueError("seed must fit in 64 bits")
 
 
@@ -78,8 +88,8 @@ class EstimateRecord:
         # written so that NaN fails both bounds
         if not (abs(self.ex) <= 1.0 + 1e-12 and abs(self.ey) <= 1.0 + 1e-12):
             raise ValueError("expectation estimates must lie in [-1, 1]")
-        if not (self.se_x >= 0.0 and self.se_y >= 0.0):
-            raise ValueError("standard errors must be nonnegative")
+        if not (0.0 <= self.se_x < math.inf and 0.0 <= self.se_y < math.inf):
+            raise ValueError("standard errors must be finite and nonnegative")
 
 
 def expectations_from_tau(alpha: float, p: float, tau: complex) -> tuple[float, float]:

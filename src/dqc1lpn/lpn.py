@@ -38,7 +38,7 @@ from .circuits import (
     StepBlock, angle_traces, as_bits, kinds_tau, mask_kinds, normal_tau, ones_mask,
     require_normal,
 )
-from .dqc1 import Dqc1Config, EstimateRecord
+from .dqc1 import Dqc1Config, EstimateRecord, require_int
 
 #: Hoeffding-style constant in the query budget.
 HOEFFDING_C = 2.0
@@ -88,7 +88,7 @@ class BudgetParams:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.L < 1:
+        if require_int(self.L, "L") < 1:
             raise ValueError("L must be positive")
 
 
@@ -122,8 +122,9 @@ def closed_form_tau(s, theta: float, j: int, decoupled: Iterable[int] = ()) -> c
 
 def decide_bit(est: EstimateRecord, threshold: float) -> int:
     """Midpoint rule: report 1 when |ex| + |ey| falls below the threshold."""
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
+    # NaN fails both bounds
+    if not 0.0 < threshold < math.inf:
+        raise ValueError("threshold must be positive and finite")
     return 1 if abs(est.ex) + abs(est.ey) < threshold else 0
 
 

@@ -8,17 +8,16 @@ the probe input, and depolarization at rate q on each data qubit damps
 the probe signal by (1-q) per coupled qubit.
 
 Both mid-circuit experiments apply that corruption to the closed-form
-trace of the probe-step block (``circuits.StepBlock.tau``), so they build
-no density matrix and run at any n.  The tilted-axis sweep compares the
-trace summed over the block's dense diagonal (``StepBlock.dense_trace``,
-which builds no matrix) with its prediction.  The depolarizing channel on
-a dense state, against which the damping is checked, is in ``qstate``.
+trace of the probe-step block (``circuits.StepBlock.tau``), and the
+tilted-axis sweep reads that trace alone, so all three build no density
+matrix and run at any n.  The depolarizing channel on a dense state,
+against which the damping is checked, is in ``qstate``.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -108,52 +107,28 @@ def phase_flip_parity_experiment(
     return EstimateRecord(ex=ex + 0.0, ey=ey + 0.0, se_x=0.0, se_y=0.0)
 
 
-@dataclass(frozen=True)
-class SystematicErrorRow:
-    phi: float
-    theta: float
-    tau_dense: complex
-    tau_predicted: complex
-    deviation: float
-
-
 def systematic_error_sweep(
-    s,
-    cfg: Dqc1Config,
-    phi_grid: Sequence[float],
-    theta_grid: Sequence[float],
-    *,
-    j: int | None = None,
-) -> list[SystematicErrorRow]:
-    """Normalized trace of the dense block under a tilted rotation axis
-    (``StepBlock.dense_trace``), across a (phi, theta) grid, against the
-    block's closed form (``StepBlock.tau``): the untilted trace times cos(phi)^m.
+    s, phi_grid: Sequence[float], theta_grid: Sequence[float], *, j: int | None = None
+) -> list[complex]:
+    """Normalized trace of the probe-step block under a tilted rotation axis,
+    the block's closed form ``StepBlock.tau``, at each (phi, theta) of
+    ``itertools.product(phi_grid, theta_grid)``, in that order.
 
     Each of the m coupled qubits rotated about the tilted axis picks up one
     factor of cos(phi), so the signal dies at phi = pi/2 whenever m >= 1.
     Amplitude (theta) miscalibration is covered by the theta axis of the
     grid: the trace formula holds at whatever angle was actually applied.
-    A prediction that is not exactly zero but falls below 2^-1022 raises
+    A trace that is not exactly zero but falls below 2^-1022 raises
     ValueError.
     """
-    bits = as_bits(s, n=cfg.n)
+    bits = as_bits(s)
     if j is None:
         j = default_probe_bit(bits)
-    rows = []
-    for phi in phi_grid:
-        for theta in theta_grid:
-            block = circuits.StepBlock.from_bits(bits, theta, j, phi=phi)
-            tau_dense = complex(block.dense_trace() / 2**cfg.n)
-            predicted = block.tau()
-            if not block.vanishes():
-                circuits.require_normal(predicted, "the predicted trace")
-            rows.append(
-                SystematicErrorRow(
-                    phi=float(phi),
-                    theta=float(theta),
-                    tau_dense=tau_dense,
-                    tau_predicted=predicted,
-                    deviation=abs(tau_dense - predicted),
-                )
-            )
-    return rows
+    traces = []
+    for phi, theta in itertools.product(phi_grid, theta_grid):
+        block = circuits.StepBlock.from_bits(bits, theta, j, phi=phi)
+        tau = block.tau()
+        if not block.vanishes():
+            circuits.require_normal(tau, "the predicted trace")
+        traces.append(tau)
+    return traces

@@ -202,13 +202,18 @@ def test_criterion_06_error_propagation():
 
 
 def test_criterion_07_systematic_tilt():
+    """The sweep's closed form against the trace summed over the tilted
+    block's dense diagonal, at every grid point."""
     bits = as_bits("0110")
-    cfg = Dqc1Config(n=4, alpha=1.0, p=0.0, theta=HALF_PI)
     phis = [0.0, 0.1 * math.pi, 0.2 * math.pi, 0.3 * math.pi, 0.4 * math.pi]
     thetas = [0.3, 0.8, HALF_PI, 2.0, 2.2]
-    rows = noise.systematic_error_sweep(bits, cfg, phis, thetas)
-    worst = max(row.deviation for row in rows)
-    ok = len(rows) == 25 and worst < 1e-10
+    taus = noise.systematic_error_sweep(bits, phis, thetas)
+    j = noise.default_probe_bit(bits)
+    worst = max(
+        abs(tau - circuits.StepBlock.from_bits(bits, theta, j, phi=phi).dense_trace() / 2**4)
+        for (phi, theta), tau in zip(itertools.product(phis, thetas), taus)
+    )
+    ok = len(taus) == 25 and worst < 1e-10
     _verdict(
         7,
         "tilted rotations damp the trace by cos(phi) per coupled qubit",

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqc1lpn import cli, lpn
-from dqc1lpn.circuits import as_bits, bits_to_str
+from dqc1lpn import cli, lpn, noise
+from dqc1lpn.circuits import StepBlock, as_bits, bits_to_str
 
 
 def run_cli(capsys, *argv):
@@ -165,6 +165,37 @@ def test_noise_sweep_systematic_bytes_unchanged(capsys, name):
     assert out == (GOLDEN / golden).read_text()
 
 
+def _dense_deviations(capsys, argv):
+    """Runs a systematic sweep with `argv` and returns, row by row, the
+    distance of its printed trace from the trace summed over the tilted
+    block's dense diagonal (``StepBlock.dense_trace() / 2^n``)."""
+    code, out, _ = run_cli(capsys, "noise-sweep", "--mode", "systematic", *argv)
+    assert code == 0
+    opts = dict(zip(argv[::2], argv[1::2]))
+    bits = as_bits(opts["--s"])
+    j = int(opts["--j"]) if "--j" in opts else noise.default_probe_bit(bits)
+    grid = list(itertools.product(
+        cli.parse_grid(opts["--phi-grid"], angle=True),
+        cli.parse_grid(opts["--theta-grid"], angle=True),
+    ))
+    rows = out.splitlines()[2:]
+    assert len(rows) == len(grid)
+    deviations = []
+    for (phi, theta), row in zip(grid, rows):
+        re_tau, im_tau = map(float, row.split(",")[2:])
+        dense = StepBlock.from_bits(bits, theta, j, phi=phi).dense_trace() / 2**bits.size
+        deviations.append(abs(complex(re_tau, im_tau) - dense))
+    return deviations
+
+
+@pytest.mark.parametrize("name", list(SYSTEMATIC_GOLDEN))
+def test_noise_sweep_systematic_goldens_match_dense_diagonal(capsys, name):
+    """The pinned sweeps print the closed form; at every point of their
+    grids it agrees with the dense diagonal's trace."""
+    argv, _ = SYSTEMATIC_GOLDEN[name]
+    assert max(_dense_deviations(capsys, argv)) < 1e-10
+
+
 #: discord sweeps whose stdout is pinned in tests/golden: the README's
 #: three commands and the mirror-minimum run that CI checks.
 DISCORD_GOLDEN = {
@@ -269,7 +300,7 @@ def test_usage_errors_exit_two(capsys):
     ):
         code, out, err = run_cli(capsys, "learn", "--s", "0110", flag, value)
         assert (code, out) == (2, "")
-        assert err == f"error: {flag} {value} must be at least 1\n"
+        assert err == f"error: {flag} must be at least 1\n"
     # an unpolarized probe, with the budget rule and with fixed queries
     for backend in ("dense", "closed", "sampled"):
         for queries in ((), ("--queries", "1")):
@@ -390,8 +421,27 @@ def test_refusals_of_huge_ints_are_short(capsys, argv, message):
         # refused by argparse: one line, without the usage text
         ("learn", "--s", "0110", "--seed", str(10**400)),
         ("learn", "--s", "0110", "--seed", "-1"),
+        # counts below 1 name the flag and its bound, not the count
+        ("learn", "--s", "0110", "--queries", "-" + str(10**400)),
+        ("learn", "--s", "0110", "--max-queries", "-" + str(10**400)),
+        ("learn", "--random-s", "--n", "-" + str(10**400)),
+        ("trace-table", "--n", "-" + str(10**400)),
+        # values that are no int, number or choice: the option types refuse
+        # them before argparse's own message, which echoes the text
+        ("learn", "--s", "0110", "--n", "x" * 500),
+        ("learn", "--s", "0110", "--alpha", "x" * 500),
+        ("learn", "--s", "0110", "--backend", "x" * 500),
+        ("learn", "--s", "0110", "--format", "x" * 500),
+        ("learn", "--s", "0110", "--seed", "x" * 500),
+        ("discord-sweep", "--s", "011", "--j", "x" + "1" * 500, "--alpha-grid", "0.5"),
+        ("noise-sweep", "--mode", "parity", "--s", "0110", "--flips", "x" * 500),
     ],
-    ids=["bit-string", "angle", "grid", "seed-huge", "seed-negative"],
+    ids=[
+        "bit-string", "angle", "grid", "seed-huge", "seed-negative",
+        "queries-huge", "max-queries-huge", "n-huge", "trace-table-n-huge",
+        "n-text", "alpha-text", "backend-text", "format-text", "seed-text",
+        "discord-j-text", "flips-text",
+    ],
 )
 def test_refusals_name_the_fault_not_the_input(capsys, argv):
     """A refused long value is not echoed back: exit 2, nothing on stdout
@@ -564,15 +614,11 @@ def test_noise_sweep_parity_cancellation(capsys):
 
 
 def test_noise_sweep_systematic_deviation_small(capsys):
-    code, out, _ = run_cli(
-        capsys, "noise-sweep", "--mode", "systematic", "--s", "011",
-        "--phi-grid", "0:0.4pi:3", "--theta-grid", "0.3,1.57",
+    deviations = _dense_deviations(
+        capsys, ("--s", "011", "--phi-grid", "0:0.4pi:3", "--theta-grid", "0.3,1.57")
     )
-    assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 8
-    for line in lines[2:]:
-        assert float(line.split(",")[-1]) < 1e-10
+    assert len(deviations) == 6
+    assert max(deviations) < 1e-10
 
 
 @pytest.mark.parametrize("s, j", [("0111", "2"), ("01", "1")])
@@ -585,7 +631,7 @@ def test_noise_sweep_systematic_prints_no_negative_zero(capsys, s, j):
     )
     assert code == 0
     fields = [v for line in out.splitlines()[2:] for v in line.split(",")]
-    assert len(fields) == 4 * 7
+    assert len(fields) == 4 * 4
     assert "-0" not in fields
 
 
@@ -895,10 +941,14 @@ def test_noise_sweep_midq_and_parity_at_64_qubits(capsys):
         # sin(5e-324) cos(0.4pi) rounds to 0.0, an underflow, not a vanishing factor
         ("noise-sweep", "--mode", "systematic", "--s", "01", "--j", "1",
          "--theta-grid", "1e-323", "--phi-grid", "0.4pi"),
+        # cos(pi/4)^2199 = 2^-1099.5: the closed form runs at any n
+        ("noise-sweep", "--mode", "systematic", "--s", "0" * 2200,
+         "--theta-grid", "0.5pi", "--phi-grid", "0"),
     ],
     ids=[
         "learn-2100", "learn-2200", "learn-2100-budget", "learn-2100-budget-cap",
         "trace-table", "parity", "midq", "systematic", "systematic-tilted",
+        "systematic-2200",
     ],
 )
 def test_readout_below_smallest_normal_exits_two(capsys, argv):
@@ -987,14 +1037,14 @@ def _option_values(action):
             st.integers(0, 2**64 - 1).map(str),
             st.sampled_from(("-1", str(2**64), str(10**400), "x")),
         )
-    if action.type is int:
+    if action.type is cli.parse_int:
         if action.dest in ("queries", "max_queries", "L"):
             # capped so that a budget-free run stays fast
             return _mostly(
                 st.integers(1, 10**4).map(str), st.sampled_from(("0", "-1") + _UNPARSED)
             )
         return _mostly(st.integers(1, 12).map(str), st.sampled_from(_EDGE_INTS + _UNPARSED))
-    if action.type is float:
+    if action.type is cli.parse_float:
         return _mostly(
             st.floats(0.0, 1.0).map(repr), st.sampled_from(_EDGE_FLOATS + _UNPARSED)
         )

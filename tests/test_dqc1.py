@@ -35,6 +35,12 @@ def test_config_validation():
     for theta in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="not finite"):
             Dqc1Config(n=2, alpha=0.5, p=0.0, theta=theta, backend="closed")
+    # counts and seeds are integers: an infinite seed raised OverflowError,
+    # and a fractional n or seed was accepted
+    for fields in ({"seed": math.inf}, {"seed": 1.5}, {"n": 2.5}, {"n": 2.0}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Dqc1Config(**{"n": 2, "alpha": 0.5, "p": 0.0, "theta": 1.0, **fields})
+    assert Dqc1Config(n=np.int64(2), alpha=0.5, p=0.0, theta=1.0, seed=np.uint64(3)).n == 2
 
 
 def test_initial_state_half_polarized():
@@ -106,6 +112,10 @@ def test_estimate_record_validation():
     for fields in ((math.nan, 0.0, 0.0, 0.0), (0.0, math.nan, 0.0, 0.0),
                    (0.0, 0.0, math.nan, 0.0), (0.0, 0.0, 0.0, math.nan)):
         with pytest.raises(ValueError):
+            EstimateRecord(*fields)
+    # an infinite standard error says nothing about the estimate
+    for fields in ((0.0, 0.0, math.inf, 0.0), (0.0, 0.0, 0.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
             EstimateRecord(*fields)
 
 

@@ -91,6 +91,10 @@ def test_decide_bit_threshold():
     assert decide_bit(rec, 0.4) == 1
     with pytest.raises(ValueError):
         decide_bit(rec, 0.0)
+    # NaN decided 0 and an infinite threshold 1; neither is a threshold
+    for threshold in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            decide_bit(rec, threshold)
 
 
 @given(
@@ -195,6 +199,22 @@ def test_query_budget_refuses_unpolarized_probe():
     for threshold in (0.0, -0.25, math.nan, 2.0**-1030):
         with pytest.raises(ValueError, match=r"at least 2\^-1022"):
             query_budget(_budget(), 4, threshold)
+
+
+def test_budget_params_validation():
+    """L is a shot count: NaN was accepted, and L = 1.5 planned 454
+    queries.  delta lies in (0, 1)."""
+    BudgetParams(delta=0.01, L=np.int64(10))
+    assert BudgetParams(delta=0.01, L=10**400).L == 10**400
+    for L in (math.nan, math.inf, 1.5, 2.0):
+        with pytest.raises(ValueError, match="L must be an integer"):
+            BudgetParams(delta=0.01, L=L)
+    for L in (0, -1):
+        with pytest.raises(ValueError, match="L must be positive"):
+            BudgetParams(delta=0.01, L=L)
+    for delta in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="delta"):
+            BudgetParams(delta=delta, L=10)
 
 
 def test_query_budget_refuses_fewer_than_one_bit():

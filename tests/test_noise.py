@@ -214,12 +214,22 @@ def test_phase_flip_scales_with_readout_noise():
     assert noisy.ey == pytest.approx(0.5 * clean.ey, abs=1e-12)
 
 
+def _dense_taus(bits, phis, thetas, j):
+    """The normalized trace summed over the tilted block's dense diagonal,
+    at each (phi, theta) in the order of ``systematic_error_sweep``."""
+    return [
+        complex(StepBlock.from_bits(bits, theta, j, phi=phi).dense_trace() / 2**bits.size)
+        for phi, theta in itertools.product(phis, thetas)
+    ]
+
+
 def test_systematic_sweep_known_point():
     # s=011, j=1, phi=pi/3: (i/sqrt2)^2 cos^2(pi/3) = -1/8
     bits = as_bits("011")
-    rows = systematic_error_sweep(bits, _cfg(3), [math.pi / 3], [HALF_PI], j=1)
-    assert rows[0].tau_dense == pytest.approx(-1 / 8, abs=1e-12)
-    assert rows[0].deviation < 1e-12
+    taus = systematic_error_sweep(bits, [math.pi / 3], [HALF_PI], j=1)
+    (dense,) = _dense_taus(bits, [math.pi / 3], [HALF_PI], 1)
+    assert dense == pytest.approx(-1 / 8, abs=1e-12)
+    assert abs(taus[0] - dense) < 1e-12
 
 
 def test_systematic_prediction_is_the_block_closed_form():
@@ -228,11 +238,11 @@ def test_systematic_prediction_is_the_block_closed_form():
     for s, j in (("0111", 2), ("01", 1), ("0110", 1)):
         bits = as_bits(s)
         phis, thetas = [0.6 * math.pi, 0.7 * math.pi], [1.0, 2.0]
-        rows = systematic_error_sweep(bits, _cfg(len(s)), phis, thetas, j=j)
-        for row in rows:
-            block = StepBlock.from_bits(bits, row.theta, j, phi=row.phi)
-            assert row.tau_predicted == block.tau()
-            for part in (row.tau_predicted.real, row.tau_predicted.imag):
+        taus = systematic_error_sweep(bits, phis, thetas, j=j)
+        assert len(taus) == 4
+        for (phi, theta), tau in zip(itertools.product(phis, thetas), taus):
+            assert tau == StepBlock.from_bits(bits, theta, j, phi=phi).tau()
+            for part in (tau.real, tau.imag):
                 assert math.copysign(1.0, part) == 1.0 or part != 0.0
 
 
@@ -240,6 +250,7 @@ def test_systematic_sweep_grid_accuracy():
     bits = as_bits("0110")
     phis = [0.0, 0.1 * math.pi, 0.2 * math.pi, 0.3 * math.pi, 0.4 * math.pi]
     thetas = [0.3, 0.8, HALF_PI, 2.0, 2.2]
-    rows = systematic_error_sweep(bits, _cfg(4), phis, thetas)
-    assert len(rows) == 25
-    assert max(row.deviation for row in rows) < 1e-10
+    taus = systematic_error_sweep(bits, phis, thetas)
+    assert len(taus) == 25
+    dense = _dense_taus(bits, phis, thetas, default_probe_bit(bits))
+    assert max(abs(t - d) for t, d in zip(taus, dense)) < 1e-10
