@@ -20,10 +20,11 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from operator import index
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from .dqc1 import require_int, require_real
 
 #: Largest qubit count of a dense matrix (``StepBlock.factors``, ``qstate``);
 #: past it a dense matrix stops fitting in desk-scale memory.
@@ -104,8 +105,9 @@ class StepBlock:
     ``R(theta, phi)^rotated_k . sx^flips_k``: a rotation or the identity,
     times sx where a parity coupling is left after the decoupling
     corrections.  `rotated` and `flips` are int bitmasks, bit k-1 for
-    qubit k; a bit at or past n, a negative mask, or a theta or phi that is
-    not finite is refused.
+    qubit k; a negative n, a count or mask that is not an integer, a bit at
+    or past n, a negative mask, or a theta or phi that is not a finite real
+    number raises ValueError.
     ``factors`` lists its 2x2 factors in qubit order, which
     ``qstate.block_operator`` multiplies out into the dense matrix, and
     ``dense_trace`` sums that matrix's diagonal without building it, both
@@ -123,10 +125,14 @@ class StepBlock:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+        theta, phi = require_real(self.theta, "theta"), require_real(self.phi, "phi")
+        if not (math.isfinite(theta) and math.isfinite(phi)):
             raise ValueError(f"angles theta {self.theta} and phi {self.phi} must be finite")
+        if require_int(self.n, "n") < 0:
+            raise ValueError("n must be nonnegative")
+        rotated, flips = require_int(self.rotated, "rotated"), require_int(self.flips, "flips")
         # a negative mask shifts to -1, so it is refused too
-        if (self.rotated | self.flips) >> self.n:
+        if (rotated | flips) >> self.n:
             raise ValueError(f"rotated or flipped qubits outside 1..{self.n}")
 
     @classmethod
@@ -147,14 +153,17 @@ class StepBlock:
         coupling of a learned 1 and a stray one leaves a bare sx.
         """
         n = len(bits)
+        j = None if j is None else require_int(j, "j")
         if j is not None and not 1 <= j <= n:
             raise ValueError(f"probe index outside 1..{n}")
+        decoupled = require_int(decoupled, "decoupled")
+        corrections = require_int(corrections, "corrections")
         # a negative mask shifts to -1, or meets ~decoupled, so it is refused
         if decoupled >> n:
             raise ValueError("decoupled set outside data register")
         if corrections & ~decoupled:
             raise ValueError("corrections must target decoupled qubits")
-        probe = 0 if j is None else 1 << (index(j) - 1)
+        probe = 0 if j is None else 1 << (j - 1)
         if probe & decoupled:
             raise ValueError(f"probe index {j} cannot be decoupled")
         rotated = ((1 << n) - 1) & ~(decoupled | probe)

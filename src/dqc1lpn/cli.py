@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 import time
 from itertools import chain, product
@@ -35,12 +36,24 @@ def _number(text: str, what: str) -> float:
         raise ValueError(f"{what} is not a number") from None
 
 
+#: A decimal integer as int() reads it: int() refuses one only when its
+#: digits pass Python's limit (``sys.get_int_max_str_digits()``).
+_INT_TEXT = r"\s*[+-]?\d+(?:_\d+)*\s*"
+
+
+def _int_fault(text: str) -> str:
+    """Why int(text) refused `text`, without echoing it."""
+    if re.fullmatch(_INT_TEXT, text):
+        return f"an integer longer than Python's {sys.get_int_max_str_digits()}-digit limit"
+    return "not an integer"
+
+
 def _integer(text: str, what: str) -> int:
     """int(text); a refusal names `what`, not the text, which may be long."""
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"{what} is not an integer") from None
+        raise ValueError(f"{what} is {_int_fault(text)}") from None
 
 
 def parse_angle(text: str) -> float:
@@ -98,7 +111,7 @@ def parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("not an integer") from None
+        raise argparse.ArgumentTypeError(_int_fault(text)) from None
 
 
 def parse_float(text: str) -> float:
@@ -225,7 +238,7 @@ def _table_cells(rows: list | tuple) -> list | None:
     keys = list(rows[0])
     if not keys or not {str}.issuperset(map(type, keys)):
         return None
-    if not all(list(row) == keys for row in rows):
+    if not all(map(keys.__eq__, map(list, rows))):
         return None
     cells = list(chain.from_iterable(map(dict.values, rows)))
     return cells if _flat(cells) else None
@@ -293,19 +306,20 @@ def cmd_learn(args) -> tuple[dict[str, Any], dict[str, Any]]:
         fixed_queries=args.queries, max_queries=args.max_queries,
     )
     s_hat = bits_to_str(result.s_hat)
+    ensemble = budget.L
     rows = [
         {
-            "j": step.j,
-            "ex": step.record.ex,
-            "ey": step.record.ey,
-            "se_x": step.record.se_x,
-            "se_y": step.record.se_y,
-            "queries": step.queries,
-            "ensemble": budget.L,
-            "threshold": step.threshold,
-            "bit": step.bit,
+            "j": j,
+            "ex": ex,
+            "ey": ey,
+            "se_x": se_x,
+            "se_y": se_y,
+            "queries": queries,
+            "ensemble": ensemble,
+            "threshold": threshold,
+            "bit": bit,
         }
-        for step in result.steps
+        for j, (ex, ey, se_x, se_y), queries, threshold, bit in result.steps
     ]
     config = {
         "n": n,

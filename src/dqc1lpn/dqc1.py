@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import index
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +44,17 @@ def require_int(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer") from None
 
 
+def require_real(value, what: str):
+    """`value` if ``math.isfinite`` takes it (a float, an int in float range,
+    anything with ``__float__``); a str, None, a complex or an int past
+    float range raises ValueError naming `what`."""
+    try:
+        math.isfinite(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{what} must be a real number in float range") from None
+    return value
+
+
 @dataclass(frozen=True)
 class Dqc1Config:
     """Protocol parameters.
@@ -63,11 +75,11 @@ class Dqc1Config:
     def __post_init__(self):
         if require_int(self.n, "n") < 0:
             raise ValueError("n must be nonnegative")
-        if not 0.0 <= self.alpha <= 1.0:
+        if not 0.0 <= require_real(self.alpha, "alpha") <= 1.0:
             raise ValueError(f"alpha {self.alpha} outside [0, 1]")
-        if not 0.0 <= self.p < 1.0:
+        if not 0.0 <= require_real(self.p, "readout depolarization p") < 1.0:
             raise ValueError(f"readout depolarization p {self.p} outside [0, 1)")
-        if not math.isfinite(self.theta):
+        if not math.isfinite(require_real(self.theta, "angle theta")):
             raise ValueError(f"angle theta {self.theta} is not finite")
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend {self.backend!r} not one of {_BACKENDS}")
@@ -75,21 +87,41 @@ class Dqc1Config:
             raise ValueError("seed must fit in 64 bits")
 
 
-@dataclass(frozen=True)
-class EstimateRecord:
-    """One estimate of the probe expectations; analytic backends report se 0."""
-
+class _EstimateFields(NamedTuple):
     ex: float
     ey: float
     se_x: float
     se_y: float
 
-    def __post_init__(self):
-        # written so that NaN fails both bounds
-        if not (abs(self.ex) <= 1.0 + 1e-12 and abs(self.ey) <= 1.0 + 1e-12):
+
+class EstimateRecord(_EstimateFields):
+    """One estimate of the probe expectations, an immutable named tuple
+    (ex, ey, se_x, se_y); analytic backends report se 0.  Building one, by
+    position, by keyword or by ``_make``/``_replace``, checks the estimates
+    lie in [-1, 1] and the standard errors are finite and nonnegative; a
+    field that is not a real number raises ValueError too."""
+
+    __slots__ = ()
+
+    def __new__(cls, ex: float, ey: float, se_x: float, se_y: float):
+        try:
+            # written so that NaN fails both bounds, and a complex raises
+            in_range = (
+                -1.0 - 1e-12 <= ex <= 1.0 + 1e-12 and -1.0 - 1e-12 <= ey <= 1.0 + 1e-12
+            )
+            finite = 0.0 <= se_x < math.inf and 0.0 <= se_y < math.inf
+        except TypeError:
+            raise ValueError("estimates and standard errors must be real numbers") from None
+        if not in_range:
             raise ValueError("expectation estimates must lie in [-1, 1]")
-        if not (0.0 <= self.se_x < math.inf and 0.0 <= self.se_y < math.inf):
+        if not finite:
             raise ValueError("standard errors must be finite and nonnegative")
+        return tuple.__new__(cls, (ex, ey, se_x, se_y))
+
+    @classmethod
+    def _make(cls, iterable) -> "EstimateRecord":
+        # the named tuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
 def expectations_from_tau(alpha: float, p: float, tau: complex) -> tuple[float, float]:
@@ -149,11 +181,12 @@ def sample_expectations(
     full parts is refused.
     """
     # written so that NaN fails the bound
-    if not (abs(true_ex) <= 1.0 and abs(true_ey) <= 1.0):
+    if not (abs(require_real(true_ex, "true ex")) <= 1.0
+            and abs(require_real(true_ey, "true ey")) <= 1.0):
         raise ValueError(
             f"sample_expectations: true expectations ({true_ex}, {true_ey}) must lie in [-1, 1]"
         )
-    if L < 1 or Q < 1:
+    if require_int(L, "L") < 1 or require_int(Q, "Q") < 1:
         raise ValueError("L and Q must be positive")
     if L > _INT64_MAX:
         raise ValueError("L exceeds 2^63 - 1, the int64 range of the shot sampler")

@@ -27,9 +27,10 @@ Oracles close over s; the learner only ever sees the query callable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from operator import index
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .circuits import (
     StepBlock, angle_traces, as_bits, kinds_tau, mask_kinds, normal_tau, ones_mask,
     require_normal,
 )
-from .dqc1 import Dqc1Config, EstimateRecord, require_int
+from .dqc1 import Dqc1Config, EstimateRecord, require_int, require_real
 
 #: Hoeffding-style constant in the query budget.
 HOEFFDING_C = 2.0
@@ -86,15 +87,15 @@ class BudgetParams:
     per_bit_delta: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
+        if not 0.0 < require_real(self.delta, "delta") < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if require_int(self.L, "L") < 1:
             raise ValueError("L must be positive")
 
 
-@dataclass(frozen=True)
-class LearnStep:
-    """One probed bit: the estimate it saw and the decision it produced."""
+class LearnStep(NamedTuple):
+    """One probed bit, an immutable named tuple: the estimate it saw and the
+    decision it produced."""
 
     j: int
     record: EstimateRecord
@@ -139,11 +140,14 @@ def query_budget(budget: BudgetParams, n: int, threshold: float) -> int:
     not a positive normal float is refused, and so is n below 1.
     """
     # 0, a subnormal, a negative T, NaN and inf all fail this test
-    if not 2.0**-1022 <= threshold < math.inf:
+    if not 2.0**-1022 <= require_real(threshold, "threshold") < math.inf:
         raise ValueError("threshold must be a finite float of at least 2^-1022")
-    if n < 1:
+    if require_int(n, "n") < 1:
         raise ValueError("nothing to budget for n < 1")
-    delta_eff = budget.delta if budget.per_bit_delta else budget.delta / n
+    try:
+        delta_eff = budget.delta if budget.per_bit_delta else budget.delta / n
+    except OverflowError:  # n past float range: its log is taken below
+        delta_eff = 0.0
     if delta_eff and 1.0 / delta_eff < math.inf:
         log_term = HOEFFDING_C * math.log(1.0 / delta_eff)
     else:  # delta/n underflowed to 0, or 1/delta' overflows: add the logs
@@ -211,7 +215,7 @@ def make_oracle(s, cfg: Dqc1Config) -> Oracle:
             )
         ex = ex if "x" in observables else 0.0
         ey = ey if "y" in observables else 0.0
-        return EstimateRecord(ex=ex, ey=ey, se_x=0.0, se_y=0.0)
+        return EstimateRecord(ex, ey, 0.0, 0.0)
 
     return oracle
 
@@ -262,8 +266,10 @@ def learn(
     for j in range(1, n + 1):
         threshold = base * factor ** (n - j) / 2.0
         # a normal threshold keeps every s_j = 0 reading normal too, and
-        # is the one the budget is sized for
-        require_normal(threshold, f"the threshold of bit {j}")
+        # is the one the budget is sized for; the message is built only
+        # for a refusal
+        if abs(threshold) < sys.float_info.min:
+            require_normal(threshold, f"the threshold of bit {j}")
         queries = fixed_queries if fixed_queries is not None else query_budget(
             budget, n, threshold
         )
@@ -278,8 +284,6 @@ def learn(
                 quadrature = "y" if quadrature == "x" else "x"
         elif quadrature is None:
             quadrature = "x" if abs(record.ex) >= abs(record.ey) else "y"
-        steps.append(
-            LearnStep(j=j, record=record, queries=queries, threshold=threshold, bit=bit)
-        )
+        steps.append(LearnStep(j, record, queries, threshold, bit))
     s_hat = np.array([step.bit for step in steps], dtype=np.uint8)
     return LearnResult(s_hat=s_hat, steps=tuple(steps))

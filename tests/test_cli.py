@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -449,6 +450,32 @@ def test_refusals_name_the_fault_not_the_input(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert len(err) < 200 and err.count("\n") == 1, err
+
+
+#: a decimal integer past Python's limit for int() of a string
+_LONG_INT = "1" * (sys.get_int_max_str_digits() + 700)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("learn", "--s", "0110", "--L", _LONG_INT), "dqc1lpn learn: error: argument --L: "),
+        (("learn", "--s", "0110", "--seed", "-" + _LONG_INT),
+         "dqc1lpn learn: error: argument --seed: "),
+        (("coherence", "--alpha-grid", "0:1:" + _LONG_INT), "error: grid count is "),
+        (("noise-sweep", "--mode", "parity", "--s", "0110", "--flips", "1," + _LONG_INT),
+         "error: --flips entry is "),
+    ],
+    ids=["learn-L", "seed", "grid-count", "flips"],
+)
+def test_refusals_of_long_integers_name_the_digit_limit(capsys, argv, message):
+    """An integer too long for int() is refused as one, not as text that is
+    no integer, in one short line that does not echo it."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"{message}an integer longer than Python's {limit}-digit limit\n"
+    assert len(err) < 200
 
 
 def test_learn_closed_at_2000_qubits(capsys):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqc1lpn import circuits, dqc1, qstate
 from dqc1lpn.dqc1 import (
@@ -11,6 +13,7 @@ from dqc1lpn.dqc1 import (
     expectations_from_tau,
     sample_expectations,
 )
+from dqc1lpn.lpn import BudgetParams, query_budget
 from dqc1lpn.qstate import (
     OperatorMatrix,
     initial_state,
@@ -102,21 +105,161 @@ def test_probe_depolarization_scales_readout(rng, p):
     assert noisy[1] == pytest.approx((1 - p) * clean[1], abs=1e-12)
 
 
+def _by_keyword(*fields):
+    return EstimateRecord(**dict(zip(EstimateRecord._fields, fields)))
+
+
+def _by_replace(*fields):
+    zero = EstimateRecord(0.0, 0.0, 0.0, 0.0)
+    return zero._replace(**dict(zip(EstimateRecord._fields, fields)))
+
+
 def test_estimate_record_validation():
-    EstimateRecord(ex=0.1, ey=-0.2, se_x=0.01, se_y=0.01)
-    with pytest.raises(ValueError):
-        EstimateRecord(ex=1.5, ey=0.0, se_x=0.0, se_y=0.0)
-    with pytest.raises(ValueError):
-        EstimateRecord(ex=0.0, ey=0.0, se_x=-0.1, se_y=0.0)
-    # NaN fails every bound
-    for fields in ((math.nan, 0.0, 0.0, 0.0), (0.0, math.nan, 0.0, 0.0),
-                   (0.0, 0.0, math.nan, 0.0), (0.0, 0.0, 0.0, math.nan)):
+    """Every check holds whether the record is built by position, by keyword
+    or by ``_replace``."""
+    for build in (EstimateRecord, _by_keyword, _by_replace):
+        build(0.1, -0.2, 0.01, 0.01)
         with pytest.raises(ValueError):
+            build(1.5, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            build(0.0, 0.0, -0.1, 0.0)
+        # NaN fails every bound
+        for fields in ((math.nan, 0.0, 0.0, 0.0), (0.0, math.nan, 0.0, 0.0),
+                       (0.0, 0.0, math.nan, 0.0), (0.0, 0.0, 0.0, math.nan)):
+            with pytest.raises(ValueError):
+                build(*fields)
+        # an infinite standard error says nothing about the estimate
+        for fields in ((0.0, 0.0, math.inf, 0.0), (0.0, 0.0, 0.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                build(*fields)
+
+
+def test_estimate_record_is_an_immutable_named_tuple():
+    by_position = EstimateRecord(0.1, -0.2, 0.01, 0.02)
+    assert EstimateRecord(ex=0.1, ey=-0.2, se_x=0.01, se_y=0.02) == by_position
+    assert by_position == (0.1, -0.2, 0.01, 0.02)
+    ex, ey, se_x, se_y = by_position
+    assert (ex, ey, se_x, se_y) == (0.1, -0.2, 0.01, 0.02)
+    assert (by_position.ex, by_position.se_y) == (0.1, 0.02)
+    with pytest.raises(AttributeError):
+        by_position.ex = 0.5
+    with pytest.raises(AttributeError):
+        by_position.extra = 0.5
+    # a field that is not a real number is a ValueError, not a TypeError
+    for fields in (("a", 0.0, 0.0, 0.0), (0.0, None, 0.0, 0.0), (0.0, 0.0, "0", 0.0),
+                   (0.5j, 0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="real numbers"):
             EstimateRecord(*fields)
-    # an infinite standard error says nothing about the estimate
-    for fields in ((0.0, 0.0, math.inf, 0.0), (0.0, 0.0, 0.0, math.inf)):
-        with pytest.raises(ValueError, match="finite"):
-            EstimateRecord(*fields)
+
+
+#: What a library caller may pass where a count, a mask or a number belongs:
+#: small and huge ints, floats with NaN and the infinities, strings, None.
+_VALUES = st.one_of(
+    st.integers(-3, 70),
+    st.integers(-(2**5000), 2**5000),
+    st.floats(),
+    st.text(max_size=4),
+    st.none(),
+)
+
+#: _VALUES without the ints from 9 to 2^200, which as Q could ask a read of
+#: up to 2^20 int64 parts; 2^200 or more is refused whatever L is
+_NOT_A_FEW = st.one_of(
+    st.integers(-3, 0), st.integers(2**200, 2**5000), st.floats(), st.text(max_size=4),
+    st.none(),
+)
+
+
+def _mostly(valid, junk=_VALUES):
+    """`valid` four draws in five, else `junk`, so that most calls get past
+    their first check."""
+    return st.integers(0, 4).flatmap(lambda k: valid if k else junk)
+
+
+def _finite(*values):
+    """Whether every value is an int (of any size) or a finite float."""
+    return all(isinstance(v, int) or math.isfinite(v) for v in values)
+
+
+def _config(draw):
+    cfg = Dqc1Config(
+        n=draw(_mostly(st.integers(0, 70))),
+        alpha=draw(_mostly(st.floats(0.0, 1.0))),
+        p=draw(_mostly(st.floats(0.0, 1.0, exclude_max=True))),
+        theta=draw(_mostly(st.floats(-10.0, 10.0))),
+        seed=draw(_mostly(st.integers(0, 2**64 - 1))),
+    )
+    return _finite(cfg.n, cfg.alpha, cfg.p, cfg.theta, cfg.seed)
+
+
+def _block(draw):
+    mask = _mostly(st.integers(0, 2**12 - 1))
+    block = circuits.StepBlock(
+        draw(_mostly(st.floats(-10.0, 10.0))), draw(_mostly(st.integers(0, 12))),
+        draw(mask), draw(mask), draw(_mostly(st.floats(-4.0, 4.0))),
+    )
+    tau = block.tau()
+    return _finite(tau.real, tau.imag)
+
+
+def _record(draw):
+    estimate, error = _mostly(st.floats(-1.0, 1.0)), _mostly(st.floats(0.0, 1.0))
+    return _finite(*EstimateRecord(draw(estimate), draw(estimate), draw(error), draw(error)))
+
+
+def _sample(draw):
+    truth = _mostly(st.floats(-1.0, 1.0))
+    # L in int64 and Q up to 8 keep a read to at most 8 int64 parts
+    L = draw(_mostly(st.integers(1, 2**63 - 1)))
+    Q = draw(_mostly(st.integers(1, 8), _NOT_A_FEW))
+    return _finite(*sample_expectations(draw(truth), draw(truth), L, Q, _seed(0)))
+
+
+def _budget(draw):
+    budget = BudgetParams(
+        draw(_mostly(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))),
+        draw(_mostly(st.integers(1, 10**6))),
+    )
+    n, threshold = draw(_mostly(st.integers(1, 10**4))), draw(_mostly(st.floats(0.0, 1.0)))
+    queries = query_budget(budget, n, threshold)
+    return isinstance(queries, int) and queries >= 1
+
+
+@pytest.mark.parametrize("call", [_config, _block, _record, _sample, _budget])
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_library_entry_points_refuse_with_value_error(call, data):
+    """Each entry point, given any mix of ints, huge ints, floats (NaN and
+    inf among them), strings and None, raises ValueError or returns finite
+    values."""
+    try:
+        finite = call(data.draw)
+    except ValueError:
+        return
+    assert finite
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: circuits.StepBlock(1.0, 2.5, 0, 0), "n"),
+        (lambda: circuits.StepBlock(1.0, 2, 1.5, 0), "rotated"),
+        (lambda: sample_expectations(0.5, 0.5, 10.5, 3, _seed(0)), "L"),
+        (lambda: sample_expectations(0.5, 0.5, 10, 3.5, _seed(0)), "Q"),
+        (lambda: Dqc1Config(n=2, alpha="0.5", p=0.0, theta=1.0), "alpha"),
+        (lambda: Dqc1Config(n=2, alpha=0.5, p=0.0, theta="1"), "theta"),
+        (lambda: BudgetParams("0.1", 10), "delta"),
+        (lambda: EstimateRecord("a", 0.0, 0.0, 0.0), "estimates"),
+        (lambda: query_budget(BudgetParams(0.1, 10), 2.5, 0.1), "n"),
+    ],
+    ids=["block-n", "block-mask", "sample-L", "sample-Q", "config-alpha", "config-theta",
+         "budget-delta", "record", "budget-n"],
+)
+def test_entry_points_name_the_parameter_they_refuse(call, name):
+    """A count that is not an integer, or a number that is a string, was a
+    TypeError (or, for the budget's n, a silent 65 queries)."""
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call()
 
 
 def _seed(k):

@@ -11,6 +11,7 @@ from dqc1lpn.lpn import (
     HOEFFDING_C,
     BudgetExhaustedError,
     BudgetParams,
+    LearnStep,
     _gap_factor,
     closed_form_tau,
     decide_bit,
@@ -225,6 +226,13 @@ def test_query_budget_refuses_fewer_than_one_bit():
             query_budget(_budget(), n, 0.25)
 
 
+def test_query_budget_past_float_range_of_bits():
+    """delta / n raised OverflowError for an n past float range; the logs of
+    the share are added instead: 2 (ln 10^400 - ln 0.1) / (10 * 0.25^2)."""
+    need = HOEFFDING_C * (400 * math.log(10) - math.log(0.1)) / 10 / 0.25**2
+    assert query_budget(BudgetParams(delta=0.1, L=10), 10**400, 0.25) == math.ceil(need)
+
+
 @pytest.mark.parametrize("fixed_queries", [None, 5])
 @pytest.mark.parametrize("kind", ["dense", "closed", "sampled"])
 def test_learn_refuses_unpolarized_probe(kind, fixed_queries):
@@ -368,6 +376,21 @@ def test_learn_sampled_backend_round_trip():
     res = learn(make_oracle(bits, cfg), cfg, _budget(), fixed_queries=200)
     assert bits_to_str(res.s_hat) == "101"
     assert all(step.queries == 200 for step in res.steps)
+
+
+def test_learn_step_is_an_immutable_named_tuple():
+    record = EstimateRecord(0.25, 0.0, 0.0, 0.0)
+    step = LearnStep(3, record, 7, 0.125, 0)
+    assert LearnStep(j=3, record=record, queries=7, threshold=0.125, bit=0) == step
+    j, (ex, ey, se_x, se_y), queries, threshold, bit = step
+    assert (j, ex, ey, se_x, se_y, queries, threshold, bit) == (3, 0.25, 0.0, 0.0, 0.0, 7, 0.125, 0)
+    with pytest.raises(AttributeError):
+        step.bit = 1
+    cfg = _cfg(4)
+    res = learn(make_oracle(as_bits("0110"), cfg), cfg, _budget(), fixed_queries=5)
+    assert [step.queries for step in res.steps] == [5, 5, 5, 5]
+    assert [step.j for step in res.steps] == [1, 2, 3, 4]
+    assert all(type(step.record) is EstimateRecord for step in res.steps)
 
 
 def test_learn_thresholds_grow_with_decoupling():
