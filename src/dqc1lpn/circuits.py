@@ -1,7 +1,7 @@
 """The probe-step block (``StepBlock``) of the parity-learning protocol,
 described qubit by qubit, with its closed-form trace.  No dense matrix is
-built here: ``qstate``, the dense reference, builds the block's matrix
-from its 2x2 factors (``StepBlock.factors``).
+built here: the dense reference of the tests, ``tests/dense_reference.py``,
+builds the block's matrix from its 2x2 factors (``StepBlock.factors``).
 
 Layout: qubit 0 is the probe (control) qubit, data qubits are numbered
 1..n and double as absolute qubit indices in the (n+1)-qubit register.
@@ -26,7 +26,8 @@ import numpy as np
 
 from .dqc1 import require_int, require_real
 
-#: Largest qubit count of a dense matrix (``StepBlock.factors``, ``qstate``);
+#: Largest qubit count of a dense matrix (``StepBlock.factors`` and
+#: ``tests/dense_reference.py``);
 #: past it a dense matrix stops fitting in desk-scale memory.
 MAX_QUBITS = 12
 
@@ -109,9 +110,9 @@ class StepBlock:
     or past n, a negative mask, or a theta or phi that is not a finite real
     number raises ValueError.
     ``factors`` lists its 2x2 factors in qubit order, which
-    ``qstate.block_operator`` multiplies out into the dense matrix, and
-    ``dense_trace`` sums that matrix's diagonal without building it, both
-    up to ``MAX_QUBITS``.  The normalized trace (``tau``), whether it is
+    ``block_operator`` of ``tests/dense_reference.py`` multiplies out into
+    the dense matrix, and ``dense_trace`` sums that matrix's diagonal
+    without building it, both up to ``MAX_QUBITS``.  The normalized trace (``tau``), whether it is
     exactly zero (``vanishes``) and the spectrum that
     ``infomeasures.protocol_discord`` reads depend only on
     ``kinds``, how many qubits fall into each of the four kinds, so they
@@ -171,7 +172,9 @@ class StepBlock:
 
     def factors(self) -> list[np.ndarray]:
         """The 2x2 factors of qubits 1..n in order, a factor times sx with its
-        columns swapped; refused past ``MAX_QUBITS`` before any allocation."""
+        columns swapped, which the dense backend's ``dense_trace`` and the
+        tests' ``tests/dense_reference.py`` read; refused past ``MAX_QUBITS``
+        before any allocation."""
         if self.n > MAX_QUBITS:
             raise ValueError(
                 f"a dense block on {self.n} qubits exceeds the {MAX_QUBITS}-qubit "
@@ -187,8 +190,8 @@ class StepBlock:
     def dense_trace(self) -> np.complex128:
         """The trace of the dense block from its 2^n diagonal entries, without
         the 4^n matrix: each is the product of factor diagonals that
-        ``qstate.kron_all`` writes there, summed in the same order, so the
-        trace has the same bits."""
+        ``kron_all`` of ``tests/dense_reference.py`` writes there, summed in
+        the same order, so the trace has the same bits."""
         diag = np.ones(1, dtype=complex)
         for f in self.factors():
             diag = np.multiply.outer(diag, np.diagonal(f)).ravel()

@@ -11,7 +11,7 @@ each query as the mean of L two-outcome (+-1) measurements, and reads a
 quadrature over Q queries as one binomial draw of L*Q shots, split into
 int64-sized parts when L*Q is larger.  The dense
 run of that circuit (``initial_state``, ``run_protocol``) is the
-reference in ``qstate``.
+reference in ``tests/dense_reference.py``.
 """
 
 from __future__ import annotations

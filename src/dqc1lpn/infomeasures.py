@@ -10,7 +10,8 @@ and the step block's kind counts (``StepBlock.kinds``): the spectrum
 mod pi is a binomial lattice over the rotated qubits, no dense state is
 built, and the cost is polynomial in n.  The measures of an arbitrary
 dense state (``quantum_discord``, mutual information, the
-partial-transpose check, coherence) are the reference in ``qstate``.
+partial-transpose check, coherence) are the reference in
+``tests/dense_reference.py``.
 The measurement angle is searched by nested grids of one vectorized
 objective (``_nested_grid_min``).
 """
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import StepBlock
+from .dqc1 import require_real
 
 _TINY = sys.float_info.min
 #: cells of each level of the nested grids over [0, pi/2]
@@ -34,7 +36,7 @@ _PHI_TOL = 1e-7
 
 def binary_entropy(x: float) -> float:
     """H2(x) = -x log2 x - (1-x) log2 (1-x), zero at both endpoints."""
-    if not 0.0 <= x <= 1.0:
+    if not 0.0 <= require_real(x, "x") <= 1.0:
         raise ValueError(f"argument {x} outside [0, 1]")
     acc = 0.0
     for t in (x, 1.0 - x):
@@ -46,9 +48,9 @@ def binary_entropy(x: float) -> float:
 def coherence_consumption(alpha: float, tau_abs: float) -> float:
     """Probe coherence spent to read a block of normalized trace magnitude
     tau_abs: H2((1 - alpha tau_abs)/2) - H2((1 - alpha)/2)."""
-    if not 0.0 <= alpha <= 1.0:
+    if not 0.0 <= require_real(alpha, "alpha") <= 1.0:
         raise ValueError("alpha outside [0, 1]")
-    if not 0.0 <= tau_abs <= 1.0:
+    if not 0.0 <= require_real(tau_abs, "tau_abs") <= 1.0:
         raise ValueError("tau_abs outside [0, 1]")
     return binary_entropy((1.0 - alpha * tau_abs) / 2.0) - binary_entropy(
         (1.0 - alpha) / 2.0
@@ -165,7 +167,7 @@ def protocol_discord(block: StepBlock, alpha: float) -> DiscordResult:
     each level of the search is two outer products and a few array
     operations.
     """
-    if not 0.0 <= alpha <= 1.0:
+    if not 0.0 <= require_real(alpha, "alpha") <= 1.0:
         raise ValueError(f"alpha {alpha} outside [0, 1]")
     phases, weights = _spectrum(block)
     tau = block.tau()

@@ -44,6 +44,10 @@ from .dqc1 import Dqc1Config, EstimateRecord, require_int, require_real
 #: Hoeffding-style constant in the query budget.
 HOEFFDING_C = 2.0
 
+#: The quadratures an oracle reads, and the integer parameters of a query.
+_OBSERVABLES = frozenset(("x", "y"))
+_QUERY_COUNTS = ("j", "corrections", "ensemble", "queries")
+
 #: Type of a protocol query: (j, corrections, ensemble, queries, observables)
 #: -> EstimateRecord, with data qubits 1..j-1 decoupled and `corrections` an
 #: int bitmask of the corrected ones among them (bit k-1 for qubit k).
@@ -115,8 +119,13 @@ def closed_form_tau(s, theta: float, j: int, decoupled: Iterable[int] = ()) -> c
     and their 1s corrected (``StepBlock.tau``); a trace that is not exactly
     zero but falls below 2^-1022 raises ValueError."""
     bits = as_bits(s)
-    # a qubit below 1 is a negative shift, which raises ValueError
-    dec = sum({1 << (int(k) - 1) for k in decoupled})
+    dec = 0
+    for k in decoupled:
+        # range-checked before the shift, which for a huge k would build a huge int
+        k = require_int(k, "every qubit of decoupled")
+        if not 1 <= k <= bits.size:
+            raise ValueError(f"decoupled qubits outside 1..{bits.size}")
+        dec |= 1 << (k - 1)
     block = StepBlock.from_bits(bits, theta, j, dec, ones_mask(bits) & dec)
     return normal_tau(angle_traces(theta, 0.0), block.kinds)
 
@@ -171,9 +180,11 @@ def make_oracle(s, cfg: Dqc1Config) -> Oracle:
 
     A query probes bit j with qubits 1..j-1 decoupled and the qubits in
     the int bitmask `corrections` (bit k-1 for qubit k, all below j)
-    corrected; every backend first refuses a j outside 1..n, a mask that
-    is negative or sets a bit at or after j, and an ensemble or query
-    count below 1.  cfg.backend "dense" sums the diagonal of the block's
+    corrected; every backend first refuses, with ValueError naming the
+    parameter, a j, mask, ensemble or query count that is not an integer,
+    a j outside 1..n, a mask that is negative or sets a bit at or after j,
+    an ensemble or query count below 1, and observables other than "x"
+    and "y".  cfg.backend "dense" sums the diagonal of the block's
     matrix qubit by qubit (``StepBlock.dense_trace``, up to ``MAX_QUBITS``),
     "closed" evaluates the trace from the block's kind counts, "sampled"
     adds shot noise to the closed-form values with one RNG stream per
@@ -193,7 +204,18 @@ def make_oracle(s, cfg: Dqc1Config) -> Oracle:
         queries: int = 1,
         observables: tuple[str, ...] = ("x", "y"),
     ) -> EstimateRecord:
-        j = index(j)
+        # one try on the common path; a refusal looks for the parameter to
+        # name, and if every count is an integer, observables raised
+        try:
+            j = index(j)
+            corrections = index(corrections)
+            ensemble = index(ensemble)
+            queries = index(queries)
+            known = _OBSERVABLES.issuperset(observables)
+        except TypeError:
+            for value, what in zip((j, corrections, ensemble, queries), _QUERY_COUNTS):
+                require_int(value, what)
+            known = False
         if not 1 <= j <= n:
             raise ValueError(f"probe index outside 1..{n}")
         # a negative mask shifts to -1, so this refuses it as well
@@ -201,6 +223,8 @@ def make_oracle(s, cfg: Dqc1Config) -> Oracle:
             raise ValueError(f"corrections must target decoupled qubits 1..{j - 1}")
         if ensemble < 1 or queries < 1:
             raise ValueError("ensemble and queries must be at least 1")
+        if not known:
+            raise ValueError('observables must be a collection of "x" and "y"')
         rotated = register >> j << j
         flips = ones ^ corrections
         if backend == "dense":
@@ -243,8 +267,14 @@ def learn(
     that decouples qubit j from then on.  Both quadratures are sampled
     until the first nonzero reading fixes which one carries the signal;
     every 1 recorded afterwards toggles it, since each removed coupling
-    drops one factor of i from the trace.
+    drops one factor of i from the trace.  A `fixed_queries` (queries per
+    bit instead of the budget) or `max_queries` that is not an integer of
+    at least 1 is refused with ValueError before any query.
     """
+    if fixed_queries is not None and require_int(fixed_queries, "fixed_queries") < 1:
+        raise ValueError("fixed_queries must be at least 1")
+    if require_int(max_queries, "max_queries") < 1:
+        raise ValueError("max_queries must be at least 1")
     # an unpolarized probe, or an angle within 1e-9 of a multiple of pi,
     # leaves no signal to read
     if cfg.alpha == 0.0:

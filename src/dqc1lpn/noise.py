@@ -11,7 +11,7 @@ Both mid-circuit experiments apply that corruption to the closed-form
 trace of the probe-step block (``circuits.StepBlock.tau``), and the
 tilted-axis sweep reads that trace alone, so all three build no density
 matrix and run at any n.  The depolarizing channel on a dense state,
-against which the damping is checked, is in ``qstate``.
+against which the damping is checked, is in ``tests/dense_reference.py``.
 """
 
 from __future__ import annotations
@@ -46,13 +46,13 @@ def midcircuit_noise_sweep(
     step damps the step block's trace by (1-q) per coupled qubit: the
     ratio of |<sx> + i <sy>| with and without noise is (1-q)^m for m
     coupled qubits.  After s is parsed, every rate of the grid is checked
-    to lie in [0, 0.2]; then an all-zero s, and a noiseless signal that is
-    exactly zero (the block vanishes, or alpha = 0), are refused; then a
-    ratio below 2^-1022.
+    to be a real number in [0, 0.2]; then an all-zero s, and a noiseless
+    signal that is exactly zero (the block vanishes, or alpha = 0), are
+    refused; then a ratio below 2^-1022.
     """
     bits = as_bits(s, n=cfg.n)
     q_grid = list(q_grid)
-    if not all(0.0 <= q <= 0.2 for q in q_grid):
+    if not all(0.0 <= dqc1.require_real(q, "mid-circuit rate q") <= 0.2 for q in q_grid):
         raise ValueError("mid-circuit rate q outside [0, 0.2]")
     if not bits.any():
         raise ValueError("all-zero string carries no coupling to damp")
@@ -78,11 +78,12 @@ def phase_flip_parity_experiment(
     (-1)^{s_k} sx^{s_k}, so each flip on a coupled (s_k = 1) qubit
     propagates a bit flip to the probe input: an even number cancels, an
     odd number flips the sign of the step block's trace.  Flips on
-    uncoupled qubits do nothing and are flagged with a warning.  A repeated
-    qubit, or a readout that is not exactly zero but below 2^-1022, raises ValueError.
+    uncoupled qubits do nothing and are flagged with a warning.  A qubit
+    that is not an integer, a repeated qubit, or a readout that is not
+    exactly zero but below 2^-1022, raises ValueError.
     """
     bits = as_bits(s, n=cfg.n)
-    flips = sorted(int(k) for k in flip_set)
+    flips = sorted(dqc1.require_int(k, "every qubit of flip_set") for k in flip_set)
     if flips and (flips[0] < 1 or flips[-1] > cfg.n):
         raise ValueError(f"flip set outside data qubits 1..{cfg.n}")
     for k, after in zip(flips, flips[1:]):

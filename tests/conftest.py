@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from dqc1lpn import infomeasures, qstate
+from dqc1lpn import infomeasures
 from dqc1lpn.circuits import StepBlock, angle_traces, as_bits
 from dqc1lpn.dqc1 import Dqc1Config
-from dqc1lpn.qstate import HADAMARD, DensityMatrix, OperatorMatrix, embed
+
+import dense_reference as qstate
+from dense_reference import HADAMARD, DensityMatrix, OperatorMatrix, embed
 
 
 def random_unitary(rng, dim):

@@ -11,13 +11,14 @@ import time
 
 import numpy as np
 
-from dqc1lpn import circuits, cli, infomeasures, lpn, noise, qstate
+from dqc1lpn import circuits, cli, infomeasures, lpn, noise
 from dqc1lpn.circuits import as_bits
 from dqc1lpn.dqc1 import Dqc1Config
 from dqc1lpn.lpn import BudgetParams
-from dqc1lpn.qstate import DensityMatrix, partial_trace
 
+import dense_reference as qstate
 from conftest import all_bitstrings
+from dense_reference import DensityMatrix, partial_trace
 
 HALF_PI = math.pi / 2
 THETAS = (0.3, HALF_PI, 2.2)

@@ -8,11 +8,13 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dqc1lpn import infomeasures, lpn, qstate
+from dqc1lpn import infomeasures, lpn
 from dqc1lpn.circuits import (
     StepBlock, as_bits, bits_to_str, ones_mask, require_normal, rx,
 )
-from dqc1lpn.qstate import (
+
+import dense_reference as qstate
+from dense_reference import (
     build_parity_unitary,
     cnot,
     controlled,
@@ -20,7 +22,6 @@ from dqc1lpn.qstate import (
     block_operator,
     error_identity_check,
 )
-
 from conftest import (
     all_bitstrings, qubit_mask, random_unitary, reference_as_bits,
     reference_bits_to_str, reference_eigenphases, reference_ones_mask,

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqc1lpn import circuits, dqc1, qstate
+from dqc1lpn import circuits, dqc1, infomeasures, lpn, noise
 from dqc1lpn.dqc1 import (
     Dqc1Config,
     EstimateRecord,
@@ -14,14 +15,15 @@ from dqc1lpn.dqc1 import (
     sample_expectations,
 )
 from dqc1lpn.lpn import BudgetParams, query_budget
-from dqc1lpn.qstate import (
+
+import dense_reference as qstate
+from conftest import random_unitary
+from dense_reference import (
     OperatorMatrix,
     initial_state,
     probe_expectations,
     run_protocol,
 )
-
-from conftest import random_unitary
 
 
 def test_config_validation():
@@ -181,6 +183,12 @@ def _finite(*values):
     return all(isinstance(v, int) or math.isfinite(v) for v in values)
 
 
+def _ints(*values):
+    """Whether every value is an int: a call that took a count, mask or
+    qubit that is not one truncated it or ignored it."""
+    return all(isinstance(v, int) for v in values)
+
+
 def _config(draw):
     cfg = Dqc1Config(
         n=draw(_mostly(st.integers(0, 70))),
@@ -225,13 +233,134 @@ def _budget(draw):
     return isinstance(queries, int) and queries >= 1
 
 
-@pytest.mark.parametrize("call", [_config, _block, _record, _sample, _budget])
+#: _VALUES without the huge ints, for qubit indices: code that shifted a
+#: qubit into a mask before checking its range would allocate a mask of
+#: that many bits
+_SMALL_VALUES = st.one_of(st.integers(-3, 70), st.floats(), st.text(max_size=4), st.none())
+
+#: What a caller may pass as a query's observables besides the quadratures
+_NOT_OBSERVABLES = st.one_of(
+    st.tuples(st.text(max_size=2)), st.text(max_size=2), st.none(), st.integers(-3, 3)
+)
+
+
+def _qubit_junk(n):
+    """What may stand where a qubit 1..n belongs: floats within the register,
+    which ``int`` would truncate to a qubit, or _SMALL_VALUES."""
+    return st.floats(1.0, n) | _SMALL_VALUES
+
+
+def _bits(draw, n):
+    return draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+
+
+def _closed_config(n):
+    return Dqc1Config(n=n, alpha=0.8, p=0.1, theta=1.0, backend="closed")
+
+
+def _oracle_0110():
+    return lpn.make_oracle("0110", _closed_config(4))
+
+
+def _learn_0110(**plan):
+    return lpn.learn(_oracle_0110(), _closed_config(4), BudgetParams(0.1, 10), **plan)
+
+
+def _query(draw, backend, top):
+    """One query of the `backend` oracle over at most `top` qubits."""
+    n = draw(st.integers(1, top))
+    cfg = Dqc1Config(n=n, alpha=0.8, p=0.1, theta=1.0, backend=backend, seed=3)
+    oracle = lpn.make_oracle(_bits(draw, n), cfg)
+    j = draw(_mostly(st.integers(1, n)))
+    below = j - 1 if isinstance(j, int) and 1 <= j <= n else n
+    counts = (
+        j,
+        draw(_mostly(st.integers(0, 2**below - 1))),
+        draw(_mostly(st.integers(1, 2**63 - 1))),
+        # as for _sample's Q, a read stays at most 8 int64 parts
+        draw(_mostly(st.integers(1, 8), _NOT_A_FEW)),
+    )
+    observables = draw(_mostly(st.sampled_from([("x", "y"), ("x",), ("y",)]), _NOT_OBSERVABLES))
+    record = oracle(*counts, observables)
+    return _finite(*record) and _ints(*counts)
+
+
+def _oracle_closed(draw):
+    return _query(draw, "closed", 70)
+
+
+def _oracle_sampled(draw):
+    return _query(draw, "sampled", 70)
+
+
+def _oracle_dense(draw):
+    return _query(draw, "dense", 6)
+
+
+def _learn(draw):
+    n = draw(st.integers(1, 8))
+    cfg = Dqc1Config(n=n, alpha=1.0, p=0.0, theta=math.pi / 2, backend="closed")
+    oracle = lpn.make_oracle(_bits(draw, n), cfg)
+    fixed = draw(_mostly(st.none() | st.integers(1, 10**6)))
+    most = draw(_mostly(st.integers(1, 10**12)))
+    try:
+        result = lpn.learn(
+            oracle, cfg, BudgetParams(0.1, 100), fixed_queries=fixed, max_queries=most
+        )
+    except lpn.BudgetExhaustedError:
+        return True
+    return all(_ints(step.queries) and 1 <= step.queries <= most for step in result.steps)
+
+
+def _phase_flips(draw):
+    n = draw(st.integers(1, 8))
+    flips = draw(st.lists(_mostly(st.integers(1, n), _qubit_junk(n)), max_size=3))
+    with warnings.catch_warnings():
+        # a flip on an uncoupled qubit warns
+        warnings.simplefilter("ignore")
+        record = noise.phase_flip_parity_experiment(_bits(draw, n), _closed_config(n), flips)
+    return _finite(*record) and _ints(*flips)
+
+
+def _closed_form_tau(draw):
+    n = draw(st.integers(1, 8))
+    j = draw(_mostly(st.integers(1, n)))
+    decoupled = draw(st.lists(_mostly(st.integers(1, n), _qubit_junk(n)), max_size=3))
+    theta = draw(_mostly(st.floats(-10.0, 10.0)))
+    tau = lpn.closed_form_tau(_bits(draw, n), theta, j, decoupled=decoupled)
+    return _finite(tau.real, tau.imag) and _ints(*decoupled)
+
+
+def _protocol_discord(draw):
+    n = draw(st.integers(1, 8))
+    theta = draw(st.sampled_from([0.3, 1.0, math.pi / 2, 2.4]))
+    block = circuits.StepBlock.from_bits(_bits(draw, n), theta, draw(st.integers(1, n)))
+    return _finite(infomeasures.protocol_discord(block, draw(_mostly(st.floats(0.0, 1.0)))).discord)
+
+
+def _coherence(draw):
+    unit = _mostly(st.floats(0.0, 1.0))
+    return _finite(infomeasures.coherence_consumption(draw(unit), draw(unit)))
+
+
+def _midcircuit(draw):
+    n = draw(st.integers(1, 8))
+    q_grid = draw(st.lists(_mostly(st.floats(0.0, 0.2)), max_size=3))
+    return _finite(*noise.midcircuit_noise_sweep(_bits(draw, n), _closed_config(n), q_grid))
+
+
+@pytest.mark.parametrize("call", [
+    _config, _block, _record, _sample, _budget, _oracle_closed, _oracle_sampled, _oracle_dense,
+    _learn, _phase_flips, _closed_form_tau, _protocol_discord, _coherence, _midcircuit,
+])
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_library_entry_points_refuse_with_value_error(call, data):
     """Each entry point, given any mix of ints, huge ints, floats (NaN and
     inf among them), strings and None, raises ValueError or returns finite
-    values."""
+    values, having taken only integers where a count, mask or qubit
+    belongs; ``learn`` may also run out of budget, and its steps spend an
+    integer count of queries within it."""
     try:
         finite = call(data.draw)
     except ValueError:
@@ -251,13 +380,32 @@ def test_library_entry_points_refuse_with_value_error(call, data):
         (lambda: BudgetParams("0.1", 10), "delta"),
         (lambda: EstimateRecord("a", 0.0, 0.0, 0.0), "estimates"),
         (lambda: query_budget(BudgetParams(0.1, 10), 2.5, 0.1), "n"),
+        (lambda: _oracle_0110()(1.0), "j"),
+        (lambda: _oracle_0110()(2, 0.5), "corrections"),
+        (lambda: _oracle_0110()(1, 0, 1, 1.5), "queries"),
+        (lambda: _oracle_0110()(1, 0, 1, 1, ("z",)), "observables"),
+        (lambda: _learn_0110(fixed_queries=1.5), "fixed_queries"),
+        (lambda: _learn_0110(max_queries=float("nan")), "max_queries"),
+        (lambda: _learn_0110(max_queries=0.5), "max_queries"),
+        (lambda: noise.phase_flip_parity_experiment("0110", _closed_config(4), [2.7]),
+         "flip_set"),
+        (lambda: lpn.closed_form_tau("0110", 1.0, 3, decoupled=[1.7]), "decoupled"),
+        (lambda: infomeasures.protocol_discord(
+            circuits.StepBlock.from_bits([0, 1, 1, 0], 1.0, 1), "0.5"), "alpha"),
+        (lambda: infomeasures.coherence_consumption(None, 0.5), "alpha"),
+        (lambda: infomeasures.binary_entropy("0.5"), "x"),
+        (lambda: noise.midcircuit_noise_sweep("0110", _closed_config(4), ["0.1"]), "q"),
     ],
     ids=["block-n", "block-mask", "sample-L", "sample-Q", "config-alpha", "config-theta",
-         "budget-delta", "record", "budget-n"],
+         "budget-delta", "record", "budget-n", "oracle-j", "oracle-mask", "oracle-queries",
+         "oracle-observables", "learn-fixed", "learn-max-nan", "learn-max-half", "flip-set",
+         "tau-decoupled", "discord-alpha", "coherence-alpha", "entropy-x", "midcircuit-q"],
 )
 def test_entry_points_name_the_parameter_they_refuse(call, name):
     """A count that is not an integer, or a number that is a string, was a
-    TypeError (or, for the budget's n, a silent 65 queries)."""
+    TypeError (or, for the budget's n, a silent 65 queries); the oracle took
+    1.5 queries and an unknown observable, ``learn`` 1.5 queries per bit and
+    a cap of NaN, and a flipped qubit of 2.7 was qubit 2."""
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         call()
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dqc1lpn import circuits, dqc1, infomeasures, lpn, qstate
+from dqc1lpn import circuits, dqc1, infomeasures, lpn
 from dqc1lpn.infomeasures import (
     _binary_entropy_array,
     binary_entropy,
@@ -14,7 +14,10 @@ from dqc1lpn.infomeasures import (
     protocol_discord,
 )
 from dqc1lpn.circuits import StepBlock
-from dqc1lpn.qstate import (
+
+import dense_reference as qstate
+from conftest import reference_protocol_discord, step_blocks
+from dense_reference import (
     DensityMatrix,
     mutual_information,
     partial_trace,
@@ -22,8 +25,6 @@ from dqc1lpn.qstate import (
     quantum_discord,
     rel_entropy_coherence,
 )
-
-from conftest import reference_protocol_discord, step_blocks
 
 HALF_PI = math.pi / 2
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from conftest import all_bitstrings, dense_final_state
 
-from dqc1lpn import qstate
 from dqc1lpn.circuits import StepBlock, as_bits, bits_to_str
 from dqc1lpn.dqc1 import Dqc1Config
 from dqc1lpn.noise import (
@@ -16,7 +15,9 @@ from dqc1lpn.noise import (
     phase_flip_parity_experiment,
     systematic_error_sweep,
 )
-from dqc1lpn.qstate import (
+
+import dense_reference as qstate
+from dense_reference import (
     PAULI_Z,
     DensityMatrix,
     OperatorMatrix,

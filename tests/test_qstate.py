@@ -8,10 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dqc1lpn import qstate
+import dqc1lpn
 from dqc1lpn.circuits import ID2, StepBlock, rx
 from dqc1lpn.dqc1 import Dqc1Config
-from dqc1lpn.qstate import (
+
+import dense_reference as qstate
+from conftest import all_bitstrings, random_density, random_unitary
+from dense_reference import (
     DensityMatrix,
     KrausSet,
     OperatorMatrix,
@@ -21,8 +24,6 @@ from dqc1lpn.qstate import (
     tensor,
     von_neumann_entropy,
 )
-
-from conftest import all_bitstrings, random_density, random_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -239,22 +240,27 @@ def test_dense_trace_is_bitwise_dense_trace():
         StepBlock.from_bits([0] * 13, 1.0, 1).dense_trace()
 
 
-#: The modules the commands run, which build no dense matrix.
-RUNTIME_MODULES = (
-    "__init__", "__main__", "cli", "lpn", "dqc1", "noise", "infomeasures", "circuits"
-)
+#: The package directory: what is installed, and all of it runs the commands.
+PACKAGE = Path(dqc1lpn.__file__).parent
+
+#: Every module of the package, none of which builds a dense matrix.
+RUNTIME_MODULES = tuple(sorted(path.stem for path in PACKAGE.glob("*.py")))
+
+#: Test modules that hold the dense reference; no package module may need them.
+REFERENCE_MODULES = ("dense_reference", "qstate")
 
 
 def _runtime_nodes():
-    """(module name, AST node) over every node of the runtime modules."""
-    src = Path(qstate.__file__).parent
+    """(module name, AST node) over every node of the package modules."""
     for name in RUNTIME_MODULES:
-        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+        for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
             yield name, node
 
 
 def test_runtime_modules_do_not_import_qstate():
-    """The dense reference stays out of every module the commands run."""
+    """The dense reference, ``tests/dense_reference.py``, stays out of every
+    package module, and so does the name of the module it used to be."""
+    assert {"cli", "circuits", "lpn", "qstate"} <= set(RUNTIME_MODULES)
     importers = []
     for name, node in _runtime_nodes():
         if isinstance(node, ast.Import):
@@ -264,18 +270,19 @@ def test_runtime_modules_do_not_import_qstate():
             paths = [module] + [f"{module}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any("qstate" in path.split(".") for path in paths):
+        if any(part in REFERENCE_MODULES for path in paths for part in path.split(".")):
             importers.append(name)
     assert importers == []
 
 
 def test_package_modules_import_no_private_name_of_another():
-    """No module under the package imports a single-underscore name from
-    another package module: each private helper serves its own module, and
-    a check (the dense discord against ``protocol_discord``) shares no
-    private code with what it checks."""
+    """No package module, and not the dense reference, imports a
+    single-underscore name from a package module: each private helper
+    serves its own module, and a check (the dense discord against
+    ``protocol_discord``) shares no private code with what it checks."""
     found = []
-    for path in sorted(Path(qstate.__file__).parent.glob("*.py")):
+    paths = sorted(PACKAGE.glob("*.py")) + [Path(qstate.__file__)]
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.ImportFrom):
                 continue
@@ -288,21 +295,32 @@ def test_package_modules_import_no_private_name_of_another():
 
 
 def test_cli_import_leaves_qstate_unloaded():
-    """The import test above sees only direct imports; a fresh interpreter
-    that imports the CLI, as ``python -m dqc1lpn`` does, must not load the
-    dense reference through any chain of them."""
-    code = "import sys, dqc1lpn.cli; print('dqc1lpn.qstate' in sys.modules)"
-    src = Path(qstate.__file__).parents[1]
+    """The import test above sees only direct imports.  A fresh interpreter
+    with only the package's parent directory on its path, the installed
+    layout, where no test module can be imported, imports the CLI, as
+    ``python -m dqc1lpn`` does, without loading ``dqc1lpn.qstate``, and
+    then every other package module but ``__main__`` (which runs the
+    CLI), without loading the dense reference."""
+    names = [f"dqc1lpn.{name}" for name in RUNTIME_MODULES if name not in ("__init__", "__main__")]
+    code = (
+        "import importlib, sys, dqc1lpn.cli\n"
+        "cli_loads_qstate = 'dqc1lpn.qstate' in sys.modules\n"
+        "for name in sys.argv[1:]:\n"
+        "    importlib.import_module(name)\n"
+        "print(cli_loads_qstate, 'dense_reference' in sys.modules)"
+    )
+    src = PACKAGE.parent
     run = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        [sys.executable, "-c", code, *names],
+        env={**os.environ, "PYTHONPATH": str(src)}, cwd=src,
         capture_output=True, text=True, check=True,
     )
-    assert run.stdout == "False\n"
+    assert run.stdout == "False False\n"
 
 
 def test_runtime_modules_build_no_kronecker_product():
-    """The 4^n builder stays in qstate: no module the commands run defines,
-    imports or names ``kron_all``, or names ``kron`` (``np.kron``)."""
+    """The 4^n builder stays in the dense reference: no package module
+    defines, imports or names ``kron_all``, or names ``kron`` (``np.kron``)."""
     found = []
     for name, node in _runtime_nodes():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
