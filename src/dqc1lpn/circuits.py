@@ -35,7 +35,9 @@ ID2 = np.eye(2, dtype=complex)
 
 
 def as_bits(s, n: int | None = None) -> np.ndarray:
-    """Normalize a bit pattern ("0110", [0,1,1,0], ...) to a new uint8 array."""
+    """The one reader of a bit pattern ("0110", [0, 1, 1, 0], ...), as a new
+    uint8 array; a value not 0 or 1 (2, 0.5, -1, "a", None), a bare number,
+    or an empty, nested or not `n` long pattern raises ValueError."""
     if isinstance(s, str):
         if not s:
             raise ValueError("bit string is empty")
@@ -45,26 +47,25 @@ def as_bits(s, n: int | None = None) -> np.ndarray:
             raise ValueError(f"bit string has {s[k]!r} at position {k + 1}, not a 0 or 1")
         bits = np.frombuffer(s.encode("ascii"), np.uint8) - 48
     else:
-        bits = np.array(s if isinstance(s, np.ndarray) else list(s), dtype=np.int64)
-        # v >> 1 is 0 only for v in {0, 1}; negatives shift to -1 or below
-        if bits.ndim != 1 or bits.size == 0 or (bits >> 1).any():
+        try:
+            bits = np.asarray(s if isinstance(s, np.ndarray) else list(s))
+            # compare values, with no cast that would wrap -1 or truncate 0.5
+            ones = bits == 1
+            read = bits.ndim == 1 and bits.size and (ones | (bits == 0)).all()
+        except (TypeError, ValueError):  # not iterable, or ragged
+            read = False
+        if not read:
             raise ValueError("bits must be a nonempty sequence over {0,1}")
-        bits = bits.astype(np.uint8)
+        bits = ones.view(np.uint8)
     if n is not None and bits.size != n:
         raise ValueError(f"expected {n} bits, got {bits.size}")
     return bits
 
 
 def bits_to_str(bits) -> str:
-    """A 0/1 pattern (ints or bools, any shape, read in C order) as a string.
-    A str, or a value other than 0 and 1, raises ValueError."""
-    if isinstance(bits, str):
-        raise ValueError("bits_to_str takes a 0/1 sequence or array, not a string")
-    bits = np.asarray(bits)
-    # compare values before the cast, which would wrap -1 or truncate 0.5
-    if not ((bits == 0) | (bits == 1)).all():
-        raise ValueError("bits must be over {0,1}")
-    return (bits.astype(np.uint8).ravel() + 48).tobytes().decode("ascii")
+    """A bit pattern of any shape, read in C order by ``as_bits``, as a
+    string; a str is refused, since it is text already."""
+    return (as_bits(np.ravel(bits)) + 48).tobytes().decode("ascii")
 
 
 def require_normal(value: complex, what: str) -> complex:
@@ -85,10 +86,15 @@ def rx(theta: float, phi: float = 0.0) -> np.ndarray:
     )
 
 
-def ones_mask(bits: Sequence[int]) -> int:
-    """The 1s of a bit pattern as an int bitmask: bit k-1 is set when s_k = 1."""
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
+def ones_mask(bits) -> int:
+    """The 1s of a bit pattern, read by ``as_bits``, as an int bitmask: bit
+    k-1 is set when s_k = 1."""
+    return _packed(as_bits(bits))
+
+
+def _packed(bits: np.ndarray) -> int:
+    """The int bitmask of the uint8 0/1 array that ``as_bits`` returned."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def mask_kinds(n: int, rotated: int, flips: int) -> tuple[int, int, int, int]:
@@ -108,15 +114,9 @@ class StepBlock:
     corrections.  `rotated` and `flips` are int bitmasks, bit k-1 for
     qubit k; a negative n, a count or mask that is not an integer, a bit at
     or past n, a negative mask, or a theta or phi that is not a finite real
-    number raises ValueError.
-    ``factors`` lists its 2x2 factors in qubit order, which
-    ``block_operator`` of ``tests/dense_reference.py`` multiplies out into
-    the dense matrix, and ``dense_trace`` sums that matrix's diagonal
-    without building it, both up to ``MAX_QUBITS``.  The normalized trace (``tau``), whether it is
-    exactly zero (``vanishes``) and the spectrum that
-    ``infomeasures.protocol_discord`` reads depend only on
-    ``kinds``, how many qubits fall into each of the four kinds, so they
-    do not depend on the order of the qubits.
+    number raises ValueError.  The trace (``tau``, ``vanishes``) and the
+    spectrum that ``infomeasures.protocol_discord`` reads depend only on
+    ``kinds``, the qubit counts of the four kinds, not on the qubit order.
     """
 
     theta: float
@@ -139,7 +139,7 @@ class StepBlock:
     @classmethod
     def from_bits(
         cls,
-        bits: Sequence[int],
+        bits,
         theta: float,
         j: int | None = None,
         decoupled: int = 0,
@@ -153,7 +153,8 @@ class StepBlock:
         when s_k xor (k in corrections) is 1, so a correction cancels the
         coupling of a learned 1 and a stray one leaves a bare sx.
         """
-        n = len(bits)
+        bits = as_bits(bits)
+        n = bits.size
         j = None if j is None else require_int(j, "j")
         if j is not None and not 1 <= j <= n:
             raise ValueError(f"probe index outside 1..{n}")
@@ -168,7 +169,7 @@ class StepBlock:
         if probe & decoupled:
             raise ValueError(f"probe index {j} cannot be decoupled")
         rotated = ((1 << n) - 1) & ~(decoupled | probe)
-        return cls(theta, n, rotated, ones_mask(bits) ^ corrections, phi)
+        return cls(theta, n, rotated, _packed(bits) ^ corrections, phi)
 
     def factors(self) -> list[np.ndarray]:
         """The 2x2 factors of qubits 1..n in order, a factor times sx with its

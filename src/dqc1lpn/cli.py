@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, circuits, infomeasures, lpn, noise
 from .circuits import angle_traces, as_bits, bits_to_str, mask_kinds, normal_tau, ones_mask
-from .dqc1 import Dqc1Config
+from .dqc1 import BACKENDS, Dqc1Config
 from .lpn import BudgetParams
 
 
@@ -182,11 +182,6 @@ def _flat(values) -> bool:
     return _SCALAR_TYPES.issuperset(map(type, values))
 
 
-def _json_key(key: Any) -> str:
-    """A dict key as ``json.dumps`` writes it: non-strings in quotes."""
-    return _dumps(key) if isinstance(key, str) else '"' + _dumps(key) + '"'
-
-
 def _indented(obj: Any, level: int = 0) -> str:
     """``json.dumps(obj, indent=2)`` for `obj` nested `level` deep, built
     from calls to json's C encoder, which ``indent`` would switch off.
@@ -197,7 +192,8 @@ def _indented(obj: Any, level: int = 0) -> str:
     encoded once (a "%" doubled), every cell is written by one call whose
     item separator is a NUL (the encoder writes a NUL inside a string as
     \\u0000, so the split finds only separators), and one "%" operation
-    puts the cells in place.
+    puts the cells in place.  A dict with string keys recurses; any other
+    shape, which no command prints, is re-indented ``json.dumps`` output.
     """
     if isinstance(obj, dict):
         opener, closer, values = "{", "}", obj.values()
@@ -210,9 +206,9 @@ def _indented(obj: Any, level: int = 0) -> str:
     inner = "\n" + "  " * (level + 1)
     if _flat(values):
         body = _dumps(obj, separators=("," + inner, ": "))[1:-1]
-    elif isinstance(obj, dict):
+    elif isinstance(obj, dict) and {str}.issuperset(map(type, obj)):
         body = ("," + inner).join(
-            _json_key(k) + ": " + _indented(v, level + 1) for k, v in obj.items()
+            _dumps(k) + ": " + _indented(v, level + 1) for k, v in obj.items()
         )
     elif (cells := _table_cells(obj)) is not None:
         indent = "\n" + "  " * (level + 2)
@@ -224,7 +220,7 @@ def _indented(obj: Any, level: int = 0) -> str:
         text = _dumps(cells, separators=("\0", ":"))[1:-1]
         body = ("," + inner).join([row] * len(obj)) % tuple(text.split("\0"))
     else:
-        body = ("," + inner).join(_indented(v, level + 1) for v in obj)
+        return _dumps(obj, indent=2).replace("\n", "\n" + "  " * level)
     return opener + inner + body + "\n" + "  " * level + closer
 
 
@@ -537,7 +533,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--per-bit-delta", action="store_true",
         help="spend delta per bit instead of splitting it globally",
     )
-    _add_choice(p, "--backend", ("dense", "closed", "sampled"), default="closed")
+    _add_choice(p, "--backend", BACKENDS, default="closed")
     p.add_argument(
         "--queries", type=parse_int, default=None,
         help="fixed queries per bit (overrides the budget rule)",

@@ -19,11 +19,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import index
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 import numpy as np
 
-_BACKENDS = ("dense", "closed", "sampled")
+#: The backends of ``Dqc1Config``, and the CLI's --backend choices.
+BACKENDS = ("dense", "closed", "sampled")
+
+#: The probe quadratures <sx> ("x") and <sy> ("y"): what a read may take,
+#: and its default.
+QUADRATURES = frozenset(("x", "y"))
 
 #: the largest shot count one numpy binomial draw takes
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -55,6 +60,28 @@ def require_real(value, what: str):
     return value
 
 
+def require_list(values, what: str) -> list:
+    """`values` as a list; a str, None, a number or any other value that is
+    not a collection raises ValueError naming `what`."""
+    try:
+        if not isinstance(values, str):
+            return list(values)
+    except TypeError:
+        pass
+    raise ValueError(f"{what} must be a collection")
+
+
+def require_quadratures(observables) -> None:
+    """Refuse, with one ValueError, `observables` that is not a collection
+    of ``QUADRATURES``: ("z",), None, a number."""
+    try:
+        known = QUADRATURES.issuperset(observables)
+    except TypeError:
+        known = False
+    if not known:
+        raise ValueError('observables must be a collection of "x" and "y"')
+
+
 @dataclass(frozen=True)
 class Dqc1Config:
     """Protocol parameters.
@@ -81,8 +108,8 @@ class Dqc1Config:
             raise ValueError(f"readout depolarization p {self.p} outside [0, 1)")
         if not math.isfinite(require_real(self.theta, "angle theta")):
             raise ValueError(f"angle theta {self.theta} is not finite")
-        if self.backend not in _BACKENDS:
-            raise ValueError(f"backend {self.backend!r} not one of {_BACKENDS}")
+        if self.backend not in BACKENDS:
+            raise ValueError(f"backend {self.backend!r} not one of {BACKENDS}")
         if not 0 <= require_int(self.seed, "seed") < 2**64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -167,18 +194,17 @@ def sample_expectations(
     Q: int,
     stream: np.random.SeedSequence,
     *,
-    observables: tuple[str, ...] = ("x", "y"),
+    observables: Collection[str] = QUADRATURES,
 ) -> EstimateRecord:
     """Simulate shot-noise estimation of the probe expectations.
 
     Each observable draws from its own child of ``stream`` (child 0 is x,
     child 1 is y, each built only when read), so reading only y gives the
     same ey as reading both, and identical inputs reproduce the record bit
-    for bit.  Observables left out of `observables` are reported as 0 with
-    se 0.  L must fit in int64, the range of numpy's binomial sampler, so a
-    read of L*Q shots splits into at most Q int64-sized parts, drawn
-    ``_PARTS_PER_CALL`` to a numpy call; a read of more than ``_MAX_PARTS``
-    full parts is refused.
+    for bit.  `observables` is a collection of ``QUADRATURES``, and those
+    left out are reported as 0 with se 0.  L must fit in int64, the range of
+    numpy's binomial sampler, and a read of more than ``_MAX_PARTS`` full
+    int64 parts is refused (``_sample_one_observable``).
     """
     # written so that NaN fails the bound
     if not (abs(require_real(true_ex, "true ex")) <= 1.0
@@ -192,9 +218,7 @@ def sample_expectations(
         raise ValueError("L exceeds 2^63 - 1, the int64 range of the shot sampler")
     if L * Q // _INT64_MAX > _MAX_PARTS:
         raise ValueError("a read of L*Q shots exceeds 2^20 int64 draws of the shot sampler")
-    unknown = set(observables) - {"x", "y"}
-    if unknown:
-        raise ValueError(f"unknown observables {sorted(unknown)}")
+    require_quadratures(observables)
     # child k, as a first stream.spawn(2) derives it, without advancing the stream
     entropy, key, pool = stream.entropy, stream.spawn_key, stream.pool_size
 

@@ -13,15 +13,8 @@ step at theta = pi/2:
 
 Probing bit j always decouples data qubits 1..j-1, so a query names only
 j and the corrections, an int bitmask whose bit k-1 marks qubit k (the
-qubit-set format of ``circuits.StepBlock``).  The block then rotates the
-qubits after j and flips the 1s of s xor the corrections; the closed and
-sampled oracles read its four kind counts from these two masks
-(``circuits.mask_kinds``), so a query takes a fixed number of Python
-steps.  What does not change from bit to bit is computed once per run: an
-oracle holds the register mask and the factor traces of its angle
-(``circuits.angle_traces``), and ``learn`` the threshold's base
-alpha (1-p) and the gap factor min(|sin(theta/2)|, |cos(theta/2)|).
-Oracles close over s; the learner only ever sees the query callable.
+qubit-set format of ``circuits.StepBlock``).  Oracles close over s; the
+learner only ever sees the query callable.
 """
 
 from __future__ import annotations
@@ -30,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 from operator import index
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Collection, Iterable, NamedTuple
 
 import numpy as np
 
@@ -39,13 +32,12 @@ from .circuits import (
     StepBlock, angle_traces, as_bits, kinds_tau, mask_kinds, normal_tau, ones_mask,
     require_normal,
 )
-from .dqc1 import Dqc1Config, EstimateRecord, require_int, require_real
+from .dqc1 import QUADRATURES, Dqc1Config, EstimateRecord, require_int, require_list, require_real
 
 #: Hoeffding-style constant in the query budget.
 HOEFFDING_C = 2.0
 
-#: The quadratures an oracle reads, and the integer parameters of a query.
-_OBSERVABLES = frozenset(("x", "y"))
+#: The integer parameters of a query.
 _QUERY_COUNTS = ("j", "corrections", "ensemble", "queries")
 
 #: Type of a protocol query: (j, corrections, ensemble, queries, observables)
@@ -81,7 +73,8 @@ class BudgetParams:
     """Shot-budget planning parameters.
 
     delta is the failure probability; by default it is split globally
-    (delta/n per bit), set per_bit_delta to spend delta on every bit.
+    (delta/n per bit), set per_bit_delta (a bool) to spend delta on every
+    bit.
     L is the shot count of one query.  The per-bit accuracy is the
     threshold that ``learn`` compares the bit's reading with.
     """
@@ -95,6 +88,8 @@ class BudgetParams:
             raise ValueError("delta must lie in (0, 1)")
         if require_int(self.L, "L") < 1:
             raise ValueError("L must be positive")
+        if not isinstance(self.per_bit_delta, (bool, np.bool_)):
+            raise ValueError("per_bit_delta must be a bool")
 
 
 class LearnStep(NamedTuple):
@@ -120,7 +115,7 @@ def closed_form_tau(s, theta: float, j: int, decoupled: Iterable[int] = ()) -> c
     zero but falls below 2^-1022 raises ValueError."""
     bits = as_bits(s)
     dec = 0
-    for k in decoupled:
+    for k in require_list(decoupled, "decoupled"):
         # range-checked before the shift, which for a huge k would build a huge int
         k = require_int(k, "every qubit of decoupled")
         if not 1 <= k <= bits.size:
@@ -133,7 +128,7 @@ def closed_form_tau(s, theta: float, j: int, decoupled: Iterable[int] = ()) -> c
 def decide_bit(est: EstimateRecord, threshold: float) -> int:
     """Midpoint rule: report 1 when |ex| + |ey| falls below the threshold."""
     # NaN fails both bounds
-    if not 0.0 < threshold < math.inf:
+    if not 0.0 < require_real(threshold, "threshold") < math.inf:
         raise ValueError("threshold must be positive and finite")
     return 1 if abs(est.ex) + abs(est.ey) < threshold else 0
 
@@ -176,19 +171,17 @@ def query_budget(budget: BudgetParams, n: int, threshold: float) -> int:
 
 
 def make_oracle(s, cfg: Dqc1Config) -> Oracle:
-    """Build a protocol query function that closes over the hidden string.
+    """Build a protocol query function that closes over the hidden string
+    s of cfg.n bits.
 
     A query probes bit j with qubits 1..j-1 decoupled and the qubits in
     the int bitmask `corrections` (bit k-1 for qubit k, all below j)
-    corrected; every backend first refuses, with ValueError naming the
-    parameter, a j, mask, ensemble or query count that is not an integer,
-    a j outside 1..n, a mask that is negative or sets a bit at or after j,
-    an ensemble or query count below 1, and observables other than "x"
-    and "y".  cfg.backend "dense" sums the diagonal of the block's
-    matrix qubit by qubit (``StepBlock.dense_trace``, up to ``MAX_QUBITS``),
-    "closed" evaluates the trace from the block's kind counts, "sampled"
-    adds shot noise to the closed-form values with one RNG stream per
-    probed bit (derived from cfg.seed).
+    corrected, after refusing a count or mask out of range, or one that is
+    not an integer, with ValueError naming it.  cfg.backend "dense" sums
+    the diagonal of the block's matrix (``StepBlock.dense_trace``, up to
+    ``MAX_QUBITS``), "closed" evaluates the trace from the block's kind
+    counts (``circuits.mask_kinds``), "sampled" adds shot noise to the
+    closed-form values with one RNG stream per probed bit (from cfg.seed).
     """
     n = cfg.n
     ones = ones_mask(as_bits(s, n=n))
@@ -202,20 +195,17 @@ def make_oracle(s, cfg: Dqc1Config) -> Oracle:
         corrections: int = 0,
         ensemble: int = 1,
         queries: int = 1,
-        observables: tuple[str, ...] = ("x", "y"),
+        observables: Collection[str] = QUADRATURES,
     ) -> EstimateRecord:
-        # one try on the common path; a refusal looks for the parameter to
-        # name, and if every count is an integer, observables raised
+        # one try on the common path; a refusal looks for the parameter to name
         try:
             j = index(j)
             corrections = index(corrections)
             ensemble = index(ensemble)
             queries = index(queries)
-            known = _OBSERVABLES.issuperset(observables)
         except TypeError:
             for value, what in zip((j, corrections, ensemble, queries), _QUERY_COUNTS):
                 require_int(value, what)
-            known = False
         if not 1 <= j <= n:
             raise ValueError(f"probe index outside 1..{n}")
         # a negative mask shifts to -1, so this refuses it as well
@@ -223,8 +213,6 @@ def make_oracle(s, cfg: Dqc1Config) -> Oracle:
             raise ValueError(f"corrections must target decoupled qubits 1..{j - 1}")
         if ensemble < 1 or queries < 1:
             raise ValueError("ensemble and queries must be at least 1")
-        if not known:
-            raise ValueError('observables must be a collection of "x" and "y"')
         rotated = register >> j << j
         flips = ones ^ corrections
         if backend == "dense":
@@ -233,10 +221,12 @@ def make_oracle(s, cfg: Dqc1Config) -> Oracle:
             tau = kinds_tau(traces, mask_kinds(n, rotated, flips))
         ex, ey = dqc1.expectations_from_tau(cfg.alpha, cfg.p, tau)
         if backend == "sampled":
+            # sample_expectations refuses bad observables for this backend
             stream = np.random.SeedSequence(cfg.seed, spawn_key=(j,))
             return dqc1.sample_expectations(
                 ex, ey, ensemble, queries, stream, observables=observables
             )
+        dqc1.require_quadratures(observables)
         ex = ex if "x" in observables else 0.0
         ey = ey if "y" in observables else 0.0
         return EstimateRecord(ex, ey, 0.0, 0.0)
@@ -305,7 +295,7 @@ def learn(
         )
         if queries > max_queries:
             raise BudgetExhaustedError(j, queries, max_queries)
-        observables = (quadrature,) if quadrature is not None else ("x", "y")
+        observables = (quadrature,) if quadrature is not None else QUADRATURES
         record = oracle(j, corrections, budget.L, queries, observables)
         bit = decide_bit(record, threshold)
         if bit:

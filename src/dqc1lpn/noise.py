@@ -16,6 +16,7 @@ against which the damping is checked, is in ``tests/dense_reference.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import warnings
 from typing import Iterable, Sequence
@@ -51,7 +52,7 @@ def midcircuit_noise_sweep(
     refused; then a ratio below 2^-1022.
     """
     bits = as_bits(s, n=cfg.n)
-    q_grid = list(q_grid)
+    q_grid = dqc1.require_list(q_grid, "q_grid")
     if not all(0.0 <= dqc1.require_real(q, "mid-circuit rate q") <= 0.2 for q in q_grid):
         raise ValueError("mid-circuit rate q outside [0, 0.2]")
     if not bits.any():
@@ -83,7 +84,8 @@ def phase_flip_parity_experiment(
     exactly zero but below 2^-1022, raises ValueError.
     """
     bits = as_bits(s, n=cfg.n)
-    flips = sorted(dqc1.require_int(k, "every qubit of flip_set") for k in flip_set)
+    qubits = dqc1.require_list(flip_set, "flip_set")
+    flips = sorted(dqc1.require_int(k, "every qubit of flip_set") for k in qubits)
     if flips and (flips[0] < 1 or flips[-1] > cfg.n):
         raise ValueError(f"flip set outside data qubits 1..{cfg.n}")
     for k, after in zip(flips, flips[1:]):
@@ -119,15 +121,16 @@ def systematic_error_sweep(
     factor of cos(phi), so the signal dies at phi = pi/2 whenever m >= 1.
     Amplitude (theta) miscalibration is covered by the theta axis of the
     grid: the trace formula holds at whatever angle was actually applied.
-    A trace that is not exactly zero but falls below 2^-1022 raises
-    ValueError.
+    A grid that is not a collection, or a trace that is not exactly zero
+    but falls below 2^-1022, raises ValueError.
     """
+    grids = dqc1.require_list(phi_grid, "phi_grid"), dqc1.require_list(theta_grid, "theta_grid")
     bits = as_bits(s)
-    if j is None:
-        j = default_probe_bit(bits)
+    # s is read once; each grid point is that block at another angle and axis
+    base = circuits.StepBlock.from_bits(bits, 0.0, default_probe_bit(bits) if j is None else j)
     traces = []
-    for phi, theta in itertools.product(phi_grid, theta_grid):
-        block = circuits.StepBlock.from_bits(bits, theta, j, phi=phi)
+    for phi, theta in itertools.product(*grids):
+        block = dataclasses.replace(base, theta=theta, phi=phi)
         tau = block.tau()
         if not block.vanishes():
             circuits.require_normal(tau, "the predicted trace")

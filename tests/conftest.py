@@ -169,9 +169,10 @@ def reference_protocol_discord(block, alpha):
 
 
 def reference_as_bits(s, n=None):
-    """``circuits.as_bits`` before it converted in bulk, kept verbatim as the
-    reference (a Python int per character, ``list`` plus ``np.isin``) but
-    for its refusals of a string, which name the first non-bit character."""
+    """``circuits.as_bits`` read one Python value at a time: a character of a
+    string is "0" or "1", and any other item is a scalar equal to 0 or 1,
+    compared before the cast to uint8, so 0.5, 1.7, -1, "a" and None are
+    refused, as are a bare number and a nested pattern."""
     if isinstance(s, str):
         if not s:
             raise ValueError("bit string is empty")
@@ -180,10 +181,13 @@ def reference_as_bits(s, n=None):
             raise ValueError(f"bit string has {s[bad]!r} at position {bad + 1}, not a 0 or 1")
         bits = np.array([int(c) for c in s], dtype=np.uint8)
     else:
-        bits = np.array(list(s), dtype=np.int64)
-        if bits.ndim != 1 or bits.size == 0 or not np.isin(bits, (0, 1)).all():
+        try:
+            values = list(s)
+        except TypeError:
+            values = []
+        if not values or not all(np.ndim(v) == 0 and v in (0, 1) for v in values):
             raise ValueError("bits must be a nonempty sequence over {0,1}")
-        bits = bits.astype(np.uint8)
+        bits = np.array(values, dtype=np.uint8)
     if n is not None and bits.size != n:
         raise ValueError(f"expected {n} bits, got {bits.size}")
     return bits

@@ -78,6 +78,7 @@ BIT_FORMS = {
     "uint8": lambda v: np.array(v, dtype=np.uint8),
     "bool": lambda v: np.array(v, dtype=bool),
     "int64": lambda v: np.array(v, dtype=np.int64),
+    "float": lambda v: [float(x) for x in v],
 }
 
 
@@ -92,10 +93,9 @@ def test_bit_conversions_match_reference(values, form):
     assert got.dtype == want.dtype == np.uint8
     np.testing.assert_array_equal(got, want)
     assert bits_to_str(got) == reference_bits_to_str(want)
-    assert ones_mask(got) == reference_ones_mask(want)
+    assert ones_mask(got) == ones_mask(s) == reference_ones_mask(want)
     if form != "str":
         assert bits_to_str(s) == reference_bits_to_str(s)
-        assert ones_mask(s) == reference_ones_mask(s)
     # a fresh array: writing to it leaves the input as it was
     before = BIT_FORMS[form](values)
     got ^= 1
@@ -111,6 +111,9 @@ def test_bit_conversions_match_reference(values, form):
         "", "012", "01x0", [0, 2], [], [-1, 0],
         np.array([0, 3]), np.array([], dtype=np.uint8),
         np.array([[0, 1], [1, 0]], dtype=np.uint8), [[0, 1], [1, 0]],
+        # values that a cast before the check would truncate or parse
+        [0, 0.5], [1.7], ["a"], [None], None, 5, np.array([0.0, 0.5]), ["0", "1"],
+        [[0, 1], [1]],
     ],
 )
 def test_as_bits_refusals_match_reference(bad):
@@ -131,6 +134,19 @@ def test_bits_to_str_refuses_non_bits(bad):
     and a value outside {0, 1} must not wrap or truncate into a bit."""
     with pytest.raises(ValueError):
         bits_to_str(bad)
+
+
+def test_string_and_list_patterns_read_alike():
+    """Every reader of a bit pattern goes through ``as_bits``: "0110" gave
+    the mask 1 and a block with one flipped qubit and a zero trace, and
+    [0, 2, 1, 0] and [0, 0.5, 1, 0] were read as 0110 and 0010."""
+    assert ones_mask("0110") == ones_mask([0, 1, 1, 0]) == 6
+    assert StepBlock.from_bits("0110", 1.0, 1) == StepBlock.from_bits([0, 1, 1, 0], 1.0, 1)
+    assert StepBlock.from_bits("0110", 1.0, 1).tau() == pytest.approx(-0.2017, abs=1e-4)
+    for bad in ([0, 2, 1, 0], [0, 0.5, 1, 0], [1.7], "0112", None):
+        for read in (as_bits, ones_mask, lambda b: StepBlock.from_bits(b, 1.0, 1)):
+            with pytest.raises(ValueError):
+                read(bad)
 
 
 def test_cnot_matrix():

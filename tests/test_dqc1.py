@@ -227,10 +227,17 @@ def _budget(draw):
     budget = BudgetParams(
         draw(_mostly(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))),
         draw(_mostly(st.integers(1, 10**6))),
+        draw(_mostly(st.booleans())),
     )
     n, threshold = draw(_mostly(st.integers(1, 10**4))), draw(_mostly(st.floats(0.0, 1.0)))
     queries = query_budget(budget, n, threshold)
-    return isinstance(queries, int) and queries >= 1
+    return isinstance(queries, int) and queries >= 1 and isinstance(budget.per_bit_delta, bool)
+
+
+def _decide(draw):
+    record = EstimateRecord(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)), 0.0, 0.0)
+    threshold = draw(_mostly(st.floats(0.0, 2.0), st.none() | st.text(max_size=4) | st.floats()))
+    return lpn.decide_bit(record, threshold) in (0, 1)
 
 
 #: _VALUES without the huge ints, for qubit indices: code that shifted a
@@ -254,6 +261,46 @@ def _bits(draw, n):
     return draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
 
 
+#: Items of a list that are no bit: a value other than 0 and 1, or one that
+#: a cast to an integer would truncate or parse into a bit
+_NOT_A_BIT = st.sampled_from([2, 0.5, 1.7, -1, None, "a", "1"])
+
+
+def _pattern(draw, n):
+    """n bits as a 0/1 list, or one draw in three as a 0/1 string, a list
+    with one item that is no bit, None or a bare number."""
+    bits, kind = _bits(draw, n), draw(st.integers(0, 8))
+    if kind == 6:
+        return "".join(map(str, bits))
+    if kind == 7:
+        bits[draw(st.integers(0, n - 1))] = draw(_NOT_A_BIT)
+    if kind == 8:
+        return draw(st.none() | st.integers(-3, 3) | st.floats())
+    return bits
+
+
+def _pattern_mask(pattern):
+    """The int bitmask of a pattern from ``_pattern``, or None where it is no
+    bit pattern: a caller that took it read junk as bits."""
+    if isinstance(pattern, str):
+        pattern = [int(c) for c in pattern]
+    if not isinstance(pattern, list) or not all(type(v) is int and 0 <= v <= 1 for v in pattern):
+        return None
+    return sum(v << k for k, v in enumerate(pattern))
+
+
+def _as_bits(draw):
+    n = draw(st.integers(1, 70))
+    pattern = _pattern(draw, n)
+    return circuits.ones_mask(circuits.as_bits(pattern)) == _pattern_mask(pattern)
+
+
+def _ones_mask(draw):
+    n = draw(st.integers(1, 70))
+    pattern = _pattern(draw, n)
+    return circuits.ones_mask(pattern) == _pattern_mask(pattern)
+
+
 def _closed_config(n):
     return Dqc1Config(n=n, alpha=0.8, p=0.1, theta=1.0, backend="closed")
 
@@ -270,7 +317,8 @@ def _query(draw, backend, top):
     """One query of the `backend` oracle over at most `top` qubits."""
     n = draw(st.integers(1, top))
     cfg = Dqc1Config(n=n, alpha=0.8, p=0.1, theta=1.0, backend=backend, seed=3)
-    oracle = lpn.make_oracle(_bits(draw, n), cfg)
+    pattern = _pattern(draw, n)
+    oracle = lpn.make_oracle(pattern, cfg)
     j = draw(_mostly(st.integers(1, n)))
     below = j - 1 if isinstance(j, int) and 1 <= j <= n else n
     counts = (
@@ -282,7 +330,7 @@ def _query(draw, backend, top):
     )
     observables = draw(_mostly(st.sampled_from([("x", "y"), ("x",), ("y",)]), _NOT_OBSERVABLES))
     record = oracle(*counts, observables)
-    return _finite(*record) and _ints(*counts)
+    return _finite(*record) and _ints(*counts) and _pattern_mask(pattern) is not None
 
 
 def _oracle_closed(draw):
@@ -314,7 +362,9 @@ def _learn(draw):
 
 def _phase_flips(draw):
     n = draw(st.integers(1, 8))
-    flips = draw(st.lists(_mostly(st.integers(1, n), _qubit_junk(n)), max_size=3))
+    flips = draw(_mostly(
+        st.lists(_mostly(st.integers(1, n), _qubit_junk(n)), max_size=3), _SMALL_VALUES
+    ))
     with warnings.catch_warnings():
         # a flip on an uncoupled qubit warns
         warnings.simplefilter("ignore")
@@ -325,7 +375,9 @@ def _phase_flips(draw):
 def _closed_form_tau(draw):
     n = draw(st.integers(1, 8))
     j = draw(_mostly(st.integers(1, n)))
-    decoupled = draw(st.lists(_mostly(st.integers(1, n), _qubit_junk(n)), max_size=3))
+    decoupled = draw(_mostly(
+        st.lists(_mostly(st.integers(1, n), _qubit_junk(n)), max_size=3), _SMALL_VALUES
+    ))
     theta = draw(_mostly(st.floats(-10.0, 10.0)))
     tau = lpn.closed_form_tau(_bits(draw, n), theta, j, decoupled=decoupled)
     return _finite(tau.real, tau.imag) and _ints(*decoupled)
@@ -334,8 +386,10 @@ def _closed_form_tau(draw):
 def _protocol_discord(draw):
     n = draw(st.integers(1, 8))
     theta = draw(st.sampled_from([0.3, 1.0, math.pi / 2, 2.4]))
-    block = circuits.StepBlock.from_bits(_bits(draw, n), theta, draw(st.integers(1, n)))
-    return _finite(infomeasures.protocol_discord(block, draw(_mostly(st.floats(0.0, 1.0)))).discord)
+    pattern = _pattern(draw, n)
+    block = circuits.StepBlock.from_bits(pattern, theta, draw(st.integers(1, n)))
+    discord = infomeasures.protocol_discord(block, draw(_mostly(st.floats(0.0, 1.0)))).discord
+    return _finite(discord) and block.flips == _pattern_mask(pattern)
 
 
 def _coherence(draw):
@@ -345,13 +399,21 @@ def _coherence(draw):
 
 def _midcircuit(draw):
     n = draw(st.integers(1, 8))
-    q_grid = draw(st.lists(_mostly(st.floats(0.0, 0.2)), max_size=3))
+    q_grid = draw(_mostly(st.lists(_mostly(st.floats(0.0, 0.2)), max_size=3), _SMALL_VALUES))
     return _finite(*noise.midcircuit_noise_sweep(_bits(draw, n), _closed_config(n), q_grid))
 
 
+def _systematic(draw):
+    n = draw(st.integers(1, 8))
+    grid = _mostly(st.lists(_mostly(st.floats(-4.0, 4.0)), max_size=3), _SMALL_VALUES)
+    taus = noise.systematic_error_sweep(_bits(draw, n), draw(grid), draw(grid))
+    return _finite(*(part for tau in taus for part in (tau.real, tau.imag)))
+
+
 @pytest.mark.parametrize("call", [
-    _config, _block, _record, _sample, _budget, _oracle_closed, _oracle_sampled, _oracle_dense,
-    _learn, _phase_flips, _closed_form_tau, _protocol_discord, _coherence, _midcircuit,
+    _config, _block, _record, _sample, _budget, _decide, _as_bits, _ones_mask, _oracle_closed,
+    _oracle_sampled, _oracle_dense, _learn, _phase_flips, _closed_form_tau, _protocol_discord,
+    _coherence, _midcircuit, _systematic,
 ])
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(data=st.data())
@@ -359,8 +421,9 @@ def test_library_entry_points_refuse_with_value_error(call, data):
     """Each entry point, given any mix of ints, huge ints, floats (NaN and
     inf among them), strings and None, raises ValueError or returns finite
     values, having taken only integers where a count, mask or qubit
-    belongs; ``learn`` may also run out of budget, and its steps spend an
-    integer count of queries within it."""
+    belongs, a collection where one belongs, and only a 0/1 pattern, read
+    as a list reads, where a bit pattern belongs; ``learn`` may also run out
+    of budget, and its steps spend an integer count of queries within it."""
     try:
         finite = call(data.draw)
     except ValueError:
@@ -395,19 +458,49 @@ def test_library_entry_points_refuse_with_value_error(call, data):
         (lambda: infomeasures.coherence_consumption(None, 0.5), "alpha"),
         (lambda: infomeasures.binary_entropy("0.5"), "x"),
         (lambda: noise.midcircuit_noise_sweep("0110", _closed_config(4), ["0.1"]), "q"),
+        (lambda: noise.midcircuit_noise_sweep("0110", _closed_config(4), None), "q_grid"),
+        (lambda: noise.phase_flip_parity_experiment("0110", _closed_config(4), None),
+         "flip_set"),
+        (lambda: noise.systematic_error_sweep("0110", None, [1.0]), "phi_grid"),
+        (lambda: noise.systematic_error_sweep("0110", [0.0], "1.0"), "theta_grid"),
+        (lambda: lpn.closed_form_tau("0110", 1.0, 3, decoupled=None), "decoupled"),
+        (lambda: lpn.decide_bit(EstimateRecord(0.1, 0.0, 0.0, 0.0), None), "threshold"),
+        (lambda: lpn.decide_bit(EstimateRecord(0.1, 0.0, 0.0, 0.0), "0.1"), "threshold"),
+        (lambda: BudgetParams(0.1, 10, per_bit_delta="yes"), "per_bit_delta"),
     ],
     ids=["block-n", "block-mask", "sample-L", "sample-Q", "config-alpha", "config-theta",
          "budget-delta", "record", "budget-n", "oracle-j", "oracle-mask", "oracle-queries",
          "oracle-observables", "learn-fixed", "learn-max-nan", "learn-max-half", "flip-set",
-         "tau-decoupled", "discord-alpha", "coherence-alpha", "entropy-x", "midcircuit-q"],
+         "tau-decoupled", "discord-alpha", "coherence-alpha", "entropy-x", "midcircuit-q",
+         "midcircuit-none", "flip-set-none", "systematic-phi-none", "systematic-theta-str",
+         "tau-decoupled-none", "decide-none", "decide-str", "budget-per-bit"],
 )
 def test_entry_points_name_the_parameter_they_refuse(call, name):
     """A count that is not an integer, or a number that is a string, was a
     TypeError (or, for the budget's n, a silent 65 queries); the oracle took
     1.5 queries and an unknown observable, ``learn`` 1.5 queries per bit and
-    a cap of NaN, and a flipped qubit of 2.7 was qubit 2."""
+    a cap of NaN, and a flipped qubit of 2.7 was qubit 2.  A collection that
+    is None and a threshold that is None or a string were a TypeError, and
+    a per_bit_delta of "yes" was taken as true."""
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         call()
+
+
+@pytest.mark.parametrize("observables", [("z",), None, 3, ("x", "z")])
+def test_quadratures_are_refused_with_one_message(observables):
+    """The oracle of every backend and ``sample_expectations`` refuse what is
+    not a collection of the quadratures, by one message: None was a
+    TypeError there, and ``sample_expectations`` echoed the input."""
+    messages = set()
+    for backend in dqc1.BACKENDS:
+        cfg = Dqc1Config(n=4, alpha=0.8, p=0.1, theta=1.0, backend=backend)
+        with pytest.raises(ValueError) as refused:
+            lpn.make_oracle("0110", cfg)(1, 0, 10, 1, observables)
+        messages.add(str(refused.value))
+    with pytest.raises(ValueError) as refused:
+        sample_expectations(0.5, 0.5, 10, 1, _seed(0), observables=observables)
+    messages.add(str(refused.value))
+    assert messages == {'observables must be a collection of "x" and "y"'}
 
 
 def _seed(k):
