@@ -11,6 +11,7 @@ the output byte for byte (wall time goes to stderr).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -301,7 +302,7 @@ def cmd_learn(args) -> tuple[dict[str, Any], dict[str, Any]]:
         oracle, cfg, budget,
         fixed_queries=args.queries, max_queries=args.max_queries,
     )
-    s_hat = bits_to_str(result.s_hat)
+    s_text, s_hat = bits_to_str(bits), bits_to_str(result.s_hat)
     ensemble = budget.L
     rows = [
         {
@@ -319,7 +320,7 @@ def cmd_learn(args) -> tuple[dict[str, Any], dict[str, Any]]:
     ]
     config = {
         "n": n,
-        "s": bits_to_str(bits),
+        "s": s_text,
         "alpha": args.alpha,
         "p": args.p,
         "theta": theta,
@@ -333,7 +334,7 @@ def cmd_learn(args) -> tuple[dict[str, Any], dict[str, Any]]:
     }
     results = {
         "s_hat": s_hat,
-        "success": s_hat == bits_to_str(bits),
+        "success": s_hat == s_text,
         "total_queries": sum(step.queries for step in result.steps),
         "rows": rows,
     }
@@ -345,8 +346,9 @@ def cmd_trace_table(args) -> tuple[dict[str, Any], dict[str, Any]]:
     if args.n is not None and args.n < 1:
         raise ValueError("--n must be at least 1")
     if args.s is not None:
-        strings = [as_bits(args.s)]
-        n = strings[0].size
+        # ones_mask reads --s through as_bits, which refuses what is not a bit string
+        patterns = [(args.s, ones_mask(args.s))]
+        n = len(args.s)
         if args.n is not None and args.n != n:
             raise ValueError(f"--n disagrees with --s length {n}")
     else:
@@ -355,11 +357,11 @@ def cmd_trace_table(args) -> tuple[dict[str, Any], dict[str, Any]]:
         n = args.n
         if n > 8:
             raise ValueError("full tables stop at n = 8; pass --s for larger n")
-        strings = [as_bits(format(v, f"0{n}b")) for v in range(2**n)]
+        texts = (format(v, f"0{n}b") for v in range(2**n))
+        patterns = [(text, ones_mask(text)) for text in texts]
     traces = angle_traces(theta, 0.0)
     rows = []
-    for bits in strings:
-        text, ones = bits_to_str(bits), ones_mask(bits)
+    for text, ones in patterns:
         for j in range(1, n + 1):
             # 1..j-1 decoupled with their 1s corrected; the gap clears s_j
             rotated = ((1 << n) - 1) >> j << j
@@ -408,15 +410,21 @@ def cmd_discord_sweep(args) -> tuple[dict[str, Any], dict[str, Any]]:
     else:
         if args.alpha is None:
             raise ValueError("--theta-grid mode needs --alpha")
-        one = bits.copy()
-        one[args.j - 1] = 1
-        zero = bits.copy()
-        zero[args.j - 1] = 0
+        # s is read once; the two blocks differ in bit j's coupling, and each
+        # grid point is one of them at another angle
+        base = circuits.StepBlock.from_bits(bits, 0.0, args.j)
+        probe = 1 << (args.j - 1)
+        blocks = {
+            "one": dataclasses.replace(base, flips=base.flips | probe),
+            "zero": dataclasses.replace(base, flips=base.flips & ~probe),
+        }
         for theta in parse_grid(args.theta_grid, angle=True):
-            vals = {}
-            for tag, pattern in (("one", one), ("zero", zero)):
-                block = circuits.StepBlock.from_bits(pattern, theta, args.j)
-                vals[tag] = infomeasures.protocol_discord(block, args.alpha).discord
+            vals = {
+                tag: infomeasures.protocol_discord(
+                    dataclasses.replace(block, theta=theta), args.alpha
+                ).discord
+                for tag, block in blocks.items()
+            }
             rows.append(
                 {
                     "theta": theta,

@@ -72,10 +72,16 @@ def require_list(values, what: str) -> list:
 
 
 def require_quadratures(observables) -> None:
-    """Refuse, with one ValueError, `observables` that is not a collection
-    of ``QUADRATURES``: ("z",), None, a number."""
+    """Refuse, with one ValueError, `observables` that is not a nonempty
+    collection of ``QUADRATURES``: ("z",), (), a str such as "xy", an
+    iterator, None, a number."""
     try:
-        known = QUADRATURES.issuperset(observables)
+        # len refuses an iterator before issuperset could use it up
+        known = (
+            len(observables)
+            and QUADRATURES.issuperset(observables)
+            and not isinstance(observables, str)
+        )
     except TypeError:
         known = False
     if not known:

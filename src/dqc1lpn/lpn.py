@@ -137,37 +137,25 @@ def query_budget(budget: BudgetParams, n: int, threshold: float) -> int:
     """Queries required to decide one of n bits against `threshold`, the T
     that ``learn`` compares the bit's reading with.
 
-    ceil(C ln(1/delta') / (L T^2)) with delta' the per-bit share of the
-    failure budget.  ``learn``'s T_j = alpha (1-p) g^(n-j) / 2, with g the
-    gap factor of theta (1/sqrt(2) at pi/2), so the count grows by 1/g^2
-    per extra data qubit ahead of j and diverges as p -> 1.  A T that is
-    not a positive normal float is refused, and so is n below 1.
+    The least integer Q with Q L T^2 >= C ln(1/delta'), with delta' the
+    per-bit share of the failure budget: ln(1/delta') is the float
+    ln n - ln delta (-ln delta with per_bit_delta), and the ceiling of its
+    quotient by L T^2 is taken in exact integers, so it holds for any n, L
+    and delta and every normal T.  ``learn``'s T_j = alpha (1-p) g^(n-j) / 2,
+    with g the gap factor of theta (1/sqrt(2) at pi/2), so the count grows
+    by 1/g^2 per extra data qubit ahead of j and diverges as p -> 1.  A T
+    that is not a positive normal float is refused, and so is n below 1.
     """
     # 0, a subnormal, a negative T, NaN and inf all fail this test
     if not 2.0**-1022 <= require_real(threshold, "threshold") < math.inf:
         raise ValueError("threshold must be a finite float of at least 2^-1022")
     if require_int(n, "n") < 1:
         raise ValueError("nothing to budget for n < 1")
-    try:
-        delta_eff = budget.delta if budget.per_bit_delta else budget.delta / n
-    except OverflowError:  # n past float range: its log is taken below
-        delta_eff = 0.0
-    if delta_eff and 1.0 / delta_eff < math.inf:
-        log_term = HOEFFDING_C * math.log(1.0 / delta_eff)
-    else:  # delta/n underflowed to 0, or 1/delta' overflows: add the logs
-        spread = 0.0 if budget.per_bit_delta else math.log(n)
-        log_term = HOEFFDING_C * (spread - math.log(budget.delta))
-    # L first, then T one factor at a time: no square underflows, and for
-    # T <= 1 the quotient overflows only when the budget does; then, or when
-    # float(L) overflows, the logs of the factors are summed instead
-    try:
-        raw = log_term / budget.L / threshold / threshold
-    except OverflowError:
-        raw = math.inf
-    if not math.isfinite(raw):
-        exponent = math.log2(log_term) - math.log2(budget.L) - 2.0 * math.log2(threshold)
-        return 1 << max(0, math.ceil(exponent))
-    return max(1, math.ceil(raw))
+    spread = 0.0 if budget.per_bit_delta else math.log(n)
+    num, den = (HOEFFDING_C * (spread - math.log(budget.delta))).as_integer_ratio()
+    top, bottom = float(threshold).as_integer_ratio()
+    # ceil(num bottom^2 / (den L top^2)), a positive quotient, in exact integers
+    return -(-num * bottom * bottom // (den * index(budget.L) * top * top))
 
 
 def make_oracle(s, cfg: Dqc1Config) -> Oracle:

@@ -247,7 +247,8 @@ _SMALL_VALUES = st.one_of(st.integers(-3, 70), st.floats(), st.text(max_size=4),
 
 #: What a caller may pass as a query's observables besides the quadratures
 _NOT_OBSERVABLES = st.one_of(
-    st.tuples(st.text(max_size=2)), st.text(max_size=2), st.none(), st.integers(-3, 3)
+    st.tuples(st.text(max_size=2)), st.text(max_size=2), st.none(), st.integers(-3, 3),
+    st.sampled_from([(), "", "xy"]), st.builds(iter, st.lists(st.sampled_from("xy"), max_size=2)),
 )
 
 
@@ -486,11 +487,16 @@ def test_entry_points_name_the_parameter_they_refuse(call, name):
         call()
 
 
-@pytest.mark.parametrize("observables", [("z",), None, 3, ("x", "z")])
+@pytest.mark.parametrize(
+    "observables", [("z",), None, 3, ("x", "z"), (), "", "xy", iter(["x", "y"])]
+)
 def test_quadratures_are_refused_with_one_message(observables):
     """The oracle of every backend and ``sample_expectations`` refuse what is
-    not a collection of the quadratures, by one message: None was a
-    TypeError there, and ``sample_expectations`` echoed the input."""
+    not a nonempty collection of the quadratures, by one message: None was a
+    TypeError there, and ``sample_expectations`` echoed the input.  (), ""
+    and an iterator, which issuperset used up, read neither quadrature, a
+    record of zeros that ``decide_bit`` took for a 1 bit, and "xy" read
+    both."""
     messages = set()
     for backend in dqc1.BACKENDS:
         cfg = Dqc1Config(n=4, alpha=0.8, p=0.1, theta=1.0, backend=backend)

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dqc1lpn.circuits import StepBlock, as_bits, bits_to_str, mask_kinds
@@ -37,6 +38,14 @@ def _bit_budget(budget, cfg, j):
     """The budget of bit j, sized from the threshold ``learn`` computes."""
     threshold = cfg.alpha * (1.0 - cfg.p) * _gap_factor(cfg.theta) ** (cfg.n - j) / 2.0
     return query_budget(budget, cfg.n, threshold)
+
+
+def _least_count(budget, n, threshold):
+    """The least integer Q with Q L T^2 >= C ln(1/delta'), in exact
+    fractions, with ln(1/delta') the float that ``query_budget`` takes."""
+    spread = 0.0 if budget.per_bit_delta else math.log(n)
+    need = Fraction(HOEFFDING_C * (spread - math.log(budget.delta)))
+    return math.ceil(need / (budget.L * Fraction(threshold) ** 2))
 
 
 def test_closed_form_tau_known_value():
@@ -129,38 +138,50 @@ def test_query_budget_efficiency_frontier():
 @pytest.mark.parametrize(
     "n,j,alpha,L,delta,theta,expected",
     [
-        # T = 2^-750.5, so T^2 underflows and the quotient overflows:
+        # T = 2^-750.5, whose square underflows a float:
         # 2 ln(1500 / 0.01) 2^1501 = 2^1505.58 queries
-        pytest.param(1500, 1, 1.0, 1, 0.01, HALF_PI, 2**1506, id="overflow"),
-        # T = 5e-4 2^-510.5 fits, the quotient by its square does not
+        pytest.param(1500, 1, 1.0, 1, 0.01, HALF_PI, 1505.5751, id="overflow"),
+        # T = 5e-4 2^-510.5 fits, the quotient by its square would not
         pytest.param(1022, 1, 1e-3, 1, 0.01, HALF_PI, None, id="nonfinite"),
-        # 1/delta' overflows: 2 ln(4e320) 4 2^3 / 1000 = 47.2
+        # 1/delta' would overflow: 2 ln(4e320) 4 2^3 / 1000 = 47.2
         pytest.param(4, 1, 1.0, 1000, 1e-320, HALF_PI, 48, id="subnormal-delta"),
-        # delta/n underflows to 0: 2 ln(4 / 5e-324) 4 2^3 / 1000 = 47.7
+        # delta/n would underflow to 0: 2 ln(4 / 5e-324) 4 2^3 / 1000 = 47.7
         pytest.param(4, 1, 1.0, 1000, 5e-324, HALF_PI, 48, id="zero-delta-share"),
         # T = 1e-170 2^-2.5, whose square underflows to 0: 2^1128.07 queries
-        pytest.param(4, 1, 1e-170, 1000, 0.01, HALF_PI, 2**1129, id="underflowed-scale"),
+        pytest.param(4, 1, 1e-170, 1000, 0.01, HALF_PI, 1128.0727, id="underflowed-scale"),
         # the same at theta = 1: each of the 3 trailing qubits costs
         # -2 log2 sin(1/2) = 2.121 bits, not 1, so 2^(1128.07 - 3 + 6.36)
         # = 2^1131.44 queries
         pytest.param(
-            4, 1, 1e-170, 1000, 0.01, 1.0, 2**1132, id="underflowed-scale-theta1"
+            4, 1, 1e-170, 1000, 0.01, 1.0, 1131.4364, id="underflowed-scale-theta1"
         ),
-        # float(L) overflows, so the logs give 2^-1320.2, which counts as 1
+        # float(L) would overflow: 2^-1320.2, which counts as 1
         pytest.param(4, 1, 1.0, 10**400, 0.01, HALF_PI, 1, id="overflowed-scale"),
-        # ... and with T = 2^-1000.5, whose square underflows, the logs give
+        # ... and with T = 2^-1000.5, whose square would underflow,
         # 2 ln(2000 / 0.01) 2^2001 / 10^400 = 2^676.84 queries
-        pytest.param(2000, 1, 1.0, 10**400, 0.01, HALF_PI, 2**677, id="overflowed-scale-deep-gap"),
+        pytest.param(
+            2000, 1, 1.0, 10**400, 0.01, HALF_PI, 676.8383, id="overflowed-scale-deep-gap"
+        ),
         # or 2^-1316.3 for L = 10^1000, which counts as 1
         pytest.param(2000, 1, 1.0, 10**1000, 0.01, HALF_PI, 1, id="overflowed-scale-deep-gap-1"),
     ],
 )
 def test_query_budget_log_space_fallback(n, j, alpha, L, delta, theta, expected):
-    # the float quotient is unusable or overflows; result must still be a usable int
-    cfg = Dqc1Config(n=n, alpha=alpha, p=0.0, theta=theta)
-    q = _bit_budget(BudgetParams(delta=delta, L=L), cfg, j)
+    """Inputs past float range, where a float quotient would overflow or
+    underflow, still give the least count: an int, and a float `expected`
+    is its log2 to four places."""
+    budget = BudgetParams(delta=delta, L=L)
+    # the threshold that ``learn`` sizes bit j for, at p = 0
+    threshold = alpha * _gap_factor(theta) ** (n - j) / 2.0
+    q = query_budget(budget, n, threshold)
     assert isinstance(q, int)
-    assert q > 10**300 if expected is None else q == expected
+    assert q == _least_count(budget, n, threshold)
+    if expected is None:
+        assert q > 10**300
+    elif isinstance(expected, int):
+        assert q == expected
+    else:
+        assert round(math.log2(q), 4) == expected
 
 
 @pytest.mark.parametrize("theta", [0.6, 1.0, 2.4, HALF_PI])
@@ -227,10 +248,39 @@ def test_query_budget_refuses_fewer_than_one_bit():
 
 
 def test_query_budget_past_float_range_of_bits():
-    """delta / n raised OverflowError for an n past float range; the logs of
-    the share are added instead: 2 (ln 10^400 - ln 0.1) / (10 * 0.25^2)."""
+    """delta / n once raised OverflowError for an n past float range; the
+    share's log is ln n - ln delta: 2 (ln 10^400 - ln 0.1) / (10 * 0.25^2)."""
     need = HOEFFDING_C * (400 * math.log(10) - math.log(0.1)) / 10 / 0.25**2
     assert query_budget(BudgetParams(delta=0.1, L=10), 10**400, 0.25) == math.ceil(need)
+
+
+def _scaled(digits):
+    """Integers from 1 to 10^digits, spread over their orders of magnitude."""
+    return st.integers(0, digits).flatmap(lambda k: st.integers(1, 10**k))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    threshold=st.one_of(
+        st.just(1.0),
+        st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1021, 0)),
+    ),
+    L=_scaled(400),
+    n=_scaled(400),
+    delta=st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, 0)),
+    per_bit_delta=st.booleans(),
+)
+def test_query_budget_is_the_least_count_that_meets_the_bound(
+    threshold, L, n, delta, per_bit_delta
+):
+    """Across every accepted T, L, n and delta the budget is the least
+    integer Q with Q L T^2 >= C ln(1/delta'), checked in exact fractions;
+    a power of two past float range was up to twice that."""
+    budget = BudgetParams(delta=delta, L=L, per_bit_delta=per_bit_delta)
+    q = query_budget(budget, n, threshold)
+    assert isinstance(q, int)
+    assert q >= 1
+    assert q == _least_count(budget, n, threshold)
 
 
 @pytest.mark.parametrize("fixed_queries", [None, 5])
