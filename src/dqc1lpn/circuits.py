@@ -92,6 +92,17 @@ def ones_mask(bits) -> int:
     return _packed(as_bits(bits))
 
 
+def probe_mask(j, n: int) -> int:
+    """The bitmask of probe qubit j of n data qubits, or 0 for j=None (no
+    probe); a j that is not an integer in 1..n raises ValueError."""
+    if j is None:
+        return 0
+    j = require_int(j, "j")
+    if not 1 <= j <= n:
+        raise ValueError(f"probe index outside 1..{n}")
+    return 1 << (j - 1)
+
+
 def _packed(bits: np.ndarray) -> int:
     """The int bitmask of the uint8 0/1 array that ``as_bits`` returned."""
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
@@ -155,9 +166,7 @@ class StepBlock:
         """
         bits = as_bits(bits)
         n = bits.size
-        j = None if j is None else require_int(j, "j")
-        if j is not None and not 1 <= j <= n:
-            raise ValueError(f"probe index outside 1..{n}")
+        probe = probe_mask(j, n)
         decoupled = require_int(decoupled, "decoupled")
         corrections = require_int(corrections, "corrections")
         # a negative mask shifts to -1, or meets ~decoupled, so it is refused
@@ -165,9 +174,8 @@ class StepBlock:
             raise ValueError("decoupled set outside data register")
         if corrections & ~decoupled:
             raise ValueError("corrections must target decoupled qubits")
-        probe = 0 if j is None else 1 << (j - 1)
         if probe & decoupled:
-            raise ValueError(f"probe index {j} cannot be decoupled")
+            raise ValueError(f"probe index {probe.bit_length()} cannot be decoupled")
         rotated = ((1 << n) - 1) & ~(decoupled | probe)
         return cls(theta, n, rotated, _packed(bits) ^ corrections, phi)
 

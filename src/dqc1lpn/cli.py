@@ -404,7 +404,7 @@ def cmd_discord_sweep(args) -> tuple[dict[str, Any], dict[str, Any]]:
                 }
             )
         config = {
-            "s": bits_to_str(bits), "j": args.j, "theta": theta,
+            "s": args.s, "j": args.j, "theta": theta,
             "theta_raw": args.theta, "alpha_grid": args.alpha_grid,
         }
     else:
@@ -434,7 +434,7 @@ def cmd_discord_sweep(args) -> tuple[dict[str, Any], dict[str, Any]]:
                 }
             )
         config = {
-            "s": bits_to_str(bits), "j": args.j, "alpha": args.alpha,
+            "s": args.s, "j": args.j, "alpha": args.alpha,
             "theta_grid": args.theta_grid,
         }
     return config, {"rows": rows}
@@ -445,7 +445,7 @@ def cmd_noise_sweep(args) -> tuple[dict[str, Any], dict[str, Any]]:
     theta = parse_angle(args.theta)
     cfg = Dqc1Config(n=bits.size, alpha=args.alpha, p=args.p, theta=theta, seed=args.seed)
     rows: list[dict[str, Any]] = []
-    config: dict[str, Any] = {"mode": args.mode, "s": bits_to_str(bits)}
+    config: dict[str, Any] = {"mode": args.mode, "s": args.s}
     if args.mode == "midq":
         q_grid = parse_grid(args.q_grid)
         ratios = noise.midcircuit_noise_sweep(bits, cfg, q_grid, j=args.j)
@@ -536,7 +536,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=parse_float, default=0.0, help="readout depolarization")
     p.add_argument("--theta", default="0.5pi", help="rotation angle (pi suffix ok)")
     p.add_argument("--L", type=parse_int, default=1000, help="shots per query")
-    p.add_argument("--delta", type=parse_float, default=0.01, help="failure probability")
+    p.add_argument("--delta", type=parse_float, default=0.01, help="target failure probability the budget is sized for")
     p.add_argument(
         "--per-bit-delta", action="store_true",
         help="spend delta per bit instead of splitting it globally",

@@ -21,19 +21,38 @@ import itertools
 import warnings
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import circuits, dqc1
-from .circuits import as_bits
 from .dqc1 import Dqc1Config, EstimateRecord
+
+
+def _read(s, theta: float, n: int | None = None) -> circuits.StepBlock:
+    """The one read of the bit pattern `s`: its block with every qubit
+    rotated by theta.  A pattern that is not `n` bits long is refused, with
+    the message of ``as_bits``."""
+    block = circuits.StepBlock.from_bits(s, theta)
+    if n is not None and block.n != n:
+        raise ValueError(f"expected {n} bits, got {block.n}")
+    return block
+
+
+def _first_zero(block: circuits.StepBlock) -> int | None:
+    """The first 0 bit of the pattern that `block` was read from (its lowest
+    clear flips bit), or None when every bit is 1."""
+    j = (~block.flips & (block.flips + 1)).bit_length()
+    return j if j <= block.n else None
+
+
+def _probing(block: circuits.StepBlock, j: int | None) -> circuits.StepBlock:
+    """`block` from ``_read`` with probe bit j left unrotated; by default
+    the first 0 bit, and no probe (uniform rotation) when s is all ones."""
+    probe = circuits.probe_mask(_first_zero(block) if j is None else j, block.n)
+    return dataclasses.replace(block, rotated=block.rotated & ~probe)
 
 
 def default_probe_bit(s) -> int | None:
     """Data qubit probed by the diagnostic circuits: the first 0 bit of s,
     or None (uniform rotation) when s is all ones."""
-    bits = as_bits(s)
-    zeros = np.flatnonzero(bits == 0)
-    return int(zeros[0]) + 1 if zeros.size else None
+    return _first_zero(_read(s, 0.0))
 
 
 def midcircuit_noise_sweep(
@@ -51,15 +70,13 @@ def midcircuit_noise_sweep(
     signal that is exactly zero (the block vanishes, or alpha = 0), are
     refused; then a ratio below 2^-1022.
     """
-    bits = as_bits(s, n=cfg.n)
+    block = _read(s, cfg.theta, cfg.n)
     q_grid = dqc1.require_list(q_grid, "q_grid")
     if not all(0.0 <= dqc1.require_real(q, "mid-circuit rate q") <= 0.2 for q in q_grid):
         raise ValueError("mid-circuit rate q outside [0, 0.2]")
-    if not bits.any():
+    if not block.flips:
         raise ValueError("all-zero string carries no coupling to damp")
-    if j is None:
-        j = default_probe_bit(bits)
-    block = circuits.StepBlock.from_bits(bits, cfg.theta, j)
+    block = _probing(block, j)
     if block.vanishes() or cfg.alpha == 0.0:
         raise ValueError(
             "noiseless signal vanishes; pick a probe bit with s_j = 0, "
@@ -83,7 +100,7 @@ def phase_flip_parity_experiment(
     that is not an integer, a repeated qubit, or a readout that is not
     exactly zero but below 2^-1022, raises ValueError.
     """
-    bits = as_bits(s, n=cfg.n)
+    block = _read(s, cfg.theta, cfg.n)
     qubits = dqc1.require_list(flip_set, "flip_set")
     flips = sorted(dqc1.require_int(k, "every qubit of flip_set") for k in qubits)
     if flips and (flips[0] < 1 or flips[-1] > cfg.n):
@@ -91,15 +108,13 @@ def phase_flip_parity_experiment(
     for k, after in zip(flips, flips[1:]):
         if k == after:
             raise ValueError(f"phase flip on qubit {k} repeated: two sz on one qubit cancel")
-    idle = [k for k in flips if not bits[k - 1]]
+    idle = [k for k in flips if not block.flips >> (k - 1) & 1]
     if idle:
         warnings.warn(
             f"phase flips on uncoupled qubits {idle} cannot reach the probe",
             stacklevel=2,
         )
-    if j is None:
-        j = default_probe_bit(bits)
-    block = circuits.StepBlock.from_bits(bits, cfg.theta, j)
+    block = _probing(block, j)
     tau = block.tau()
     if (len(flips) - len(idle)) % 2:
         tau = -tau
@@ -125,9 +140,8 @@ def systematic_error_sweep(
     but falls below 2^-1022, raises ValueError.
     """
     grids = dqc1.require_list(phi_grid, "phi_grid"), dqc1.require_list(theta_grid, "theta_grid")
-    bits = as_bits(s)
     # s is read once; each grid point is that block at another angle and axis
-    base = circuits.StepBlock.from_bits(bits, 0.0, default_probe_bit(bits) if j is None else j)
+    base = _probing(_read(s, 0.0), j)
     traces = []
     for phi, theta in itertools.product(*grids):
         block = dataclasses.replace(base, theta=theta, phi=phi)

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+import shlex
 import sys
 import warnings
 from pathlib import Path
@@ -93,14 +94,10 @@ def test_learn_random_string_is_seeded(capsys):
 
 GOLDEN = Path(__file__).parent / "golden"
 
-#: learn runs whose stdout is pinned in tests/golden.  Two parts of ROADMAP
-#: item 1 are done: each read quadrature is one binomial draw of L*Q shots,
-#: which rewrote csv-per-bit-delta, and the query budget takes its gap from
-#: the rotation angle, which moved no byte here (every run is at pi/2 or
-#: uses --queries).  The rest of the budget rule (the Hoeffding constant and
-#: a second term for the second quadrature read) will change readme-sampled
-#: and csv-per-bit-delta on purpose; that change must say so and rewrite
-#: the files.
+#: learn runs whose stdout is pinned in tests/golden.  ROADMAP item 1's
+#: budget rule (the Hoeffding constant and a second term for the second
+#: quadrature read) will change readme-sampled and csv-per-bit-delta on
+#: purpose; that change must say so and rewrite the files.
 LEARN_GOLDEN = {
     "closed-n40": (
         ("--backend", "closed", "--queries", "1", "--n", "40", "--random-s"),
@@ -238,90 +235,6 @@ def test_learn_csv_has_comment_header(capsys):
     assert len(lines) == 4
 
 
-def test_usage_errors_exit_two(capsys):
-    assert run_cli(capsys, "learn", "--s", "0110", "--alpha", "2.0")[0] == 2
-    assert run_cli(capsys, "learn")[0] == 2
-    assert run_cli(capsys, "learn", "--s", "012")[0] == 2
-    assert run_cli(capsys, "no-such-command")[0] == 2
-    # probe indices outside 1..n
-    for argv in (
-        ("--mode", "midq", "--s", "0110", "--j", "9"),
-        ("--mode", "midq", "--s", "0110", "--j", "0"),
-        ("--mode", "parity", "--s", "0110", "--flips", "2", "--j", "7"),
-        ("--mode", "systematic", "--s", "0110", "--j", "-1"),
-    ):
-        assert run_cli(capsys, "noise-sweep", *argv)[0] == 2
-    # non-finite angles and shot counts beyond the sampler's int64 range
-    for argv in (
-        ("learn", "--s", "0110", "--theta", "nanpi"),
-        ("noise-sweep", "--mode", "systematic", "--s", "0110", "--phi-grid", "nan"),
-        ("learn", "--s", "01", "--backend", "sampled",
-         "--L", "100000000000000000000000", "--queries", "1"),
-        # an unwritable --out path, and a dense block past circuits.MAX_QUBITS
-        ("coherence", "--out", "/nonexistent/dir/x.csv"),
-        ("learn", "--backend", "dense", "--n", "13", "--random-s"),
-        # midq signals that are exactly zero: no rotation, no polarization
-        ("noise-sweep", "--mode", "midq", "--s", "0110", "--theta", "0", "--j", "1"),
-        ("noise-sweep", "--mode", "midq", "--s", "0110", "--alpha", "0"),
-        # empty grids, a trace table below one qubit
-        ("noise-sweep", "--mode", "systematic", "--s", "0110", "--theta-grid", ""),
-        ("noise-sweep", "--mode", "systematic", "--s", "0110", "--theta-grid", ","),
-        ("noise-sweep", "--mode", "systematic", "--s", "0110", "--phi-grid", ""),
-        ("noise-sweep", "--mode", "midq", "--s", "0110", "--q-grid", ""),
-        ("discord-sweep", "--s", "011", "--j", "1", "--alpha-grid", ""),
-        ("coherence", "--alpha-grid", ""),
-        ("coherence", "--tau-grid", ","),
-        ("trace-table", "--n", "-1"),
-        ("trace-table", "--n", "0"),
-        # seeds outside 0..2^64-1 on every command, and alpha outside [0, 1]
-        ("coherence", "--seed", "-5"),
-        ("trace-table", "--n", "2", "--seed", "18446744073709551616"),
-        ("discord-sweep", "--s", "011", "--j", "1", "--alpha-grid", "0:2:3"),
-        ("discord-sweep", "--s", "011", "--j", "1", "--alpha-grid", "0.5", "--seed", "-1"),
-        ("discord-sweep", "--s", "011", "--j", "1", "--alpha", "1.5", "--theta-grid", "1"),
-        # a grid count, and a coherence grid product, above cli.MAX_GRID_POINTS
-        ("coherence", "--alpha-grid", "0:1:100000000"),
-        ("coherence", "--alpha-grid", "0:1:1000", "--tau-grid", "0:1:1000"),
-        ("noise-sweep", "--mode", "systematic", "--s", "0110",
-         "--phi-grid", "0:1:100000", "--theta-grid", "0:1:100000"),
-        # a phase flip repeated on one qubit, where two sz cancel
-        ("noise-sweep", "--mode", "parity", "--s", "0110", "--flips", "2,2"),
-        # learn with --n below 1
-        ("learn", "--random-s", "--n", "-2"),
-        ("learn", "--random-s", "--n", "0"),
-    ):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert "Traceback" not in err
-    # learn with a query count or cap below 1: the message names the flag
-    for flag, value in (
-        ("--queries", "-5"), ("--queries", "0"),
-        ("--max-queries", "-1"), ("--max-queries", "0"),
-    ):
-        code, out, err = run_cli(capsys, "learn", "--s", "0110", flag, value)
-        assert (code, out) == (2, "")
-        assert err == f"error: {flag} must be at least 1\n"
-    # an unpolarized probe, with the budget rule and with fixed queries
-    for backend in ("dense", "closed", "sampled"):
-        for queries in ((), ("--queries", "1")):
-            code, out, err = run_cli(
-                capsys, "learn", "--s", "0110", "--alpha", "0", "--backend", backend,
-                *queries,
-            )
-            assert (code, out) == (2, "")
-            assert err.startswith("error: alpha must lie in (0, 1]")
-
-
-def test_budget_exhaustion_exits_three(capsys):
-    code, _, err = run_cli(
-        capsys, "learn", "--n", "50", "--random-s", "--alpha", "0.1",
-        "--p", "0.9", "--L", "10", "--max-queries", "100",
-    )
-    assert code == 3
-    assert "error" in err
-
-
 def test_budget_exhaustion_message_is_short(capsys):
     """Bit 1 of 2000 needs about 2^1995.6 queries: printed as a power of
     two rather than a 601-digit integer."""
@@ -329,7 +242,7 @@ def test_budget_exhaustion_message_is_short(capsys):
     assert code == 3
     assert out == ""
     assert "about 2^1995.6" in err
-    assert len(err.strip()) < 200
+    assert err.count("\n") == 1 and len(err) < 200
 
 
 def test_learn_extreme_budget_inputs_exit_cleanly(capsys):
@@ -379,77 +292,158 @@ def test_learn_budget_rule_with_a_400_digit_L(capsys, backend, expected):
     )
     assert code == expected, err
     if expected == 0:
-        results = json.loads(out)["results"]
+        results = json.loads(out, parse_constant=lambda c: pytest.fail(f"printed {c}"))["results"]
         assert results["success"] is True
         assert [row["queries"] for row in results["rows"]] == [1] * 4
     else:
         assert out == "" and "int64" in err
 
 
+_BIG = str(10**400)
+
+
 @pytest.mark.parametrize(
-    "argv,message",
+    "command,message",
     [
-        (("discord-sweep", "--s", "011", "--j", str(10**400), "--alpha-grid", "0.5"),
-         "--j outside 1..3"),
-        (("noise-sweep", "--mode", "midq", "--s", "0110", "--j", str(10**400)),
-         "probe index outside 1..4"),
-        (("noise-sweep", "--mode", "parity", "--s", "0110", "--flips", str(10**400)),
+        ("discord-sweep --s 011 --j " + _BIG + " --alpha-grid 0.5", "--j outside 1..3"),
+        ("noise-sweep --mode midq --s 0110 --j " + _BIG, "probe index outside 1..4"),
+        ("noise-sweep --mode parity --s 0110 --flips " + _BIG,
          "flip set outside data qubits 1..4"),
-        (("learn", "--s", "0110", "--backend", "sampled", "--L", str(10**400),
-          "--queries", "1"),
+        ("learn --s 0110 --backend sampled --L " + _BIG + " --queries 1",
          "L exceeds 2^63 - 1, the int64 range of the shot sampler"),
         # about 10^384 int64 parts per read: a loop that would never end
-        (("learn", "--s", "0110", "--backend", "sampled",
-          "--queries", str(10**400), "--max-queries", str(10**400)),
+        ("learn --s 0110 --backend sampled --queries " + _BIG + " --max-queries " + _BIG,
          "a read of L*Q shots exceeds 2^20 int64 draws of the shot sampler"),
     ],
     ids=["discord-j", "midq-j", "parity-flips", "sampled-L", "sampled-queries"],
 )
-def test_refusals_of_huge_ints_are_short(capsys, argv, message):
+def test_refusals_of_huge_ints_are_short(capsys, command, message):
     """A refused 400-digit argument is not echoed: exit 2, nothing on
     stdout, and a message under 200 bytes that names the bound it broke."""
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *shlex.split(command))
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n" and len(err) < 200
 
 
+def _refused(id, command, message="", code=2):
+    """A row of ``test_refusals_name_the_fault_not_the_input``: `command`,
+    split as a shell splits it, exits `code` with one stderr line that
+    starts with `message`."""
+    return pytest.param(shlex.split(command), code, message, id=id)
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv,code,message",
     [
-        ("trace-table", "--s", "0" * 3000 + "x"),
-        ("learn", "--s", "0110", "--theta", "1" * 400 + "e400"),
-        ("noise-sweep", "--mode", "systematic", "--s", "0110", "--phi-grid", "a" * 500),
+        _refused("bit-string", "trace-table --s " + "0" * 3000 + "x"),
+        _refused("angle", "learn --s 0110 --theta " + "1" * 400 + "e400"),
+        _refused("grid", "noise-sweep --mode systematic --s 0110 --phi-grid " + "a" * 500),
         # refused by argparse: one line, without the usage text
-        ("learn", "--s", "0110", "--seed", str(10**400)),
-        ("learn", "--s", "0110", "--seed", "-1"),
+        _refused("seed-huge", "learn --s 0110 --seed " + _BIG),
+        _refused("seed-negative", "learn --s 0110 --seed -1"),
         # counts below 1 name the flag and its bound, not the count
-        ("learn", "--s", "0110", "--queries", "-" + str(10**400)),
-        ("learn", "--s", "0110", "--max-queries", "-" + str(10**400)),
-        ("learn", "--random-s", "--n", "-" + str(10**400)),
-        ("trace-table", "--n", "-" + str(10**400)),
+        _refused("queries-huge", "learn --s 0110 --queries -" + _BIG),
+        _refused("max-queries-huge", "learn --s 0110 --max-queries -" + _BIG),
+        _refused("n-huge", "learn --random-s --n -" + _BIG),
+        _refused("trace-table-n-huge", "trace-table --n -" + _BIG),
+        *(
+            _refused(f"{flag}-{value}", f"learn --s 0110 --{flag} {value}",
+                     f"error: --{flag} must be at least 1\n")
+            for flag, value in (("queries", -5), ("queries", 0), ("max-queries", -1),
+                                ("max-queries", 0))
+        ),
         # values that are no int, number or choice: the option types refuse
         # them before argparse's own message, which echoes the text
-        ("learn", "--s", "0110", "--n", "x" * 500),
-        ("learn", "--s", "0110", "--alpha", "x" * 500),
-        ("learn", "--s", "0110", "--backend", "x" * 500),
-        ("learn", "--s", "0110", "--format", "x" * 500),
-        ("learn", "--s", "0110", "--seed", "x" * 500),
-        ("discord-sweep", "--s", "011", "--j", "x" + "1" * 500, "--alpha-grid", "0.5"),
-        ("noise-sweep", "--mode", "parity", "--s", "0110", "--flips", "x" * 500),
-    ],
-    ids=[
-        "bit-string", "angle", "grid", "seed-huge", "seed-negative",
-        "queries-huge", "max-queries-huge", "n-huge", "trace-table-n-huge",
-        "n-text", "alpha-text", "backend-text", "format-text", "seed-text",
-        "discord-j-text", "flips-text",
+        *(
+            _refused(f"{flag}-text", f"learn --s 0110 --{flag} " + "x" * 500)
+            for flag in ("n", "alpha", "backend", "format", "seed")
+        ),
+        _refused("discord-j-text",
+                 "discord-sweep --s 011 --j x" + "1" * 500 + " --alpha-grid 0.5"),
+        _refused("flips-text", "noise-sweep --mode parity --s 0110 --flips " + "x" * 500),
+        _refused("alpha-above-one", "learn --s 0110 --alpha 2.0"),
+        _refused("learn-without-string", "learn"),
+        _refused("string-not-bits", "learn --s 012"),
+        _refused("no-such-command", "no-such-command"),
+        # probe indices outside 1..n
+        _refused("midq-j-past-n", "noise-sweep --mode midq --s 0110 --j 9"),
+        _refused("midq-j-zero", "noise-sweep --mode midq --s 0110 --j 0"),
+        _refused("parity-j-past-n", "noise-sweep --mode parity --s 0110 --flips 2 --j 7"),
+        _refused("systematic-j-negative", "noise-sweep --mode systematic --s 0110 --j -1"),
+        # non-finite angles and shot counts beyond the sampler's int64 range
+        _refused("theta-nan", "learn --s 0110 --theta nanpi"),
+        _refused("phi-grid-nan", "noise-sweep --mode systematic --s 0110 --phi-grid nan"),
+        _refused("sampled-L-past-int64",
+                 "learn --s 01 --backend sampled --L 100000000000000000000000 --queries 1"),
+        # an unwritable --out path, and a dense block past circuits.MAX_QUBITS
+        _refused("out-unwritable", "coherence --out /nonexistent/dir/x.csv"),
+        _refused("dense-n13", "learn --backend dense --n 13 --random-s"),
+        _refused("dense-n13-queries",
+                 "learn --backend dense --n 13 --random-s --queries 1 --seed 3"),
+        # midq signals that are exactly zero: no rotation, no polarization
+        _refused("midq-theta-zero", "noise-sweep --mode midq --s 0110 --theta 0 --j 1"),
+        _refused("midq-alpha-zero", "noise-sweep --mode midq --s 0110 --alpha 0"),
+        # empty grids, a trace table below one qubit or past the n = 8 of a full one
+        _refused("theta-grid-empty", "noise-sweep --mode systematic --s 0110 --theta-grid ''"),
+        _refused("theta-grid-comma", "noise-sweep --mode systematic --s 0110 --theta-grid ,"),
+        _refused("phi-grid-empty", "noise-sweep --mode systematic --s 0110 --phi-grid ''"),
+        _refused("q-grid-empty", "noise-sweep --mode midq --s 0110 --q-grid ''"),
+        _refused("alpha-grid-empty", "discord-sweep --s 011 --j 1 --alpha-grid ''"),
+        _refused("coherence-alpha-grid-empty", "coherence --alpha-grid ''"),
+        _refused("tau-grid-comma", "coherence --tau-grid ,"),
+        _refused("trace-table-n-negative", "trace-table --n -1"),
+        _refused("trace-table-n-zero", "trace-table --n 0"),
+        _refused("trace-table-n9", "trace-table --n 9", "error: full tables stop at n = 8"),
+        # seeds outside 0..2^64-1 on every command, and alpha outside [0, 1]
+        _refused("coherence-seed-negative", "coherence --seed -5"),
+        _refused("trace-table-seed-2^64", "trace-table --n 2 --seed 18446744073709551616"),
+        _refused("alpha-grid-past-one", "discord-sweep --s 011 --j 1 --alpha-grid 0:2:3"),
+        _refused("discord-seed-negative",
+                 "discord-sweep --s 011 --j 1 --alpha-grid 0.5 --seed -1"),
+        _refused("discord-alpha-past-one",
+                 "discord-sweep --s 011 --j 1 --alpha 1.5 --theta-grid 1"),
+        _refused("discord-two-grids", "discord-sweep --s 011 --j 1 --alpha-grid 0.5,1 "
+                 "--theta-grid 1,2 --alpha 0.5", "error: give exactly one of --alpha-grid"),
+        # a grid count, and a coherence grid product, above cli.MAX_GRID_POINTS
+        _refused("grid-count-cap", "coherence --alpha-grid 0:1:100000000"),
+        _refused("coherence-product-cap", "coherence --alpha-grid 0:1:1000 --tau-grid 0:1:1000"),
+        _refused("systematic-product-cap", "noise-sweep --mode systematic --s 0110 "
+                 "--phi-grid 0:1:100000 --theta-grid 0:1:100000"),
+        # a phase flip repeated on one qubit, where two sz cancel
+        _refused("parity-flip-repeated", "noise-sweep --mode parity --s 0110 --flips 2,2"),
+        _refused("learn-n-negative", "learn --random-s --n -2"),
+        _refused("learn-n-zero", "learn --random-s --n 0"),
+        # an unpolarized probe, with the budget rule and with fixed queries, on
+        # each backend (closed is the default)
+        *(
+            _refused(f"unpolarized-{backend}{'-queries' * bool(queries)}",
+                     f"learn --s 0110 --alpha 0 {flag} {queries}",
+                     "error: alpha must lie in (0, 1]")
+            for backend, flag in (
+                ("dense", "--backend dense"), ("closed", ""), ("sampled", "--backend sampled"),
+            )
+            for queries in ("", "--queries 1")
+        ),
+        # budgets past --max-queries exit 3: L alpha^2 past float range is not
+        # past the exact integer ceiling, and at theta = 1 bit 1 of 14 needs
+        # more than the default cap of 10^7
+        _refused("budget-exhausted", "learn --n 50 --random-s --alpha 0.1 --p 0.9 --L 10 "
+                 "--max-queries 100", "error: bit 1 needs", code=3),
+        _refused("budget-alpha-1e-170", "learn --s 0110 --alpha 1e-170",
+                 "error: bit 1 needs about 2^1128.1 queries", code=3),
+        _refused("budget-theta1-n14", "learn --random-s --n 14 --theta 1.0 --alpha 0.8 "
+                 "--p 0.2 --L 1000 --backend sampled", "error: bit 1 needs 28312084 queries",
+                 code=3),
     ],
 )
-def test_refusals_name_the_fault_not_the_input(capsys, argv):
-    """A refused long value is not echoed back: exit 2, nothing on stdout
-    and one short line on stderr."""
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert len(err) < 200 and err.count("\n") == 1, err
+def test_refusals_name_the_fault_not_the_input(capsys, argv, code, message):
+    """A refusal, by a command or by argparse, exits 2 (3 for a budget past
+    --max-queries), prints nothing on stdout and one line under 200 bytes
+    on stderr, and does not echo a long value back."""
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith(message) and err.endswith("\n") and err.count("\n") == 1, err
+    assert len(err) < 200, err
 
 
 #: a decimal integer past Python's limit for int() of a string
@@ -457,21 +451,19 @@ _LONG_INT = "1" * (sys.get_int_max_str_digits() + 700)
 
 
 @pytest.mark.parametrize(
-    "argv,message",
+    "command,message",
     [
-        (("learn", "--s", "0110", "--L", _LONG_INT), "dqc1lpn learn: error: argument --L: "),
-        (("learn", "--s", "0110", "--seed", "-" + _LONG_INT),
-         "dqc1lpn learn: error: argument --seed: "),
-        (("coherence", "--alpha-grid", "0:1:" + _LONG_INT), "error: grid count is "),
-        (("noise-sweep", "--mode", "parity", "--s", "0110", "--flips", "1," + _LONG_INT),
-         "error: --flips entry is "),
+        ("learn --s 0110 --L " + _LONG_INT, "dqc1lpn learn: error: argument --L: "),
+        ("learn --s 0110 --seed -" + _LONG_INT, "dqc1lpn learn: error: argument --seed: "),
+        ("coherence --alpha-grid 0:1:" + _LONG_INT, "error: grid count is "),
+        ("noise-sweep --mode parity --s 0110 --flips 1," + _LONG_INT, "error: --flips entry is "),
     ],
     ids=["learn-L", "seed", "grid-count", "flips"],
 )
-def test_refusals_of_long_integers_name_the_digit_limit(capsys, argv, message):
+def test_refusals_of_long_integers_name_the_digit_limit(capsys, command, message):
     """An integer too long for int() is refused as one, not as text that is
     no integer, in one short line that does not echo it."""
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *shlex.split(command))
     assert (code, out) == (2, "")
     limit = sys.get_int_max_str_digits()
     assert err == f"{message}an integer longer than Python's {limit}-digit limit\n"
@@ -536,10 +528,6 @@ def test_trace_table_matches_library_at_300_qubits(capsys):
         assert row["abs_delta_tau"] == abs(gap)
 
 
-def test_trace_table_refuses_large_enumeration(capsys):
-    assert run_cli(capsys, "trace-table", "--n", "9")[0] == 2
-
-
 def test_coherence_values(capsys):
     code, out, _ = run_cli(
         capsys, "coherence", "--alpha-grid", "0.5,1", "--tau-grid", "0,1"
@@ -602,31 +590,19 @@ def test_noise_sweep_midq_bytes_unchanged(capsys, argv):
          "mid-circuit rate q outside"),
         (("--s", "0110", "--theta", "0", "--j", "1", "--q-grid", "0.1"),
          "noiseless signal vanishes"),
+        # an all-zero s and a vanishing block, each with a bad rate after a good one
+        (("--s", "0000", "--q-grid", "0.1,0.3"), "mid-circuit rate q outside"),
+        (("--s", "0110", "--theta", "0", "--j", "1", "--q-grid", "0.1,0.5"),
+         "mid-circuit rate q outside"),
     ],
 )
 def test_noise_sweep_midq_refuses_as_per_point_calls(capsys, argv, message):
     """A grid with one fault is refused with the message a one-point call
-    on the offending point gives: a bad rate, then an all-zero s, then a
-    vanishing block."""
+    on the offending point gives: a bad rate anywhere in the grid, then an
+    all-zero s, then a vanishing block."""
     code, out, err = run_cli(capsys, "noise-sweep", "--mode", "midq", *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}")
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("--s", "0000", "--q-grid", "0.1,0.3"),
-        ("--s", "0110", "--theta", "0", "--j", "1", "--q-grid", "0.1,0.5"),
-    ],
-    ids=["all-zero-string", "vanishing-block"],
-)
-def test_noise_sweep_midq_checks_every_rate_first(capsys, argv):
-    """Every q point is checked before s and the block: a bad rate anywhere
-    in the grid is the first refusal, even after a good one."""
-    code, out, err = run_cli(capsys, "noise-sweep", "--mode", "midq", *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: mid-circuit rate q outside")
 
 
 def test_noise_sweep_parity_cancellation(capsys):
@@ -646,6 +622,14 @@ def test_noise_sweep_systematic_deviation_small(capsys):
     )
     assert len(deviations) == 6
     assert max(deviations) < 1e-10
+
+
+def test_noise_sweep_systematic_at_2000_qubits(capsys):
+    """The closed form runs past any dense block: five default tilts by two
+    angles, all finite."""
+    argv = ("noise-sweep", "--mode", "systematic", "--s", "0" * 2000, "--theta-grid", "0.3,1.0")
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, len(out.splitlines())) == (0, 2 + 10) and _finite_csv(out)
 
 
 @pytest.mark.parametrize("s, j", [("0111", "2"), ("01", "1")])
@@ -695,14 +679,6 @@ def test_discord_sweep_theta_mode(capsys):
     assert lines[1].split(",")[-1] == "contrast"
     for line in lines[2:]:
         assert float(line.split(",")[-1]) != 0.0
-
-
-def test_discord_sweep_rejects_two_grids(capsys):
-    code = run_cli(
-        capsys, "discord-sweep", "--s", "011", "--j", "1",
-        "--alpha-grid", "0.5,1", "--theta-grid", "1,2", "--alpha", "0.5",
-    )[0]
-    assert code == 2
 
 
 def test_out_files_are_reproducible(tmp_path, capsys):
@@ -773,15 +749,26 @@ def test_unexpected_error_exits_four(capsys, monkeypatch):
         ("noise-sweep", "--mode", "systematic", "--s", "0110",
          "--phi-grid", "0:0.4pi:2", "--theta-grid", "0.3:2.2:2"),
         ("coherence", "--alpha-grid", "0.1:1:3", "--tau-grid", "0:1:3"),
+        # row tables filled into one template at n = 2000: at pi/2, off it,
+        # and with string columns; a subnormal delta; dense learn at n = 9
+        ("learn", "--backend", "closed", "--queries", "1", "--n", "2000", "--random-s",
+         "--seed", "3"),
+        ("learn", "--backend", "closed", "--queries", "1", "--n", "2000", "--random-s",
+         "--theta", "1.56", "--alpha", "0.7", "--p", "0.2"),
+        ("trace-table", "--s", "01" * 1000),
+        ("learn", "--s", "0110", "--delta", "1e-320"),
+        ("learn", "--backend", "dense", "--n", "9", "--random-s", "--queries", "1", "--seed", "3"),
     ],
 )
 def test_json_output_is_indent_two_bytes(argv):
-    """The serializer writes exactly json.dumps(payload, indent=2) for every
-    subcommand and learn backend."""
+    """The serializer writes exactly json.dumps(payload, indent=2), which
+    has no NaN or infinity, for every subcommand and learn backend, and
+    every learn run here recovers its string."""
     args = cli._build_parser().parse_args([*argv, "--format", "json"])
     config, results = getattr(cli, "cmd_" + args.command.replace("-", "_"))(args)
     payload = _payload(args.command, config, results, args.seed)
     assert cli._serialize(payload, "json") == json.dumps(payload, indent=2) + "\n"
+    assert args.command != "learn" or results["success"] is True
 
 
 # pieces that could confuse a serializer splitting on "}," and newlines
@@ -949,39 +936,41 @@ def test_noise_sweep_midq_and_parity_at_64_qubits(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "command",
     [
         # the decision threshold of bit 1 is 2^-1050.5 and 2^-1100.5
-        ("learn", "--s", "0" * 2100, "--queries", "1"),
-        ("learn", "--s", "0" * 2200, "--queries", "1"),
+        "learn --s " + "0" * 2100 + " --queries 1",
+        "learn --s " + "0" * 2200 + " --queries 1",
         # with the budget rule too, at any cap: no query count can read
         # a bit whose threshold is not a normal float
-        ("learn", "--s", "0" * 2100),
-        ("learn", "--s", "0" * 2100, "--max-queries", str(10**400)),
-        ("trace-table", "--s", "0" * 2200),
-        ("noise-sweep", "--mode", "parity", "--s", "0" * 2199 + "1", "--flips", "2200"),
+        "learn --s " + "0" * 2100,
+        "learn --s " + "0" * 2100 + " --max-queries " + _BIG,
+        "learn --n 2200 --random-s",
+        # at n = 2000, alpha 0.7 and p 0.2 only theta within about 0.014 of
+        # pi/2 keeps every threshold normal: at 1.1 bit 1's is near 10^-564
+        "learn --backend closed --queries 1 --n 2000 --random-s --theta 1.1 --alpha 0.7 "
+        "--p 0.2 --format json",
+        "trace-table --s " + "0" * 2200,
+        "noise-sweep --mode parity --s " + "0" * 2199 + "1 --flips 2200",
         # 0.8^3200 is about 2^-1030
-        ("noise-sweep", "--mode", "midq", "--s", "0" + "1" * 3200, "--q-grid", "0.2"),
+        "noise-sweep --mode midq --s 0" + "1" * 3200 + " --q-grid 0.2",
         # (sin(5e-301))^11: the predicted trace flushes to 0
-        ("noise-sweep", "--mode", "systematic", "--s", "011111111111",
-         "--theta-grid", "1e-300", "--phi-grid", "0"),
+        "noise-sweep --mode systematic --s 011111111111 --theta-grid 1e-300 --phi-grid 0",
         # sin(5e-324) cos(0.4pi) rounds to 0.0, an underflow, not a vanishing factor
-        ("noise-sweep", "--mode", "systematic", "--s", "01", "--j", "1",
-         "--theta-grid", "1e-323", "--phi-grid", "0.4pi"),
+        "noise-sweep --mode systematic --s 01 --j 1 --theta-grid 1e-323 --phi-grid 0.4pi",
         # cos(pi/4)^2199 = 2^-1099.5: the closed form runs at any n
-        ("noise-sweep", "--mode", "systematic", "--s", "0" * 2200,
-         "--theta-grid", "0.5pi", "--phi-grid", "0"),
+        "noise-sweep --mode systematic --s " + "0" * 2200 + " --theta-grid 0.5pi --phi-grid 0",
     ],
     ids=[
         "learn-2100", "learn-2200", "learn-2100-budget", "learn-2100-budget-cap",
-        "trace-table", "parity", "midq", "systematic", "systematic-tilted",
-        "systematic-2200",
+        "learn-2200-random", "learn-2000-theta1.1", "trace-table", "parity", "midq",
+        "systematic", "systematic-tilted", "systematic-2200",
     ],
 )
-def test_readout_below_smallest_normal_exits_two(capsys, argv):
+def test_readout_below_smallest_normal_exits_two(capsys, command):
     """A printed value that is nonzero but below 2^-1022 would be subnormal
     or 0; the command exits 2 and names the limit instead."""
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *shlex.split(command))
     assert code == 2
     assert out == ""
     assert "2^-1022" in err

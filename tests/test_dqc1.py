@@ -1,6 +1,8 @@
 import math
+import re
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,24 +29,9 @@ from dense_reference import (
 
 
 def test_config_validation():
+    """Valid parameters, and numpy integers for the counts, are accepted;
+    each refusal is a row of ``test_entry_points_name_the_parameter_they_refuse``."""
     Dqc1Config(n=2, alpha=0.5, p=0.1, theta=1.0)
-    with pytest.raises(ValueError):
-        Dqc1Config(n=-1, alpha=0.5, p=0.0, theta=1.0)
-    with pytest.raises(ValueError):
-        Dqc1Config(n=2, alpha=1.5, p=0.0, theta=1.0)
-    with pytest.raises(ValueError):
-        Dqc1Config(n=2, alpha=0.5, p=1.0, theta=1.0)
-    with pytest.raises(ValueError):
-        Dqc1Config(n=2, alpha=0.5, p=0.0, theta=1.0, backend="magic")
-    # a non-finite angle gave NaN thresholds and a wrong s_hat, without an error
-    for theta in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="not finite"):
-            Dqc1Config(n=2, alpha=0.5, p=0.0, theta=theta, backend="closed")
-    # counts and seeds are integers: an infinite seed raised OverflowError,
-    # and a fractional n or seed was accepted
-    for fields in ({"seed": math.inf}, {"seed": 1.5}, {"n": 2.5}, {"n": 2.0}):
-        with pytest.raises(ValueError, match="must be an integer"):
-            Dqc1Config(**{"n": 2, "alpha": 0.5, "p": 0.0, "theta": 1.0, **fields})
     assert Dqc1Config(n=np.int64(2), alpha=0.5, p=0.0, theta=1.0, seed=np.uint64(3)).n == 2
 
 
@@ -432,59 +419,105 @@ def test_library_entry_points_refuse_with_value_error(call, data):
     assert finite
 
 
+def _refusal(id, call, name, message=None):
+    """A row of ``test_entry_points_name_the_parameter_they_refuse``: `call`
+    raises ValueError with `name` as a word of its message, which matches
+    the pattern `message` where one is given."""
+    return pytest.param(call, name, message, id=id)
+
+
+def _config_with(**fields):
+    return partial(Dqc1Config, **{"n": 2, "alpha": 0.5, "p": 0.0, "theta": 1.0, **fields})
+
+
 @pytest.mark.parametrize(
-    "call,name",
+    "call,name,message",
     [
-        (lambda: circuits.StepBlock(1.0, 2.5, 0, 0), "n"),
-        (lambda: circuits.StepBlock(1.0, 2, 1.5, 0), "rotated"),
-        (lambda: sample_expectations(0.5, 0.5, 10.5, 3, _seed(0)), "L"),
-        (lambda: sample_expectations(0.5, 0.5, 10, 3.5, _seed(0)), "Q"),
-        (lambda: Dqc1Config(n=2, alpha="0.5", p=0.0, theta=1.0), "alpha"),
-        (lambda: Dqc1Config(n=2, alpha=0.5, p=0.0, theta="1"), "theta"),
-        (lambda: BudgetParams("0.1", 10), "delta"),
-        (lambda: EstimateRecord("a", 0.0, 0.0, 0.0), "estimates"),
-        (lambda: query_budget(BudgetParams(0.1, 10), 2.5, 0.1), "n"),
-        (lambda: _oracle_0110()(1.0), "j"),
-        (lambda: _oracle_0110()(2, 0.5), "corrections"),
-        (lambda: _oracle_0110()(1, 0, 1, 1.5), "queries"),
-        (lambda: _oracle_0110()(1, 0, 1, 1, ("z",)), "observables"),
-        (lambda: _learn_0110(fixed_queries=1.5), "fixed_queries"),
-        (lambda: _learn_0110(max_queries=float("nan")), "max_queries"),
-        (lambda: _learn_0110(max_queries=0.5), "max_queries"),
-        (lambda: noise.phase_flip_parity_experiment("0110", _closed_config(4), [2.7]),
-         "flip_set"),
-        (lambda: lpn.closed_form_tau("0110", 1.0, 3, decoupled=[1.7]), "decoupled"),
-        (lambda: infomeasures.protocol_discord(
+        _refusal("block-n", lambda: circuits.StepBlock(1.0, 2.5, 0, 0), "n"),
+        _refusal("block-mask", lambda: circuits.StepBlock(1.0, 2, 1.5, 0), "rotated"),
+        _refusal("sample-L", lambda: sample_expectations(0.5, 0.5, 10.5, 3, _seed(0)), "L"),
+        _refusal("sample-Q", lambda: sample_expectations(0.5, 0.5, 10, 3.5, _seed(0)), "Q"),
+        _refusal("config-alpha", _config_with(alpha="0.5"), "alpha"),
+        _refusal("config-theta", _config_with(theta="1"), "theta"),
+        _refusal("config-n-negative", _config_with(n=-1), "n"),
+        _refusal("config-alpha-above-one", _config_with(alpha=1.5), "alpha"),
+        _refusal("config-p-one", _config_with(p=1.0), "p"),
+        _refusal("config-backend", _config_with(backend="magic"), "backend"),
+        # a non-finite angle gave NaN thresholds and a wrong s_hat, without an error
+        *(_refusal(f"config-theta-{t}", _config_with(theta=t, backend="closed"), "theta",
+                   "not finite") for t in (math.nan, math.inf, -math.inf)),
+        # counts and seeds are integers: an infinite seed raised OverflowError,
+        # and a fractional n or seed was accepted
+        *(_refusal(f"config-{key}-{v}", _config_with(**{key: v}), key, "must be an integer")
+          for key, v in (("seed", math.inf), ("seed", 1.5), ("n", 2.5), ("n", 2.0))),
+        _refusal("budget-delta", lambda: BudgetParams("0.1", 10), "delta"),
+        *(_refusal(f"budget-delta-{d}", partial(BudgetParams, delta=d, L=10), "delta")
+          for d in (0.0, 1.0, math.nan)),
+        # L is a shot count: NaN was accepted, and L = 1.5 planned 454 queries
+        *(_refusal(f"budget-L-{L}", partial(BudgetParams, delta=0.01, L=L), "L",
+                   "L must be " + ("positive" if isinstance(L, int) else "an integer"))
+          for L in (math.nan, math.inf, 1.5, 2.0, 0, -1)),
+        _refusal("record", lambda: EstimateRecord("a", 0.0, 0.0, 0.0), "estimates"),
+        _refusal("budget-n", lambda: query_budget(BudgetParams(0.1, 10), 2.5, 0.1), "n"),
+        _refusal("oracle-j", lambda: _oracle_0110()(1.0), "j"),
+        _refusal("oracle-mask", lambda: _oracle_0110()(2, 0.5), "corrections"),
+        _refusal("oracle-queries", lambda: _oracle_0110()(1, 0, 1, 1.5), "queries"),
+        _refusal("oracle-observables", lambda: _oracle_0110()(1, 0, 1, 1, ("z",)), "observables"),
+        _refusal("learn-fixed", lambda: _learn_0110(fixed_queries=1.5), "fixed_queries"),
+        _refusal("learn-max-nan", lambda: _learn_0110(max_queries=float("nan")), "max_queries"),
+        _refusal("learn-max-half", lambda: _learn_0110(max_queries=0.5), "max_queries"),
+        _refusal("flip-set", partial(noise.phase_flip_parity_experiment, "0110",
+                                     _closed_config(4), [2.7]), "flip_set"),
+        _refusal("tau-decoupled", lambda: lpn.closed_form_tau("0110", 1.0, 3, decoupled=[1.7]),
+                 "decoupled"),
+        # a probe index outside 1..n, a decoupled probe, a decoupled qubit past n
+        _refusal("tau-j-zero", partial(lpn.closed_form_tau, "011", 1.0, 0), "probe index"),
+        _refusal("tau-j-past-n", partial(lpn.closed_form_tau, "011", 1.0, 4), "probe index"),
+        _refusal("tau-probe-decoupled", partial(lpn.closed_form_tau, "011", 1.0, 2, (2,)),
+                 "decoupled"),
+        _refusal("tau-decoupled-past-n", partial(lpn.closed_form_tau, "011", 1.0, 1, (5,)),
+                 "decoupled"),
+        _refusal("discord-alpha", lambda: infomeasures.protocol_discord(
             circuits.StepBlock.from_bits([0, 1, 1, 0], 1.0, 1), "0.5"), "alpha"),
-        (lambda: infomeasures.coherence_consumption(None, 0.5), "alpha"),
-        (lambda: infomeasures.binary_entropy("0.5"), "x"),
-        (lambda: noise.midcircuit_noise_sweep("0110", _closed_config(4), ["0.1"]), "q"),
-        (lambda: noise.midcircuit_noise_sweep("0110", _closed_config(4), None), "q_grid"),
-        (lambda: noise.phase_flip_parity_experiment("0110", _closed_config(4), None),
-         "flip_set"),
-        (lambda: noise.systematic_error_sweep("0110", None, [1.0]), "phi_grid"),
-        (lambda: noise.systematic_error_sweep("0110", [0.0], "1.0"), "theta_grid"),
-        (lambda: lpn.closed_form_tau("0110", 1.0, 3, decoupled=None), "decoupled"),
-        (lambda: lpn.decide_bit(EstimateRecord(0.1, 0.0, 0.0, 0.0), None), "threshold"),
-        (lambda: lpn.decide_bit(EstimateRecord(0.1, 0.0, 0.0, 0.0), "0.1"), "threshold"),
-        (lambda: BudgetParams(0.1, 10, per_bit_delta="yes"), "per_bit_delta"),
+        _refusal("coherence-alpha", lambda: infomeasures.coherence_consumption(None, 0.5),
+                 "alpha"),
+        _refusal("entropy-x", lambda: infomeasures.binary_entropy("0.5"), "x"),
+        _refusal("midcircuit-q",
+                 lambda: noise.midcircuit_noise_sweep("0110", _closed_config(4), ["0.1"]), "q"),
+        _refusal("midcircuit-none",
+                 lambda: noise.midcircuit_noise_sweep("0110", _closed_config(4), None), "q_grid"),
+        _refusal("midcircuit-length", partial(noise.midcircuit_noise_sweep, "011",
+                                              _closed_config(4), [0.1]), "bits", "got 3"),
+        _refusal("flip-set-none", partial(noise.phase_flip_parity_experiment, "0110",
+                                          _closed_config(4), None), "flip_set"),
+        _refusal("systematic-phi-none",
+                 lambda: noise.systematic_error_sweep("0110", None, [1.0]), "phi_grid"),
+        _refusal("systematic-theta-str",
+                 lambda: noise.systematic_error_sweep("0110", [0.0], "1.0"), "theta_grid"),
+        _refusal("tau-decoupled-none",
+                 lambda: lpn.closed_form_tau("0110", 1.0, 3, decoupled=None), "decoupled"),
+        _refusal("decide-none",
+                 lambda: lpn.decide_bit(EstimateRecord(0.1, 0.0, 0.0, 0.0), None), "threshold"),
+        _refusal("decide-str",
+                 lambda: lpn.decide_bit(EstimateRecord(0.1, 0.0, 0.0, 0.0), "0.1"), "threshold"),
+        # 0, and NaN (decided 0) and an infinity (decided 1): none is a threshold
+        *(_refusal(f"decide-{t}", partial(lpn.decide_bit, EstimateRecord(0.3, 0, 0, 0), t),
+                   "threshold", "positive and finite")
+          for t in (0.0, math.nan, math.inf, -math.inf)),
+        _refusal("budget-per-bit", lambda: BudgetParams(0.1, 10, per_bit_delta="yes"),
+                 "per_bit_delta"),
     ],
-    ids=["block-n", "block-mask", "sample-L", "sample-Q", "config-alpha", "config-theta",
-         "budget-delta", "record", "budget-n", "oracle-j", "oracle-mask", "oracle-queries",
-         "oracle-observables", "learn-fixed", "learn-max-nan", "learn-max-half", "flip-set",
-         "tau-decoupled", "discord-alpha", "coherence-alpha", "entropy-x", "midcircuit-q",
-         "midcircuit-none", "flip-set-none", "systematic-phi-none", "systematic-theta-str",
-         "tau-decoupled-none", "decide-none", "decide-str", "budget-per-bit"],
 )
-def test_entry_points_name_the_parameter_they_refuse(call, name):
+def test_entry_points_name_the_parameter_they_refuse(call, name, message):
     """A count that is not an integer, or a number that is a string, was a
     TypeError (or, for the budget's n, a silent 65 queries); the oracle took
     1.5 queries and an unknown observable, ``learn`` 1.5 queries per bit and
     a cap of NaN, and a flipped qubit of 2.7 was qubit 2.  A collection that
     is None and a threshold that is None or a string were a TypeError, and
     a per_bit_delta of "yes" was taken as true."""
-    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+    with pytest.raises(ValueError, match=rf"\b{name}\b") as refused:
         call()
+    assert message is None or re.search(message, str(refused.value))
 
 
 @pytest.mark.parametrize(

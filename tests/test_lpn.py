@@ -83,28 +83,10 @@ def test_closed_form_tau_decoupled_prefix():
     assert tau0 == pytest.approx(1.0, abs=1e-15)
 
 
-def test_closed_form_tau_validation():
-    bits = as_bits("011")
-    with pytest.raises(ValueError):
-        closed_form_tau(bits, 1.0, 0)
-    with pytest.raises(ValueError):
-        closed_form_tau(bits, 1.0, 4)
-    with pytest.raises(ValueError):
-        closed_form_tau(bits, 1.0, 2, decoupled=(2,))
-    with pytest.raises(ValueError):
-        closed_form_tau(bits, 1.0, 1, decoupled=(5,))
-
-
 def test_decide_bit_threshold():
     rec = EstimateRecord(ex=0.3, ey=0.0, se_x=0.0, se_y=0.0)
     assert decide_bit(rec, 0.2) == 0
     assert decide_bit(rec, 0.4) == 1
-    with pytest.raises(ValueError):
-        decide_bit(rec, 0.0)
-    # NaN decided 0 and an infinite threshold 1; neither is a threshold
-    for threshold in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="positive and finite"):
-            decide_bit(rec, threshold)
 
 
 @given(
@@ -224,19 +206,10 @@ def test_query_budget_refuses_unpolarized_probe():
 
 
 def test_budget_params_validation():
-    """L is a shot count: NaN was accepted, and L = 1.5 planned 454
-    queries.  delta lies in (0, 1)."""
+    """L is a shot count of any integer type and size; each refusal is a
+    row of ``test_entry_points_name_the_parameter_they_refuse``."""
     BudgetParams(delta=0.01, L=np.int64(10))
     assert BudgetParams(delta=0.01, L=10**400).L == 10**400
-    for L in (math.nan, math.inf, 1.5, 2.0):
-        with pytest.raises(ValueError, match="L must be an integer"):
-            BudgetParams(delta=0.01, L=L)
-    for L in (0, -1):
-        with pytest.raises(ValueError, match="L must be positive"):
-            BudgetParams(delta=0.01, L=L)
-    for delta in (0.0, 1.0, math.nan):
-        with pytest.raises(ValueError, match="delta"):
-            BudgetParams(delta=delta, L=10)
 
 
 def test_query_budget_refuses_fewer_than_one_bit():
@@ -306,13 +279,6 @@ def test_oracle_backends_agree(rng, kind):
         tau = closed_form_tau(bits, theta, j, decoupled=dec)
         assert rec.ex == pytest.approx(0.75 * 0.8 * tau.real, abs=1e-12)
         assert rec.ey == pytest.approx(0.75 * 0.8 * tau.imag, abs=1e-12)
-
-
-def test_oracle_rejects_corrections_outside_decoupled():
-    cfg = Dqc1Config(n=3, alpha=1.0, p=0.0, theta=1.0)
-    oracle = make_oracle(as_bits("011"), cfg)
-    with pytest.raises(ValueError):
-        oracle(2, corrections=qubit_mask((3,)))
 
 
 def _assert_oracle_matches_block(bits, theta, j, corrections):
@@ -496,15 +462,7 @@ def test_learn_budget_exhaustion():
 
 
 def test_learn_rejects_degenerate_angle():
-    cfg = Dqc1Config(n=2, alpha=1.0, p=0.0, theta=0.0)
-    with pytest.raises(ValueError):
-        learn(make_oracle(as_bits("01"), cfg), cfg, _budget())
     for theta in (0.0, 2 * math.pi):
         cfg = Dqc1Config(n=2, alpha=1.0, p=0.0, theta=theta)
         with pytest.raises(ValueError, match="multiples of pi"):
             learn(make_oracle(as_bits("01"), cfg), cfg, _budget())
-    # at theta = 0 bit 1's threshold is 0.0: the budget refuses it, as it
-    # refuses every T that is not a positive normal float
-    for threshold in (0.0, -0.25, math.nan, 2.0**-1030):
-        with pytest.raises(ValueError, match=r"at least 2\^-1022"):
-            query_budget(_budget(), 2, threshold)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import all_bitstrings, dense_final_state
 
+from dqc1lpn import circuits, noise
 from dqc1lpn.circuits import StepBlock, as_bits, bits_to_str
 from dqc1lpn.dqc1 import Dqc1Config
 from dqc1lpn.noise import (
@@ -160,6 +161,24 @@ def test_midcircuit_sweep_is_the_one_point_calls():
         assert midcircuit_noise_sweep(bits, cfg, qs, j=j) == [
             midcircuit_noise_sweep(bits, cfg, [q], j=j)[0] for q in qs
         ]
+
+
+@pytest.mark.parametrize("j", [None, 4])
+def test_sweeps_read_their_bit_pattern_once(monkeypatch, j):
+    """Each experiment reads s through ``as_bits`` once, the probe bit
+    given or not: it read s again for the default probe bit and the block."""
+    reads = []
+
+    def counted(*args, **kwargs):
+        reads.append(args[0])
+        return as_bits(*args, **kwargs)
+
+    monkeypatch.setattr(circuits, "as_bits", counted)
+    monkeypatch.setattr(noise, "as_bits", counted, raising=False)
+    midcircuit_noise_sweep("0110", _cfg(4), [0.1], j=j)
+    phase_flip_parity_experiment("0110", _cfg(4), [2, 3], j=j)
+    systematic_error_sweep("0110", [0.0], [1.0], j=j)
+    assert reads == ["0110"] * 3
 
 
 def test_midcircuit_rejects_out_of_range_rate():
