@@ -8,8 +8,8 @@ data-register block ``w`` the probe carries the normalized trace of ``w``:
 
 where p is the probe readout depolarization rate.  Shot sampling models
 each query as the mean of L two-outcome (+-1) measurements, and reads a
-quadrature over Q queries as one binomial draw of L*Q shots, split into
-int64-sized parts when L*Q is larger.  The dense
+quadrature over Q queries as one binomial draw of L*Q shots; a read of
+more than 2^63 - 1 shots, numpy's int64 range, is refused.  The dense
 run of that circuit (``initial_state``, ``run_protocol``) is the
 reference in ``tests/dense_reference.py``.
 """
@@ -32,12 +32,6 @@ QUADRATURES = frozenset(("x", "y"))
 
 #: the largest shot count one numpy binomial draw takes
 _INT64_MAX = int(np.iinfo(np.int64).max)
-
-#: full int64 parts drawn by one numpy call; bounds the array a read holds
-_PARTS_PER_CALL = 4096
-
-#: most full int64 parts one read may take: about 0.1 s of draws
-_MAX_PARTS = 2**20
 
 
 def require_int(value, what: str) -> int:
@@ -163,36 +157,6 @@ def expectations_from_tau(alpha: float, p: float, tau: complex) -> tuple[float, 
     return float(z.real), float(z.imag)
 
 
-def _sample_one_observable(
-    truth: float, L: int, Q: int, stream: np.random.SeedSequence
-) -> tuple[float, float]:
-    """Mean of Q queries, each the average of L two-outcome shots.
-
-    The sum of Q Binomial(L, p) up-counts is Binomial(L*Q, p), so the
-    quadrature is one binomial draw of L*Q shots from ``stream``.  When
-    L*Q leaves int64 the draw splits into int64-sized parts, summed as
-    Python ints, since an int64 sum would wrap; with L in int64 there are at
-    most Q parts, and ``sample_expectations`` refuses more than
-    ``_MAX_PARTS`` full ones.  The full parts are drawn as arrays of up to
-    ``_PARTS_PER_CALL``, which take the same numbers from the stream as
-    one draw each, and the remainder part last.
-    """
-    shots = L * Q
-    full, rest = divmod(shots, _INT64_MAX)
-    rng = np.random.default_rng(stream)
-    prob = (1.0 + truth) / 2.0
-    ups = 0
-    for start in range(0, full, _PARTS_PER_CALL):
-        parts = rng.binomial(_INT64_MAX, prob, size=min(_PARTS_PER_CALL, full - start))
-        ups += sum(parts.tolist())
-    if rest:
-        ups += int(rng.binomial(rest, prob))
-    est = (2 * ups - shots) / shots
-    # plug-in standard error of the pooled mean of L*Q shots
-    se = math.sqrt(max(0.0, 1.0 - est * est) / shots)
-    return est, se
-
-
 def sample_expectations(
     true_ex: float,
     true_ey: float,
@@ -208,9 +172,8 @@ def sample_expectations(
     child 1 is y, each built only when read), so reading only y gives the
     same ey as reading both, and identical inputs reproduce the record bit
     for bit.  `observables` is a collection of ``QUADRATURES``, and those
-    left out are reported as 0 with se 0.  L must fit in int64, the range of
-    numpy's binomial sampler, and a read of more than ``_MAX_PARTS`` full
-    int64 parts is refused (``_sample_one_observable``).
+    left out are reported as 0 with se 0.  A read of L*Q shots must fit
+    in int64, the range of numpy's binomial sampler.
     """
     # written so that NaN fails the bound
     if not (abs(require_real(true_ex, "true ex")) <= 1.0
@@ -218,19 +181,29 @@ def sample_expectations(
         raise ValueError(
             f"sample_expectations: true expectations ({true_ex}, {true_ey}) must lie in [-1, 1]"
         )
-    if require_int(L, "L") < 1 or require_int(Q, "Q") < 1:
+    # Python ints, whose product does not wrap as two numpy int64s would
+    L, Q = require_int(L, "L"), require_int(Q, "Q")
+    if L < 1 or Q < 1:
         raise ValueError("L and Q must be positive")
-    if L > _INT64_MAX:
-        raise ValueError("L exceeds 2^63 - 1, the int64 range of the shot sampler")
-    if L * Q // _INT64_MAX > _MAX_PARTS:
-        raise ValueError("a read of L*Q shots exceeds 2^20 int64 draws of the shot sampler")
+    shots = L * Q
+    if shots > _INT64_MAX:
+        raise ValueError(
+            "a read of L*Q shots exceeds 2^63 - 1, the int64 range of the shot sampler"
+        )
     require_quadratures(observables)
-    # child k, as a first stream.spawn(2) derives it, without advancing the stream
     entropy, key, pool = stream.entropy, stream.spawn_key, stream.pool_size
 
     def read(k: int, truth: float) -> tuple[float, float]:
+        """Mean of Q queries, each the average of L two-outcome shots: the
+        sum of Q Binomial(L, p) up-counts is one Binomial(L*Q, p) draw, from
+        child k as a first stream.spawn(2) derives it, without advancing
+        the stream."""
         child = np.random.SeedSequence(entropy, spawn_key=key + (k,), pool_size=pool)
-        return _sample_one_observable(truth, L, Q, child)
+        # a Python int, since 2 * ups would wrap in int64
+        ups = int(np.random.default_rng(child).binomial(shots, (1.0 + truth) / 2.0))
+        est = (2 * ups - shots) / shots
+        # plug-in standard error of the pooled mean of L*Q shots
+        return est, math.sqrt(max(0.0, 1.0 - est * est) / shots)
 
     ex, se_x = read(0, true_ex) if "x" in observables else (0.0, 0.0)
     ey, se_y = read(1, true_ey) if "y" in observables else (0.0, 0.0)

@@ -286,7 +286,8 @@ def test_learn_sampled_huge_query_count(capsys):
 def test_learn_budget_rule_with_a_400_digit_L(capsys, backend, expected):
     """With the budget rule, float(L) of --L 10^400 overflows: the analytic
     backends plan one query per bit, as L = 10^22 does, and the sampler
-    refuses an L beyond int64, as with --queries 1; none exits 4."""
+    refuses a read of L*Q shots beyond int64, as with --queries 1; none
+    exits 4."""
     code, out, err = run_cli(
         capsys, "learn", "--s", "0110", "--L", str(10**400), "--backend", backend
     )
@@ -301,6 +302,8 @@ def test_learn_budget_rule_with_a_400_digit_L(capsys, backend, expected):
 
 _BIG = str(10**400)
 
+_SHOTS_PAST_INT64 = "a read of L*Q shots exceeds 2^63 - 1, the int64 range of the shot sampler"
+
 
 @pytest.mark.parametrize(
     "command,message",
@@ -309,11 +312,10 @@ _BIG = str(10**400)
         ("noise-sweep --mode midq --s 0110 --j " + _BIG, "probe index outside 1..4"),
         ("noise-sweep --mode parity --s 0110 --flips " + _BIG,
          "flip set outside data qubits 1..4"),
-        ("learn --s 0110 --backend sampled --L " + _BIG + " --queries 1",
-         "L exceeds 2^63 - 1, the int64 range of the shot sampler"),
-        # about 10^384 int64 parts per read: a loop that would never end
+        # a read of more than 2^63 - 1 shots is refused before any draw
+        ("learn --s 0110 --backend sampled --L " + _BIG + " --queries 1", _SHOTS_PAST_INT64),
         ("learn --s 0110 --backend sampled --queries " + _BIG + " --max-queries " + _BIG,
-         "a read of L*Q shots exceeds 2^20 int64 draws of the shot sampler"),
+         _SHOTS_PAST_INT64),
     ],
     ids=["discord-j", "midq-j", "parity-flips", "sampled-L", "sampled-queries"],
 )
@@ -323,6 +325,9 @@ def test_refusals_of_huge_ints_are_short(capsys, command, message):
     code, out, err = run_cli(capsys, *shlex.split(command))
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n" and len(err) < 200
+
+
+_N_BELOW_ONE = "error: --n must be at least 1\n"
 
 
 def _refused(id, command, message="", code=2):
@@ -362,7 +367,12 @@ def _refused(id, command, message="", code=2):
                  "discord-sweep --s 011 --j x" + "1" * 500 + " --alpha-grid 0.5"),
         _refused("flips-text", "noise-sweep --mode parity --s 0110 --flips " + "x" * 500),
         _refused("alpha-above-one", "learn --s 0110 --alpha 2.0"),
-        _refused("learn-without-string", "learn"),
+        _refused("learn-without-string", "learn", "error: provide --s or --random-s\n"),
+        _refused("learn-s-and-random-s", "learn --s 0110 --random-s",
+                 "error: give either --s or --random-s, not both\n"),
+        _refused("learn-random-s-without-n", "learn --random-s", "error: --random-s needs --n\n"),
+        _refused("learn-n-disagrees", "learn --s 0110 --n 3",
+                 "error: --n disagrees with --s length 4\n"),
         _refused("string-not-bits", "learn --s 012"),
         _refused("no-such-command", "no-such-command"),
         # probe indices outside 1..n
@@ -371,10 +381,12 @@ def _refused(id, command, message="", code=2):
         _refused("parity-j-past-n", "noise-sweep --mode parity --s 0110 --flips 2 --j 7"),
         _refused("systematic-j-negative", "noise-sweep --mode systematic --s 0110 --j -1"),
         # non-finite angles and shot counts beyond the sampler's int64 range
-        _refused("theta-nan", "learn --s 0110 --theta nanpi"),
-        _refused("phi-grid-nan", "noise-sweep --mode systematic --s 0110 --phi-grid nan"),
+        _refused("theta-nan", "learn --s 0110 --theta nanpi", "error: angle is not finite\n"),
+        _refused("phi-grid-nan", "noise-sweep --mode systematic --s 0110 --phi-grid nan",
+                 "error: angle is not finite\n"),
         _refused("sampled-L-past-int64",
-                 "learn --s 01 --backend sampled --L 100000000000000000000000 --queries 1"),
+                 "learn --s 01 --backend sampled --L 100000000000000000000000 --queries 1",
+                 f"error: {_SHOTS_PAST_INT64}\n"),
         # an unwritable --out path, and a dense block past circuits.MAX_QUBITS
         _refused("out-unwritable", "coherence --out /nonexistent/dir/x.csv"),
         _refused("dense-n13", "learn --backend dense --n 13 --random-s"),
@@ -391,8 +403,10 @@ def _refused(id, command, message="", code=2):
         _refused("alpha-grid-empty", "discord-sweep --s 011 --j 1 --alpha-grid ''"),
         _refused("coherence-alpha-grid-empty", "coherence --alpha-grid ''"),
         _refused("tau-grid-comma", "coherence --tau-grid ,"),
-        _refused("trace-table-n-negative", "trace-table --n -1"),
-        _refused("trace-table-n-zero", "trace-table --n 0"),
+        _refused("trace-table-n-negative", "trace-table --n -1", _N_BELOW_ONE),
+        _refused("trace-table-n-zero", "trace-table --n 0", _N_BELOW_ONE),
+        _refused("trace-table-n-disagrees", "trace-table --n 3 --s 01",
+                 "error: --n disagrees with --s length 2\n"),
         _refused("trace-table-n9", "trace-table --n 9", "error: full tables stop at n = 8"),
         # seeds outside 0..2^64-1 on every command, and alpha outside [0, 1]
         _refused("coherence-seed-negative", "coherence --seed -5"),
@@ -404,6 +418,8 @@ def _refused(id, command, message="", code=2):
                  "discord-sweep --s 011 --j 1 --alpha 1.5 --theta-grid 1"),
         _refused("discord-two-grids", "discord-sweep --s 011 --j 1 --alpha-grid 0.5,1 "
                  "--theta-grid 1,2 --alpha 0.5", "error: give exactly one of --alpha-grid"),
+        _refused("discord-theta-grid-without-alpha", "discord-sweep --s 011 --j 1 --theta-grid 1",
+                 "error: --theta-grid mode needs --alpha\n"),
         # a grid count, and a coherence grid product, above cli.MAX_GRID_POINTS
         _refused("grid-count-cap", "coherence --alpha-grid 0:1:100000000"),
         _refused("coherence-product-cap", "coherence --alpha-grid 0:1:1000 --tau-grid 0:1:1000"),
@@ -411,8 +427,8 @@ def _refused(id, command, message="", code=2):
                  "--phi-grid 0:1:100000 --theta-grid 0:1:100000"),
         # a phase flip repeated on one qubit, where two sz cancel
         _refused("parity-flip-repeated", "noise-sweep --mode parity --s 0110 --flips 2,2"),
-        _refused("learn-n-negative", "learn --random-s --n -2"),
-        _refused("learn-n-zero", "learn --random-s --n 0"),
+        _refused("learn-n-negative", "learn --random-s --n -2", _N_BELOW_ONE),
+        _refused("learn-n-zero", "learn --random-s --n 0", _N_BELOW_ONE),
         # an unpolarized probe, with the budget rule and with fixed queries, on
         # each backend (closed is the default)
         *(

@@ -141,6 +141,10 @@ def test_estimate_record_is_an_immutable_named_tuple():
             EstimateRecord(*fields)
 
 
+def _seed(k):
+    return np.random.SeedSequence(k)
+
+
 #: What a library caller may pass where a count, a mask or a number belongs:
 #: small and huge ints, floats with NaN and the infinities, strings, None.
 _VALUES = st.one_of(
@@ -148,13 +152,6 @@ _VALUES = st.one_of(
     st.integers(-(2**5000), 2**5000),
     st.floats(),
     st.text(max_size=4),
-    st.none(),
-)
-
-#: _VALUES without the ints from 9 to 2^200, which as Q could ask a read of
-#: up to 2^20 int64 parts; 2^200 or more is refused whatever L is
-_NOT_A_FEW = st.one_of(
-    st.integers(-3, 0), st.integers(2**200, 2**5000), st.floats(), st.text(max_size=4),
     st.none(),
 )
 
@@ -202,11 +199,17 @@ def _record(draw):
     return _finite(*EstimateRecord(draw(estimate), draw(estimate), draw(error), draw(error)))
 
 
+def _shot_counts(draw):
+    """L and Q of a read, each junk one draw in five; a valid Q keeps L*Q
+    within int64, so that most reads reach the sampler, not its refusal."""
+    L = draw(_mostly(st.integers(1, 2**63 - 1)))
+    most = (2**63 - 1) // L if isinstance(L, int) and 1 <= L < 2**63 else 1
+    return L, draw(_mostly(st.integers(1, most)))
+
+
 def _sample(draw):
     truth = _mostly(st.floats(-1.0, 1.0))
-    # L in int64 and Q up to 8 keep a read to at most 8 int64 parts
-    L = draw(_mostly(st.integers(1, 2**63 - 1)))
-    Q = draw(_mostly(st.integers(1, 8), _NOT_A_FEW))
+    L, Q = _shot_counts(draw)
     return _finite(*sample_expectations(draw(truth), draw(truth), L, Q, _seed(0)))
 
 
@@ -309,13 +312,7 @@ def _query(draw, backend, top):
     oracle = lpn.make_oracle(pattern, cfg)
     j = draw(_mostly(st.integers(1, n)))
     below = j - 1 if isinstance(j, int) and 1 <= j <= n else n
-    counts = (
-        j,
-        draw(_mostly(st.integers(0, 2**below - 1))),
-        draw(_mostly(st.integers(1, 2**63 - 1))),
-        # as for _sample's Q, a read stays at most 8 int64 parts
-        draw(_mostly(st.integers(1, 8), _NOT_A_FEW)),
-    )
+    counts = (j, draw(_mostly(st.integers(0, 2**below - 1))), *_shot_counts(draw))
     observables = draw(_mostly(st.sampled_from([("x", "y"), ("x",), ("y",)]), _NOT_OBSERVABLES))
     record = oracle(*counts, observables)
     return _finite(*record) and _ints(*counts) and _pattern_mask(pattern) is not None
@@ -437,11 +434,18 @@ def _config_with(**fields):
         _refusal("block-mask", lambda: circuits.StepBlock(1.0, 2, 1.5, 0), "rotated"),
         _refusal("sample-L", lambda: sample_expectations(0.5, 0.5, 10.5, 3, _seed(0)), "L"),
         _refusal("sample-Q", lambda: sample_expectations(0.5, 0.5, 10, 3.5, _seed(0)), "Q"),
+        # one binomial draw takes at most 2^63 - 1 shots; two numpy int64
+        # counts wrapped their product past it
+        *(_refusal(f"sample-shots-{id}", partial(sample_expectations, 0.5, 0.5, L, Q, _seed(0)),
+                   "L", r"a read of L\*Q shots exceeds 2\^63 - 1")
+          for id, L, Q in (("2^62x2", 2**62, 2), ("2^63x1", 2**63, 1),
+                           ("numpy-2^62x2", np.int64(2**62), np.int64(2)))),
         _refusal("config-alpha", _config_with(alpha="0.5"), "alpha"),
         _refusal("config-theta", _config_with(theta="1"), "theta"),
         _refusal("config-n-negative", _config_with(n=-1), "n"),
         _refusal("config-alpha-above-one", _config_with(alpha=1.5), "alpha"),
         _refusal("config-p-one", _config_with(p=1.0), "p"),
+        _refusal("config-p-str", _config_with(p="0.1"), "p", "must be a real number"),
         _refusal("config-backend", _config_with(backend="magic"), "backend"),
         # a non-finite angle gave NaN thresholds and a wrong s_hat, without an error
         *(_refusal(f"config-theta-{t}", _config_with(theta=t, backend="closed"), "theta",
@@ -459,6 +463,8 @@ def _config_with(**fields):
           for L in (math.nan, math.inf, 1.5, 2.0, 0, -1)),
         _refusal("record", lambda: EstimateRecord("a", 0.0, 0.0, 0.0), "estimates"),
         _refusal("budget-n", lambda: query_budget(BudgetParams(0.1, 10), 2.5, 0.1), "n"),
+        _refusal("budget-threshold", partial(query_budget, BudgetParams(0.1, 10), 4, "0.1"),
+                 "threshold", "must be a real number"),
         _refusal("oracle-j", lambda: _oracle_0110()(1.0), "j"),
         _refusal("oracle-mask", lambda: _oracle_0110()(2, 0.5), "corrections"),
         _refusal("oracle-queries", lambda: _oracle_0110()(1, 0, 1, 1.5), "queries"),
@@ -466,6 +472,8 @@ def _config_with(**fields):
         _refusal("learn-fixed", lambda: _learn_0110(fixed_queries=1.5), "fixed_queries"),
         _refusal("learn-max-nan", lambda: _learn_0110(max_queries=float("nan")), "max_queries"),
         _refusal("learn-max-half", lambda: _learn_0110(max_queries=0.5), "max_queries"),
+        _refusal("learn-n-zero", partial(lpn.learn, _oracle_0110(), _closed_config(0),
+                                         BudgetParams(0.1, 10)), "n", "nothing to learn"),
         _refusal("flip-set", partial(noise.phase_flip_parity_experiment, "0110",
                                      _closed_config(4), [2.7]), "flip_set"),
         _refusal("tau-decoupled", lambda: lpn.closed_form_tau("0110", 1.0, 3, decoupled=[1.7]),
@@ -476,7 +484,14 @@ def _config_with(**fields):
         _refusal("tau-probe-decoupled", partial(lpn.closed_form_tau, "011", 1.0, 2, (2,)),
                  "decoupled"),
         _refusal("tau-decoupled-past-n", partial(lpn.closed_form_tau, "011", 1.0, 1, (5,)),
-                 "decoupled"),
+                 "decoupled", "outside 1..3"),
+        # the masks of a block read from bits are integers
+        _refusal("from-bits-decoupled",
+                 partial(circuits.StepBlock.from_bits, "0110", 1.0, 1, 1.5), "decoupled",
+                 "must be an integer"),
+        _refusal("from-bits-corrections",
+                 partial(circuits.StepBlock.from_bits, "0110", 1.0, 1, 2, 0.5), "corrections",
+                 "must be an integer"),
         _refusal("discord-alpha", lambda: infomeasures.protocol_discord(
             circuits.StepBlock.from_bits([0, 1, 1, 0], 1.0, 1), "0.5"), "alpha"),
         _refusal("coherence-alpha", lambda: infomeasures.coherence_consumption(None, 0.5),
@@ -542,10 +557,6 @@ def test_quadratures_are_refused_with_one_message(observables):
     assert messages == {'observables must be a collection of "x" and "y"'}
 
 
-def _seed(k):
-    return np.random.SeedSequence(k)
-
-
 def test_sampling_is_seed_deterministic():
     a = sample_expectations(0.3, -0.1, 500, 3, _seed(7))
     b = sample_expectations(0.3, -0.1, 500, 3, _seed(7))
@@ -556,93 +567,16 @@ def test_sampling_is_seed_deterministic():
 
 def test_sampling_reuses_a_stream_object():
     """Two calls with one SeedSequence object return the same record, the
-    one drawn from the first two children that a fresh stream spawns."""
-    stream = _seed(7)
-    first = sample_expectations(0.3, -0.1, 500, 3, stream)
-    assert sample_expectations(0.3, -0.1, 500, 3, stream) == first
-    x_stream, y_stream = _seed(7).spawn(2)
-    # one binomial draw of L*Q = 1500 shots per quadrature
-    ups_x = int(np.random.default_rng(x_stream).binomial(1500, 0.65))
-    ups_y = int(np.random.default_rng(y_stream).binomial(1500, 0.45))
-    assert first.ex == (2 * ups_x - 1500) / 1500
-    assert first.ey == (2 * ups_y - 1500) / 1500
-
-
-def test_sampling_splits_shots_beyond_int64():
-    """L*Q = 2^65 shots leave int64: the draw is four full int64 parts and a
-    remainder of 4, in that order, from the quadrature's child stream."""
-    L, Q = 2**62, 8
-    rec = sample_expectations(0.3, -0.1, L, Q, _seed(7))
-    assert sample_expectations(0.3, -0.1, L, Q, _seed(7)) == rec
-    top = 2**63 - 1
-    for stream, truth, est in zip(_seed(7).spawn(2), (0.3, -0.1), (rec.ex, rec.ey)):
-        rng = np.random.default_rng(stream)
-        ups = sum(int(rng.binomial(top, (1.0 + truth) / 2.0)) for _ in range(4))
-        ups += int(rng.binomial(4, (1.0 + truth) / 2.0))
-        assert est == (2 * ups - L * Q) / (L * Q)
-        assert math.isfinite(est) and -1.0 <= est <= 1.0
-        assert abs(est - truth) < 1e-6
-    assert rec.se_x > 0.0 and rec.se_y > 0.0
-
-
-def test_sampling_draws_full_parts_in_bounded_calls(monkeypatch):
-    """10^5 full int64 parts per quadrature take a few array draws of at
-    most ``_PARTS_PER_CALL`` parts each, not one Python call per part."""
-    calls = []
-
-    class Spy:
-        def __init__(self, rng):
-            self._rng = rng
-
-        def binomial(self, n, p, size=None):
-            calls.append(1 if size is None else size)
-            return self._rng.binomial(n, p, size=size)
-
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: Spy(default_rng(seed)))
-    Q = 10**5
-    rec = sample_expectations(0.3, -0.1, dqc1._INT64_MAX, Q, _seed(7))
-    assert sum(calls) == 2 * Q
-    assert len(calls) == 2 * math.ceil(Q / dqc1._PARTS_PER_CALL)
-    assert max(calls) <= dqc1._PARTS_PER_CALL
-    assert abs(rec.ex - 0.3) < 1e-6 and abs(rec.ey + 0.1) < 1e-6
-
-
-@pytest.mark.parametrize("p", [0.0, 0.123, 0.5, 0.9, 1.0])
-def test_sampling_parts_equal_a_scalar_loop(p):
-    """The chunked array draws take the same numbers from the stream as one
-    scalar draw per part, then the remainder: 2^62 * 9001 shots are 4500
-    full parts, drawn by two array calls, and a remainder of 2^62 + 4500."""
-    L, Q, top = 2**62, 9001, 2**63 - 1
-    full, rest = divmod(L * Q, top)
-    assert full > dqc1._PARTS_PER_CALL and rest
-    truth = 2.0 * p - 1.0
-    rec = sample_expectations(truth, 0.0, L, Q, _seed(3), observables=("x",))
-    rng = np.random.default_rng(_seed(3).spawn(1)[0])
-    ups = sum(int(rng.binomial(top, p)) for _ in range(full))
-    ups += int(rng.binomial(rest, p))
-    assert rec.ex == (2 * ups - L * Q) / (L * Q)
-
-
-def test_sampling_refuses_more_than_max_parts(monkeypatch):
-    """A read of 2^20 full int64 parts is drawn; one part more is refused,
-    by a message that names the limit, before any draw."""
-    assert dqc1._MAX_PARTS == 2**20
-    calls = []
-
-    class Zeros:
-        def binomial(self, n, p, size=None):
-            calls.append(1 if size is None else size)
-            return 0 if size is None else np.zeros(size, dtype=np.int64)
-
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: Zeros())
-    L = dqc1._INT64_MAX
-    sample_expectations(0.3, -0.1, L, dqc1._MAX_PARTS, _seed(7), observables=("x",))
-    assert sum(calls) == dqc1._MAX_PARTS
-    calls.clear()
-    with pytest.raises(ValueError, match=r"2\^20 int64 draws"):
-        sample_expectations(0.3, -0.1, L, dqc1._MAX_PARTS + 1, _seed(7))
-    assert calls == []
+    one drawn from the first two children that a fresh stream spawns: one
+    binomial draw of L*Q shots per quadrature, up to 2^63 - 1 shots."""
+    for L, Q in ((500, 3), (2**63 - 1, 1)):
+        stream = _seed(7)
+        first = sample_expectations(0.3, -0.1, L, Q, stream)
+        assert sample_expectations(0.3, -0.1, L, Q, stream) == first
+        shots = L * Q
+        for child, p, est in zip(_seed(7).spawn(2), (0.65, 0.45), (first.ex, first.ey)):
+            ups = int(np.random.default_rng(child).binomial(shots, p))
+            assert est == (2 * ups - shots) / shots
 
 
 def test_sampling_memory_is_independent_of_queries():
