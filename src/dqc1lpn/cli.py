@@ -123,6 +123,14 @@ def parse_float(text: str) -> float:
         raise argparse.ArgumentTypeError("not a number") from None
 
 
+def parse_count(text: str) -> int:
+    """Type of the count options: an integer of at least 1."""
+    value = parse_int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
 def parse_seed(text: str) -> int:
     """--seed: an integer in 0..2^64-1, the range every command accepts."""
     value = parse_int(text)
@@ -265,19 +273,15 @@ def _serialize(payload: dict[str, Any], fmt: str) -> str:
 
 
 def _resolve_string(args) -> np.ndarray:
-    if args.n is not None and args.n < 1:
-        raise ValueError("--n must be at least 1")
-    if args.s is not None and args.random_s:
-        raise ValueError("give either --s or --random-s, not both")
+    """The hidden string: --s read as bits, or --n bits drawn from --seed."""
     if args.s is not None:
-        bits = as_bits(args.s)
-        if args.n is not None and args.n != bits.size:
-            raise ValueError(f"--n disagrees with --s length {bits.size}")
-        return bits
-    if not args.random_s:
-        raise ValueError("provide --s or --random-s")
-    if args.n is None:
-        raise ValueError("--random-s needs --n")
+        return as_bits(args.s)
+    # bit 1's threshold alpha (1-p) g^(n-1) / 2, with alpha (1-p) <= 1 and the
+    # gap factor g <= 0.7071067811865476 (the float just above 1/sqrt(2)), is
+    # 2.2e-308 at n = 2043 but 1.6e-308, below 2^-1022, at n = 2044: learn
+    # refuses every longer string at bit 1, so it is refused before the draw
+    if args.n > 2043:
+        raise ValueError("the threshold of bit 1 is below 2^-1022, the smallest normal float")
     gen = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(args.seed, spawn_key=(0,)))
     )
@@ -285,10 +289,6 @@ def _resolve_string(args) -> np.ndarray:
 
 
 def cmd_learn(args) -> tuple[dict[str, Any], dict[str, Any]]:
-    if args.queries is not None and args.queries < 1:
-        raise ValueError("--queries must be at least 1")
-    if args.max_queries < 1:
-        raise ValueError("--max-queries must be at least 1")
     theta = parse_angle(args.theta)
     bits = _resolve_string(args)
     n = bits.size
@@ -343,17 +343,11 @@ def cmd_learn(args) -> tuple[dict[str, Any], dict[str, Any]]:
 
 def cmd_trace_table(args) -> tuple[dict[str, Any], dict[str, Any]]:
     theta = parse_angle(args.theta)
-    if args.n is not None and args.n < 1:
-        raise ValueError("--n must be at least 1")
     if args.s is not None:
         # ones_mask reads --s through as_bits, which refuses what is not a bit string
         patterns = [(args.s, ones_mask(args.s))]
         n = len(args.s)
-        if args.n is not None and args.n != n:
-            raise ValueError(f"--n disagrees with --s length {n}")
     else:
-        if args.n is None:
-            raise ValueError("provide --s or --n")
         n = args.n
         if n > 8:
             raise ValueError("full tables stop at n = 8; pass --s for larger n")
@@ -383,12 +377,7 @@ def cmd_trace_table(args) -> tuple[dict[str, Any], dict[str, Any]]:
 
 
 def cmd_discord_sweep(args) -> tuple[dict[str, Any], dict[str, Any]]:
-    if (args.alpha_grid is None) == (args.theta_grid is None):
-        raise ValueError("give exactly one of --alpha-grid or --theta-grid")
     bits = as_bits(args.s)
-    n = bits.size
-    if not 1 <= args.j <= n:
-        raise ValueError(f"--j outside 1..{n}")
     rows = []
     if args.alpha_grid is not None:
         theta = parse_angle(args.theta)
@@ -408,8 +397,6 @@ def cmd_discord_sweep(args) -> tuple[dict[str, Any], dict[str, Any]]:
             "theta_raw": args.theta, "alpha_grid": args.alpha_grid,
         }
     else:
-        if args.alpha is None:
-            raise ValueError("--theta-grid mode needs --alpha")
         # s is read once; the two blocks differ in bit j's coupling, and each
         # grid point is one of them at another angle
         base = circuits.StepBlock.from_bits(bits, 0.0, args.j)
@@ -529,13 +516,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("learn", help="recover a hidden parity string")
-    p.add_argument("--n", type=parse_int, default=None, help="number of data qubits")
-    p.add_argument("--s", default=None, help="hidden string, e.g. 0110")
-    p.add_argument("--random-s", action="store_true", help="draw s from the seed")
+    string = p.add_mutually_exclusive_group(required=True)
+    string.add_argument("--s", help="hidden string, e.g. 0110")
+    string.add_argument("--n", type=parse_count, help="draw an n-bit hidden string from --seed")
     p.add_argument("--alpha", type=parse_float, default=1.0, help="probe polarization")
     p.add_argument("--p", type=parse_float, default=0.0, help="readout depolarization")
     p.add_argument("--theta", default="0.5pi", help="rotation angle (pi suffix ok)")
-    p.add_argument("--L", type=parse_int, default=1000, help="shots per query")
+    p.add_argument("--L", type=parse_count, default=1000, help="shots per query")
     p.add_argument("--delta", type=parse_float, default=0.01, help="target failure probability the budget is sized for")
     p.add_argument(
         "--per-bit-delta", action="store_true",
@@ -543,18 +530,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_choice(p, "--backend", BACKENDS, default="closed")
     p.add_argument(
-        "--queries", type=parse_int, default=None,
+        "--queries", type=parse_count, default=None,
         help="fixed queries per bit (overrides the budget rule)",
     )
     p.add_argument(
-        "--max-queries", type=parse_int, default=10**7,
+        "--max-queries", type=parse_count, default=10**7,
         help="refuse bits that would need more queries than this",
     )
     _add_common(p, "json")
 
     p = sub.add_parser("trace-table", help="closed-form readout table")
-    p.add_argument("--n", type=parse_int, default=None)
-    p.add_argument("--s", default=None, help="single string (else all, n <= 8)")
+    string = p.add_mutually_exclusive_group(required=True)
+    string.add_argument("--s", help="one string")
+    string.add_argument("--n", type=parse_count, help="every string of n <= 8 bits")
     p.add_argument("--theta", default="0.5pi")
     _add_common(p, "csv")
 
@@ -562,9 +550,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", required=True)
     p.add_argument("--j", type=parse_int, required=True, help="probed data qubit")
     p.add_argument("--theta", default="0.5pi", help="angle for --alpha-grid mode")
-    p.add_argument("--alpha", type=parse_float, default=None, help="fixed polarization for --theta-grid mode")
-    p.add_argument("--alpha-grid", default=None, help="lo:hi:count")
-    p.add_argument("--theta-grid", default=None, help="lo:hi:count (pi suffix ok)")
+    p.add_argument("--alpha", type=parse_float, default=1.0, help="polarization for --theta-grid mode (default 1)")
+    grid = p.add_mutually_exclusive_group(required=True)
+    grid.add_argument("--alpha-grid", help="sweep alpha at --theta: lo:hi:count")
+    grid.add_argument("--theta-grid", help="sweep theta at --alpha: lo:hi:count (pi suffix ok)")
     _add_common(p, "csv")
 
     p = sub.add_parser("noise-sweep", help="error-model experiments")

@@ -86,17 +86,18 @@ def require_quadratures(observables) -> None:
 class Dqc1Config:
     """Protocol parameters.
 
-    backend selects how expectation values are produced: "dense" sums
-    the diagonal of the block's matrix (``StepBlock.dense_trace``), "closed"
-    uses the factorized trace formulas, and "sampled" adds binomial shot
-    noise on top of the closed-form values.
+    backend selects how expectation values are produced: "closed", the
+    default as on the command line, uses the factorized trace formulas,
+    "dense" sums the diagonal of the block's matrix
+    (``StepBlock.dense_trace``), and "sampled" adds binomial shot noise on
+    top of the closed-form values.
     """
 
     n: int
     alpha: float
     p: float
     theta: float
-    backend: str = "dense"
+    backend: str = "closed"
     seed: int = 0
 
     def __post_init__(self):

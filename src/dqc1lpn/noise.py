@@ -49,12 +49,6 @@ def _probing(block: circuits.StepBlock, j: int | None) -> circuits.StepBlock:
     return dataclasses.replace(block, rotated=block.rotated & ~probe)
 
 
-def default_probe_bit(s) -> int | None:
-    """Data qubit probed by the diagnostic circuits: the first 0 bit of s,
-    or None (uniform rotation) when s is all ones."""
-    return _first_zero(_read(s, 0.0))
-
-
 def midcircuit_noise_sweep(
     s, cfg: Dqc1Config, q_grid: Iterable[float], *, j: int | None = None
 ) -> list[float]:

@@ -118,7 +118,7 @@ def test_criterion_04_end_to_end_learning():
     start = time.perf_counter()
     analytic_fails = 0
     for n in range(1, 6):
-        cfg = Dqc1Config(n=n, alpha=1.0, p=0.0, theta=HALF_PI)
+        cfg = Dqc1Config(n=n, alpha=1.0, p=0.0, theta=HALF_PI, backend="dense")
         budget = BudgetParams(delta=0.01, L=1000)
         for bits in all_bitstrings(n):
             res = lpn.learn(
@@ -205,11 +205,13 @@ def test_criterion_06_error_propagation():
 def test_criterion_07_systematic_tilt():
     """The sweep's closed form against the trace summed over the tilted
     block's dense diagonal, at every grid point."""
-    bits = as_bits("0110")
+    s = "0110"
+    bits = as_bits(s)
     phis = [0.0, 0.1 * math.pi, 0.2 * math.pi, 0.3 * math.pi, 0.4 * math.pi]
     thetas = [0.3, 0.8, HALF_PI, 2.0, 2.2]
     taus = noise.systematic_error_sweep(bits, phis, thetas)
-    j = noise.default_probe_bit(bits)
+    # the default probe is the first 0 bit
+    j = s.index("0") + 1
     worst = max(
         abs(tau - circuits.StepBlock.from_bits(bits, theta, j, phi=phi).dense_trace() / 2**4)
         for (phi, theta), tau in zip(itertools.product(phis, thetas), taus)
@@ -331,7 +333,7 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
     jobs = [
         (
             "learn.json",
-            ["learn", "--n", "6", "--random-s", "--backend", "sampled",
+            ["learn", "--n", "6", "--backend", "sampled",
              "--L", "500", "--seed", "33"],
         ),
         (

@@ -31,7 +31,7 @@ def _budget(L=1000):
 
 
 def _cfg(n, alpha=1.0, p=0.0):
-    return Dqc1Config(n=n, alpha=alpha, p=p, theta=HALF_PI)
+    return Dqc1Config(n=n, alpha=alpha, p=p, theta=HALF_PI, backend="dense")
 
 
 def _bit_budget(budget, cfg, j):
@@ -348,7 +348,7 @@ def test_wrong_correction_kills_later_signal():
 
 def test_learn_exhaustive_analytic():
     for n in range(1, 5):
-        cfg = Dqc1Config(n=n, alpha=1.0, p=0.0, theta=HALF_PI)
+        cfg = Dqc1Config(n=n, alpha=1.0, p=0.0, theta=HALF_PI, backend="dense")
         for bits in all_bitstrings(n):
             res = learn(make_oracle(bits, cfg), cfg, _budget(), fixed_queries=1)
             assert np.array_equal(res.s_hat, bits)
@@ -411,7 +411,7 @@ def test_learn_step_is_an_immutable_named_tuple():
 
 def test_learn_thresholds_grow_with_decoupling():
     bits = as_bits("0000")
-    cfg = Dqc1Config(n=4, alpha=1.0, p=0.0, theta=HALF_PI)
+    cfg = Dqc1Config(n=4, alpha=1.0, p=0.0, theta=HALF_PI, backend="dense")
     res = learn(make_oracle(bits, cfg), cfg, _budget(), fixed_queries=1)
     thresholds = [step.threshold for step in res.steps]
     assert thresholds == sorted(thresholds)
@@ -453,7 +453,7 @@ def test_learn_steps_are_bitwise_the_formulas(n, theta, alpha, p, s_seed):
 
 
 def test_learn_budget_exhaustion():
-    cfg = Dqc1Config(n=40, alpha=0.2, p=0.5, theta=HALF_PI)
+    cfg = Dqc1Config(n=40, alpha=0.2, p=0.5, theta=HALF_PI, backend="dense")
     budget = BudgetParams(delta=0.01, L=10)
     with pytest.raises(BudgetExhaustedError) as info:
         learn(make_oracle(as_bits("0" * 40), cfg), cfg, budget, max_queries=1000)
@@ -463,6 +463,6 @@ def test_learn_budget_exhaustion():
 
 def test_learn_rejects_degenerate_angle():
     for theta in (0.0, 2 * math.pi):
-        cfg = Dqc1Config(n=2, alpha=1.0, p=0.0, theta=theta)
+        cfg = Dqc1Config(n=2, alpha=1.0, p=0.0, theta=theta, backend="dense")
         with pytest.raises(ValueError, match="multiples of pi"):
             learn(make_oracle(as_bits("01"), cfg), cfg, _budget())

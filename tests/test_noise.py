@@ -11,7 +11,6 @@ from dqc1lpn import circuits, noise
 from dqc1lpn.circuits import StepBlock, as_bits, bits_to_str
 from dqc1lpn.dqc1 import Dqc1Config
 from dqc1lpn.noise import (
-    default_probe_bit,
     midcircuit_noise_sweep,
     phase_flip_parity_experiment,
     systematic_error_sweep,
@@ -134,12 +133,6 @@ def test_depolarize_full_rate_mixes_target():
     np.testing.assert_allclose(
         out.entries, np.diag([0.5, 0.5, 0.0, 0.0]), atol=1e-14
     )
-
-
-def test_default_probe_bit():
-    assert default_probe_bit(as_bits("0110")) == 1
-    assert default_probe_bit(as_bits("10")) == 2
-    assert default_probe_bit(as_bits("11")) is None
 
 
 @pytest.mark.parametrize("s,m", [("01", 1), ("0110", 2), ("111", 3)])
@@ -267,10 +260,12 @@ def test_systematic_prediction_is_the_block_closed_form():
 
 
 def test_systematic_sweep_grid_accuracy():
-    bits = as_bits("0110")
+    s = "0110"
+    bits = as_bits(s)
     phis = [0.0, 0.1 * math.pi, 0.2 * math.pi, 0.3 * math.pi, 0.4 * math.pi]
     thetas = [0.3, 0.8, HALF_PI, 2.0, 2.2]
     taus = systematic_error_sweep(bits, phis, thetas)
     assert len(taus) == 25
-    dense = _dense_taus(bits, phis, thetas, default_probe_bit(bits))
+    # the default probe is the first 0 bit
+    dense = _dense_taus(bits, phis, thetas, s.index("0") + 1)
     assert max(abs(t - d) for t, d in zip(taus, dense)) < 1e-10
