@@ -223,13 +223,12 @@ class StepBlock:
 class AngleTraces(NamedTuple):
     """The per-angle constants of the kind formulas: the factor traces
     c = tr(R)/2 = cos(theta/2) and a = tr(R . sx)/2i = sin(theta/2) cos(phi),
-    and whether each has a factor that is exactly 0.0.  The flag of a tests
-    sin(theta/2) and cos(phi) apart, since a product that underflows to 0.0
-    does not vanish."""
+    and whether a has a factor that is exactly 0.0.  Only sin(theta/2) can
+    be: ``math.cos`` of a finite double is never 0.0, so c and cos(phi)
+    are not, and a product that underflows to 0.0 does not vanish."""
 
     c: float
     a: float
-    c_zero: bool
     a_zero: bool
 
 
@@ -237,17 +236,16 @@ def angle_traces(theta: float, phi: float) -> AngleTraces:
     """``AngleTraces`` of the rotation R(theta, phi), computed once per angle
     and read by ``kinds_vanish`` and ``kinds_tau`` for any kind counts."""
     half = theta / 2.0
-    c, sin_half, cos_phi = math.cos(half), math.sin(half), math.cos(phi)
-    return AngleTraces(c, sin_half * cos_phi, c == 0.0, 0.0 in (sin_half, cos_phi))
+    sin_half = math.sin(half)
+    return AngleTraces(math.cos(half), sin_half * math.cos(phi), sin_half == 0.0)
 
 
 def kinds_vanish(traces: AngleTraces, kinds: Sequence[int]) -> bool:
     """Whether some factor of a block's trace is exactly 0.0, for the
-    kind counts of ``StepBlock.kinds``: a bare sx, or a rotated kind whose
-    trace has a factor 0.0 (``traces.c_zero`` for R, ``traces.a_zero`` for
-    R . sx)."""
-    _, bare, rotated, both = kinds
-    return bare > 0 or (rotated > 0 and traces.c_zero) or (both > 0 and traces.a_zero)
+    kind counts of ``StepBlock.kinds``: a bare sx, or an R . sx qubit when
+    ``traces.a_zero``."""
+    _, bare, _, both = kinds
+    return bare > 0 or (both > 0 and traces.a_zero)
 
 
 def kinds_tau(traces: AngleTraces, kinds: Sequence[int]) -> complex:

@@ -182,71 +182,53 @@ def _dumps(obj: Any, **kwargs) -> str:
         raise NonFiniteOutputError(str(exc)) from exc
 
 
-#: Exact types of the JSON scalars; a subclass takes the general path.
+#: Exact types of the JSON scalars that a dict or list may hold, to be
+#: written by one encoder call.
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 
 
-def _flat(values) -> bool:
-    """Whether every value is a JSON scalar, checked at C speed."""
-    return _SCALAR_TYPES.issuperset(map(type, values))
-
-
 def _indented(obj: Any, level: int = 0) -> str:
-    """``json.dumps(obj, indent=2)`` for `obj` nested `level` deep, built
-    from calls to json's C encoder, which ``indent`` would switch off.
+    """What ``json.dumps`` writes with ``indent=2`` for `obj`, a part of a
+    run record nested `level` deep, built from calls to json's C encoder,
+    which ``indent`` would switch off.  It is exact for the shapes the
+    commands build, below; another shape, such as a non-string key or a
+    nested row, may come out otherwise.
 
-    A container of scalars is one call whose item separator carries the
-    newline and indent.  A table, a list of nonempty flat dicts whose keys
-    are strings in one order, is filled into one template: its keys are
-    encoded once (a "%" doubled), every cell is written by one call whose
-    item separator is a NUL (the encoder writes a NUL inside a string as
-    \\u0000, so the split finds only separators), and one "%" operation
-    puts the cells in place.  A dict with string keys recurses; any other
-    shape, which no command prints, is re-indented ``json.dumps`` output.
+    A JSON scalar is one call, and so is a dict or list of them, whose item
+    separator carries the newline and indent.  A table, a nonempty list of
+    dicts that share row 0's string keys and hold only scalars, is filled
+    into one template: its keys are encoded once (a "%" doubled), every
+    cell is written by one call whose item separator is a NUL (the encoder
+    writes a NUL inside a string as \\u0000, so the split finds only
+    separators), and one "%" operation puts the cells in place.  A dict
+    with string keys whose values are these shapes recurses.
     """
     if isinstance(obj, dict):
         opener, closer, values = "{", "}", obj.values()
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, list):
         opener, closer, values = "[", "]", obj
     else:
         return _dumps(obj)
     if not obj:
         return opener + closer
     inner = "\n" + "  " * (level + 1)
-    if _flat(values):
+    if _SCALAR_TYPES.issuperset(map(type, values)):
         body = _dumps(obj, separators=("," + inner, ": "))[1:-1]
-    elif isinstance(obj, dict) and {str}.issuperset(map(type, obj)):
+    elif isinstance(obj, dict):
         body = ("," + inner).join(
             _dumps(k) + ": " + _indented(v, level + 1) for k, v in obj.items()
         )
-    elif (cells := _table_cells(obj)) is not None:
+    else:
         indent = "\n" + "  " * (level + 2)
         row = (
             "{" + indent
             + ("," + indent).join(_dumps(k).replace("%", "%%") + ": %s" for k in obj[0])
             + inner + "}"
         )
+        cells = list(chain.from_iterable(map(dict.values, obj)))
         text = _dumps(cells, separators=("\0", ":"))[1:-1]
         body = ("," + inner).join([row] * len(obj)) % tuple(text.split("\0"))
-    else:
-        return _dumps(obj, indent=2).replace("\n", "\n" + "  " * level)
     return opener + inner + body + "\n" + "  " * level + closer
-
-
-def _table_cells(rows: list | tuple) -> list | None:
-    """The values of `rows`, row by row, when they are nonempty dicts of
-    JSON scalars that share one key list of strings; else None.  A key of
-    another type could equal one that encodes differently (1, 1.0 and True;
-    0.0 and -0.0), so such rows are no table."""
-    if not {dict}.issuperset(map(type, rows)):
-        return None
-    keys = list(rows[0])
-    if not keys or not {str}.issuperset(map(type, keys)):
-        return None
-    if not all(map(keys.__eq__, map(list, rows))):
-        return None
-    cells = list(chain.from_iterable(map(dict.values, rows)))
-    return cells if _flat(cells) else None
 
 
 def _serialize(payload: dict[str, Any], fmt: str) -> str:
@@ -255,7 +237,7 @@ def _serialize(payload: dict[str, Any], fmt: str) -> str:
     if fmt == "json":
         return _indented(payload) + "\n"
     results = payload["results"]
-    rows = results.get("rows", [])
+    rows = results["rows"]
     scalars = {k: v for k, v in results.items() if k != "rows"}
     head = (
         f"# dqc1lpn v{payload['version']} command={payload['command']} "
@@ -263,12 +245,10 @@ def _serialize(payload: dict[str, Any], fmt: str) -> str:
     )
     if scalars:
         head += " " + " ".join(f"{k}={_fmt(v)}" for k, v in scalars.items())
-    lines = [head]
-    if rows:
-        columns = list(rows[0].keys())
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(row[c]) for c in columns))
+    columns = list(rows[0])
+    lines = [head, ",".join(columns)]
+    for row in rows:
+        lines.append(",".join(_fmt(row[c]) for c in columns))
     return "\n".join(lines) + "\n"
 
 
@@ -282,9 +262,7 @@ def _resolve_string(args) -> np.ndarray:
     # refuses every longer string at bit 1, so it is refused before the draw
     if args.n > 2043:
         raise ValueError("the threshold of bit 1 is below 2^-1022, the smallest normal float")
-    gen = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(args.seed, spawn_key=(0,)))
-    )
+    gen = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(0,)))
     return gen.integers(0, 2, size=args.n, dtype=np.uint8)
 
 

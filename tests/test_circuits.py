@@ -256,7 +256,7 @@ def test_step_block_tau_matches_dense_trace(phi):
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.3])
-def test_step_block_eigenphases_match_dense_spectrum(phi):
+def test_spectrum_mod_pi_matches_dense_spectrum(phi):
     """The eigenphases mod pi that discord reads, each repeated
     weight * 2^n times: e^{2il} are the squared eigenvalues of the dense
     block as a multiset."""
@@ -274,7 +274,7 @@ def test_step_block_eigenphases_match_dense_spectrum(phi):
             assert abs(remaining.pop(nearest) - value) < 1e-9
 
 
-def test_step_block_eigenphases_at_scale(monkeypatch, rng):
+def test_spectrum_mod_pi_at_scale(monkeypatch, rng):
     """At 300 qubits, discord from the spectrum mod pi agrees to 1e-12 with
     discord from the convolved eigenphases of conftest, on random blocks
     of all four kinds, at phi = 0 (one binomial) and phi = 0.3 (a
@@ -294,14 +294,28 @@ def test_step_block_eigenphases_at_scale(monkeypatch, rng):
         assert abs(value - want) < 1e-12
 
 
+#: The double nearest an odd multiple of pi/2 is 6381956970095103 * 2^797;
+#: twice it is a theta whose cos(theta/2), -4.7e-19, is the closest to 0.0.
+_THETA_NEAR_ZERO_COS = 2 * 6381956970095103 * 2.0**797
+
+
 @pytest.mark.parametrize(
-    "theta, phi", [(1.1, 0.0), (1.1, 0.3), (0.0, 0.0), (2.2, np.pi / 2)]
+    "theta, phi",
+    [
+        (1.1, 0.0), (1.1, 0.3), (0.0, 0.0), (2.2, np.pi / 2),
+        # cos(theta/2) and cos(phi) of a finite double are never 0.0, so no
+        # rotated qubit vanishes here; 5e-324 halves to 0.0, a zero sin(theta/2)
+        (np.pi, 0.0), (3 * np.pi, 0.0), (_THETA_NEAR_ZERO_COS, 0.0), (1.1, np.pi / 2),
+        (5e-324, 0.0),
+    ],
 )
 def test_step_block_kinds_and_vanishes(theta, phi):
     """The four kind counts are the per-qubit (rotated, flipped) tally, and
     the trace is exactly zero when and only when the block vanishes: a
-    bare sx, or at theta = 0 a rotated and flipped qubit."""
+    bare sx, or where sin(theta/2) is 0.0 a rotated and flipped qubit."""
     for block in step_blocks(theta, phi):
+        _, bare, _, both = block.kinds
+        assert block.vanishes() == (bare > 0 or (both > 0 and math.sin(theta / 2) == 0.0))
         pairs = [
             (bool(block.rotated >> k & 1), bool(block.flips >> k & 1))
             for k in range(block.n)

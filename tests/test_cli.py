@@ -94,82 +94,65 @@ def test_learn_random_string_is_seeded(capsys):
 
 GOLDEN = Path(__file__).parent / "golden"
 
-#: learn runs whose stdout is pinned in tests/golden.  ROADMAP item 1's
+_S64 = "0110100110010110011010011001011001101001100101100110100110010110"
+
+#: runs whose stdout is pinned, by their file in tests/golden: the README's
+#: example of every command, and runs off its defaults.  ROADMAP item 1's
 #: budget rule (the Hoeffding constant and a second term for the second
-#: quadrature read) will change readme-sampled and csv-per-bit-delta on
-#: purpose; that change must say so and rewrite the files.
-LEARN_GOLDEN = {
-    "closed-n40": (
-        ("--backend", "closed", "--queries", "1", "--n", "40"),
-        "learn-closed-n40.out",
-    ),
-    "dense-n6": (
-        ("--backend", "dense", "--n", "6", "--queries", "1"),
-        "learn-dense-n6.out",
-    ),
-    "readme-sampled": (
-        ("--s", "0110", "--alpha", "0.8", "--p", "0.2", "--backend", "sampled",
-         "--L", "1000", "--seed", "3"),
-        "learn-sampled-readme.out",
-    ),
-    "csv-per-bit-delta": (
-        ("--s", "01101", "--backend", "sampled", "--alpha", "0.6", "--p", "0.3",
-         "--L", "200", "--per-bit-delta", "--format", "csv", "--seed", "5"),
-        "learn-sampled-per-bit-delta.csv",
-    ),
+#: quadrature read) will change the two sampled learn files on purpose;
+#: that change must say so and rewrite them.
+GOLDEN_RUNS = {
+    "learn-closed-n40.out": "learn --backend closed --queries 1 --n 40",
+    "learn-dense-n6.out": "learn --backend dense --n 6 --queries 1",
+    "learn-sampled-readme.out":
+        "learn --s 0110 --alpha 0.8 --p 0.2 --backend sampled --L 1000 --seed 3",
+    "learn-sampled-per-bit-delta.csv": "learn --s 01101 --backend sampled --alpha 0.6 "
+        "--p 0.3 --L 200 --per-bit-delta --format csv --seed 5",
     # off theta = pi/2, alpha = 1 and p = 0, so every threshold and reading
     # pins the rounding of the gap factor, the trace and the readout scale
-    "closed-theta1.1-n64": (
-        ("--backend", "closed", "--queries", "1", "--n", "64",
-         "--theta", "1.1", "--alpha", "0.7", "--p", "0.2", "--seed", "4"),
-        "learn-closed-theta1.1-n64.out",
-    ),
-    "dense-theta2.4-n8": (
-        ("--backend", "dense", "--queries", "1", "--n", "8",
-         "--theta", "2.4", "--alpha", "0.9", "--p", "0.1", "--seed", "4"),
-        "learn-dense-theta2.4-n8.out",
-    ),
+    "learn-closed-theta1.1-n64.out": "learn --backend closed --queries 1 --n 64 "
+        "--theta 1.1 --alpha 0.7 --p 0.2 --seed 4",
+    "learn-dense-theta2.4-n8.out": "learn --backend dense --queries 1 --n 8 "
+        "--theta 2.4 --alpha 0.9 --p 0.1 --seed 4",
+    "trace-table-readme.out": "trace-table --n 3 --theta 0.5pi",
+    # a table of another command through the JSON writer
+    "trace-table-n2.json": "trace-table --n 2 --format json",
+    "discord-sweep-alpha-readme.out":
+        "discord-sweep --s 011 --j 1 --theta 0.5pi --alpha-grid 0.1:1:10",
+    "discord-sweep-theta-readme.out":
+        "discord-sweep --s 011 --j 2 --alpha 0.7 --theta-grid 0.1pi:0.9pi:9",
+    "discord-sweep-alpha-n64.out":
+        f"discord-sweep --s {_S64} --j 3 --theta 0.5pi --alpha-grid 0.1:1:4",
+    # the mirror-minimum run that CI checks
+    "discord-sweep-mirror.out": "discord-sweep --s 0110 --j 1 --theta 0.5pi --alpha-grid 1",
+    # as the one-call-per-q-point loop printed them
+    "noise-midq-readme.out": "noise-sweep --mode midq --s 0110 --q-grid 0:0.05:6",
+    "noise-midq-listed-grid.out": "noise-sweep --mode midq --s 0110100110010110 --j 4 "
+        "--theta 0.3pi --alpha 0.6 --q-grid 0.2,0.013,0,0.11",
+    "noise-parity-readme.out": "noise-sweep --mode parity --s 0110 --flips 2,3",
+    # the README grid and a tilted grid on 12 qubits, the largest dense block
+    "noise-systematic-readme.out":
+        "noise-sweep --mode systematic --s 0110 --phi-grid 0:0.4pi:5 --theta-grid 0.3:2.2:5",
+    "noise-systematic-tilted-n12.out": "noise-sweep --mode systematic --s 011010011001 "
+        "--j 4 --phi-grid 0.1pi,0.3pi,0.45pi --theta-grid 0.7,2.1",
+    "coherence-readme.out": "coherence --alpha-grid 0.1:1:10 --tau-grid 0:1:11",
 }
 
 
-@pytest.mark.parametrize("name", list(LEARN_GOLDEN))
-def test_learn_bytes_unchanged(capsys, name):
-    argv, golden = LEARN_GOLDEN[name]
-    code, out, _ = run_cli(capsys, "learn", *argv)
-    assert code == 0
-    assert out == (GOLDEN / golden).read_text()
-
-
-#: systematic sweeps whose stdout is pinned in tests/golden: the README grid
-#: and a tilted grid on 12 qubits, the largest dense block.
-SYSTEMATIC_GOLDEN = {
-    "readme": (
-        ("--s", "0110", "--phi-grid", "0:0.4pi:5", "--theta-grid", "0.3:2.2:5"),
-        "noise-systematic-readme.out",
-    ),
-    "tilted-n12": (
-        ("--s", "011010011001", "--j", "4", "--phi-grid", "0.1pi,0.3pi,0.45pi",
-         "--theta-grid", "0.7,2.1"),
-        "noise-systematic-tilted-n12.out",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", list(SYSTEMATIC_GOLDEN))
-def test_noise_sweep_systematic_bytes_unchanged(capsys, name):
-    argv, golden = SYSTEMATIC_GOLDEN[name]
-    code, out, _ = run_cli(capsys, "noise-sweep", "--mode", "systematic", *argv)
+@pytest.mark.parametrize("golden", list(GOLDEN_RUNS))
+def test_stdout_matches_golden(capsys, golden):
+    code, out, _ = run_cli(capsys, *shlex.split(GOLDEN_RUNS[golden]))
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
 
 
 def _dense_deviations(capsys, argv):
-    """Runs a systematic sweep with `argv` and returns, row by row, the
+    """Runs the systematic sweep `argv` and returns, row by row, the
     distance of its printed trace from the trace summed over the tilted
     block's dense diagonal (``StepBlock.dense_trace() / 2^n``)."""
-    code, out, _ = run_cli(capsys, "noise-sweep", "--mode", "systematic", *argv)
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    opts = dict(zip(argv[::2], argv[1::2]))
+    opts = dict(zip(argv[1::2], argv[2::2]))
     bits = as_bits(opts["--s"])
     # the default probe is the first 0 bit
     j = int(opts["--j"]) if "--j" in opts else opts["--s"].index("0") + 1
@@ -187,43 +170,12 @@ def _dense_deviations(capsys, argv):
     return deviations
 
 
-@pytest.mark.parametrize("name", list(SYSTEMATIC_GOLDEN))
+@pytest.mark.parametrize("name", ["readme", "tilted-n12"])
 def test_noise_sweep_systematic_goldens_match_dense_diagonal(capsys, name):
     """The pinned sweeps print the closed form; at every point of their
     grids it agrees with the dense diagonal's trace."""
-    argv, _ = SYSTEMATIC_GOLDEN[name]
+    argv = shlex.split(GOLDEN_RUNS[f"noise-systematic-{name}.out"])
     assert max(_dense_deviations(capsys, argv)) < 1e-10
-
-
-#: discord sweeps whose stdout is pinned in tests/golden: the README's
-#: three commands and the mirror-minimum run that CI checks.
-DISCORD_GOLDEN = {
-    "alpha-readme": (
-        ("--s", "011", "--j", "1", "--theta", "0.5pi", "--alpha-grid", "0.1:1:10"),
-        "discord-sweep-alpha-readme.out",
-    ),
-    "theta-readme": (
-        ("--s", "011", "--j", "2", "--alpha", "0.7", "--theta-grid", "0.1pi:0.9pi:9"),
-        "discord-sweep-theta-readme.out",
-    ),
-    "alpha-n64": (
-        ("--s", "0110100110010110011010011001011001101001100101100110100110010110",
-         "--j", "3", "--theta", "0.5pi", "--alpha-grid", "0.1:1:4"),
-        "discord-sweep-alpha-n64.out",
-    ),
-    "mirror": (
-        ("--s", "0110", "--j", "1", "--theta", "0.5pi", "--alpha-grid", "1"),
-        "discord-sweep-mirror.out",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", list(DISCORD_GOLDEN))
-def test_discord_sweep_bytes_unchanged(capsys, name):
-    argv, golden = DISCORD_GOLDEN[name]
-    code, out, _ = run_cli(capsys, "discord-sweep", *argv)
-    assert code == 0
-    assert out == (GOLDEN / golden).read_text()
 
 
 def test_learn_csv_has_comment_header(capsys):
@@ -588,35 +540,6 @@ def test_noise_sweep_midq_power_law(capsys):
         assert ratio == pytest.approx((1 - q) ** 2, abs=1e-10)
 
 
-#: noise-sweep --mode midq output as the one-call-per-q-point loop printed it
-MIDQ_GOLDEN = {
-    ("--s", "0110", "--q-grid", "0:0.05:6"): (
-        '# dqc1lpn v0.1.0 command=noise-sweep seed=0 config={"mode":"midq","s":"0110",'
-        '"theta":1.5707963267948966,"theta_raw":"0.5pi","alpha":1.0,"p":0.0,'
-        '"q_grid":"0:0.05:6","j":null}\n'
-        "q,signal_ratio\n0,1\n0.01,0.9801\n0.02,0.9604\n0.03,0.9409\n"
-        "0.04,0.9216\n0.05,0.9025\n"
-    ),
-    (
-        "--s", "0110100110010110", "--j", "4", "--theta", "0.3pi",
-        "--alpha", "0.6", "--q-grid", "0.2,0.013,0,0.11",
-    ): (
-        '# dqc1lpn v0.1.0 command=noise-sweep seed=0 config={"mode":"midq",'
-        '"s":"0110100110010110","theta":0.9424777960769379,"theta_raw":"0.3pi",'
-        '"alpha":0.6,"p":0.0,"q_grid":"0.2,0.013,0,0.11","j":4}\n'
-        "q,signal_ratio\n0.2,0.16777216\n0.013,0.900610946612\n0,1\n"
-        "0.11,0.39365888057\n"
-    ),
-}
-
-
-@pytest.mark.parametrize("argv", list(MIDQ_GOLDEN), ids=["readme", "listed-grid"])
-def test_noise_sweep_midq_bytes_unchanged(capsys, argv):
-    code, out, _ = run_cli(capsys, "noise-sweep", "--mode", "midq", *argv)
-    assert code == 0
-    assert out == MIDQ_GOLDEN[argv]
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -655,7 +578,8 @@ def test_noise_sweep_parity_cancellation(capsys):
 
 def test_noise_sweep_systematic_deviation_small(capsys):
     deviations = _dense_deviations(
-        capsys, ("--s", "011", "--phi-grid", "0:0.4pi:3", "--theta-grid", "0.3,1.57")
+        capsys, shlex.split("noise-sweep --mode systematic --s 011 --phi-grid 0:0.4pi:3 "
+                            "--theta-grid 0.3,1.57"),
     )
     assert len(deviations) == 6
     assert max(deviations) < 1e-10
@@ -742,6 +666,7 @@ CACHED_PARSER_CALLS = [
     ("learn", "--s", "012"),
     ("learn", "--s", "0110", "--per-bit-delta"),
     ("learn", "--s", "0110"),
+    ("trace-table", "--n", "2", "--format", "json"),
     ("trace-table", "--n", "2"),
     ("discord-sweep", "--s", "011", "--j", "1", "--alpha-grid", "0.5"),
     ("noise-sweep", "--mode", "midq", "--s", "0110", "--q-grid", "0:0.05:2"),
@@ -760,11 +685,15 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     ]
     assert runs[0] == runs[1]
     for run in runs:
-        assert [run[argv][0] for argv in CACHED_PARSER_CALLS] == [0, 2, 0, 0, 0, 0, 0, 0]
+        assert [run[argv][0] for argv in CACHED_PARSER_CALLS] == [0, 2, 0, 0, 0, 0, 0, 0, 0]
         assert run[CACHED_PARSER_CALLS[0]][1].startswith("usage: dqc1lpn learn")
         flagged, plain = (json.loads(run[argv][1]) for argv in CACHED_PARSER_CALLS[2:4])
         assert flagged["config"]["per_bit_delta"] is True
         assert plain["config"]["per_bit_delta"] is False
+        # a --format choice does not become the next call's default
+        as_json, as_csv = (run[argv][1] for argv in CACHED_PARSER_CALLS[4:6])
+        assert as_json == (GOLDEN / "trace-table-n2.json").read_text()
+        assert as_csv.splitlines()[1] == "s,j,decoupled_prefix,re_tau,im_tau,abs_delta_tau"
 
 
 def test_unexpected_error_exits_four(capsys, monkeypatch):
@@ -821,67 +750,36 @@ _TEXT = st.lists(
     | st.characters(),
     max_size=6,
 ).map("".join)
+# pieces that a row template filled by "%" could misread, in keys and cells
+_TRAP = st.sampled_from(["%", "%s", "%(x)s", "%%", "\x00", "a\x00%s", "%d"])
+_KEY = _TEXT | _TRAP
 _SCALAR = (
     st.none() | st.booleans() | st.integers()
-    | st.floats(allow_nan=False, allow_infinity=False) | _TEXT
+    | st.floats(allow_nan=False, allow_infinity=False) | _TEXT | _TRAP
 )
-# json.dumps also takes ints, floats, bools and None as keys and quotes them
-_KEY = (
-    _TEXT | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
-    | st.booleans() | st.none()
-)
-_FLAT_ROWS = st.lists(st.dictionaries(_KEY, _SCALAR, max_size=4), max_size=4)
-_JSON_LIKE = st.recursive(
-    _SCALAR,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(_KEY, inner, max_size=4)
-    | _FLAT_ROWS,
-    max_leaves=25,
-)
+
+
+@st.composite
+def _tables(draw, max_rows=30):
+    """1 to `max_rows` rows of scalars that share one list of string keys,
+    the shape of every command's rows."""
+    keys = list(dict.fromkeys(draw(st.lists(_KEY, min_size=1, max_size=9))))
+    cells = st.lists(_SCALAR, min_size=len(keys), max_size=len(keys))
+    return [dict(zip(keys, row)) for row in draw(st.lists(cells, min_size=1, max_size=max_rows))]
 
 
 @given(
     command=_TEXT,
     config=st.dictionaries(_KEY, _SCALAR, max_size=5),
-    results=st.dictionaries(_KEY, _JSON_LIKE | _FLAT_ROWS, max_size=4),
+    scalars=st.dictionaries(_KEY, _SCALAR, max_size=4),
+    rows=_tables(max_rows=4),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_serialize_matches_json_indent_two(command, config, results, seed):
-    payload = _payload(command, config, results, seed)
+def test_serialize_matches_json_indent_two(command, config, scalars, rows, seed):
+    """Run records of the shape the commands build: a config of scalars,
+    and results of scalars followed by the rows."""
+    payload = _payload(command, config, {**scalars, "rows": rows}, seed)
     assert cli._serialize(payload, "json") == json.dumps(payload, indent=2) + "\n"
-
-
-# pieces that a row template filled by "%" could misread, in keys and cells
-_TRAP = st.sampled_from(["%", "%s", "%(x)s", "%%", "\x00", "a\x00%s", "%d"])
-
-
-def _twin(key):
-    """A key equal to `key` that json writes differently (1, True and 1.0;
-    0, False and 0.0; 0.0 and -0.0), or the key itself."""
-    if type(key) is float:
-        return -key if key == 0.0 else int(key) if key.is_integer() else key
-    if type(key) is int and key in (0, 1):
-        return bool(key)
-    if type(key) is bool:
-        return float(key)
-    return key
-
-
-@st.composite
-def _tables(draw):
-    """1-30 rows that share one key list: string keys, or keys of any type
-    with a non-string key swapped for an equal twin in some rows."""
-    keys = draw(st.lists(_TRAP | _KEY, min_size=1, max_size=9))
-    strings = draw(st.booleans())
-    if strings:
-        keys = [k if isinstance(k, str) else repr(k) for k in keys]
-    keys = list(dict.fromkeys(keys))
-    rows = []
-    for _ in range(draw(st.integers(1, 30))):
-        cells = draw(st.lists(_TRAP | _SCALAR, min_size=len(keys), max_size=len(keys)))
-        row_keys = keys if strings or draw(st.booleans()) else map(_twin, keys)
-        rows.append(dict(zip(row_keys, cells)))
-    return rows
 
 
 @given(table=_tables(), seed=st.integers(0, 2**64 - 1))
@@ -899,7 +797,7 @@ def test_serialize_tables_match_json_indent_two(table, seed):
     [
         lambda bad: {"x": bad},
         lambda bad: {"rows": [{"a": 1.0}, {"a": bad}]},
-        lambda bad: {"nested": {"deep": [[1.0, bad]]}},
+        lambda bad: {"rows": [{"a": 1.0, "b": "x"}, {"a": 2.0, "b": bad}]},
     ],
 )
 def test_serialize_refuses_non_finite_json(bad, results):

@@ -148,7 +148,7 @@ def test_query_budget_efficiency_frontier():
         pytest.param(2000, 1, 1.0, 10**1000, 0.01, HALF_PI, 1, id="overflowed-scale-deep-gap-1"),
     ],
 )
-def test_query_budget_log_space_fallback(n, j, alpha, L, delta, theta, expected):
+def test_query_budget_least_count_past_float_range(n, j, alpha, L, delta, theta, expected):
     """Inputs past float range, where a float quotient would overflow or
     underflow, still give the least count: an int, and a float `expected`
     is its log2 to four places."""
