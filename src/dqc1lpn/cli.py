@@ -257,10 +257,10 @@ def _resolve_string(args) -> np.ndarray:
     if args.s is not None:
         return as_bits(args.s)
     # bit 1's threshold alpha (1-p) g^(n-1) / 2, with alpha (1-p) <= 1 and the
-    # gap factor g <= 0.7071067811865476 (the float just above 1/sqrt(2)), is
-    # 2.2e-308 at n = 2043 but 1.6e-308, below 2^-1022, at n = 2044: learn
-    # refuses every longer string at bit 1, so it is refused before the draw
-    if args.n > 2043:
+    # gap factor g <= 0.7071067811865475 (_gap_factor at pi/2), is 3.1e-308 at
+    # n = 2042 but 2.225073858506798e-308, just below 2^-1022, at n = 2043:
+    # learn refuses every longer string at bit 1, so it is refused before the draw
+    if args.n > 2042:
         raise ValueError("the threshold of bit 1 is below 2^-1022, the smallest normal float")
     gen = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(0,)))
     return gen.integers(0, 2, size=args.n, dtype=np.uint8)

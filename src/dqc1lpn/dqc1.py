@@ -9,7 +9,10 @@ data-register block ``w`` the probe carries the normalized trace of ``w``:
 where p is the probe readout depolarization rate.  Shot sampling models
 each query as the mean of L two-outcome (+-1) measurements, and reads a
 quadrature over Q queries as one binomial draw of L*Q shots; a read of
-more than 2^63 - 1 shots, numpy's int64 range, is refused.  The dense
+more than 2^63 - 1 shots, numpy's int64 range, is refused.  The draws of
+a run come from one ``ShotStream``: a Philox4x64 generator keyed by the
+run's seed, whose read k (0 is x, 1 is y) of bit j starts at counter
+(0, 0, k, j), so every count is a pure function of (seed, j, k).  The dense
 run of that circuit (``initial_state``, ``run_protocol``) is the
 reference in ``tests/dense_reference.py``.
 """
@@ -17,6 +20,7 @@ reference in ``tests/dense_reference.py``.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from operator import index
 from typing import Collection, NamedTuple
@@ -158,23 +162,60 @@ def expectations_from_tau(alpha: float, p: float, tau: complex) -> tuple[float, 
     return float(z.real), float(z.imag)
 
 
+class ShotStream:
+    """The shot sampler's random numbers for one run: one Philox4x64
+    generator keyed by `seed`, a counter-based generator (Salmon et al.,
+    "Parallel random numbers: as easy as 1, 2, 3", SC'11).  Read k of bit
+    j draws from counter (0, 0, k, j), as a fresh
+    ``Generator(Philox(key=seed, counter=[0, 0, k, j]))`` would, so a count
+    does not depend on what was drawn before it, and no seed is hashed."""
+
+    __slots__ = ("_gen", "_state", "_lock")
+
+    def __init__(self, seed: int):
+        # Philox would take None as a key drawn from the OS, and 1.5 as 1
+        if not 0 <= require_int(seed, "seed") < 2**64:
+            raise ValueError("seed must fit in 64 bits")
+        self._gen = np.random.Generator(np.random.Philox(key=seed))
+        # a fresh generator's state with Python ints, which the state setter
+        # reads faster than arrays: an empty buffer, so a draw starts at the
+        # counter set before it
+        state = self._gen.bit_generator.state
+        key = tuple(int(word) for word in state["state"]["key"])
+        self._state = {**state, "state": {"counter": None, "key": key}, "buffer": (0,) * 4}
+        # the stream's own lock: the draw takes the bit generator's lock
+        # itself, a plain Lock in older numpy, so holding that one would deadlock
+        self._lock = threading.Lock()
+
+    def binomial(self, j: int, k: int, shots: int, prob: float) -> int:
+        """One Binomial(shots, prob) count from read k of bit j."""
+        with self._lock:
+            self._state["state"]["counter"] = (0, 0, k, j)
+            self._gen.bit_generator.state = self._state
+            # a Python int, since 2 * ups would wrap in int64
+            return int(self._gen.binomial(shots, prob))
+
+
 def sample_expectations(
     true_ex: float,
     true_ey: float,
     L: int,
     Q: int,
-    stream: np.random.SeedSequence,
+    stream: ShotStream,
+    j: int,
     *,
     observables: Collection[str] = QUADRATURES,
 ) -> EstimateRecord:
-    """Simulate shot-noise estimation of the probe expectations.
+    """Simulate shot-noise estimation of the probe expectations of bit j.
 
-    Each observable draws from its own child of ``stream`` (child 0 is x,
-    child 1 is y, each built only when read), so reading only y gives the
-    same ey as reading both, and identical inputs reproduce the record bit
-    for bit.  `observables` is a collection of ``QUADRATURES``, and those
-    left out are reported as 0 with se 0.  A read of L*Q shots must fit
-    in int64, the range of numpy's binomial sampler.
+    Each observable is the mean of Q queries, each the average of L
+    two-outcome shots: the sum of Q Binomial(L, p) up-counts, drawn as one
+    Binomial(L*Q, p) count from read k of bit j of ``stream`` (k = 0 is x,
+    k = 1 is y).  So reading only y gives the same ey as reading both, and
+    identical inputs reproduce the record bit for bit.  `observables` is a
+    collection of ``QUADRATURES``, and those left out are reported as 0
+    with se 0.  A read of L*Q shots must fit in int64, the range of numpy's
+    binomial sampler, and j must fit in a 64-bit counter word.
     """
     # written so that NaN fails the bound
     if not (abs(require_real(true_ex, "true ex")) <= 1.0
@@ -191,21 +232,15 @@ def sample_expectations(
         raise ValueError(
             "a read of L*Q shots exceeds 2^63 - 1, the int64 range of the shot sampler"
         )
+    if not 0 <= require_int(j, "j") < 2**64:
+        raise ValueError("bit index j must lie in 0..2^64 - 1")
     require_quadratures(observables)
-    entropy, key, pool = stream.entropy, stream.spawn_key, stream.pool_size
-
-    def read(k: int, truth: float) -> tuple[float, float]:
-        """Mean of Q queries, each the average of L two-outcome shots: the
-        sum of Q Binomial(L, p) up-counts is one Binomial(L*Q, p) draw, from
-        child k as a first stream.spawn(2) derives it, without advancing
-        the stream."""
-        child = np.random.SeedSequence(entropy, spawn_key=key + (k,), pool_size=pool)
-        # a Python int, since 2 * ups would wrap in int64
-        ups = int(np.random.default_rng(child).binomial(shots, (1.0 + truth) / 2.0))
-        est = (2 * ups - shots) / shots
-        # plug-in standard error of the pooled mean of L*Q shots
-        return est, math.sqrt(max(0.0, 1.0 - est * est) / shots)
-
-    ex, se_x = read(0, true_ex) if "x" in observables else (0.0, 0.0)
-    ey, se_y = read(1, true_ey) if "y" in observables else (0.0, 0.0)
-    return EstimateRecord(ex=ex, ey=ey, se_x=se_x, se_y=se_y)
+    fields = [0.0, 0.0, 0.0, 0.0]
+    for k, (quadrature, truth) in enumerate((("x", true_ex), ("y", true_ey))):
+        if quadrature in observables:
+            ups = stream.binomial(j, k, shots, (1.0 + truth) / 2.0)
+            est = (2 * ups - shots) / shots
+            # the estimate, and the plug-in standard error of the pooled mean
+            fields[k] = est
+            fields[k + 2] = math.sqrt(max(0.0, 1.0 - est * est) / shots)
+    return EstimateRecord(*fields)

@@ -74,10 +74,10 @@ class BudgetParams:
 
     delta is the failure probability the budget is sized for; by default
     it is split globally (delta/n per bit), set per_bit_delta (a bool) to
-    spend delta on every bit.  The learner does not keep it for a string
-    with no early 0, which reads both quadratures and decides by their
-    sum: "11111" at pi/2, L = 20, delta = 0.05 failed 535 of 2000 seeded
-    sampled runs (ROADMAP item 1).
+    spend delta on every bit.  The hardest string has no early 0, so it
+    reads both quadratures of every bit: "11111" at pi/2, L = 20,
+    delta = 0.05 fails with exact probability 0.0190 under ``decide_bit``'s
+    max rule, and failed 39 of 2000 seeded sampled runs.
     L is the shot count of one query.  The per-bit accuracy is the
     threshold that ``learn`` compares the bit's reading with.
     """
@@ -129,11 +129,15 @@ def closed_form_tau(s, theta: float, j: int, decoupled: Iterable[int] = ()) -> c
 
 
 def decide_bit(est: EstimateRecord, threshold: float) -> int:
-    """Midpoint rule: report 1 when |ex| + |ey| falls below the threshold."""
+    """Midpoint rule: report 1 when max(|ex|, |ey|), the larger quadrature,
+    falls below the threshold.  An unread quadrature is 0, so with one read
+    this is |ex| or |ey| alone; with both read, an s_j = 1 bit fails only
+    if one of its two noise readings reaches the threshold, not their sum."""
     # NaN fails both bounds
     if not 0.0 < require_real(threshold, "threshold") < math.inf:
         raise ValueError("threshold must be positive and finite")
-    return 1 if abs(est.ex) + abs(est.ey) < threshold else 0
+    # max(|ex|, |ey|) < T as two comparisons, without a call of max per bit
+    return 1 if abs(est.ex) < threshold and abs(est.ey) < threshold else 0
 
 
 def query_budget(budget: BudgetParams, n: int, threshold: float) -> int:
@@ -172,11 +176,13 @@ def make_oracle(s, cfg: Dqc1Config) -> Oracle:
     the diagonal of the block's matrix (``StepBlock.dense_trace``, up to
     ``MAX_QUBITS``), "closed" evaluates the trace from the block's kind
     counts (``circuits.mask_kinds``), "sampled" adds shot noise to the
-    closed-form values with one RNG stream per probed bit (from cfg.seed).
+    closed-form values, from one ``dqc1.ShotStream`` keyed by cfg.seed that
+    the oracle owns: read k of bit j is a pure function of (cfg.seed, j, k).
     """
     n = cfg.n
     ones = ones_mask(as_bits(s, n=n))
     backend = cfg.backend
+    stream = dqc1.ShotStream(cfg.seed) if backend == "sampled" else None
     # per-run constants: every query rotates a suffix of these n qubits, at one angle
     register = (1 << n) - 1
     traces = angle_traces(cfg.theta, 0.0)
@@ -213,9 +219,8 @@ def make_oracle(s, cfg: Dqc1Config) -> Oracle:
         ex, ey = dqc1.expectations_from_tau(cfg.alpha, cfg.p, tau)
         if backend == "sampled":
             # sample_expectations refuses bad observables for this backend
-            stream = np.random.SeedSequence(cfg.seed, spawn_key=(j,))
             return dqc1.sample_expectations(
-                ex, ey, ensemble, queries, stream, observables=observables
+                ex, ey, ensemble, queries, stream, j, observables=observables
             )
         dqc1.require_quadratures(observables)
         ex = ex if "x" in observables else 0.0
@@ -243,9 +248,9 @@ def learn(
     """Recover the hidden string bit by bit.
 
     Per bit j: query the oracle with data qubits 1..j-1 decoupled and the
-    tail rotated, compare |ex| + |ey| to half the worst-case reading of
-    the s_j = 0 branch, record the bit, and on a 1 add the correction
-    that decouples qubit j from then on.  Both quadratures are sampled
+    tail rotated, compare max(|ex|, |ey|) to half the worst-case reading
+    of the s_j = 0 branch (``decide_bit``), record the bit, and on a 1 add
+    the correction that decouples qubit j from then on.  Both quadratures are sampled
     until the first nonzero reading fixes which one carries the signal;
     every 1 recorded afterwards toggles it, since each removed coupling
     drops one factor of i from the trace.  A `fixed_queries` (queries per

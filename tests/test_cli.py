@@ -97,10 +97,10 @@ GOLDEN = Path(__file__).parent / "golden"
 _S64 = "0110100110010110011010011001011001101001100101100110100110010110"
 
 #: runs whose stdout is pinned, by their file in tests/golden: the README's
-#: example of every command, and runs off its defaults.  ROADMAP item 1's
-#: budget rule (the Hoeffding constant and a second term for the second
-#: quadrature read) will change the two sampled learn files on purpose;
-#: that change must say so and rewrite them.
+#: example of every command, and runs off its defaults.  The two sampled
+#: learn files pin the shot sampler's stream too (Philox4x64 keyed by
+#: --seed, read k of bit j at counter (0, 0, k, j)): a change of stream
+#: changes them on purpose, and must say so and rewrite them.
 GOLDEN_RUNS = {
     "learn-closed-n40.out": "learn --backend closed --queries 1 --n 40",
     "learn-dense-n6.out": "learn --backend dense --n 6 --queries 1",
@@ -888,6 +888,9 @@ def test_noise_sweep_midq_and_parity_at_64_qubits(capsys):
         "learn --s " + "0" * 2100,
         "learn --s " + "0" * 2100 + " --max-queries " + _BIG,
         "learn --n 2200",
+        # bit 1's threshold is 2.225073858506798e-308, the float just below
+        # 2^-1022: refused before the string is drawn, as every longer one
+        "learn --n 2043 --queries 1",
         # refused before the draw: 10^11 bits would not fit in memory, and
         # numpy refuses a 10^400-bit array with a message of its own
         "learn --n 100000000000",
@@ -909,7 +912,8 @@ def test_noise_sweep_midq_and_parity_at_64_qubits(capsys):
     ],
     ids=[
         "learn-2100", "learn-2200", "learn-2100-budget", "learn-2100-budget-cap",
-        "learn-2200-random", "learn-10^11-random", "learn-10^400-random", "learn-2000-theta1.1", "trace-table", "parity", "midq",
+        "learn-2200-random", "learn-2043-random", "learn-10^11-random", "learn-10^400-random",
+        "learn-2000-theta1.1", "trace-table", "parity", "midq",
         "systematic", "systematic-tilted", "systematic-2200",
     ],
 )
@@ -920,6 +924,14 @@ def test_readout_below_smallest_normal_exits_two(capsys, command):
     assert code == 2
     assert out == ""
     assert "2^-1022" in err
+
+
+def test_learn_longest_random_string_runs(capsys):
+    """n = 2042, one below the refused length, keeps every threshold normal."""
+    code, out, _ = run_cli(capsys, "learn", "--n", "2042", "--queries", "1")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert len(results["s_hat"]) == 2042 and results["success"] is True
 
 
 def test_discord_rows_ignore_qubit_order(capsys):

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 from functools import partial
@@ -13,6 +15,7 @@ from dqc1lpn import circuits, dqc1, infomeasures, lpn, noise
 from dqc1lpn.dqc1 import (
     Dqc1Config,
     EstimateRecord,
+    ShotStream,
     expectations_from_tau,
     sample_expectations,
 )
@@ -141,10 +144,6 @@ def test_estimate_record_is_an_immutable_named_tuple():
             EstimateRecord(*fields)
 
 
-def _seed(k):
-    return np.random.SeedSequence(k)
-
-
 #: What a library caller may pass where a count, a mask or a number belongs:
 #: small and huge ints, floats with NaN and the infinities, strings, None.
 _VALUES = st.one_of(
@@ -210,7 +209,7 @@ def _shot_counts(draw):
 def _sample(draw):
     truth = _mostly(st.floats(-1.0, 1.0))
     L, Q = _shot_counts(draw)
-    return _finite(*sample_expectations(draw(truth), draw(truth), L, Q, _seed(0)))
+    return _finite(*sample_expectations(draw(truth), draw(truth), L, Q, ShotStream(0), 1))
 
 
 def _budget(draw):
@@ -432,14 +431,29 @@ def _config_with(**fields):
     [
         _refusal("block-n", lambda: circuits.StepBlock(1.0, 2.5, 0, 0), "n"),
         _refusal("block-mask", lambda: circuits.StepBlock(1.0, 2, 1.5, 0), "rotated"),
-        _refusal("sample-L", lambda: sample_expectations(0.5, 0.5, 10.5, 3, _seed(0)), "L"),
-        _refusal("sample-Q", lambda: sample_expectations(0.5, 0.5, 10, 3.5, _seed(0)), "Q"),
+        _refusal("sample-L", lambda: sample_expectations(0.5, 0.5, 10.5, 3, ShotStream(0), 1),
+                 "L"),
+        _refusal("sample-Q", lambda: sample_expectations(0.5, 0.5, 10, 3.5, ShotStream(0), 1),
+                 "Q"),
         # one binomial draw takes at most 2^63 - 1 shots; two numpy int64
         # counts wrapped their product past it
-        *(_refusal(f"sample-shots-{id}", partial(sample_expectations, 0.5, 0.5, L, Q, _seed(0)),
+        *(_refusal(f"sample-shots-{id}",
+                   partial(sample_expectations, 0.5, 0.5, L, Q, ShotStream(0), 1),
                    "L", r"a read of L\*Q shots exceeds 2\^63 - 1")
           for id, L, Q in (("2^62x2", 2**62, 2), ("2^63x1", 2**63, 1),
                            ("numpy-2^62x2", np.int64(2**62), np.int64(2)))),
+        # Philox itself took None as a key from OS entropy, and 1.5 as 1
+        *(_refusal(f"stream-seed-{id}", partial(ShotStream, seed), "seed", message)
+          for id, seed, message in (("none", None, "must be an integer"),
+                                    ("float", 1.5, "must be an integer"),
+                                    ("2^64", 2**64, "fit in 64 bits"),
+                                    ("negative", -1, "fit in 64 bits"))),
+        # j is a word of the generator's counter
+        *(_refusal(f"sample-j-{id}",
+                   partial(sample_expectations, 0.5, 0.5, 10, 3, ShotStream(0), j), "j", message)
+          for id, j, message in (("float", 1.0, "must be an integer"),
+                                 ("negative", -1, r"0\.\.2\^64 - 1"),
+                                 ("2^64", 2**64, r"0\.\.2\^64 - 1"))),
         _refusal("config-alpha", _config_with(alpha="0.5"), "alpha"),
         _refusal("config-theta", _config_with(theta="1"), "theta"),
         _refusal("config-n-negative", _config_with(n=-1), "n"),
@@ -552,38 +566,90 @@ def test_quadratures_are_refused_with_one_message(observables):
             lpn.make_oracle("0110", cfg)(1, 0, 10, 1, observables)
         messages.add(str(refused.value))
     with pytest.raises(ValueError) as refused:
-        sample_expectations(0.5, 0.5, 10, 1, _seed(0), observables=observables)
+        sample_expectations(0.5, 0.5, 10, 1, ShotStream(0), 1, observables=observables)
     messages.add(str(refused.value))
     assert messages == {'observables must be a collection of "x" and "y"'}
 
 
 def test_sampling_is_seed_deterministic():
-    a = sample_expectations(0.3, -0.1, 500, 3, _seed(7))
-    b = sample_expectations(0.3, -0.1, 500, 3, _seed(7))
+    a = sample_expectations(0.3, -0.1, 500, 3, ShotStream(7), 1)
+    b = sample_expectations(0.3, -0.1, 500, 3, ShotStream(7), 1)
     assert a == b
-    c = sample_expectations(0.3, -0.1, 500, 3, _seed(8))
+    c = sample_expectations(0.3, -0.1, 500, 3, ShotStream(8), 1)
     assert c != a
 
 
-def test_sampling_reuses_a_stream_object():
-    """Two calls with one SeedSequence object return the same record, the
-    one drawn from the first two children that a fresh stream spawns: one
-    binomial draw of L*Q shots per quadrature, up to 2^63 - 1 shots."""
-    for L, Q in ((500, 3), (2**63 - 1, 1)):
-        stream = _seed(7)
-        first = sample_expectations(0.3, -0.1, L, Q, stream)
-        assert sample_expectations(0.3, -0.1, L, Q, stream) == first
-        shots = L * Q
-        for child, p, est in zip(_seed(7).spawn(2), (0.65, 0.45), (first.ex, first.ey)):
-            ups = int(np.random.default_rng(child).binomial(shots, p))
-            assert est == (2 * ups - shots) / shots
+def _fresh_count(seed, j, k, shots, truth):
+    """Read k of bit j as a fresh generator started at its counter draws it."""
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, k, j]))
+    return int(gen.binomial(shots, (1.0 + truth) / 2.0))
+
+
+def test_sampled_oracle_reads_each_bit_at_its_philox_counter():
+    """The sampled oracle's count for read k of bit j is the first binomial
+    draw of a fresh Philox keyed by the seed at counter (0, 0, k, j), the
+    closed oracle's truth its mean, whatever was read before it: the calls
+    go in two orders, through one oracle each, up to 2^63 - 1 shots.  Bit n,
+    with qubit 2 corrected, reads alpha (1-p) on one quadrature; bit 2 reads
+    0, and bit 1 about 7e-117, behind 2041 rotated qubits."""
+    n = 2042
+    s = "01" + "0" * (n - 2)
+    cfg = {"n": n, "alpha": 0.8, "p": 0.1, "theta": 1.0}
+    truths = lpn.make_oracle(s, Dqc1Config(**cfg, backend="closed"))
+    calls = [(j, L, Q) for j in (1, 2, n) for L, Q in ((500, 3), (2**63 - 1, 1))]
+    for seed in (0, 1, 2**64 - 1):
+        for order in (calls, calls[::-1]):
+            oracle = lpn.make_oracle(s, Dqc1Config(**cfg, backend="sampled", seed=seed))
+            for j, L, Q in order:
+                corrections = 0b10 if j > 2 else 0
+                record, truth = oracle(j, corrections, L, Q), truths(j, corrections)
+                shots = L * Q
+                for k in (0, 1):
+                    ups = _fresh_count(seed, j, k, shots, truth[k])
+                    assert record[k] == (2 * ups - shots) / shots, (seed, j, k, shots)
+
+
+def test_sampled_oracles_of_one_seed_agree():
+    """Two oracles of one seed in one process give equal records, read in
+    turn: each owns its generator, and no module-level state is shared."""
+    cfg = Dqc1Config(n=6, alpha=0.7, p=0.2, theta=1.3, backend="sampled", seed=11)
+    first, second = lpn.make_oracle("011010", cfg), lpn.make_oracle("011010", cfg)
+    for j in (3, 1, 6, 1):
+        assert first(j, 0, 200, 4) == second(j, 0, 200, 4)
+    assert first(2, 1, 200, 4, ("y",)).ey == second(2, 1, 200, 4).ey
+
+
+def test_shot_stream_draws_stay_keyed_across_threads():
+    """Threads sharing one stream, more of them than cores and switching
+    every microsecond, each get the count of their own counter: setting the
+    counter and drawing from it is one step, so no thread draws from a
+    counter another thread set."""
+    stream, shots = ShotStream(5), 10**6
+    results = {}
+
+    def reader(j):
+        results[j] = [stream.binomial(j, 1, shots, 0.5) for _ in range(50)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(j,)) for j in range(1, 9)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for j in range(1, 9):
+        assert results[j] == [_fresh_count(5, j, 1, shots, 0.0)] * 50, j
 
 
 def test_sampling_memory_is_independent_of_queries():
     """A read of 10^12 queries is one draw: no array of Q counts."""
     tracemalloc.start()
     try:
-        rec = sample_expectations(0.3, -0.1, 1000, 10**12, _seed(7))
+        rec = sample_expectations(0.3, -0.1, 1000, 10**12, ShotStream(7), 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -596,17 +662,18 @@ def test_sampling_refuses_nan_truth():
     for truths in ((math.nan, 0.0), (0.0, math.nan)):
         for observables in (("x", "y"), ("x",), ("y",)):
             with pytest.raises(ValueError, match="sample_expectations"):
-                sample_expectations(*truths, 10, 2, _seed(1), observables=observables)
+                sample_expectations(*truths, 10, 2, ShotStream(1), 1, observables=observables)
 
 
 def test_sampling_needs_a_stream():
-    """The stream is the one source of the sampler's seed."""
+    """The stream and the bit index j are the one source of the sampler's
+    randomness: there is no default stream and no module-level generator."""
     with pytest.raises(TypeError):
         sample_expectations(0.3, -0.1, 500, 3)
 
 
 def test_sampling_single_observable():
-    rec = sample_expectations(0.4, 0.9, 200, 2, _seed(3), observables=("x",))
+    rec = sample_expectations(0.4, 0.9, 200, 2, ShotStream(3), 1, observables=("x",))
     assert rec.ey == 0.0
     assert rec.se_y == 0.0
     assert rec.se_x > 0.0
@@ -615,21 +682,21 @@ def test_sampling_single_observable():
 def test_sampling_concentrates():
     """Estimates land within five reported standard errors of the truth."""
     truth = (0.35, -0.6)
-    rec = sample_expectations(truth[0], truth[1], 4000, 5, _seed(11))
+    rec = sample_expectations(truth[0], truth[1], 4000, 5, ShotStream(11), 1)
     assert abs(rec.ex - truth[0]) < 5 * rec.se_x
     assert abs(rec.ey - truth[1]) < 5 * rec.se_y
 
 
 def test_sampling_error_shrinks_with_budget():
-    small = sample_expectations(0.2, 0.0, 100, 1, _seed(2))
-    large = sample_expectations(0.2, 0.0, 10000, 10, _seed(2))
+    small = sample_expectations(0.2, 0.0, 100, 1, ShotStream(2), 1)
+    large = sample_expectations(0.2, 0.0, 10000, 10, ShotStream(2), 1)
     assert large.se_x < small.se_x
 
 
 def test_sampling_y_only_matches_two_quadrature_read():
     """Each quadrature has its own stream: leaving x out does not move ey."""
-    both = sample_expectations(0.4, -0.7, 300, 7, _seed(21))
-    y_only = sample_expectations(0.4, -0.7, 300, 7, _seed(21), observables=("y",))
+    both = sample_expectations(0.4, -0.7, 300, 7, ShotStream(21), 1)
+    y_only = sample_expectations(0.4, -0.7, 300, 7, ShotStream(21), 1, observables=("y",))
     assert y_only.ey == both.ey
     assert y_only.se_y == both.se_y
     assert y_only.ex == 0.0
@@ -639,7 +706,7 @@ def test_sampling_variance_matches_binomial():
     """Over fixed seeds the estimate is unbiased with variance (1-t^2)/(L Q)."""
     L, Q, truth = 50, 20, 0.3
     ex = np.array([
-        sample_expectations(truth, 0.0, L, Q, _seed(k), observables=("x",)).ex
+        sample_expectations(truth, 0.0, L, Q, ShotStream(k), 1, observables=("x",)).ex
         for k in range(300)
     ])
     var = (1.0 - truth**2) / (L * Q)

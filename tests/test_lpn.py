@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -95,8 +96,63 @@ def test_decide_bit_threshold():
     st.floats(min_value=1e-6, max_value=2),
 )
 def test_decide_bit_is_indicator(ex, ey, threshold):
+    """A 1 exactly when the larger quadrature is below the threshold."""
     rec = EstimateRecord(ex=ex, ey=ey, se_x=0.0, se_y=0.0)
-    assert decide_bit(rec, threshold) == int(abs(ex) + abs(ey) < threshold)
+    assert decide_bit(rec, threshold) == int(max(abs(ex), abs(ey)) < threshold)
+
+
+def _all_ones_bit_failure(shots: int, threshold: float) -> float:
+    """The exact probability that ``decide_bit`` reports 0 for a bit whose
+    two quadratures each read a truth of 0: independent Binomial(shots, 1/2)
+    up-counts u and v, read as (2u - shots) / shots as the sampler does.
+    The estimates are symmetric about 0, so each |reading| is one of the
+    distances d = |2u - shots|; for each distance of x, bisect the largest
+    distance of y that the rule accepts (it is monotone in |ey|) and sum
+    the probability of every distance up to it."""
+    pmf = scipy.stats.binom.pmf(np.arange(shots + 1), shots, 0.5)
+    # P(|2u - shots| = d) for d = shots % 2, shots % 2 + 2, ..., shots
+    half = pmf[: shots // 2 + 1][::-1]
+    mass = half + pmf[(shots + 1) // 2:]
+    if shots % 2 == 0:
+        mass[0] = pmf[shots // 2]
+    distances = np.arange(shots % 2, shots + 1, 2)
+    below = np.cumsum(mass)
+    accepted = 0.0
+    for dx, px in zip(distances.tolist(), mass.tolist()):
+        ex = dx / shots
+        lo, hi = -1, distances.size - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            record = EstimateRecord(ex, distances[mid] / shots, 0.0, 0.0)
+            if decide_bit(record, threshold):
+                lo = mid
+            else:
+                hi = mid - 1
+        if lo >= 0:
+            accepted += px * below[lo]
+    return 1.0 - accepted
+
+
+@pytest.mark.parametrize("per_bit_delta", [False, True])
+@pytest.mark.parametrize(
+    "n,L,delta", [(3, 1, 0.3), (6, 1, 0.2), (5, 20, 0.05), (5, 20, 0.1), (8, 20, 0.05)]
+)
+def test_all_ones_failure_is_at_most_delta(n, L, delta, per_bit_delta):
+    """The delta promise for the all-ones string, the worst string at each
+    point, computed exactly.  Every bit reads both quadratures with truth 0
+    (its prefix is decided right and corrected), so bits fail independently,
+    each with the exact failure of ``decide_bit`` at its threshold and
+    L * queries shots, both taken from a closed-backend run's steps.  A
+    sum |ex| + |ey| failed 0.25-0.57 of these runs."""
+    cfg = Dqc1Config(n=n, alpha=1.0, p=0.0, theta=HALF_PI, backend="closed")
+    budget = BudgetParams(delta=delta, L=L, per_bit_delta=per_bit_delta)
+    steps = learn(make_oracle("1" * n, cfg), cfg, budget).steps
+    failures = [_all_ones_bit_failure(L * step.queries, step.threshold) for step in steps]
+    if per_bit_delta:
+        assert max(failures) <= delta, failures
+    else:
+        run_failure = 1.0 - math.prod(1.0 - f for f in failures)
+        assert run_failure <= delta, run_failure
 
 
 def test_query_budget_monotone_in_tail():
