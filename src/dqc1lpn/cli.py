@@ -252,29 +252,20 @@ def _serialize(payload: dict[str, Any], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _resolve_string(args) -> np.ndarray:
-    """The hidden string: --s read as bits, or --n bits drawn from --seed."""
-    if args.s is not None:
-        return as_bits(args.s)
-    # bit 1's threshold alpha (1-p) g^(n-1) / 2, with alpha (1-p) <= 1 and the
-    # gap factor g <= 0.7071067811865475 (_gap_factor at pi/2), is 3.1e-308 at
-    # n = 2042 but 2.225073858506798e-308, just below 2^-1022, at n = 2043:
-    # learn refuses every longer string at bit 1, so it is refused before the draw
-    if args.n > 2042:
-        raise ValueError("the threshold of bit 1 is below 2^-1022, the smallest normal float")
-    gen = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(0,)))
-    return gen.integers(0, 2, size=args.n, dtype=np.uint8)
-
-
 def cmd_learn(args) -> tuple[dict[str, Any], dict[str, Any]]:
     theta = parse_angle(args.theta)
-    bits = _resolve_string(args)
-    n = bits.size
+    bits = as_bits(args.s) if args.s is not None else None
+    n = bits.size if bits is not None else args.n
     cfg = Dqc1Config(
         n=n, alpha=args.alpha, p=args.p, theta=theta,
         backend=args.backend, seed=args.seed,
     )
     budget = BudgetParams(delta=args.delta, L=args.L, per_bit_delta=args.per_bit_delta)
+    if bits is None:
+        # the plan reads only n, so learn's refusals come before --n bits are drawn
+        lpn.plan(cfg, budget, fixed_queries=args.queries, max_queries=args.max_queries)
+        gen = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(0,)))
+        bits = gen.integers(0, 2, size=n, dtype=np.uint8)
     oracle = lpn.make_oracle(bits, cfg)
     result = lpn.learn(
         oracle, cfg, budget,

@@ -20,7 +20,6 @@ learner only ever sees the query callable.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from operator import index
 from typing import Callable, Collection, Iterable, NamedTuple
@@ -78,8 +77,8 @@ class BudgetParams:
     reads both quadratures of every bit: "11111" at pi/2, L = 20,
     delta = 0.05 fails with exact probability 0.0190 under ``decide_bit``'s
     max rule, and failed 39 of 2000 seeded sampled runs.
-    L is the shot count of one query.  The per-bit accuracy is the
-    threshold that ``learn`` compares the bit's reading with.
+    L is the shot count of one query.  ``plan`` sizes each bit's query
+    count from these, for the threshold ``learn`` compares its reading with.
     """
 
     delta: float
@@ -148,7 +147,7 @@ def query_budget(budget: BudgetParams, n: int, threshold: float) -> int:
     per-bit share of the failure budget: ln(1/delta') is the float
     ln n - ln delta (-ln delta with per_bit_delta), and the ceiling of its
     quotient by L T^2 is taken in exact integers, so it holds for any n, L
-    and delta and every normal T.  ``learn``'s T_j = alpha (1-p) g^(n-j) / 2,
+    and delta and every normal T.  ``plan``'s T_j = alpha (1-p) g^(n-j) / 2,
     with g the gap factor of theta (1/sqrt(2) at pi/2), so the count grows
     by 1/g^2 per extra data qubit ahead of j and diverges as p -> 1.  A T
     that is not a positive normal float is refused, and so is n below 1.
@@ -237,26 +236,16 @@ def _gap_factor(theta: float) -> float:
     return min(abs(math.sin(half)), abs(math.cos(half)))
 
 
-def learn(
-    oracle: Oracle,
-    cfg: Dqc1Config,
-    budget: BudgetParams,
-    *,
-    fixed_queries: int | None = None,
+def plan(
+    cfg: Dqc1Config, budget: BudgetParams, *, fixed_queries: int | None = None,
     max_queries: int = 10**7,
-) -> LearnResult:
-    """Recover the hidden string bit by bit.
-
-    Per bit j: query the oracle with data qubits 1..j-1 decoupled and the
-    tail rotated, compare max(|ex|, |ey|) to half the worst-case reading
-    of the s_j = 0 branch (``decide_bit``), record the bit, and on a 1 add
-    the correction that decouples qubit j from then on.  Both quadratures are sampled
-    until the first nonzero reading fixes which one carries the signal;
-    every 1 recorded afterwards toggles it, since each removed coupling
-    drops one factor of i from the trace.  A `fixed_queries` (queries per
-    bit instead of the budget) or `max_queries` that is not an integer of
-    at least 1 is refused with ValueError before any query.
-    """
+) -> tuple[tuple[float, int], ...]:
+    """The (T_j, Q_j) of each bit j = 1..n that ``learn`` reads: the threshold
+    alpha (1-p) g^(n-j) / 2, g the gap factor of theta, and the query count,
+    `fixed_queries` or ``query_budget`` for T_j.  It reads neither s nor any
+    reading, and raises each refusal of ``learn``, in its order: ValueError,
+    or ``BudgetExhaustedError`` for a Q_j past `max_queries`.  T_j grows with
+    j and Q_j does not, so bit 1 is checked before the other pairs are built."""
     if fixed_queries is not None and require_int(fixed_queries, "fixed_queries") < 1:
         raise ValueError("fixed_queries must be at least 1")
     if require_int(max_queries, "max_queries") < 1:
@@ -271,28 +260,47 @@ def learn(
     factor = _gap_factor(cfg.theta)
     if factor < 1e-9:
         raise ValueError("rotation angle must avoid integer multiples of pi")
-    # the threshold alpha (1-p) factor^(n-j) / 2, from factors computed once
-    # per run and multiplied in the same order
     base = cfg.alpha * (1.0 - cfg.p)
+    try:
+        first = base * factor ** (n - 1) / 2.0
+    except OverflowError:  # an n - 1 past float range: far below 2^-1022
+        first = 0.0
+    # a normal T_1 keeps every T_j, and every s_j = 0 reading, normal too
+    require_normal(first, "the threshold of bit 1")
+    queries = fixed_queries if fixed_queries is not None else query_budget(budget, n, first)
+    if queries > max_queries:
+        raise BudgetExhaustedError(1, queries, max_queries)
+    rest = [base * factor ** (n - j) / 2.0 for j in range(2, n + 1)]
+    if fixed_queries is None:
+        return ((first, queries), *((t, query_budget(budget, n, t)) for t in rest))
+    return ((first, queries), *((t, queries) for t in rest))
+
+
+def learn(
+    oracle: Oracle, cfg: Dqc1Config, budget: BudgetParams, *,
+    fixed_queries: int | None = None, max_queries: int = 10**7,
+) -> LearnResult:
+    """Recover the hidden string bit by bit, by the pairs of ``plan``.
+
+    Per bit j: query the oracle with data qubits 1..j-1 decoupled and the
+    tail rotated, compare max(|ex|, |ey|) to half the worst-case reading
+    of the s_j = 0 branch (``decide_bit``), record the bit, and on a 1 add
+    the correction that decouples qubit j from then on.  Both quadratures are sampled
+    until the first nonzero reading fixes which one carries the signal;
+    every 1 recorded afterwards toggles it, since each removed coupling
+    drops one factor of i from the trace.  ``plan`` raises every refusal
+    before the first query.
+    """
+    pairs = plan(cfg, budget, fixed_queries=fixed_queries, max_queries=max_queries)
+    ensemble = budget.L
     # the quadrature that carries the signal, once a nonzero reading fixed it
     quadrature: str | None = None
     # bit k-1 set: qubit k was learned as a 1 and is corrected from then on
     corrections = 0
     steps: list[LearnStep] = []
-    for j in range(1, n + 1):
-        threshold = base * factor ** (n - j) / 2.0
-        # a normal threshold keeps every s_j = 0 reading normal too, and
-        # is the one the budget is sized for; the message is built only
-        # for a refusal
-        if abs(threshold) < sys.float_info.min:
-            require_normal(threshold, f"the threshold of bit {j}")
-        queries = fixed_queries if fixed_queries is not None else query_budget(
-            budget, n, threshold
-        )
-        if queries > max_queries:
-            raise BudgetExhaustedError(j, queries, max_queries)
+    for j, (threshold, queries) in enumerate(pairs, 1):
         observables = (quadrature,) if quadrature is not None else QUADRATURES
-        record = oracle(j, corrections, budget.L, queries, observables)
+        record = oracle(j, corrections, ensemble, queries, observables)
         bit = decide_bit(record, threshold)
         if bit:
             corrections |= 1 << (j - 1)

@@ -333,6 +333,9 @@ def _refused(id, command, message="", code=2):
                  "discord-sweep --s 011 --j x" + "1" * 500 + " --alpha-grid 0.5"),
         _refused("flips-text", "noise-sweep --mode parity --s 0110 --flips " + "x" * 500),
         _refused("alpha-above-one", "learn --s 0110 --alpha 2.0"),
+        # the config is read before bit 1's threshold, which is below 2^-1022 at n = 3000
+        _refused("n-3000-alpha-above-one", "learn --n 3000 --alpha 2",
+                 "error: alpha 2.0 outside [0, 1]\n"),
         # --s or --n, not both; --random-s is no option
         _refused("learn-without-string", "learn", _one_of("learn", "--s --n")),
         _refused("learn-s-and-random-s", "learn --s 0110 --random-s",

@@ -303,6 +303,11 @@ def _learn_0110(**plan):
     return lpn.learn(_oracle_0110(), _closed_config(4), BudgetParams(0.1, 10), **plan)
 
 
+def _plan(cfg=None, **caps):
+    """``lpn.plan`` for `cfg` (by default that of ``_learn_0110``)."""
+    return partial(lpn.plan, cfg or _closed_config(4), BudgetParams(0.1, 10), **caps)
+
+
 def _query(draw, backend, top):
     """One query of the `backend` oracle over at most `top` qubits."""
     n = draw(st.integers(1, top))
@@ -488,6 +493,21 @@ def _config_with(**fields):
         _refusal("learn-max-half", lambda: _learn_0110(max_queries=0.5), "max_queries"),
         _refusal("learn-n-zero", partial(lpn.learn, _oracle_0110(), _closed_config(0),
                                          BudgetParams(0.1, 10)), "n", "nothing to learn"),
+        # plan raises learn's refusals, with its messages, before any query
+        _refusal("plan-fixed", _plan(fixed_queries=1.5), "fixed_queries", "must be an integer"),
+        _refusal("plan-fixed-zero", _plan(fixed_queries=0), "fixed_queries", "at least 1"),
+        _refusal("plan-max-nan", _plan(max_queries=math.nan), "max_queries"),
+        _refusal("plan-max-half", _plan(max_queries=0.5), "max_queries"),
+        _refusal("plan-max-zero", _plan(max_queries=0), "max_queries", "at least 1"),
+        _refusal("plan-alpha-zero", _plan(_config_with(alpha=0.0)()), "alpha",
+                 r"alpha must lie in \(0, 1\]"),
+        _refusal("plan-n-zero", _plan(_closed_config(0)), "n", "nothing to learn"),
+        _refusal("plan-theta-pi", _plan(_config_with(theta=math.pi)()), "angle",
+                 "multiples of pi"),
+        # sin(1/2)^2099 is far below 2^-1022, and an n - 1 of 10^400 is past float range
+        *(_refusal(f"plan-threshold-{id}", _plan(_closed_config(n)), "threshold",
+                   r"the threshold of bit 1 is below 2\^-1022")
+          for id, n in (("2100", 2100), ("10^400", 10**400))),
         _refusal("flip-set", partial(noise.phase_flip_parity_experiment, "0110",
                                      _closed_config(4), [2.7]), "flip_set"),
         _refusal("tau-decoupled", lambda: lpn.closed_form_tau("0110", 1.0, 3, decoupled=[1.7]),

@@ -19,6 +19,7 @@ from dqc1lpn.lpn import (
     decide_bit,
     learn,
     make_oracle,
+    plan,
     query_budget,
 )
 
@@ -35,10 +36,13 @@ def _cfg(n, alpha=1.0, p=0.0):
     return Dqc1Config(n=n, alpha=alpha, p=p, theta=HALF_PI, backend="dense")
 
 
+#: A cap on queries above any count that a normal threshold needs.
+_NO_CAP = 2**4096
+
+
 def _bit_budget(budget, cfg, j):
-    """The budget of bit j, sized from the threshold ``learn`` computes."""
-    threshold = cfg.alpha * (1.0 - cfg.p) * _gap_factor(cfg.theta) ** (cfg.n - j) / 2.0
-    return query_budget(budget, cfg.n, threshold)
+    """The budget of bit j, sized from the threshold ``learn`` compares with."""
+    return plan(cfg, budget, max_queries=_NO_CAP)[j - 1][1]
 
 
 def _least_count(budget, n, threshold):
@@ -142,12 +146,11 @@ def test_all_ones_failure_is_at_most_delta(n, L, delta, per_bit_delta):
     point, computed exactly.  Every bit reads both quadratures with truth 0
     (its prefix is decided right and corrected), so bits fail independently,
     each with the exact failure of ``decide_bit`` at its threshold and
-    L * queries shots, both taken from a closed-backend run's steps.  A
-    sum |ex| + |ey| failed 0.25-0.57 of these runs."""
-    cfg = Dqc1Config(n=n, alpha=1.0, p=0.0, theta=HALF_PI, backend="closed")
+    L * queries shots, both taken from ``plan``.  A sum |ex| + |ey| failed
+    0.25-0.57 of these runs."""
+    cfg = Dqc1Config(n=n, alpha=1.0, p=0.0, theta=HALF_PI)
     budget = BudgetParams(delta=delta, L=L, per_bit_delta=per_bit_delta)
-    steps = learn(make_oracle("1" * n, cfg), cfg, budget).steps
-    failures = [_all_ones_bit_failure(L * step.queries, step.threshold) for step in steps]
+    failures = [_all_ones_bit_failure(L * queries, t) for t, queries in plan(cfg, budget)]
     if per_bit_delta:
         assert max(failures) <= delta, failures
     else:
@@ -210,8 +213,9 @@ def test_query_budget_least_count_past_float_range(n, j, alpha, L, delta, theta,
     is its log2 to four places."""
     budget = BudgetParams(delta=delta, L=L)
     # the threshold that ``learn`` sizes bit j for, at p = 0
-    threshold = alpha * _gap_factor(theta) ** (n - j) / 2.0
-    q = query_budget(budget, n, threshold)
+    cfg = Dqc1Config(n=n, alpha=alpha, p=0.0, theta=theta)
+    threshold, q = plan(cfg, budget, max_queries=_NO_CAP)[j - 1]
+    assert q == query_budget(budget, n, threshold)
     assert isinstance(q, int)
     assert q == _least_count(budget, n, threshold)
     if expected is None:
@@ -480,15 +484,21 @@ def test_learn_thresholds_grow_with_decoupling():
     alpha=st.floats(0.01, 1.0),
     p=st.floats(0.0, 0.99),
     s_seed=st.integers(0, 2**32 - 1),
+    fixed_queries=st.sampled_from([1, None]),
 )
-def test_learn_steps_are_bitwise_the_formulas(n, theta, alpha, p, s_seed):
-    """Off theta = pi/2: every threshold is alpha (1-p) gap / 2 with the gap
-    ``_gap_factor(theta) ** (n - j)``, and every closed reading is the block's trace
-    through ``expectations_from_tau``, bit for bit (an unread quadrature is
-    0.0)."""
+def test_learn_steps_are_bitwise_the_formulas(n, theta, alpha, p, s_seed, fixed_queries):
+    """Off theta = pi/2: ``plan``'s thresholds are alpha (1-p) gap / 2 with
+    the gap ``_gap_factor(theta) ** (n - j)``, a closed run's steps spend
+    ``plan``'s (threshold, queries) pairs, and every closed reading is the
+    block's trace through ``expectations_from_tau``, bit for bit (an unread
+    quadrature is 0.0)."""
     assume(_gap_factor(theta) >= 1e-3)
     bits = np.random.default_rng(s_seed).integers(0, 2, size=n, dtype=np.uint8)
     cfg = Dqc1Config(n=n, alpha=alpha, p=p, theta=theta, backend="closed")
+    pairs = plan(cfg, _budget(), fixed_queries=fixed_queries, max_queries=_NO_CAP)
+    assert [t for t, _ in pairs] == [
+        cfg.alpha * (1 - cfg.p) * _gap_factor(theta) ** (n - j) / 2 for j in range(1, n + 1)
+    ]
     oracle = make_oracle(bits, cfg)
     reads = []
 
@@ -496,11 +506,11 @@ def test_learn_steps_are_bitwise_the_formulas(n, theta, alpha, p, s_seed):
         reads.append((corrections, observables))
         return oracle(j, corrections, ensemble, queries, observables)
 
-    res = learn(recording, cfg, _budget(), fixed_queries=1)
+    res = learn(recording, cfg, _budget(), fixed_queries=fixed_queries, max_queries=_NO_CAP)
+    assert [(step.threshold, step.queries) for step in res.steps] == list(pairs)
     ones = qubit_mask(k for k in range(1, n + 1) if bits[k - 1])
     for step, (corrections, observables) in zip(res.steps, reads, strict=True):
         j = step.j
-        assert step.threshold == cfg.alpha * (1 - cfg.p) * _gap_factor(theta) ** (n - j) / 2
         rotated = ((1 << n) - 1) >> j << j
         tau = StepBlock(theta, n, rotated, ones ^ corrections).tau()
         ex, ey = expectations_from_tau(alpha, p, tau)
@@ -522,3 +532,62 @@ def test_learn_rejects_degenerate_angle():
         cfg = Dqc1Config(n=2, alpha=1.0, p=0.0, theta=theta, backend="dense")
         with pytest.raises(ValueError, match="multiples of pi"):
             learn(make_oracle(as_bits("01"), cfg), cfg, _budget())
+
+
+@pytest.mark.parametrize(
+    "fields,budget,caps,message",
+    [
+        pytest.param({"alpha": 0.0}, _budget(), {}, r"alpha must lie in \(0, 1\]", id="alpha-zero"),
+        pytest.param({"n": 0}, _budget(), {}, "nothing to learn", id="n-zero"),
+        pytest.param({"theta": math.pi}, _budget(), {}, "multiples of pi", id="theta-pi"),
+        # bit 1's threshold is 2^-1050.5
+        pytest.param({"n": 2100}, _budget(), {"fixed_queries": 1},
+                     r"threshold of bit 1 is below 2\^-1022", id="threshold-2100-bits"),
+        pytest.param({}, _budget(), {"fixed_queries": 10, "max_queries": 5},
+                     "bit 1 needs 10 queries, budget allows 5", id="exhausted-fixed"),
+        pytest.param({"n": 40, "alpha": 0.2, "p": 0.5}, BudgetParams(delta=0.01, L=10),
+                     {"max_queries": 1000}, "bit 1 needs", id="exhausted-budget"),
+    ],
+)
+def test_learn_refuses_before_any_query(fields, budget, caps, message):
+    """Each refusal of ``learn`` is the one ``plan`` raises, with its type and
+    message, and comes before the oracle is called once."""
+    cfg = Dqc1Config(**{"n": 4, "alpha": 1.0, "p": 0.0, "theta": HALF_PI, **fields})
+    with pytest.raises((ValueError, BudgetExhaustedError), match=message) as planned:
+        plan(cfg, budget, **caps)
+    calls = []
+
+    def counting(*query):
+        calls.append(query)
+        return EstimateRecord(0.0, 0.0, 0.0, 0.0)
+
+    with pytest.raises(type(planned.value)) as refused:
+        learn(counting, cfg, budget, **caps)
+    assert str(refused.value) == str(planned.value)
+    assert calls == []
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    theta=st.floats(-7.0, 7.0),
+    alpha=st.floats(0.01, 1.0),
+    p=st.floats(0.0, 0.99),
+    L=_scaled(30),
+    delta=st.floats(1e-300, 1.0, exclude_max=True),
+    per_bit_delta=st.booleans(),
+)
+def test_plan_queries_never_grow_with_j(n, theta, alpha, p, L, delta, per_bit_delta):
+    """T_j never shrinks and Q_j never grows with j, so ``plan`` checks only
+    bit 1 against the normal range and the cap: a cap one below Q_1 is
+    refused at bit 1, the bit that exit 3 names."""
+    assume(_gap_factor(theta) >= 1e-3)
+    cfg = Dqc1Config(n=n, alpha=alpha, p=p, theta=theta)
+    budget = BudgetParams(delta=delta, L=L, per_bit_delta=per_bit_delta)
+    thresholds, counts = zip(*plan(cfg, budget, max_queries=_NO_CAP))
+    assert list(thresholds) == sorted(thresholds)
+    assert list(counts) == sorted(counts, reverse=True)
+    if counts[0] > 1:
+        with pytest.raises(BudgetExhaustedError) as info:
+            plan(cfg, budget, max_queries=counts[0] - 1)
+        assert (info.value.j, info.value.required) == (1, counts[0])
