@@ -261,16 +261,12 @@ def cmd_learn(args) -> tuple[dict[str, Any], dict[str, Any]]:
         backend=args.backend, seed=args.seed,
     )
     budget = BudgetParams(delta=args.delta, L=args.L, per_bit_delta=args.per_bit_delta)
+    # the plan reads only n, so its refusals come before --n bits are drawn
+    pairs = lpn.plan(cfg, budget, fixed_queries=args.queries, max_queries=args.max_queries)
     if bits is None:
-        # the plan reads only n, so learn's refusals come before --n bits are drawn
-        lpn.plan(cfg, budget, fixed_queries=args.queries, max_queries=args.max_queries)
         gen = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(0,)))
         bits = gen.integers(0, 2, size=n, dtype=np.uint8)
-    oracle = lpn.make_oracle(bits, cfg)
-    result = lpn.learn(
-        oracle, cfg, budget,
-        fixed_queries=args.queries, max_queries=args.max_queries,
-    )
+    result = lpn.learn(lpn.make_oracle(bits, cfg), pairs, budget.L)
     s_text, s_hat = bits_to_str(bits), bits_to_str(result.s_hat)
     ensemble = budget.L
     rows = [

@@ -78,7 +78,7 @@ class BudgetParams:
     delta = 0.05 fails with exact probability 0.0190 under ``decide_bit``'s
     max rule, and failed 39 of 2000 seeded sampled runs.
     L is the shot count of one query.  ``plan`` sizes each bit's query
-    count from these, for the threshold ``learn`` compares its reading with.
+    count from these, for the bit's threshold T_j.
     """
 
     delta: float
@@ -107,6 +107,9 @@ class LearnStep(NamedTuple):
 
 @dataclass(frozen=True)
 class LearnResult:
+    """One run of ``learn``: s_hat, the decided bits as a uint8 array, and
+    steps, the ``LearnStep`` of each probed bit in order."""
+
     s_hat: np.ndarray
     steps: tuple[LearnStep, ...]
 
@@ -140,8 +143,8 @@ def decide_bit(est: EstimateRecord, threshold: float) -> int:
 
 
 def query_budget(budget: BudgetParams, n: int, threshold: float) -> int:
-    """Queries required to decide one of n bits against `threshold`, the T
-    that ``learn`` compares the bit's reading with.
+    """Queries required to decide one of n bits against `threshold`, the
+    bit's T_j, which ``decide_bit`` compares its reading with.
 
     The least integer Q with Q L T^2 >= C ln(1/delta'), with delta' the
     per-bit share of the failure budget: ln(1/delta') is the float
@@ -240,12 +243,14 @@ def plan(
     cfg: Dqc1Config, budget: BudgetParams, *, fixed_queries: int | None = None,
     max_queries: int = 10**7,
 ) -> tuple[tuple[float, int], ...]:
-    """The (T_j, Q_j) of each bit j = 1..n that ``learn`` reads: the threshold
+    """The (T_j, Q_j) of each bit j = 1..n that ``learn`` runs: the threshold
     alpha (1-p) g^(n-j) / 2, g the gap factor of theta, and the query count,
     `fixed_queries` or ``query_budget`` for T_j.  It reads neither s nor any
-    reading, and raises each refusal of ``learn``, in its order: ValueError,
-    or ``BudgetExhaustedError`` for a Q_j past `max_queries`.  T_j grows with
-    j and Q_j does not, so bit 1 is checked before the other pairs are built."""
+    reading, and it is the one place a run is refused before its first
+    query (``cli.cmd_learn`` calls it once, before the bits are drawn or the
+    oracle built): ValueError, or ``BudgetExhaustedError`` for a Q_j past
+    `max_queries`.  T_j grows with j and Q_j does not, so bit 1 is checked
+    before the other pairs are built."""
     if fixed_queries is not None and require_int(fixed_queries, "fixed_queries") < 1:
         raise ValueError("fixed_queries must be at least 1")
     if require_int(max_queries, "max_queries") < 1:
@@ -276,23 +281,20 @@ def plan(
     return ((first, queries), *((t, queries) for t in rest))
 
 
-def learn(
-    oracle: Oracle, cfg: Dqc1Config, budget: BudgetParams, *,
-    fixed_queries: int | None = None, max_queries: int = 10**7,
-) -> LearnResult:
-    """Recover the hidden string bit by bit, by the pairs of ``plan``.
+def learn(oracle: Oracle, pairs: Iterable[tuple[float, int]], L: int) -> LearnResult:
+    """Recover the hidden string bit by bit, by `pairs`, the (T_j, Q_j) of
+    each bit j = 1, 2, ... that ``plan`` returns, at L shots per query.
 
-    Per bit j: query the oracle with data qubits 1..j-1 decoupled and the
-    tail rotated, compare max(|ex|, |ey|) to half the worst-case reading
-    of the s_j = 0 branch (``decide_bit``), record the bit, and on a 1 add
-    the correction that decouples qubit j from then on.  Both quadratures are sampled
-    until the first nonzero reading fixes which one carries the signal;
-    every 1 recorded afterwards toggles it, since each removed coupling
-    drops one factor of i from the trace.  ``plan`` raises every refusal
-    before the first query.
+    Per bit j: query the oracle (Q_j queries of L shots) with data qubits
+    1..j-1 decoupled and the tail rotated, compare max(|ex|, |ey|) to T_j, half the
+    worst-case reading of the s_j = 0 branch (``decide_bit``), record the
+    bit, and on a 1 add the correction that decouples qubit j from then on.
+    Both quadratures are sampled until the first nonzero reading fixes
+    which one carries the signal; every 1 recorded afterwards toggles it,
+    since each removed coupling drops one factor of i from the trace.  It
+    refuses nothing of its own: ``decide_bit`` refuses a bad threshold and
+    the oracle a bad count.
     """
-    pairs = plan(cfg, budget, fixed_queries=fixed_queries, max_queries=max_queries)
-    ensemble = budget.L
     # the quadrature that carries the signal, once a nonzero reading fixed it
     quadrature: str | None = None
     # bit k-1 set: qubit k was learned as a 1 and is corrected from then on
@@ -300,7 +302,7 @@ def learn(
     steps: list[LearnStep] = []
     for j, (threshold, queries) in enumerate(pairs, 1):
         observables = (quadrature,) if quadrature is not None else QUADRATURES
-        record = oracle(j, corrections, ensemble, queries, observables)
+        record = oracle(j, corrections, L, queries, observables)
         bit = decide_bit(record, threshold)
         if bit:
             corrections |= 1 << (j - 1)

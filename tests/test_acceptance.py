@@ -122,7 +122,7 @@ def test_criterion_04_end_to_end_learning():
         budget = BudgetParams(delta=0.01, L=1000)
         for bits in all_bitstrings(n):
             res = lpn.learn(
-                lpn.make_oracle(bits, cfg), cfg, budget, fixed_queries=1
+                lpn.make_oracle(bits, cfg), lpn.plan(cfg, budget, fixed_queries=1), budget.L
             )
             analytic_fails += int(not np.array_equal(res.s_hat, bits))
     analytic_elapsed = time.perf_counter() - start
@@ -137,7 +137,7 @@ def test_criterion_04_end_to_end_learning():
         )
         budget = BudgetParams(delta=0.01, L=1000)
         res = lpn.learn(
-            lpn.make_oracle(bits, cfg), cfg, budget, fixed_queries=100
+            lpn.make_oracle(bits, cfg), lpn.plan(cfg, budget, fixed_queries=100), budget.L
         )
         wins += int(np.array_equal(res.s_hat, bits))
     ok = analytic_fails == 0 and analytic_elapsed < 60.0 and wins >= 99

@@ -92,6 +92,22 @@ def test_learn_random_string_is_seeded(capsys):
     assert len(s) == 6 and set(s) <= {"0", "1"}
 
 
+@pytest.mark.parametrize("argv", [["--s", "0110"], ["--n", "6", "--seed", "9"]],
+                         ids=["s", "n"])
+def test_learn_plans_once_before_the_oracle(capsys, monkeypatch, argv):
+    """``cmd_learn`` asks ``lpn.plan`` once per run, before it builds the
+    oracle, for a given string and a drawn one alike."""
+    calls = []
+    for name in ("plan", "make_oracle"):
+        def recorder(*args, _name=name, _call=getattr(lpn, name), **kwargs):
+            calls.append(_name)
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(lpn, name, recorder)
+    code, _, err = run_cli(capsys, "learn", *argv)
+    assert code == 0, err
+    assert calls == ["plan", "make_oracle"]
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 _S64 = "0110100110010110011010011001011001101001100101100110100110010110"

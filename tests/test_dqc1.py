@@ -299,13 +299,14 @@ def _oracle_0110():
     return lpn.make_oracle("0110", _closed_config(4))
 
 
-def _learn_0110(**plan):
-    return lpn.learn(_oracle_0110(), _closed_config(4), BudgetParams(0.1, 10), **plan)
-
-
 def _plan(cfg=None, **caps):
-    """``lpn.plan`` for `cfg` (by default that of ``_learn_0110``)."""
+    """``lpn.plan`` for `cfg` (by default that of ``_oracle_0110``)."""
     return partial(lpn.plan, cfg or _closed_config(4), BudgetParams(0.1, 10), **caps)
+
+
+def _learn_0110(cfg=None, **caps):
+    """A run of ``_oracle_0110`` on the plan ``_plan(cfg, **caps)`` builds."""
+    return lpn.learn(_oracle_0110(), _plan(cfg, **caps)(), 10)
 
 
 def _query(draw, backend, top):
@@ -340,12 +341,12 @@ def _learn(draw):
     oracle = lpn.make_oracle(_bits(draw, n), cfg)
     fixed = draw(_mostly(st.none() | st.integers(1, 10**6)))
     most = draw(_mostly(st.integers(1, 10**12)))
+    budget = BudgetParams(0.1, 100)
     try:
-        result = lpn.learn(
-            oracle, cfg, BudgetParams(0.1, 100), fixed_queries=fixed, max_queries=most
-        )
+        pairs = lpn.plan(cfg, budget, fixed_queries=fixed, max_queries=most)
     except lpn.BudgetExhaustedError:
         return True
+    result = lpn.learn(oracle, pairs, budget.L)
     return all(_ints(step.queries) and 1 <= step.queries <= most for step in result.steps)
 
 
@@ -411,8 +412,9 @@ def test_library_entry_points_refuse_with_value_error(call, data):
     inf among them), strings and None, raises ValueError or returns finite
     values, having taken only integers where a count, mask or qubit
     belongs, a collection where one belongs, and only a 0/1 pattern, read
-    as a list reads, where a bit pattern belongs; ``learn`` may also run out
-    of budget, and its steps spend an integer count of queries within it."""
+    as a list reads, where a bit pattern belongs; ``plan`` may also run out
+    of budget, and the steps of ``learn`` spend an integer count of queries
+    within it."""
     try:
         finite = call(data.draw)
     except ValueError:
@@ -486,24 +488,27 @@ def _config_with(**fields):
                  "threshold", "must be a real number"),
         _refusal("oracle-j", lambda: _oracle_0110()(1.0), "j"),
         _refusal("oracle-mask", lambda: _oracle_0110()(2, 0.5), "corrections"),
+        _refusal("oracle-ensemble", lambda: _oracle_0110()(1, 0, 1.5, 1), "ensemble",
+                 "ensemble must be an integer"),
         _refusal("oracle-queries", lambda: _oracle_0110()(1, 0, 1, 1.5), "queries"),
         _refusal("oracle-observables", lambda: _oracle_0110()(1, 0, 1, 1, ("z",)), "observables"),
         _refusal("learn-fixed", lambda: _learn_0110(fixed_queries=1.5), "fixed_queries"),
         _refusal("learn-max-nan", lambda: _learn_0110(max_queries=float("nan")), "max_queries"),
         _refusal("learn-max-half", lambda: _learn_0110(max_queries=0.5), "max_queries"),
-        _refusal("learn-n-zero", partial(lpn.learn, _oracle_0110(), _closed_config(0),
-                                         BudgetParams(0.1, 10)), "n", "nothing to learn"),
-        # plan raises learn's refusals, with its messages, before any query
+        _refusal("learn-n-zero", lambda: _learn_0110(_closed_config(0)), "n", "nothing to learn"),
+        # plan raises every refusal of a run before its first query
         _refusal("plan-fixed", _plan(fixed_queries=1.5), "fixed_queries", "must be an integer"),
         _refusal("plan-fixed-zero", _plan(fixed_queries=0), "fixed_queries", "at least 1"),
         _refusal("plan-max-nan", _plan(max_queries=math.nan), "max_queries"),
         _refusal("plan-max-half", _plan(max_queries=0.5), "max_queries"),
         _refusal("plan-max-zero", _plan(max_queries=0), "max_queries", "at least 1"),
-        _refusal("plan-alpha-zero", _plan(_config_with(alpha=0.0)()), "alpha",
-                 r"alpha must lie in \(0, 1\]"),
+        *(_refusal(f"plan-alpha-zero{id}", _plan(_config_with(alpha=0.0)(), fixed_queries=f),
+                   "alpha", r"alpha must lie in \(0, 1\]")
+          for id, f in (("", None), ("-fixed", 5))),
         _refusal("plan-n-zero", _plan(_closed_config(0)), "n", "nothing to learn"),
-        _refusal("plan-theta-pi", _plan(_config_with(theta=math.pi)()), "angle",
-                 "multiples of pi"),
+        *(_refusal(f"plan-theta-{id}", _plan(_config_with(theta=theta)()), "angle",
+                   "multiples of pi")
+          for id, theta in (("0", 0.0), ("pi", math.pi), ("2pi", 2 * math.pi))),
         # sin(1/2)^2099 is far below 2^-1022, and an n - 1 of 10^400 is past float range
         *(_refusal(f"plan-threshold-{id}", _plan(_closed_config(n)), "threshold",
                    r"the threshold of bit 1 is below 2\^-1022")

@@ -243,7 +243,7 @@ def test_budget_meets_the_threshold_learn_uses(theta, n, alpha, p, L, delta, per
     budget = BudgetParams(delta=delta, L=L, per_bit_delta=per_bit_delta)
     cfg = Dqc1Config(n=n, alpha=alpha, p=p, theta=theta, backend="closed")
     bits = np.random.default_rng(n).integers(0, 2, size=n, dtype=np.uint8)
-    res = learn(make_oracle(bits, cfg), cfg, budget, max_queries=10**30)
+    res = learn(make_oracle(bits, cfg), plan(cfg, budget, max_queries=10**30), L)
     assert np.array_equal(res.s_hat, bits)
     share = delta if per_bit_delta else delta / n
     need = HOEFFDING_C * math.log(1.0 / share) * (1 - 1e-12)
@@ -322,7 +322,7 @@ def test_learn_refuses_unpolarized_probe(kind, fixed_queries):
     cfg = Dqc1Config(n=4, alpha=0.0, p=0.0, theta=HALF_PI, backend=kind)
     oracle = make_oracle(as_bits("0110"), cfg)
     with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
-        learn(oracle, cfg, _budget(), fixed_queries=fixed_queries)
+        learn(oracle, plan(cfg, _budget(), fixed_queries=fixed_queries), 1000)
 
 
 @pytest.mark.parametrize("kind", ["dense", "closed"])
@@ -391,8 +391,6 @@ def test_oracle_rejects_probe_and_corrections_out_of_range(kind):
     ):
         with pytest.raises(ValueError):
             oracle(*query)
-    with pytest.raises(ValueError, match="at least 1"):
-        learn(oracle, cfg, _budget(), fixed_queries=0)
 
 
 def test_wrong_correction_kills_later_signal():
@@ -410,7 +408,7 @@ def test_learn_exhaustive_analytic():
     for n in range(1, 5):
         cfg = Dqc1Config(n=n, alpha=1.0, p=0.0, theta=HALF_PI, backend="dense")
         for bits in all_bitstrings(n):
-            res = learn(make_oracle(bits, cfg), cfg, _budget(), fixed_queries=1)
+            res = learn(make_oracle(bits, cfg), plan(cfg, _budget(), fixed_queries=1), 1000)
             assert np.array_equal(res.s_hat, bits)
             assert len(res.steps) == n
 
@@ -430,7 +428,7 @@ def test_learn_corrects_exactly_the_learned_ones(rng, kind):
             calls.append((j, corrections))
             return oracle(j, corrections, *args)
 
-        res = learn(recording, cfg, _budget(), fixed_queries=200)
+        res = learn(recording, plan(cfg, _budget(), fixed_queries=200), 1000)
         learned = [k for k in range(1, n + 1) if res.s_hat[k - 1]]
         assert [j for j, _ in calls] == list(range(1, n + 1))
         for j, corrections in calls:
@@ -442,14 +440,14 @@ def test_learn_corrects_exactly_the_learned_ones(rng, kind):
 def test_learn_survives_heavy_readout_noise():
     bits = as_bits("0110")
     cfg = Dqc1Config(n=4, alpha=0.4, p=0.8, theta=HALF_PI, backend="dense")
-    res = learn(make_oracle(bits, cfg), cfg, _budget(), fixed_queries=1)
+    res = learn(make_oracle(bits, cfg), plan(cfg, _budget(), fixed_queries=1), 1000)
     assert bits_to_str(res.s_hat) == "0110"
 
 
 def test_learn_sampled_backend_round_trip():
     bits = as_bits("101")
     cfg = Dqc1Config(n=3, alpha=1.0, p=0.0, theta=HALF_PI, backend="sampled", seed=17)
-    res = learn(make_oracle(bits, cfg), cfg, _budget(), fixed_queries=200)
+    res = learn(make_oracle(bits, cfg), plan(cfg, _budget(), fixed_queries=200), 1000)
     assert bits_to_str(res.s_hat) == "101"
     assert all(step.queries == 200 for step in res.steps)
 
@@ -463,7 +461,7 @@ def test_learn_step_is_an_immutable_named_tuple():
     with pytest.raises(AttributeError):
         step.bit = 1
     cfg = _cfg(4)
-    res = learn(make_oracle(as_bits("0110"), cfg), cfg, _budget(), fixed_queries=5)
+    res = learn(make_oracle(as_bits("0110"), cfg), plan(cfg, _budget(), fixed_queries=5), 1000)
     assert [step.queries for step in res.steps] == [5, 5, 5, 5]
     assert [step.j for step in res.steps] == [1, 2, 3, 4]
     assert all(type(step.record) is EstimateRecord for step in res.steps)
@@ -472,7 +470,7 @@ def test_learn_step_is_an_immutable_named_tuple():
 def test_learn_thresholds_grow_with_decoupling():
     bits = as_bits("0000")
     cfg = Dqc1Config(n=4, alpha=1.0, p=0.0, theta=HALF_PI, backend="dense")
-    res = learn(make_oracle(bits, cfg), cfg, _budget(), fixed_queries=1)
+    res = learn(make_oracle(bits, cfg), plan(cfg, _budget(), fixed_queries=1), 1000)
     thresholds = [step.threshold for step in res.steps]
     assert thresholds == sorted(thresholds)
     assert thresholds[-1] == pytest.approx(0.5, abs=1e-12)
@@ -506,7 +504,7 @@ def test_learn_steps_are_bitwise_the_formulas(n, theta, alpha, p, s_seed, fixed_
         reads.append((corrections, observables))
         return oracle(j, corrections, ensemble, queries, observables)
 
-    res = learn(recording, cfg, _budget(), fixed_queries=fixed_queries, max_queries=_NO_CAP)
+    res = learn(recording, pairs, 1000)
     assert [(step.threshold, step.queries) for step in res.steps] == list(pairs)
     ones = qubit_mask(k for k in range(1, n + 1) if bits[k - 1])
     for step, (corrections, observables) in zip(res.steps, reads, strict=True):
@@ -519,19 +517,15 @@ def test_learn_steps_are_bitwise_the_formulas(n, theta, alpha, p, s_seed, fixed_
 
 
 def test_learn_budget_exhaustion():
+    """A bit 1 that needs more queries than `max_queries` is refused with
+    ``BudgetExhaustedError`` (exit 3), which is not a ValueError (exit 2)."""
     cfg = Dqc1Config(n=40, alpha=0.2, p=0.5, theta=HALF_PI, backend="dense")
     budget = BudgetParams(delta=0.01, L=10)
     with pytest.raises(BudgetExhaustedError) as info:
-        learn(make_oracle(as_bits("0" * 40), cfg), cfg, budget, max_queries=1000)
+        learn(make_oracle(as_bits("0" * 40), cfg), plan(cfg, budget, max_queries=1000), budget.L)
+    assert not isinstance(info.value, ValueError)
     assert info.value.j == 1
-    assert info.value.required > info.value.allowed
-
-
-def test_learn_rejects_degenerate_angle():
-    for theta in (0.0, 2 * math.pi):
-        cfg = Dqc1Config(n=2, alpha=1.0, p=0.0, theta=theta, backend="dense")
-        with pytest.raises(ValueError, match="multiples of pi"):
-            learn(make_oracle(as_bits("01"), cfg), cfg, _budget())
+    assert info.value.required > info.value.allowed == 1000
 
 
 @pytest.mark.parametrize(
@@ -544,26 +538,25 @@ def test_learn_rejects_degenerate_angle():
         pytest.param({"n": 2100}, _budget(), {"fixed_queries": 1},
                      r"threshold of bit 1 is below 2\^-1022", id="threshold-2100-bits"),
         pytest.param({}, _budget(), {"fixed_queries": 10, "max_queries": 5},
-                     "bit 1 needs 10 queries, budget allows 5", id="exhausted-fixed"),
+                     "^bit 1 needs 10 queries, budget allows 5$", id="exhausted-fixed"),
         pytest.param({"n": 40, "alpha": 0.2, "p": 0.5}, BudgetParams(delta=0.01, L=10),
-                     {"max_queries": 1000}, "bit 1 needs", id="exhausted-budget"),
+                     {"max_queries": 1000},
+                     r"^bit 1 needs about 2\^48.4 queries, budget allows 1000$",
+                     id="exhausted-budget"),
     ],
 )
 def test_learn_refuses_before_any_query(fields, budget, caps, message):
-    """Each refusal of ``learn`` is the one ``plan`` raises, with its type and
-    message, and comes before the oracle is called once."""
+    """Each refusal of a run is raised by ``plan``, with its type and message,
+    before ``learn`` calls the oracle once."""
     cfg = Dqc1Config(**{"n": 4, "alpha": 1.0, "p": 0.0, "theta": HALF_PI, **fields})
-    with pytest.raises((ValueError, BudgetExhaustedError), match=message) as planned:
-        plan(cfg, budget, **caps)
     calls = []
 
     def counting(*query):
         calls.append(query)
         return EstimateRecord(0.0, 0.0, 0.0, 0.0)
 
-    with pytest.raises(type(planned.value)) as refused:
-        learn(counting, cfg, budget, **caps)
-    assert str(refused.value) == str(planned.value)
+    with pytest.raises((ValueError, BudgetExhaustedError), match=message):
+        learn(counting, plan(cfg, budget, **caps), budget.L)
     assert calls == []
 
 
